@@ -29,7 +29,6 @@ from .solvers import (
     default_init,
     randomized_svd,
     rtr_solve,
-    simple_altmin_solve,
     truncated_svd,
 )
 from .synth import (

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .lifting import LiftingSpec
-from .manifold import ProductPoint
+from .manifold import DegenerateRetractionError, ProductPoint
 from .objective import Objective, fd_check
 from .solvers import (
     TRACE_COLUMNS,
@@ -37,7 +37,6 @@ from .solvers import (
     random_init,
     rtr_solve,
     rtr_solve_restarts,
-    simple_altmin_solve,
     truncated_svd,
 )
 from .synth import (
@@ -171,6 +170,9 @@ def build_solver_configs(cfg: dict, name: str):
         base = AltminConfig(armijo=armijo, svd_policy=policy)
         if name == "altmin2":
             base = replace(base, inner="trust_region")
+        elif name == "simple":
+            # one Armijo gradient step in X, then an exact truncated SVD
+            base = replace(base, max_inner=1, svd_policy=None)
         return replace(base, **opts)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver_options: {exc}") from exc
@@ -194,6 +196,10 @@ def build_sensing(cfg: dict, target: np.ndarray, rng):
         return meas, meas.b.copy()
     if kind == "dense":
         m = int(_require(sensing, "m", "sensing"))
+        if m > target.size:
+            # no exact solution to start from, for the constrained and the
+            # penalized forms alike (default_init needs one)
+            raise ConfigError(f"dense sensing needs m <= n*s = {target.size}, got m={m}")
         sigma = float(sensing.get("noise_sigma", 0.0))
         noise = NoiseSpec(sigma) if sigma > 0 else None
         meas, b_clean = gen_gaussian_sensing(target, m, rng, noise)
@@ -213,15 +219,16 @@ def resolve_rank(cfg: dict, lifting: LiftingSpec, data_spec, target: np.ndarray)
 
 
 def build_objective(lifting: LiftingSpec, rank: int, meas, penalty: float | None = None) -> Objective:
-    return Objective(lifting=lifting, rank_r=rank, measurement=meas, penalty_lambda=penalty)
+    try:
+        return Objective(lifting=lifting, rank_r=rank, measurement=meas, penalty_lambda=penalty)
+    except ValueError as exc:
+        raise ConfigError(f"bad objective: {exc}") from exc
 
 
 def solve(obj: Objective, z0: ProductPoint, name: str, solver_cfg, rng, truth=None):
     if name == "rtr2":
         return rtr_solve(obj, z0, solver_cfg, truth=truth)
-    if name == "altmin1" or name == "altmin2":
-        return altmin_solve(obj, z0, solver_cfg, rng=rng, truth=truth)
-    return simple_altmin_solve(obj, z0, solver_cfg, truth=truth)
+    return altmin_solve(obj, z0, solver_cfg, rng=rng, truth=truth)
 
 
 # ---------------------------------------------------------------------------
@@ -615,17 +622,19 @@ def cmd_check(out_dir: Path, seed: int) -> int:
         u_rand = truncated_svd(rng.standard_normal((amb, amb)), obj.rank_r)
         z = ProductPoint(default_init(obj).x, u_rand)
         report = fd_check(obj, z, tol=1e-5, rng=rng, n_dirs=5)
+        hess = ("hess not checked" if report.hess_error is None
+                else f"hess_err={report.hess_error:.2e}")
         results.append((f"fd_check[{label}]", report.passed,
-                        f"grad_err={report.grad_error:.2e} hess_err={report.hess_error:.2e}"))
+                        f"grad_err={report.grad_error:.2e} {hess}"))
 
     u = truncated_svd(rng.standard_normal((6, 5)), 2)
     t = mf.grass_project(u, rng.standard_normal((6, 2)))
-    ortho = float(np.linalg.norm(u.basis.T @ t.value))
+    ortho = float(np.linalg.norm(u.basis.T @ t))
     results.append(("grassmann_projection_horizontal", ortho < 1e-10, f"defect={ortho:.2e}"))
-    again = mf.grass_project(u, t.value)
-    idem = float(np.linalg.norm(again.value - t.value))
+    again = mf.grass_project(u, t)
+    idem = float(np.linalg.norm(again - t))
     results.append(("grassmann_projection_idempotent", idem < 1e-12, f"defect={idem:.2e}"))
-    d0 = mf.grass_distance(mf.grass_retract(u, 0.0 * t.value), u)
+    d0 = mf.grass_distance(mf.grass_retract(u, 0.0 * t), u)
     results.append(("grassmann_retract_zero", d0 < 1e-12, f"dist={d0:.2e}"))
     x0 = mf.meas_feasible_point(meas)
     res = float(np.linalg.norm(meas.residual(x0)))
@@ -689,7 +698,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalError as exc:
+    except (NumericalError, DegenerateRetractionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -201,19 +201,6 @@ def monomial_hess_operator(x_mat: np.ndarray, w, d: int, c: float):
     return apply
 
 
-def monomial_hess(
-    x_mat: np.ndarray,
-    w,
-    d: int,
-    c: float,
-    dx: np.ndarray,
-    dw: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean Hessian-vector product of trace(P_{W_perp} K_d(X, X)) at
-    (X, W) applied to (dx, dw). Returns the (n x s, s x r) blocks."""
-    return monomial_hess_operator(x_mat, w, d, c)(dx, dw)
-
-
 def gaussian_grad_x(x_mat: np.ndarray, w, sigma: float) -> np.ndarray:
     """Euclidean gradient in X of trace(P_{W_perp} K_G(X, X)) for the Gaussian
     kernel: -(2 / sigma^2) X (diag(colsum(K o P)) - K o P)."""
@@ -254,7 +241,11 @@ class LiftingSpec:
         if self.kind == "gaussian_kernel" and self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.kind == "monomial_features":
-            count_monomials(self.n, self.degree)  # fail fast on bad (n, d)
+            n_feat = count_monomials(self.n, self.degree)  # fail fast on bad (n, d)
+            if n_feat > MAX_EXPLICIT_FEATURES:
+                raise FeatureSizeError(
+                    f"N(n={self.n}, d={self.degree}) = {n_feat} exceeds cap {MAX_EXPLICIT_FEATURES}"
+                )
 
     @classmethod
     def monomials(cls, n: int, degree: int) -> "LiftingSpec":

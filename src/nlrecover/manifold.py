@@ -56,34 +56,19 @@ class GrassmannPoint:
     def r(self) -> int:
         return self.basis.shape[1]
 
-    def projector_complement(self) -> np.ndarray:
-        """I - U U^T, the projector onto the orthogonal complement."""
-        u = self.basis
-        return np.eye(self.p) - u @ u.T
 
-
-@dataclass(frozen=True)
-class GrassmannTangent:
-    """Horizontal lift of a tangent vector at some GrassmannPoint: U^T H = 0."""
-
-    value: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.value))
-
-
-def grass_project(u: GrassmannPoint, z: np.ndarray) -> GrassmannTangent:
-    """Project an ambient p x r matrix onto the horizontal space at u."""
+def grass_project(u: GrassmannPoint, z: np.ndarray) -> np.ndarray:
+    """Project an ambient p x r matrix onto the horizontal space at u, the
+    matrices H with U^T H = 0."""
     z = np.asarray(z, dtype=float)
     if z.shape != u.basis.shape:
         raise DimensionError(f"expected shape {u.basis.shape}, got {z.shape}")
-    return GrassmannTangent(z - u.basis @ (u.basis.T @ z))
+    return z - u.basis @ (u.basis.T @ z)
 
 
-def grass_retract(u: GrassmannPoint, h: GrassmannTangent | np.ndarray) -> GrassmannPoint:
+def grass_retract(u: GrassmannPoint, h: np.ndarray) -> GrassmannPoint:
     """QR retraction: the Q factor of U + H with positive diagonal R."""
-    hv = h.value if isinstance(h, GrassmannTangent) else np.asarray(h, dtype=float)
+    hv = np.asarray(h, dtype=float)
     if hv.shape != u.basis.shape:
         raise DimensionError(f"expected shape {u.basis.shape}, got {hv.shape}")
     q, r = np.linalg.qr(u.basis + hv)
@@ -202,26 +187,14 @@ class MeasurementSubspace:
         return x_mat
 
 
-@dataclass(frozen=True)
-class AffineTangent:
-    """Element of null(A), an n x s matrix."""
-
-    value: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.value))
-
-
-def meas_project(l: MeasurementSubspace, delta: np.ndarray) -> AffineTangent:
+def meas_project(l: MeasurementSubspace, delta: np.ndarray) -> np.ndarray:
     """Orthogonal projection of an ambient n x s matrix onto null(A)."""
     delta = l._check_shape(delta)
     if l.kind == "entry_mask":
-        out = np.where(l.mask, 0.0, delta)
-        return AffineTangent(out)
+        return np.where(l.mask, 0.0, delta)
     v = delta.ravel(order="F")
     v = v - l.q_basis @ (l.q_basis.T @ v)
-    return AffineTangent(v.reshape((l.n, l.s), order="F"))
+    return v.reshape((l.n, l.s), order="F")
 
 
 def meas_feasible_point(l: MeasurementSubspace) -> np.ndarray:
@@ -268,13 +241,6 @@ class ProductTangent:
         return ProductTangent(scalar * self.dx, scalar * self.du)
 
     __rmul__ = __mul__
-
-
-def product_project(
-    l: MeasurementSubspace, z: ProductPoint, dx: np.ndarray, du: np.ndarray
-) -> ProductTangent:
-    """Componentwise tangent projection at z."""
-    return ProductTangent(meas_project(l, dx).value, grass_project(z.u, du).value)
 
 
 def product_retract(z: ProductPoint, xi: ProductTangent) -> ProductPoint:

@@ -1,13 +1,12 @@
 """Solvers for the lifted recovery problem.
 
-Three families:
+Two families:
   * a Riemannian trust-region method with a Steihaug-Toint truncated-CG
     subproblem (first- or second-order model),
   * an alternating minimization scheme: inexact minimization in X (projected
     gradient descent with Armijo backtracking, or an inner trust region on the
     X factor) alternating with a truncated-SVD update of the subspace, with an
-    adaptive exact/randomized SVD policy,
-  * a simple one-gradient-step-per-SVD alternation.
+    adaptive exact/randomized SVD policy or an exact SVD every round.
 
 All solvers record a per-iteration trace serializable to CSV.
 """
@@ -25,11 +24,11 @@ from .manifold import (
     GrassmannPoint,
     ProductPoint,
     ProductTangent,
-    grass_distance,
     meas_feasible_point,
     meas_project,
 )
-from .objective import Objective, feature_residual_cost, kernel_trace_cost
+from .objective import Objective
+from .synth import rmse
 
 
 class NumericalError(RuntimeError):
@@ -98,7 +97,8 @@ class AltminConfig:
     schedule: str = "greedy"  # or "adaptive"
     theta: float = 0.5
     armijo: ArmijoConfig = field(default_factory=ArmijoConfig)
-    svd_policy: SvdPolicyConfig = field(default_factory=SvdPolicyConfig)
+    # None: an exact truncated SVD in every round that updates the subspace
+    svd_policy: SvdPolicyConfig | None = field(default_factory=SvdPolicyConfig)
     max_outer: int = 200
     max_inner: int = 200
     inner: str = "gradient"  # or "trust_region"
@@ -137,7 +137,6 @@ class TraceRecord:
 class SolveTrace:
     records: list[TraceRecord] = field(default_factory=list)
     status: str = "max_iter"  # grad_tol | max_iter | stalled
-    extras: dict = field(default_factory=dict)
 
     def append(self, rec: TraceRecord) -> None:
         self.records.append(rec)
@@ -211,18 +210,6 @@ def svd_policy(f_val: float, tau1: float, tau2: float) -> str:
     if f_val > tau1:
         return "rand_power"
     return "rand_plain"
-
-
-def wedin_gap_check(y1: np.ndarray, y2: np.ndarray, r: int, delta: float) -> bool:
-    """Test oracle: dist(U1, U2)^2 <= 2 ||Y1 - Y2||_F^2 / delta^2 whenever both
-    spectra have sigma_r - sigma_{r+1} >= delta."""
-    u1, s1, _ = np.linalg.svd(np.asarray(y1, dtype=float), full_matrices=False)
-    u2, s2, _ = np.linalg.svd(np.asarray(y2, dtype=float), full_matrices=False)
-    if s1[r - 1] - s1[r] < delta or s2[r - 1] - s2[r] < delta:
-        raise ValueError("spectral gap below delta; the bound does not apply")
-    d = grass_distance(GrassmannPoint(u1[:, :r]), GrassmannPoint(u2[:, :r]))
-    bound = 2.0 * np.sum((y1 - y2) ** 2) / delta**2
-    return d**2 <= bound + 1e-12 * (1.0 + bound)
 
 
 # --------------------------------------------------------------------------
@@ -314,7 +301,7 @@ def x_factor_problem(obj: Objective, u: GrassmannPoint) -> RiemannianProblem:
 
     def rand_tangent(x, rng):
         d = rng.standard_normal(x.shape)
-        return meas_project(meas, d).value if obj.constrained else d
+        return meas_project(meas, d) if obj.constrained else d
 
     dim = meas.n * meas.s - (meas.m if obj.constrained else 0)
     return RiemannianProblem(
@@ -540,10 +527,7 @@ def rtr_solve(
     """Riemannian trust region on the full product manifold."""
     cfg = cfg or RtrConfig()
     prob = product_problem(obj)
-    rmse_of = None
-    if truth is not None:
-        scale = math.sqrt(truth.size)
-        rmse_of = lambda z: float(np.linalg.norm(z.x - truth)) / scale
+    rmse_of = None if truth is None else (lambda z: rmse(z.x, truth))
     gnorm_parts = lambda g: (float(np.linalg.norm(g.dx)), float(np.linalg.norm(g.du)))
     return rtr_generic(
         prob, z0, cfg, rmse_of=rmse_of, gnorm_parts=gnorm_parts, on_iterate=on_iterate
@@ -567,7 +551,7 @@ def random_init(obj: Objective, rng: np.random.Generator, scale: float = 1.0) ->
     """Feasible X0 perturbed by a random null-space component, with the
     subspace re-fit by a truncated SVD."""
     x0 = meas_feasible_point(obj.measurement)
-    noise = meas_project(obj.measurement, rng.standard_normal(x0.shape)).value
+    noise = meas_project(obj.measurement, rng.standard_normal(x0.shape))
     x0 = x0 + scale * noise
     u0 = truncated_svd(obj.lift(x0), obj.rank_r)
     return ProductPoint(x0, u0)
@@ -605,27 +589,20 @@ def _subspace_update(
     x_mat: np.ndarray,
     f_val: float,
     f_scale: float,
-    cfg: SvdPolicyConfig,
+    cfg: SvdPolicyConfig | None,
     rng: np.random.Generator,
-    force_exact: bool = False,
 ) -> tuple[GrassmannPoint, str]:
     lifted = obj.lift(x_mat)
-    mode = "exact" if force_exact else svd_policy(f_val / f_scale, cfg.tau1, cfg.tau2)
+    mode = "exact" if cfg is None else svd_policy(f_val / f_scale, cfg.tau1, cfg.tau2)
     if mode == "exact":
         return truncated_svd(lifted, obj.rank_r), mode
     power_q = cfg.power_q if mode == "rand_power" else 0
     u_new = randomized_svd(lifted, obj.rank_r, cfg.oversample, power_q, rng)
     # the exact SVD never increases f; guard the randomized shortcut so the
     # monotonicity of the outer loop is preserved
-    if _residual_of(obj, lifted, u_new) > f_val + 1e-12 * (1.0 + abs(f_val)):
+    if obj.residual_of_lift(lifted, u_new.basis) > f_val + 1e-12 * (1.0 + abs(f_val)):
         return truncated_svd(lifted, obj.rank_r), "exact"
     return u_new, mode
-
-
-def _residual_of(obj: Objective, lifted: np.ndarray, u: GrassmannPoint) -> float:
-    if obj.form == "feature":
-        return feature_residual_cost(lifted, u.basis)
-    return kernel_trace_cost(lifted, u.basis)
 
 
 def altmin_solve(
@@ -637,7 +614,9 @@ def altmin_solve(
     on_iterate=None,
 ) -> tuple[ProductPoint, SolveTrace]:
     """Alternating minimization: inexact X-minimization to a scheduled
-    tolerance, then a gated (randomized) truncated-SVD subspace update."""
+    tolerance, then a truncated-SVD subspace update, skipped while the
+    subspace gradient passes eps_u and routed by the SVD policy (exact in
+    every round when cfg.svd_policy is None)."""
     if not obj.constrained:
         raise ValueError("alternating minimization requires the constrained formulation")
     cfg = cfg or AltminConfig()
@@ -652,11 +631,6 @@ def altmin_solve(
     else:
         f_scale = max(float(np.trace(lifted0)), 1e-30)
 
-    def rmse_of(xm):
-        if truth is None:
-            return None
-        return float(np.linalg.norm(xm - truth)) / math.sqrt(truth.size)
-
     f_prev = math.inf
     no_progress = 0
     for k in range(cfg.max_outer):
@@ -667,7 +641,8 @@ def altmin_solve(
         gx = float(np.linalg.norm(g.dx))
         gu = float(np.linalg.norm(g.du))
         f_val = obj.cost(z)
-        rec = TraceRecord(k=k, f=f_val, gnorm_x=gx, gnorm_u=gu, rmse=rmse_of(x))
+        rec = TraceRecord(k=k, f=f_val, gnorm_x=gx, gnorm_u=gu,
+                          rmse=None if truth is None else rmse(x, truth))
         if gx <= cfg.eps_x and gu <= cfg.eps_u:
             trace.append(rec)
             trace.status = "grad_tol"
@@ -686,6 +661,8 @@ def altmin_solve(
 
         eps_xk = cfg.eps_x if cfg.schedule == "greedy" else max(cfg.eps_x, cfg.theta * gx)
 
+        # after the inner solve, g and f_val hold the gradient and cost at the
+        # new X with the old basis
         stalled = False
         if cfg.inner == "trust_region":
             sub_cfg = RtrConfig(eps_g=eps_xk, max_iter=cfg.max_inner, rho_prime=0.1)
@@ -693,21 +670,17 @@ def altmin_solve(
             n_inner = len(sub_trace.records) - 1
             step = sub_trace.final.step
             f_val = obj.cost(ProductPoint(x, u))
+            g = obj.rgrad(ProductPoint(x, u))
         else:
             n_inner = 0
             step = None  # first inner step size, the one the descent bound uses
-            while n_inner < cfg.max_inner:
-                grad_x = obj.rgrad(ProductPoint(x, u)).dx
-                gx_inner = float(np.linalg.norm(grad_x))
-                if gx_inner <= eps_xk:
-                    break
-                f_here = obj.cost(ProductPoint(x, u))
-                d = -grad_x
+            while n_inner < cfg.max_inner and float(np.linalg.norm(g.dx)) > eps_xk:
+                d = -g.dx
                 try:
                     alpha = armijo(
                         lambda a: obj.cost(ProductPoint(x + a * d, u)),
-                        f_here,
-                        float(np.vdot(grad_x, d)),
+                        f_val,
+                        float(np.vdot(g.dx, d)),
                         cfg.armijo,
                     )
                 except LineSearchError:
@@ -719,95 +692,20 @@ def altmin_solve(
                     step = alpha
                 x = x + alpha * d
                 n_inner += 1
-            f_val = obj.cost(ProductPoint(x, u))
+                g = obj.rgrad(ProductPoint(x, u))
+                f_val = obj.cost(ProductPoint(x, u))
 
+        rec.step = step
+        rec.inner_iters = n_inner
         if stalled:
-            rec.step = step
-            rec.inner_iters = n_inner
             trace.append(rec)
             trace.status = "stalled"
             return ProductPoint(x, u), trace
 
-        # the subspace gradient is evaluated at the new X with the old basis
-        gu_new = float(np.linalg.norm(obj.rgrad(ProductPoint(x, u)).du))
-        if gu_new <= cfg.eps_u:
-            svd_mode = "skip"
+        if float(np.linalg.norm(g.du)) <= cfg.eps_u:
+            rec.svd_mode = "skip"
         else:
-            u, svd_mode = _subspace_update(obj, x, f_val, f_scale, cfg.svd_policy, rng)
-        rec.step = step
-        rec.svd_mode = svd_mode
-        rec.inner_iters = n_inner
-        trace.append(rec)
-    trace.status = "max_iter"
-    return ProductPoint(x, u), trace
-
-
-def simple_altmin_solve(
-    obj: Objective,
-    z0: ProductPoint,
-    cfg: AltminConfig | None = None,
-    truth: np.ndarray | None = None,
-    on_iterate=None,
-) -> tuple[ProductPoint, SolveTrace]:
-    """One projected Armijo gradient step in X, then an exact truncated SVD,
-    repeated until the X-gradient passes the tolerance."""
-    if not obj.constrained:
-        raise ValueError("alternating minimization requires the constrained formulation")
-    cfg = cfg or AltminConfig()
-    trace = SolveTrace()
-    trace.extras["dist_increments"] = []
-    x, u = z0.x, z0.u
-
-    def rmse_of(xm):
-        if truth is None:
-            return None
-        return float(np.linalg.norm(xm - truth)) / math.sqrt(truth.size)
-
-    f_prev = math.inf
-    no_progress = 0
-    for k in range(cfg.max_outer):
-        z = ProductPoint(x, u)
-        if on_iterate is not None:
-            on_iterate(z)
-        g = obj.rgrad(z)
-        gx = float(np.linalg.norm(g.dx))
-        gu = float(np.linalg.norm(g.du))
-        f_val = obj.cost(z)
-        rec = TraceRecord(k=k, f=f_val, gnorm_x=gx, gnorm_u=gu, rmse=rmse_of(x))
-        if gx <= cfg.eps_x:
-            trace.append(rec)
-            trace.status = "grad_tol"
-            return z, trace
-        if f_prev - f_val <= 1e-15 * (1.0 + abs(f_prev)):
-            no_progress += 1
-            if no_progress >= 3:
-                trace.append(rec)
-                trace.status = "stalled"
-                return z, trace
-        else:
-            no_progress = 0
-        f_prev = f_val
-        d = -g.dx
-        try:
-            step = armijo(
-                lambda a: obj.cost(ProductPoint(x + a * d, u)),
-                f_val,
-                float(np.vdot(g.dx, d)),
-                cfg.armijo,
-            )
-        except LineSearchError:
-            trace.append(rec)
-            trace.status = "stalled"
-            return z, trace
-        x_new = x + step * d
-        u_new = truncated_svd(obj.lift(x_new), obj.rank_r)
-        trace.extras["dist_increments"].append(
-            math.sqrt(float(np.sum((x_new - x) ** 2)) + grass_distance(u, u_new) ** 2)
-        )
-        x, u = x_new, u_new
-        rec.step = step
-        rec.svd_mode = "exact"
-        rec.inner_iters = 1
+            u, rec.svd_mode = _subspace_update(obj, x, f_val, f_scale, cfg.svd_policy, rng)
         trace.append(rec)
     trace.status = "max_iter"
     return ProductPoint(x, u), trace

@@ -238,38 +238,3 @@ def _kmeanspp_indices(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         idx.append(nxt)
         d2 = np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1))
     return np.array(idx, dtype=int)
-
-
-# --- CSV serialization -----------------------------------------------------
-
-
-def save_matrix_csv(path, mat: np.ndarray) -> None:
-    """Row-major CSV with a '# rows,cols' comment header."""
-    mat = np.asarray(mat, dtype=float)
-    with open(path, "w") as fh:
-        fh.write(f"# {mat.shape[0]},{mat.shape[1]}\n")
-        for row in mat:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError("missing '# rows,cols' header")
-        rows, cols = (int(t) for t in header[1:].split(","))
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape != (rows, cols):
-        raise ValueError(f"header says {(rows, cols)}, data is {data.shape}")
-    return data
-
-
-def save_labels(path, labels) -> None:
-    with open(path, "w") as fh:
-        for v in labels:
-            fh.write(f"{int(v)}\n")
-
-
-def load_labels(path) -> np.ndarray:
-    with open(path) as fh:
-        return np.array([int(line) for line in fh if line.strip()], dtype=int)

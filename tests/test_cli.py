@@ -6,6 +6,7 @@ import pytest
 
 from nlrecover.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
     build_solver_configs,
@@ -17,6 +18,8 @@ from nlrecover.cli import (
     run_trial,
     select_lambda,
 )
+from nlrecover import cli
+from nlrecover.manifold import DegenerateRetractionError
 from nlrecover.synth import ClusterSpec, UosSpec
 
 RECOVER_CFG = {
@@ -152,6 +155,31 @@ class TestRecoverCommand:
         code = main(["recover", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("change,solver", [
+        # rank at least the number of columns (ambient dimension 10)
+        ({"rank": 50, "data": {"kind": "uos", "n": 6, "k": 2, "dim": 1, "pts_per": 5}}, "rtr2"),
+        # N(40, 4) = 135751 explicit features, above the cap
+        ({"lifting": {"kind": "monomial_features", "degree": 4},
+          "data": {"kind": "uos", "n": 40, "k": 2, "dim": 1, "pts_per": 5}}, "rtr2"),
+        # 30 dense measurements of a 3 x 8 matrix: no feasible point
+        ({"sensing": {"kind": "dense", "m": 30},
+          "data": {"kind": "uos", "n": 3, "k": 2, "dim": 1, "pts_per": 4}}, "altmin1"),
+    ], ids=["rank_above_ambient", "features_above_cap", "dense_overdetermined"])
+    def test_unsolvable_config_exit_code(self, tmp_path, capsys, change, solver):
+        code, _ = self.run(tmp_path, dict(RECOVER_CFG, **change), extra=("--solver", solver))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
+    def test_degenerate_retraction_exit_code(self, tmp_path, capsys, monkeypatch):
+        def degenerate(*args, **kwargs):
+            raise DegenerateRetractionError("U + H is numerically rank deficient")
+
+        monkeypatch.setattr(cli, "rtr_solve", degenerate)
+        code, _ = self.run(tmp_path, RECOVER_CFG)
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
 
 class TestPhaseCommand:
     def test_empty_grid_header_only(self, tmp_path):
@@ -281,6 +309,15 @@ class TestCheckCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines)
         assert len(lines) >= 5
+
+    def test_check_names_unchecked_hessians(self, capsys):
+        main(["check", "--seed", "0"])
+        lines = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()}
+        for label in ("gaussian_kernel", "monomial_features_d2"):
+            assert "hess not checked" in lines[f"fd_check[{label}]"]
+        monomial = lines["fd_check[monomial_kernel_d2]"]
+        assert "not checked" not in monomial
+        float(monomial.split("hess_err=")[1].rstrip(")"))
 
 
 class TestRecoveryRegimes:

@@ -11,7 +11,7 @@ from nlrecover.lifting import (
     monomial_features,
     monomial_features_vjp,
     monomial_grad_x,
-    monomial_hess,
+    monomial_hess_operator,
     monomial_kernel,
     multi_index_table,
 )
@@ -181,7 +181,7 @@ class TestMonomialHess:
         w = random_basis(rng, 5, 2)
         dx = rng.standard_normal((3, 5))
         dw = np.zeros((5, 2))
-        h_x, _ = monomial_hess(x, w, 1, 1.0, dx, dw)
+        h_x, _ = monomial_hess_operator(x, w, 1, 1.0)(dx, dw)
         p_perp = np.eye(5) - w @ w.T
         assert np.allclose(h_x, 2.0 * dx @ p_perp, atol=1e-12)
 
@@ -192,8 +192,8 @@ class TestMonomialHess:
         for _ in range(5):
             dx1, dw1 = rng.standard_normal((n, s)), rng.standard_normal((s, r))
             dx2, dw2 = rng.standard_normal((n, s)), rng.standard_normal((s, r))
-            h1 = monomial_hess(x, w, d, 1.0, dx1, dw1)
-            h2 = monomial_hess(x, w, d, 1.0, dx2, dw2)
+            h1 = monomial_hess_operator(x, w, d, 1.0)(dx1, dw1)
+            h2 = monomial_hess_operator(x, w, d, 1.0)(dx2, dw2)
             a = np.vdot(dx2, h1[0]) + np.vdot(dw2, h1[1])
             b = np.vdot(dx1, h2[0]) + np.vdot(dw1, h2[1])
             assert abs(a - b) <= 1e-9 * (1 + abs(a) + abs(b))
@@ -205,7 +205,7 @@ class TestMonomialHess:
         w = random_basis(rng, s, r)
         dx = rng.standard_normal((n, s))
         dw = rng.standard_normal((s, r))
-        h_x, h_w = monomial_hess(x, w, d, 1.0, dx, dw)
+        h_x, h_w = monomial_hess_operator(x, w, d, 1.0)(dx, dw)
         h = 1e-6 * (1 + np.linalg.norm(x))
 
         def grads(xm, wm):

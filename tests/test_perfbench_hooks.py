@@ -1,0 +1,53 @@
+"""The benchmark under perfbench/ patches and calls nlrecover by name from
+outside the package; a rename or deletion in src/ must fail here, not in a
+traced benchmark run."""
+
+import ast
+import importlib.util
+import sys
+from pathlib import Path
+
+import nlrecover
+import nlrecover.cli
+import nlrecover.lifting
+import nlrecover.manifold
+import nlrecover.objective
+import nlrecover.solvers
+import nlrecover.synth
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves(monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    targets = [t for pairs in tracing.LAYER_SPANS.values() for t in pairs]
+    targets += [target for target, _, _ in tracing.OPERATOR_SPANS.values()]
+    targets += [("solvers", name) for name in ("tcg_subproblem", "armijo")]
+    targets += [("solvers", name) for name in tracing.SolverLog.SOLVERS]
+    assert len(targets) >= 36
+    for module, attr in targets:
+        _, _, raw = tracing._resolve(module, attr)
+        assert callable(raw) or isinstance(raw, classmethod), (module, attr)
+
+
+def test_workload_names_exist():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in ("nl", "cli")
+    }
+    owners = {"nl": nlrecover, "cli": nlrecover.cli}
+    assert used
+    missing = [f"{owner}.{attr}" for owner, attr in sorted(used)
+               if not hasattr(owners[owner], attr)]
+    assert not missing

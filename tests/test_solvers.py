@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from nlrecover.cli import build_solver_configs
 from nlrecover.lifting import LiftingSpec
 from nlrecover.manifold import (
+    GrassmannPoint,
     MeasurementSubspace,
     grass_distance,
 )
@@ -26,11 +29,9 @@ from nlrecover.solvers import (
     randomized_svd,
     rtr_generic,
     rtr_solve,
-    simple_altmin_solve,
     svd_policy,
     tcg_subproblem,
     truncated_svd,
-    wedin_gap_check,
 )
 from nlrecover.synth import rmse
 
@@ -384,30 +385,43 @@ class TestAltmin:
 
 
 class TestSimpleAltmin:
-    def test_first_iterate_matches_altmin(self):
-        obj, target, _ = uos_completion_problem(n=6, pts_per=8, seed=12)
-        z0 = default_init(obj)
-        cfg = AltminConfig(
-            eps_x=1e-10, eps_u=1e-10, max_outer=1, max_inner=1,
-            svd_policy=SvdPolicyConfig(tau1=1e-12, tau2=1e-11),  # force exact SVD
-        )
-        z_a, _ = altmin_solve(obj, z0, cfg, rng=np.random.default_rng(0))
-        z_s, _ = simple_altmin_solve(obj, z0, cfg)
-        assert np.allclose(z_a.x, z_s.x, atol=1e-14)
-        assert grass_distance(z_a.u, z_s.u) <= 1e-10
+    """The CLI's `simple` solver: one Armijo gradient step in X per exact SVD."""
+
+    def test_simple_preset_config(self):
+        assert build_solver_configs({}, "simple") == AltminConfig(max_inner=1, svd_policy=None)
 
     def test_monotone_and_finite_path(self):
         obj, target, _ = uos_completion_problem(n=6, pts_per=8, seed=13)
-        _, trace = simple_altmin_solve(
-            obj, default_init(obj), AltminConfig(eps_x=1e-6, max_outer=400)
-        )
+        cfg = replace(build_solver_configs({}, "simple"), eps_x=1e-6, max_outer=400)
+        path = []
+        z, trace = altmin_solve(obj, default_init(obj), cfg, on_iterate=path.append)
         f_vals = [r.f for r in trace.records]
         assert all(f2 <= f1 + 1e-12 * (1 + abs(f1)) for f1, f2 in zip(f_vals, f_vals[1:]))
-        inc = trace.extras["dist_increments"]
+        # every round but the last took one step and an exact SVD
+        assert all(r.svd_mode == "exact" and r.inner_iters == 1 for r in trace.records[:-1])
+        if trace.status == "max_iter":
+            path.append(z)  # the last round's step ends at the returned point
+        # path-length increments (Kurdyka-Lojasiewicz finite length)
+        inc = [
+            math.sqrt(float(np.sum((b.x - a.x) ** 2)) + grass_distance(a.u, b.u) ** 2)
+            for a, b in zip(path, path[1:])
+        ]
         assert np.isfinite(sum(inc))
         # the tail of the path carries a vanishing share of the length
         tail = sum(inc[int(0.8 * len(inc)):])
         assert tail <= 0.5 * sum(inc) + 1e-12
+
+
+def wedin_gap_check(y1: np.ndarray, y2: np.ndarray, r: int, delta: float) -> bool:
+    """Test oracle: dist(U1, U2)^2 <= 2 ||Y1 - Y2||_F^2 / delta^2 whenever both
+    spectra have sigma_r - sigma_{r+1} >= delta."""
+    u1, s1, _ = np.linalg.svd(np.asarray(y1, dtype=float), full_matrices=False)
+    u2, s2, _ = np.linalg.svd(np.asarray(y2, dtype=float), full_matrices=False)
+    if s1[r - 1] - s1[r] < delta or s2[r - 1] - s2[r] < delta:
+        raise ValueError("spectral gap below delta; the bound does not apply")
+    d = grass_distance(GrassmannPoint(u1[:, :r]), GrassmannPoint(u2[:, :r]))
+    bound = 2.0 * np.sum((y1 - y2) ** 2) / delta**2
+    return d**2 <= bound + 1e-12 * (1.0 + bound)
 
 
 class TestWedin:

@@ -11,13 +11,9 @@ from nlrecover.synth import (
     gen_entry_mask,
     gen_gaussian_sensing,
     gen_uos,
-    load_labels,
-    load_matrix_csv,
     numerical_rank,
     rand_index,
     rmse,
-    save_labels,
-    save_matrix_csv,
 )
 
 
@@ -217,17 +213,3 @@ class TestClusterAssign:
         b = cluster_assign(m_mat, 2, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
-
-class TestSerialization:
-    def test_matrix_round_trip(self, tmp_path, rng):
-        m_mat = rng.standard_normal((3, 4))
-        path = tmp_path / "m.csv"
-        save_matrix_csv(path, m_mat)
-        back = load_matrix_csv(path)
-        assert np.array_equal(back, m_mat)
-
-    def test_labels_round_trip(self, tmp_path):
-        labels = [0, 1, 1, 2, 0]
-        path = tmp_path / "labels.txt"
-        save_labels(path, labels)
-        assert np.array_equal(load_labels(path), labels)
