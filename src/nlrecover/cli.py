@@ -22,7 +22,7 @@ import numpy as np
 
 from .lifting import LiftingSpec
 from .manifold import DegenerateRetractionError, ProductPoint
-from .objective import Objective, fd_check
+from .objective import Objective, fd_check, kernel_tail_cost
 from .solvers import (
     TRACE_COLUMNS,
     AltminConfig,
@@ -105,29 +105,41 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _number(value, kind: type, field: str):
+    """kind(value) for kind int or float; a ConfigError naming the field when
+    the config value does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"field '{field}' must be {what}, got {value!r}") from None
+
+
 def parse_data_spec(cfg: dict):
     data = _require(cfg, "data", "config")
     kind = _require(data, "kind", "data")
+    if kind == "uos":
+        dims = data.get("dims", data.get("dim", 2))
+        spec_type, params = UosSpec, {
+            "n": _number(_require(data, "n", "data"), int, "data.n"),
+            "k": _number(data.get("k", 1), int, "data.k"),
+            "dims": tuple(dims) if isinstance(dims, (list, tuple)) else (_number(dims, int, "data.dim"),),
+            "pts_per": _number(_require(data, "pts_per", "data"), int, "data.pts_per"),
+            "affine": bool(data.get("affine", False)),
+        }
+    elif kind == "clusters":
+        spec_type, params = ClusterSpec, {
+            "n": _number(_require(data, "n", "data"), int, "data.n"),
+            "k": _number(_require(data, "k", "data"), int, "data.k"),
+            "pts_per": _number(_require(data, "pts_per", "data"), int, "data.pts_per"),
+            "sigma_c": _number(data.get("sigma_c", 0.5), float, "data.sigma_c"),
+        }
+    else:
+        raise ConfigError(f"unknown data kind {kind!r} (expected 'uos' or 'clusters')")
     try:
-        if kind == "uos":
-            dims = data.get("dims", data.get("dim", 2))
-            return UosSpec(
-                n=int(_require(data, "n", "data")),
-                k=int(data.get("k", 1)),
-                dims=tuple(dims) if isinstance(dims, (list, tuple)) else (int(dims),),
-                pts_per=int(_require(data, "pts_per", "data")),
-                affine=bool(data.get("affine", False)),
-            )
-        if kind == "clusters":
-            return ClusterSpec(
-                n=int(_require(data, "n", "data")),
-                k=int(_require(data, "k", "data")),
-                pts_per=int(_require(data, "pts_per", "data")),
-                sigma_c=float(data.get("sigma_c", 0.5)),
-            )
+        return spec_type(**params)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad data spec: {exc}") from exc
-    raise ConfigError(f"unknown data kind {kind!r} (expected 'uos' or 'clusters')")
 
 
 def parse_lifting(cfg: dict, data_spec) -> LiftingSpec:
@@ -140,16 +152,18 @@ def parse_lifting(cfg: dict, data_spec) -> LiftingSpec:
             return LiftingSpec.gaussian(n, sigma=2.5)
         return LiftingSpec.monomial(n, degree=2, offset=1.0)
     kind = _require(lift, "kind", "lifting")
-    try:
+    if kind in ("monomial_kernel", "monomial_features"):
+        params = {"degree": _number(lift.get("degree", 2), int, "lifting.degree")}
         if kind == "monomial_kernel":
-            return LiftingSpec.monomial(n, int(lift.get("degree", 2)), float(lift.get("offset", 1.0)))
-        if kind == "monomial_features":
-            return LiftingSpec.monomials(n, int(lift.get("degree", 2)))
-        if kind == "gaussian_kernel":
-            return LiftingSpec.gaussian(n, float(lift.get("sigma", 2.5)))
+            params["offset"] = _number(lift.get("offset", 1.0), float, "lifting.offset")
+    elif kind == "gaussian_kernel":
+        params = {"sigma": _number(lift.get("sigma", 2.5), float, "lifting.sigma")}
+    else:
+        raise ConfigError(f"unknown lifting kind {kind!r}")
+    try:
+        return LiftingSpec(kind, n, **params)
     except ValueError as exc:
         raise ConfigError(f"bad lifting spec: {exc}") from exc
-    raise ConfigError(f"unknown lifting kind {kind!r}")
 
 
 def parse_solver_name(cfg: dict, override: str | None) -> str:
@@ -188,19 +202,19 @@ def build_sensing(cfg: dict, target: np.ndarray, rng):
     sensing = _require(cfg, "sensing", "config")
     kind = _require(sensing, "kind", "sensing")
     if kind == "mask":
-        delta = float(_require(sensing, "delta", "sensing"))
+        delta = _number(_require(sensing, "delta", "sensing"), float, "sensing.delta")
         try:
             meas = gen_entry_mask(target, delta, rng)
         except ValueError as exc:
             raise ConfigError(f"bad sensing spec: {exc}") from exc
         return meas, meas.b.copy()
     if kind == "dense":
-        m = int(_require(sensing, "m", "sensing"))
+        m = _number(_require(sensing, "m", "sensing"), int, "sensing.m")
         if m > target.size:
             # no exact solution to start from, for the constrained and the
             # penalized forms alike (default_init needs one)
             raise ConfigError(f"dense sensing needs m <= n*s = {target.size}, got m={m}")
-        sigma = float(sensing.get("noise_sigma", 0.0))
+        sigma = _number(sensing.get("noise_sigma", 0.0), float, "sensing.noise_sigma")
         noise = NoiseSpec(sigma) if sigma > 0 else None
         meas, b_clean = gen_gaussian_sensing(target, m, rng, noise)
         return meas, b_clean
@@ -212,7 +226,7 @@ def resolve_rank(cfg: dict, lifting: LiftingSpec, data_spec, target: np.ndarray)
     1e-8 for monomial liftings, the cluster count for the Gaussian kernel."""
     rank = cfg.get("rank", "auto")
     if rank != "auto":
-        return int(rank)
+        return _number(rank, int, "rank")
     if lifting.kind == "gaussian_kernel":
         return int(data_spec.k)
     return numerical_rank(lifting.kernel(target), 1e-8)
@@ -247,7 +261,7 @@ def run_trial(cfg: dict, seed_key: tuple, solver_name: str) -> dict:
     rank = resolve_rank(cfg, lifting, data_spec, target)
     obj = build_objective(lifting, rank, meas)
     solver_cfg = build_solver_configs(cfg, solver_name)
-    restarts = int(cfg.get("restarts", 1))
+    restarts = _number(cfg.get("restarts", 1), int, "restarts")
     if solver_name == "rtr2" and restarts > 1:
         z, trace = rtr_solve_restarts(obj, solver_cfg, rng, n_starts=restarts, truth=target)
     else:
@@ -329,7 +343,7 @@ def _write_summary(out_dir: Path, command: str, cfg: dict, seed: int, solver: st
 
 def cmd_phase(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solver: str) -> int:
     grid = _require(cfg, "grid", "config")
-    deltas = [float(d) for d in grid.get("deltas", [])]
+    deltas = [_number(d, float, "grid.deltas") for d in grid.get("deltas", [])]
     param = grid.get("param", "k")
     values = grid.get("values", [])
     header = [f"{param}\\delta"] + [f"{d:g}" for d in deltas]
@@ -356,12 +370,12 @@ def _cell_seed(seed: int, vi: int, di: int) -> int:
 def _apply_param(cfg: dict, param: str, value) -> None:
     data = cfg.setdefault("data", {})
     if param in ("k", "pts_per", "n"):
-        data[param] = int(value)
+        data[param] = _number(value, int, "grid.values")
     elif param == "dim":
-        data["dim"] = int(value)
+        data["dim"] = _number(value, int, "grid.values")
         data.pop("dims", None)
     elif param == "sigma_c":
-        data["sigma_c"] = float(value)
+        data["sigma_c"] = _number(value, float, "grid.values")
     else:
         raise ConfigError(f"unknown sweep parameter {param!r}")
 
@@ -370,9 +384,9 @@ def cmd_noise(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solve
     if solver not in ("rtr2",):
         raise ConfigError("the noise continuation uses the penalized form; solver must be rtr2")
     sched = cfg.get("lambda_schedule", {})
-    lam0 = float(sched.get("lambda0", 1e-6))
-    factor = float(sched.get("factor", 10.0))
-    steps = int(sched.get("steps", 12))
+    lam0 = _number(sched.get("lambda0", 1e-6), float, "lambda_schedule.lambda0")
+    factor = _number(sched.get("factor", 10.0), float, "lambda_schedule.factor")
+    steps = _number(sched.get("steps", 12), int, "lambda_schedule.steps")
     report = run_lambda_continuation(cfg, seed, lam0, factor, steps, solver)
     header = ["lambda", "misfit_noisy", "misfit_clean", "err_fro", "lifted_residual", "iters", "selected"]
     rows = [
@@ -494,7 +508,8 @@ def cluster_complete(meas, k: int, sigma: float, rng: np.random.Generator,
 
 def _snap_columns(obj: Objective, z: ProductPoint, k: int, rng: np.random.Generator) -> ProductPoint:
     """Greedy block move: re-fill each partially observed column from each
-    estimated cluster center and keep the lowest-cost variant."""
+    estimated cluster center and keep the variant of lowest cost with the
+    subspace re-fitted, which is the spectral tail of its kernel."""
     labels = cluster_assign(z.x, k, rng)
     centers = np.stack([z.x[:, labels == j].mean(axis=1) for j in range(k)], axis=1)
     x = z.x.copy()
@@ -506,8 +521,7 @@ def _snap_columns(obj: Objective, z: ProductPoint, k: int, rng: np.random.Genera
         for c in range(k):
             cand = x.copy()
             cand[~mask[:, j], j] = centers[~mask[:, j], c]
-            u = truncated_svd(obj.lift(cand), obj.rank_r)
-            f = obj.cost(ProductPoint(cand, u))
+            f = kernel_tail_cost(obj.lift(cand), obj.rank_r)
             if best is None or f < best[0]:
                 best = (f, cand)
         x = best[1]
@@ -524,7 +538,7 @@ def run_cluster_trial(cfg: dict, seed_key: tuple) -> dict:
     sensing = _require(cfg, "sensing", "config")
     if sensing.get("kind") != "mask":
         raise ConfigError("the cluster command requires mask sensing")
-    delta = float(_require(sensing, "delta", "sensing"))
+    delta = _number(_require(sensing, "delta", "sensing"), float, "sensing.delta")
     meas = gen_entry_mask(target, delta, rng, per_column=bool(sensing.get("per_column", True)))
     lifting = parse_lifting(cfg, data_spec)
     if lifting.kind != "gaussian_kernel":
@@ -582,10 +596,10 @@ def cmd_rank_sweep(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, 
     lifting = parse_lifting(cfg, data_spec)
     true_rank = resolve_rank({"rank": "auto"}, lifting, data_spec, target)
     if "ranks" in cfg:
-        ranks = [int(r) for r in cfg["ranks"]]
+        ranks = [_number(r, int, "ranks") for r in cfg["ranks"]]
     else:
         offsets = cfg.get("rank_offsets", list(range(-2, 5)))
-        ranks = [true_rank + int(o) for o in offsets]
+        ranks = [true_rank + _number(o, int, "rank_offsets") for o in offsets]
     ranks = [r for r in ranks if r >= 1]
     rows_out = []
     for ri, r in enumerate(ranks):
@@ -622,10 +636,8 @@ def cmd_check(out_dir: Path, seed: int) -> int:
         u_rand = truncated_svd(rng.standard_normal((amb, amb)), obj.rank_r)
         z = ProductPoint(default_init(obj).x, u_rand)
         report = fd_check(obj, z, tol=1e-5, rng=rng, n_dirs=5)
-        hess = ("hess not checked" if report.hess_error is None
-                else f"hess_err={report.hess_error:.2e}")
         results.append((f"fd_check[{label}]", report.passed,
-                        f"grad_err={report.grad_error:.2e} {hess}"))
+                        f"grad_err={report.grad_error:.2e} hess_err={report.hess_error:.2e}"))
 
     u = truncated_svd(rng.standard_normal((6, 5)), 2)
     t = mf.grass_project(u, rng.standard_normal((6, 2)))
@@ -680,8 +692,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             return cmd_check(Path(args.out), args.seed)
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        trials = args.trials if args.trials is not None else int(cfg.get("trials", 1))
+        seed = args.seed if args.seed is not None else _number(cfg.get("seed", 0), int, "seed")
+        trials = args.trials if args.trials is not None else _number(cfg.get("trials", 1), int, "trials")
         if trials < 1:
             raise ConfigError("trials must be >= 1")
         solver = parse_solver_name(cfg, args.solver)

@@ -1,10 +1,10 @@
 """Feature maps and kernels used to lift structured data to a low-rank space.
 
 Supported liftings: explicit monomial features of degree <= d, the monomial
-kernel (X^T Y + c)^(.d), and the Gaussian kernel. Analytic Euclidean gradients
-and Hessian-vector products of the residual cost trace(P_{W_perp} K(X, X)) are
-provided for the monomial kernel; the Gaussian kernel gets an analytic gradient
-only (its Hessian is handled by finite differences of the gradient upstream).
+kernel (X^T Y + c)^(.d), and the Gaussian kernel. Each has an analytic
+Euclidean gradient of its residual cost (trace(P_{W_perp} K(X, X)) for the
+kernels, ||Phi(X) - U U^T Phi(X)||_F^2 for the features) and a closed-form
+Euclidean Hessian operator on (dx, dw), built once per point.
 """
 
 from __future__ import annotations
@@ -115,15 +115,56 @@ def monomial_features_vjp(x_mat: np.ndarray, d: int, r_mat: np.ndarray) -> np.nd
     """Columnwise vector-Jacobian product of the monomial feature map:
     out[j, i] = sum_a r_mat[a, i] * d(x_i^alpha_a)/d(x_i)_j."""
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
-    n, s = x_mat.shape
     phi = monomial_features(x_mat, d)
     if r_mat.shape != phi.shape:
         raise DimensionError(f"weight matrix must have shape {phi.shape}")
-    out = np.zeros((n, s))
+    return _features_contract(x_mat.shape[0], d, r_mat, phi)
+
+
+def _features_contract(n: int, d: int, r_mat: np.ndarray, lowered: np.ndarray) -> np.ndarray:
+    """out[j, i] = sum_a r_mat[a, i] alpha_a[j] lowered[index of alpha_a - e_j, i].
+    With lowered = Phi(X) this is the VJP of the feature map; with its JVP in
+    place of Phi it is the second-order term of the feature Hessian."""
+    out = np.zeros((n, r_mat.shape[1]))
     for j, (rows, coeffs, lowers) in enumerate(_derivative_index(n, d)):
         if rows.size:
-            out[j] = np.einsum("a,as,as->s", coeffs, r_mat[rows], phi[lowers])
+            out[j] = np.einsum("a,as,as->s", coeffs, r_mat[rows], lowered[lowers])
     return out
+
+
+def _features_jvp(phi: np.ndarray, d: int, dx: np.ndarray) -> np.ndarray:
+    """Columnwise Jacobian-vector product of the monomial feature map at the
+    point whose features are phi: out[a, i] = sum_j alpha_a[j] phi[index of
+    alpha_a - e_j, i] dx[j, i]."""
+    n = dx.shape[0]
+    out = np.zeros_like(phi)
+    for j, (rows, coeffs, lowers) in enumerate(_derivative_index(n, d)):
+        if rows.size:
+            out[rows] += coeffs[:, None] * phi[lowers] * dx[j]
+    return out
+
+
+def monomial_features_hess_operator(x_mat: np.ndarray, u, d: int):
+    """Euclidean Hessian of ||Phi||_F^2 - ||U^T Phi||_F^2, Phi = Phi_d(X), at
+    (X, U) as an operator on (dx, du). With Psi the feature JVP along dx and
+    R = 2 (Phi - U U^T Phi):
+    h_x = VJP(2 (Psi - U U^T Psi) - 2 (du U^T + U du^T) Phi) + (R contracted
+    with Psi in place of Phi), h_u = -2 (Psi Phi^T + Phi Psi^T) U - 2 Phi Phi^T du."""
+    x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
+    ub = u.basis if isinstance(u, GrassmannPoint) else np.asarray(u, dtype=float)
+    n = x_mat.shape[0]
+    phi = monomial_features(x_mat, d)
+    ut_phi = ub.T @ phi
+    resid = 2.0 * (phi - ub @ ut_phi)
+
+    def apply(dx: np.ndarray, du: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        psi = _features_jvp(phi, d, dx)
+        d_resid = 2.0 * (psi - ub @ (ub.T @ psi)) - 2.0 * (du @ ut_phi + ub @ (du.T @ phi))
+        h_x = _features_contract(n, d, d_resid, phi) + _features_contract(n, d, resid, psi)
+        h_u = -2.0 * (psi @ ut_phi.T + phi @ (psi.T @ ub) + phi @ (phi.T @ du))
+        return h_x, h_u
+
+    return apply
 
 
 def monomial_kernel(x_mat: np.ndarray, y_mat: np.ndarray, d: int, c: float) -> np.ndarray:
@@ -208,6 +249,34 @@ def gaussian_grad_x(x_mat: np.ndarray, w, sigma: float) -> np.ndarray:
     p_perp = _w_perp(w, x_mat.shape[1])
     kp = gaussian_kernel(x_mat, x_mat, sigma) * p_perp
     return -(2.0 / sigma**2) * x_mat @ (np.diag(kp.sum(axis=0)) - kp)
+
+
+def gaussian_hess_operator(x_mat: np.ndarray, w, sigma: float):
+    """Euclidean Hessian of trace(P_{W_perp} K_G(X, X)) at (X, W) as an
+    operator on (dx, dw). With B = K o P_{W_perp}, C = X^T dx, a = diag(C) and
+    S_w = W dw^T + dw W^T:
+    dK = -(1 / sigma^2) K o (a 1^T + 1 a^T - C - C^T), dB = dK o P_{W_perp} - K o S_w,
+    h_x = -(2 / sigma^2) (dx diag(B 1) - dx B + X diag(dB 1) - X dB),
+    h_w = -2 (dK W + K dw)."""
+    x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
+    wb = w.basis if isinstance(w, GrassmannPoint) else np.asarray(w, dtype=float)
+    p_perp = _w_perp(wb, x_mat.shape[1])
+    k = gaussian_kernel(x_mat, x_mat, sigma)
+    b = k * p_perp
+    b_sum = b.sum(axis=0)
+    inv_var = 1.0 / sigma**2
+
+    def apply(dx: np.ndarray, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c = x_mat.T @ dx
+        a = np.diag(c)
+        dk = -inv_var * k * (a[:, None] + a[None, :] - c - c.T)
+        db = dk * p_perp - k * (wb @ dw.T + dw @ wb.T)
+        # B and dB are symmetric, so diag(B 1) scales the columns by colsums
+        h_x = -2.0 * inv_var * (dx * b_sum - dx @ b + x_mat * db.sum(axis=0) - x_mat @ db)
+        h_w = -2.0 * (dk @ wb + k @ dw)
+        return h_x, h_w
+
+    return apply
 
 
 def lift_grad_w(k_mat: np.ndarray, w) -> np.ndarray:

@@ -7,10 +7,9 @@ quadratic penalty lambda * ||A(X) - b||^2 replaces the affine constraint for
 noisy measurements, in which case X ranges over all of R^{n x s}.
 
 Riemannian gradients project the Euclidean blocks onto the tangent spaces;
-the Hessian operator adds the Grassmann curvature correction. The monomial
-kernel uses analytic Hessian blocks; the Gaussian kernel and the explicit
-feature map fall back to central finite differences of the Euclidean gradient,
-so `fd_check` compares the Hessian for the monomial kernel only.
+the Hessian operator adds the Grassmann curvature correction to the
+closed-form Euclidean Hessian of the lifting, which `fd_check` compares with
+finite differences of the gradient for every lifting.
 """
 
 from __future__ import annotations
@@ -22,8 +21,10 @@ import numpy as np
 from .lifting import (
     LiftingSpec,
     gaussian_grad_x,
+    gaussian_hess_operator,
     lift_grad_w,
     monomial_features,
+    monomial_features_hess_operator,
     monomial_features_vjp,
     monomial_grad_x,
     monomial_hess_operator,
@@ -40,8 +41,6 @@ from .manifold import (
     product_retract,
 )
 
-FD_GRAD_STEP = 1e-6
-
 
 def feature_residual_cost(phi: np.ndarray, basis: np.ndarray) -> float:
     """||Phi - P_U Phi||_F^2 evaluated explicitly."""
@@ -52,6 +51,13 @@ def feature_residual_cost(phi: np.ndarray, basis: np.ndarray) -> float:
 def kernel_trace_cost(k_mat: np.ndarray, basis: np.ndarray) -> float:
     """trace(K) - trace(W^T K W), the kernel-side value of the same residual."""
     return float(np.trace(k_mat) - np.sum((k_mat @ basis) * basis))
+
+
+def kernel_tail_cost(k_mat: np.ndarray, r: int) -> float:
+    """kernel_trace_cost at the best W, the leading r-dimensional eigenspace
+    of the symmetric positive semidefinite K: trace(K) minus its r largest
+    eigenvalues, without forming W."""
+    return float(np.trace(k_mat) - np.sum(np.linalg.eigvalsh(k_mat)[-r:]))
 
 
 @dataclass
@@ -132,14 +138,19 @@ class Objective:
             phi = monomial_features(x_mat, lf.degree)
             resid = 2.0 * (phi - basis @ (basis.T @ phi))
             gx = monomial_features_vjp(x_mat, lf.degree, resid)
-            gu = -2.0 * phi @ (phi.T @ basis)
-            return gx, gu
+            return gx, self._euclid_grad_u(phi, basis)
         if lf.kind == "monomial_kernel":
             gx = monomial_grad_x(x_mat, basis, lf.degree, lf.offset)
         else:
             gx = gaussian_grad_x(x_mat, basis, lf.sigma)
-        gu = lift_grad_w(lf.kernel(x_mat), basis)
-        return gx, gu
+        return gx, self._euclid_grad_u(lf.kernel(x_mat), basis)
+
+    def _euclid_grad_u(self, lifted: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """Euclidean gradient block of the subspace variable from the lifted
+        matrix (see `lift`): -2 Phi Phi^T U for features, -2 K W for kernels."""
+        if self.form == "feature":
+            return -2.0 * lifted @ (lifted.T @ basis)
+        return lift_grad_w(lifted, basis)
 
     def rgrad(self, z: ProductPoint) -> ProductTangent:
         gx, gu = self._euclid_grad(z.x, z.u.basis)
@@ -155,37 +166,41 @@ class Objective:
         lf = self.lifting
         if lf.kind == "monomial_kernel":
             return monomial_hess_operator(x_mat, basis, lf.degree, lf.offset)
-        # Gaussian kernel and explicit features: central differences of the
-        # Euclidean gradient in the ambient space.
-        h = FD_GRAD_STEP * (1.0 + np.linalg.norm(x_mat))
+        if lf.kind == "gaussian_kernel":
+            return gaussian_hess_operator(x_mat, basis, lf.sigma)
+        return monomial_features_hess_operator(x_mat, basis, lf.degree)
 
-        def apply(dx, du):
-            gx_p, gu_p = self._euclid_grad(x_mat + h * dx, basis + h * du)
-            gx_m, gu_m = self._euclid_grad(x_mat - h * dx, basis - h * du)
-            return (gx_p - gx_m) / (2.0 * h), (gu_p - gu_m) / (2.0 * h)
-
-        return apply
+    def _hess_x(self, hx: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        """X block of a Riemannian Hessian product from its Euclidean part:
+        plus the penalty term 2 lambda A^T A dx, or projected onto null(A)."""
+        if self.penalty_lambda is not None:
+            return hx + 2.0 * self.penalty_lambda * self.measurement.adjoint(
+                self.measurement.apply(dx)
+            )
+        return meas_project(self.measurement, hx)
 
     def rhess_operator(self, z: ProductPoint):
         """Riemannian Hessian at z as an operator on tangents; point-dependent
         quantities (kernel matrices, the curvature term) are built once."""
         euclid = self._euclid_hess_operator(z.x, z.u.basis)
-        _, gu = self._euclid_grad(z.x, z.u.basis)
+        gu = self._euclid_grad_u(self.lift(z.x), z.u.basis)
         u_gu = z.u.basis.T @ gu
 
         def apply(xi: ProductTangent) -> ProductTangent:
             hx, hu = euclid(xi.dx, xi.du)
-            if self.penalty_lambda is not None:
-                hx = hx + 2.0 * self.penalty_lambda * self.measurement.adjoint(
-                    self.measurement.apply(xi.dx)
-                )
-            else:
-                hx = meas_project(self.measurement, hx)
             # Grassmann quotient curvature: P_perp(eucl_hess - du (U^T grad_U))
             hu = hu - xi.du @ u_gu
-            return ProductTangent(hx, grass_project(z.u, hu))
+            return ProductTangent(self._hess_x(hx, xi.dx), grass_project(z.u, hu))
 
         return apply
+
+    def rhess_x_operator(self, z: ProductPoint):
+        """Riemannian Hessian in X alone, with the subspace frozen at z.u: the
+        X block of `rhess_operator(z)` applied to (dx, 0), built without the
+        subspace gradient and curvature term that block does not use."""
+        euclid = self._euclid_hess_operator(z.x, z.u.basis)
+        zero_du = np.zeros(z.u.basis.shape)
+        return lambda dx: self._hess_x(euclid(dx, zero_du)[0], dx)
 
     def retract(self, z: ProductPoint, xi: ProductTangent) -> ProductPoint:
         if self.constrained:
@@ -208,18 +223,16 @@ class Objective:
 
 @dataclass
 class FdReport:
-    """Outcome of the derivative self-check. hess_error is None when the
-    Hessian was not compared (every lifting but the monomial kernel)."""
+    """Outcome of the derivative self-check."""
 
     grad_error: float
-    hess_error: float | None
+    hess_error: float
     tol: float
 
     @property
     def passed(self) -> bool:
-        """Whether every compared derivative is within tol."""
-        hess_ok = self.hess_error is None or self.hess_error <= self.tol
-        return self.grad_error <= self.tol and hess_ok
+        """Whether both derivatives are within tol."""
+        return self.grad_error <= self.tol and self.hess_error <= self.tol
 
 
 def fd_check(
@@ -229,9 +242,9 @@ def fd_check(
     rng: np.random.Generator | None = None,
     n_dirs: int = 10,
 ) -> FdReport:
-    """Compare rgrad and (for the monomial kernel) the Euclidean Hessian blocks
-    against central finite differences. Reports the max relative discrepancy;
-    passes iff every compared one is <= tol."""
+    """Compare rgrad and the Euclidean Hessian blocks against central finite
+    differences of the cost and of the Euclidean gradient. Reports the max
+    relative discrepancy of each; passes iff both are <= tol."""
     rng = np.random.default_rng(0) if rng is None else rng
     grad = obj.rgrad(z)
     gnorm = product_norm(grad)
@@ -250,24 +263,22 @@ def fd_check(
             errs.append(abs((fp - fm) / (2.0 * h) - analytic))
         grad_err = max(grad_err, min(errs) / max(gnorm, 1e-12))
 
-    hess_err = None
-    if obj.lifting.kind == "monomial_kernel":
-        hess_err = 0.0
-        hess_op = obj._euclid_hess_operator(z.x, z.u.basis)
-        for _ in range(n_dirs):
-            xi = obj.random_tangent(z, rng)
-            nrm = product_norm(xi)
-            if nrm == 0.0:
-                continue
-            xi = (1.0 / nrm) * xi
-            hx, hu = hess_op(xi.dx, xi.du)
-            h = 1e-5 * (1.0 + np.linalg.norm(z.x))
-            gx_p, gu_p = obj._euclid_grad(z.x + h * xi.dx, z.u.basis + h * xi.du)
-            gx_m, gu_m = obj._euclid_grad(z.x - h * xi.dx, z.u.basis - h * xi.du)
-            fd_x = (gx_p - gx_m) / (2.0 * h)
-            fd_u = (gu_p - gu_m) / (2.0 * h)
-            num = np.sqrt(np.sum((hx - fd_x) ** 2) + np.sum((hu - fd_u) ** 2))
-            den = max(np.sqrt(np.sum(hx**2) + np.sum(hu**2)), 1e-12)
-            hess_err = max(hess_err, num / den)
+    hess_err = 0.0
+    hess_op = obj._euclid_hess_operator(z.x, z.u.basis)
+    for _ in range(n_dirs):
+        xi = obj.random_tangent(z, rng)
+        nrm = product_norm(xi)
+        if nrm == 0.0:
+            continue
+        xi = (1.0 / nrm) * xi
+        hx, hu = hess_op(xi.dx, xi.du)
+        h = 1e-5 * (1.0 + np.linalg.norm(z.x))
+        gx_p, gu_p = obj._euclid_grad(z.x + h * xi.dx, z.u.basis + h * xi.du)
+        gx_m, gu_m = obj._euclid_grad(z.x - h * xi.dx, z.u.basis - h * xi.du)
+        fd_x = (gx_p - gx_m) / (2.0 * h)
+        fd_u = (gu_p - gu_m) / (2.0 * h)
+        num = np.sqrt(np.sum((hx - fd_x) ** 2) + np.sum((hu - fd_u) ** 2))
+        den = max(np.sqrt(np.sum(hx**2) + np.sum(hu**2)), 1e-12)
+        hess_err = max(hess_err, num / den)
 
     return FdReport(grad_error=grad_err, hess_error=hess_err, tol=tol)

@@ -23,7 +23,6 @@ import numpy as np
 from .manifold import (
     GrassmannPoint,
     ProductPoint,
-    ProductTangent,
     meas_feasible_point,
     meas_project,
 )
@@ -284,7 +283,6 @@ def x_factor_problem(obj: Objective, u: GrassmannPoint) -> RiemannianProblem:
     """The X-subproblem with the subspace frozen, as a Riemannian problem on
     the affine factor alone (tangent vectors are plain matrices)."""
     meas = obj.measurement
-    zero_du = np.zeros(u.basis.shape)
 
     def cost(x):
         return obj.cost(ProductPoint(x, u))
@@ -293,8 +291,7 @@ def x_factor_problem(obj: Objective, u: GrassmannPoint) -> RiemannianProblem:
         return obj.rgrad(ProductPoint(x, u)).dx
 
     def hess_at(x):
-        op = obj.rhess_operator(ProductPoint(x, u))
-        return lambda dx: op(ProductTangent(dx, zero_du)).dx
+        return obj.rhess_x_operator(ProductPoint(x, u))
 
     def retract(x, dx):
         return x + dx

@@ -171,6 +171,18 @@ class TestRecoverCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
 
+    @pytest.mark.parametrize("change", [
+        {"rank": "five"},
+        {"sensing": {"kind": "dense", "m": "many"}},
+        {"trials": "three"},
+    ], ids=["rank", "dense_m", "trials"])
+    def test_non_numeric_value_exit_code(self, tmp_path, capsys, change):
+        code, _ = self.run(tmp_path, dict(RECOVER_CFG, **change))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        field = next(iter(change))
+        assert len(err) == 1 and err[0].startswith(f"config error: field '{field}")
+
     def test_degenerate_retraction_exit_code(self, tmp_path, capsys, monkeypatch):
         def degenerate(*args, **kwargs):
             raise DegenerateRetractionError("U + H is numerically rank deficient")
@@ -310,14 +322,12 @@ class TestCheckCommand:
         assert all(line.startswith("PASS") for line in lines)
         assert len(lines) >= 5
 
-    def test_check_names_unchecked_hessians(self, capsys):
+    def test_check_prints_every_hessian_error(self, capsys):
         main(["check", "--seed", "0"])
         lines = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()}
-        for label in ("gaussian_kernel", "monomial_features_d2"):
-            assert "hess not checked" in lines[f"fd_check[{label}]"]
-        monomial = lines["fd_check[monomial_kernel_d2]"]
-        assert "not checked" not in monomial
-        float(monomial.split("hess_err=")[1].rstrip(")"))
+        for label in ("monomial_kernel_d2", "gaussian_kernel", "monomial_features_d2"):
+            line = lines[f"fd_check[{label}]"]
+            assert float(line.split("hess_err=")[1].rstrip(")")) <= 1e-5
 
 
 class TestRecoveryRegimes:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlrecover.lifting import LiftingSpec, monomial_features
 from nlrecover.manifold import (
@@ -14,11 +15,14 @@ from nlrecover.objective import (
     Objective,
     fd_check,
     feature_residual_cost,
+    kernel_tail_cost,
     kernel_trace_cost,
 )
 from nlrecover.solvers import default_init, truncated_svd
 
 from conftest import small_masked_objective
+
+KINDS = ["monomial_kernel", "gaussian_kernel", "monomial_features"]
 
 
 def random_basis(rng, p, r):
@@ -55,6 +59,16 @@ class TestCost:
             lhs = feature_residual_cost(phi.T, w)  # rows of Phi projected
             rhs = kernel_trace_cost(k, w)
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
+
+    @pytest.mark.parametrize("kind", ["monomial_kernel", "gaussian_kernel"])
+    def test_tail_cost_is_cost_at_refit_subspace(self, kind, rng):
+        # the snap score of the clustering pipeline: no W is formed
+        for seed in range(5):
+            obj, _ = small_masked_objective(kind=kind, seed=seed)
+            x = default_init(obj).x + obj.random_tangent(default_init(obj), rng).dx
+            k = obj.lift(x)
+            refit = obj.cost(ProductPoint(x, truncated_svd(k, obj.rank_r)))
+            assert kernel_tail_cost(k, obj.rank_r) == pytest.approx(refit, rel=1e-12)
 
     def test_penalized_equals_constrained_when_feasible(self):
         obj, target = small_masked_objective(seed=2)
@@ -196,7 +210,7 @@ class TestRhess:
             b = product_inner(zeta, obj.rhess_operator(z)(xi))
             assert abs(a - b) <= 1e-8 * (1 + abs(a) + abs(b))
 
-    @pytest.mark.parametrize("kind", ["monomial_kernel", "gaussian_kernel", "monomial_features"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_taylor_order(self, kind, rng):
         # |f(Retr(t xi)) - f - t<g,xi> - t^2/2 <xi,H xi>| = O(t^3)
         obj, _ = small_masked_objective(kind=kind, seed=11)
@@ -232,6 +246,53 @@ class TestRhess:
         extra = 2.0 * 2.0 * pen.measurement.adjoint(pen.measurement.apply(xi.dx))
         assert np.allclose(hx_pen, hx_lift + extra, atol=1e-9)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("penalty", [None, 2.0])
+    def test_x_operator_is_product_x_block(self, kind, penalty, rng):
+        # the X-subproblem Hessian of altmin2 equals the product Hessian's X
+        # block at du = 0, bit for bit
+        base, _ = small_masked_objective(kind=kind, seed=16)
+        obj = Objective(lifting=base.lifting, rank_r=base.rank_r,
+                        measurement=base.measurement, penalty_lambda=penalty)
+        z = self._generic_point(obj, rng)
+        x_op = obj.rhess_x_operator(z)
+        full = obj.rhess_operator(z)
+        for _ in range(3):
+            dx = obj.random_tangent(z, rng).dx
+            expect = full(ProductTangent(dx, np.zeros_like(z.u.basis))).dx
+            assert np.array_equal(x_op(dx), expect)
+
+
+def _property_point(kind, seed, s):
+    """A small completion problem and a generic point on its product manifold."""
+    obj, _ = small_masked_objective(kind=kind, s=s, seed=seed)
+    rng = np.random.default_rng(seed)
+    z0 = default_init(obj)
+    x = z0.x + obj.random_tangent(z0, rng).dx
+    u = GrassmannPoint(random_basis(rng, obj.grassmann_ambient(), obj.rank_r))
+    return obj, ProductPoint(x, u), rng
+
+
+class TestRhessProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1), s=st.integers(6, 12))
+    def test_symmetric(self, kind, seed, s):
+        obj, z, rng = _property_point(kind, seed, s)
+        op = obj.rhess_operator(z)
+        xi = obj.random_tangent(z, rng)
+        zeta = obj.random_tangent(z, rng)
+        a = product_inner(xi, op(zeta))
+        b = product_inner(zeta, op(xi))
+        assert abs(a - b) <= 1e-8 * (1 + abs(a) + abs(b))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1), s=st.integers(6, 12))
+    def test_output_is_tangent(self, kind, seed, s):
+        obj, z, rng = _property_point(kind, seed, s)
+        out = obj.rhess_operator(z)(obj.random_tangent(z, rng))
+        assert np.linalg.norm(obj.measurement.apply(out.dx)) <= 1e-10 * max(1.0, np.linalg.norm(out.dx))
+        assert np.linalg.norm(z.u.basis.T @ out.du) <= 1e-10 * max(1.0, np.linalg.norm(out.du))
+
 
 class TestFdCheck:
     def test_monomial_passes(self, rng):
@@ -240,6 +301,15 @@ class TestFdCheck:
         z = ProductPoint(z0.x, GrassmannPoint(random_basis(rng, obj.grassmann_ambient(), obj.rank_r)))
         report = fd_check(obj, z, tol=1e-5, rng=rng, n_dirs=5)
         assert report.passed, (report.grad_error, report.hess_error)
+
+    @pytest.mark.parametrize("kind", ["gaussian_kernel", "monomial_features"])
+    def test_closed_form_hessians_pass(self, kind, rng):
+        obj, _ = small_masked_objective(kind=kind, seed=17)
+        z0 = default_init(obj)
+        z = ProductPoint(z0.x, GrassmannPoint(random_basis(rng, obj.grassmann_ambient(), obj.rank_r)))
+        report = fd_check(obj, z, tol=1e-5, rng=rng, n_dirs=5)
+        assert report.passed, (report.grad_error, report.hess_error)
+        assert report.hess_error > 0.0  # compared, not skipped
 
     def test_gaussian_gradient_passes(self, rng):
         obj, _ = small_masked_objective(kind="gaussian_kernel", seed=14)
