@@ -115,6 +115,14 @@ def _number(value, kind: type, field: str):
         raise ConfigError(f"field '{field}' must be {what}, got {value!r}") from None
 
 
+def _list(value, field: str) -> list:
+    """The config value itself when it is a list; a ConfigError naming the
+    field otherwise."""
+    if not isinstance(value, list):
+        raise ConfigError(f"field '{field}' must be a list, got {value!r}")
+    return value
+
+
 def parse_data_spec(cfg: dict):
     data = _require(cfg, "data", "config")
     kind = _require(data, "kind", "data")
@@ -343,9 +351,11 @@ def _write_summary(out_dir: Path, command: str, cfg: dict, seed: int, solver: st
 
 def cmd_phase(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solver: str) -> int:
     grid = _require(cfg, "grid", "config")
-    deltas = [_number(d, float, "grid.deltas") for d in grid.get("deltas", [])]
+    if not isinstance(grid, dict):
+        raise ConfigError(f"field 'grid' must be an object, got {grid!r}")
+    deltas = [_number(d, float, "grid.deltas") for d in _list(grid.get("deltas", []), "grid.deltas")]
     param = grid.get("param", "k")
-    values = grid.get("values", [])
+    values = _list(grid.get("values", []), "grid.values")
     header = [f"{param}\\delta"] + [f"{d:g}" for d in deltas]
     rows_out = []
     for vi, val in enumerate(values):
@@ -596,9 +606,9 @@ def cmd_rank_sweep(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, 
     lifting = parse_lifting(cfg, data_spec)
     true_rank = resolve_rank({"rank": "auto"}, lifting, data_spec, target)
     if "ranks" in cfg:
-        ranks = [_number(r, int, "ranks") for r in cfg["ranks"]]
+        ranks = [_number(r, int, "ranks") for r in _list(cfg["ranks"], "ranks")]
     else:
-        offsets = cfg.get("rank_offsets", list(range(-2, 5)))
+        offsets = _list(cfg.get("rank_offsets", list(range(-2, 5))), "rank_offsets")
         ranks = [true_rank + _number(o, int, "rank_offsets") for o in offsets]
     ranks = [r for r in ranks if r >= 1]
     rows_out = []

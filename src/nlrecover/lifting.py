@@ -4,7 +4,9 @@ Supported liftings: explicit monomial features of degree <= d, the monomial
 kernel (X^T Y + c)^(.d), and the Gaussian kernel. Each has an analytic
 Euclidean gradient of its residual cost (trace(P_{W_perp} K(X, X)) for the
 kernels, ||Phi(X) - U U^T Phi(X)||_F^2 for the features) and a closed-form
-Euclidean Hessian operator on (dx, dw), built once per point.
+Euclidean Hessian operator on (dx, dw), built once per point. Each operator
+returns the pair (h_x, h_w), or h_x alone when dw is omitted, which is the X
+block at dw = 0 without computing the subspace block.
 """
 
 from __future__ import annotations
@@ -157,10 +159,14 @@ def monomial_features_hess_operator(x_mat: np.ndarray, u, d: int):
     ut_phi = ub.T @ phi
     resid = 2.0 * (phi - ub @ ut_phi)
 
-    def apply(dx: np.ndarray, du: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def apply(dx: np.ndarray, du: np.ndarray | None = None):
         psi = _features_jvp(phi, d, dx)
-        d_resid = 2.0 * (psi - ub @ (ub.T @ psi)) - 2.0 * (du @ ut_phi + ub @ (du.T @ phi))
+        d_resid = 2.0 * (psi - ub @ (ub.T @ psi))
+        if du is not None:
+            d_resid = d_resid - 2.0 * (du @ ut_phi + ub @ (du.T @ phi))
         h_x = _features_contract(n, d, d_resid, phi) + _features_contract(n, d, resid, psi)
+        if du is None:
+            return h_x
         h_u = -2.0 * (psi @ ut_phi.T + phi @ (psi.T @ ub) + phi @ (phi.T @ du))
         return h_x, h_u
 
@@ -229,12 +235,14 @@ def monomial_hess_operator(x_mat: np.ndarray, w, d: int, c: float):
     k_1_perp = k_1 * p_perp
     k_2_perp = monomial_kernel(x_mat, x_mat, d - 2, c) * p_perp if d >= 2 else None
 
-    def apply(dx: np.ndarray, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def apply(dx: np.ndarray, dw: np.ndarray | None = None):
         sym_x = x_mat.T @ dx + dx.T @ x_mat
-        sym_w = wb @ dw.T + dw @ wb.T
         h_x = 2.0 * d * dx @ k_1_perp
         if k_2_perp is not None:
             h_x = h_x + 2.0 * d * (d - 1) * x_mat @ (k_2_perp * sym_x)
+        if dw is None:
+            return h_x
+        sym_w = wb @ dw.T + dw @ wb.T
         h_x = h_x - 2.0 * d * x_mat @ (k_1 * sym_w)
         h_w = -2.0 * d * (k_1 * sym_x) @ wb - 2.0 * k_d @ dw
         return h_x, h_w
@@ -266,13 +274,17 @@ def gaussian_hess_operator(x_mat: np.ndarray, w, sigma: float):
     b_sum = b.sum(axis=0)
     inv_var = 1.0 / sigma**2
 
-    def apply(dx: np.ndarray, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def apply(dx: np.ndarray, dw: np.ndarray | None = None):
         c = x_mat.T @ dx
         a = np.diag(c)
         dk = -inv_var * k * (a[:, None] + a[None, :] - c - c.T)
-        db = dk * p_perp - k * (wb @ dw.T + dw @ wb.T)
+        db = dk * p_perp
+        if dw is not None:
+            db = db - k * (wb @ dw.T + dw @ wb.T)
         # B and dB are symmetric, so diag(B 1) scales the columns by colsums
         h_x = -2.0 * inv_var * (dx * b_sum - dx @ b + x_mat * db.sum(axis=0) - x_mat @ db)
+        if dw is None:
+            return h_x
         h_w = -2.0 * (dk @ wb + k @ dw)
         return h_x, h_w
 

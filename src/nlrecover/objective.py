@@ -197,10 +197,10 @@ class Objective:
     def rhess_x_operator(self, z: ProductPoint):
         """Riemannian Hessian in X alone, with the subspace frozen at z.u: the
         X block of `rhess_operator(z)` applied to (dx, 0), built without the
-        subspace gradient and curvature term that block does not use."""
+        subspace gradient and curvature term that block does not use, and
+        applied without the subspace block of the Euclidean operator."""
         euclid = self._euclid_hess_operator(z.x, z.u.basis)
-        zero_du = np.zeros(z.u.basis.shape)
-        return lambda dx: self._hess_x(euclid(dx, zero_du)[0], dx)
+        return lambda dx: self._hess_x(euclid(dx), dx)
 
     def retract(self, z: ProductPoint, xi: ProductTangent) -> ProductPoint:
         if self.constrained:

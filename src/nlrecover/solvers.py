@@ -43,6 +43,9 @@ class LineSearchError(RuntimeError):
 # configuration
 # --------------------------------------------------------------------------
 
+# the trust region stops as stalled once a rejection shrinks the radius below
+STALL_RADIUS = 1e-16
+
 
 @dataclass
 class TcgConfig:
@@ -115,7 +118,8 @@ class AltminConfig:
 # trace
 # --------------------------------------------------------------------------
 
-TRACE_COLUMNS = ("k", "f", "gnorm_x", "gnorm_u", "step", "delta", "rho", "svd_mode", "inner_iters", "rmse")
+TRACE_COLUMNS = ("k", "f", "gnorm_x", "gnorm_u", "step", "delta", "rho", "svd_mode", "inner_iters", "rmse",
+                 "hess_calls")
 
 
 @dataclass
@@ -130,6 +134,7 @@ class TraceRecord:
     svd_mode: str | None = None
     inner_iters: int | None = None
     rmse: float | None = None
+    hess_calls: int | None = None  # Hessian-vector products applied
 
 
 @dataclass
@@ -319,6 +324,7 @@ def tcg_subproblem(
     cfg: TcgConfig,
     inner: Callable,
     dim: int,
+    path: dict | None = None,
 ) -> tuple[object, bool, int]:
     """Steihaug-Toint truncated CG for the trust-region subproblem.
 
@@ -326,16 +332,36 @@ def tcg_subproblem(
     decrease is at least the Cauchy decrease; exits on the boundary, on
     negative curvature (followed to the boundary), or once the residual drops
     below ||g|| min(kappa, ||g||^theta).
+
+    The iterates do not depend on the radius, only the exit test does, and a
+    smaller radius exits no later. So when path is a dict, it is filled, for
+    every radius delta/4, delta/16, ... down to STALL_RADIUS (the radii a
+    trust region retries with after rejected steps), with the state a run
+    with that radius exits at; `tcg_replay(path[radius], radius)` then equals
+    this function called with that radius, bit for bit, without a Hessian
+    product. The records hold the loop's own tangents, not copies.
     """
     if delta <= 0:
         raise ValueError("trust radius must be positive")
+    pending = []  # radii still to record, largest first
+    if path is not None:
+        radius = delta / 4.0
+        while radius >= STALL_RADIUS:
+            pending.append(radius)
+            radius /= 4.0
+
+    def finish(record):
+        for radius in pending:
+            path[radius] = record
+        return tcg_replay(record, delta)
+
     eta = 0.0 * grad
     r = grad
     d = -r
     r_sq = inner(r, r)
     g_norm = math.sqrt(r_sq)
     if g_norm == 0.0:
-        return eta, False, 0
+        return finish((eta, 0))
     tol = g_norm * min(cfg.kappa, g_norm**cfg.theta)
     max_inner = cfg.max_inner if cfg.max_inner is not None else dim
     eta_sq = 0.0
@@ -348,21 +374,36 @@ def tcg_subproblem(
         d_sq = inner(d, d)
         eta_d = inner(eta, d)
         if dhd <= 0:
-            tau = _boundary_step(eta_sq, eta_d, d_sq, delta)
-            return eta + tau * d, True, i + 1
+            return finish((eta, d, eta_sq, eta_d, d_sq, i + 1))
         alpha = r_sq / dhd
-        if eta_sq + 2.0 * alpha * eta_d + alpha**2 * d_sq >= delta**2:
-            tau = _boundary_step(eta_sq, eta_d, d_sq, delta)
-            return eta + tau * d, True, i + 1
+        eta_sq_next = eta_sq + 2.0 * alpha * eta_d + alpha**2 * d_sq
+        # the smallest pending radius is crossed first
+        while pending and eta_sq_next >= pending[-1] ** 2:
+            path[pending.pop()] = (eta, d, eta_sq, eta_d, d_sq, i + 1)
+        if eta_sq_next >= delta**2:
+            return finish((eta, d, eta_sq, eta_d, d_sq, i + 1))
         eta = eta + alpha * d
-        eta_sq = eta_sq + 2.0 * alpha * eta_d + alpha**2 * d_sq
+        eta_sq = eta_sq_next
         r = r + alpha * hd
         r_sq_new = inner(r, r)
         if math.sqrt(r_sq_new) <= tol:
-            return eta, False, i + 1
+            return finish((eta, i + 1))
         d = -r + (r_sq_new / r_sq) * d
         r_sq = r_sq_new
-    return eta, False, max_inner
+    return finish((eta, max_inner))
+
+
+def tcg_replay(record: tuple, delta: float) -> tuple[object, bool, int]:
+    """(step, hit_boundary, iterations) of a truncated-CG run with radius
+    delta from its exit state: (eta, iterations) for an interior exit, or
+    (eta, d, <eta, eta>, <eta, d>, <d, d>, iterations) for a run that follows
+    d to the boundary."""
+    if len(record) == 2:
+        eta, iters = record
+        return eta, False, iters
+    eta, d, eta_sq, eta_d, d_sq, iters = record
+    tau = _boundary_step(eta_sq, eta_d, d_sq, delta)
+    return eta + tau * d, True, iters
 
 
 def _boundary_step(eta_sq: float, eta_d: float, d_sq: float, delta: float) -> float:
@@ -373,13 +414,14 @@ def _boundary_step(eta_sq: float, eta_d: float, d_sq: float, delta: float) -> fl
 
 def _min_eig_estimate(
     prob: RiemannianProblem, z, rng: np.random.Generator, iters: int = 30
-) -> tuple[float, object]:
+) -> tuple[float, object, int]:
     """Lanczos estimate of the smallest Hessian eigenvalue on the tangent
-    space at z, with the corresponding Ritz direction."""
+    space at z, with the corresponding Ritz direction and the number of
+    Hessian products it took."""
     v = prob.rand_tangent(z, rng)
     nrm = prob.norm(v)
     if nrm == 0.0:
-        return 0.0, v
+        return 0.0, v, 0
     v = (1.0 / nrm) * v
     basis = [v]
     alphas, betas = [], []
@@ -410,7 +452,7 @@ def _min_eig_estimate(
     direction = coeffs[0] * basis[0]
     for c, u in zip(coeffs[1:], basis[1 : len(coeffs)]):
         direction = direction + c * u
-    return lam, direction
+    return lam, direction, len(alphas)
 
 
 # --------------------------------------------------------------------------
@@ -431,6 +473,11 @@ def rtr_generic(
     rmse_of(z) optionally records an error-to-truth column; gnorm_parts(g)
     splits the gradient norm into (x, u) components for the trace; on_iterate
     is called with every iterate (for invariant monitoring).
+
+    A rejected step leaves z unchanged and divides the radius by 4, so the
+    gradient, the model operator and the truncated-CG path are kept until a
+    step is accepted, and the step at the smaller radius is replayed from
+    the recorded path (see `tcg_subproblem`) instead of solved again.
     """
     delta_bar = cfg.delta_bar if cfg.delta_bar is not None else 2.0 * math.sqrt(prob.dim)
     if not 0 < cfg.delta0 < delta_bar:
@@ -448,28 +495,33 @@ def rtr_generic(
             return prob.hess_at(point)
         return lambda v: v
 
+    new_point = True
     for k in range(cfg.max_iter):
         if on_iterate is not None:
             on_iterate(z)
-        g = prob.grad(z)
-        gnorm = prob.norm(g)
-        gx, gu = gnorm_parts(g) if gnorm_parts is not None else (gnorm, 0.0)
-        rec = TraceRecord(
-            k=k,
-            f=f_val,
-            gnorm_x=gx,
-            gnorm_u=gu,
-            delta=delta,
-            rmse=rmse_of(z) if rmse_of is not None else None,
-        )
-        hop = hess_model(z)
+        if new_point:
+            g = prob.grad(z)
+            gnorm = prob.norm(g)
+            gx, gu = gnorm_parts(g) if gnorm_parts is not None else (gnorm, 0.0)
+            err = rmse_of(z) if rmse_of is not None else None
+            hop = hess_model(z)
+            path = {}
+            new_point = False
+        rec = TraceRecord(k=k, f=f_val, gnorm_x=gx, gnorm_u=gu, delta=delta, rmse=err)
         if gnorm > cfg.eps_g:
-            eta, on_boundary, n_inner = tcg_subproblem(
-                g, hop, delta, cfg.tcg, prob.inner, prob.dim
-            )
+            if delta in path:
+                eta, on_boundary, n_inner = tcg_replay(path[delta], delta)
+                n_hess = 0
+            else:
+                path = {}
+                eta, on_boundary, n_inner = tcg_subproblem(
+                    g, hop, delta, cfg.tcg, prob.inner, prob.dim, path=path
+                )
+                n_hess = n_inner
         elif math.isfinite(cfg.eps_h):
-            lam_min, direction = _min_eig_estimate(prob, z, rng)
+            lam_min, direction, n_hess = _min_eig_estimate(prob, z, rng)
             if lam_min >= -cfg.eps_h:
+                rec.hess_calls = n_hess
                 trace.append(rec)
                 trace.status = "grad_tol"
                 return z, trace
@@ -503,11 +555,13 @@ def rtr_generic(
         if accepted:
             z = z_plus
             f_val = f_plus
+            new_point = True
         rec.step = prob.norm(eta)
         rec.rho = rho
         rec.inner_iters = n_inner
+        rec.hess_calls = n_hess + 1  # the model decrease takes one product
         trace.append(rec)
-        if delta < 1e-16:
+        if delta < STALL_RADIUS:
             trace.status = "stalled"
             return z, trace
     trace.status = "max_iter"
@@ -665,11 +719,13 @@ def altmin_solve(
             sub_cfg = RtrConfig(eps_g=eps_xk, max_iter=cfg.max_inner, rho_prime=0.1)
             x, sub_trace = rtr_generic(x_factor_problem(obj, u), x, sub_cfg)
             n_inner = len(sub_trace.records) - 1
+            n_hess = sum(n or 0 for n in sub_trace.column("hess_calls"))
             step = sub_trace.final.step
             f_val = obj.cost(ProductPoint(x, u))
             g = obj.rgrad(ProductPoint(x, u))
         else:
             n_inner = 0
+            n_hess = None
             step = None  # first inner step size, the one the descent bound uses
             while n_inner < cfg.max_inner and float(np.linalg.norm(g.dx)) > eps_xk:
                 d = -g.dx
@@ -694,6 +750,7 @@ def altmin_solve(
 
         rec.step = step
         rec.inner_iters = n_inner
+        rec.hess_calls = n_hess
         if stalled:
             trace.append(rec)
             trace.status = "stalled"

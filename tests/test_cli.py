@@ -215,6 +215,22 @@ class TestPhaseCommand:
             assert 0.0 <= float(row[1]) <= 1.0
 
 
+@pytest.mark.parametrize("command,change,field", [
+    ("phase", {"grid": {"deltas": 0.5, "param": "k", "values": [2]}}, "grid.deltas"),
+    ("phase", {"grid": {"deltas": [0.5], "param": "k", "values": 2}}, "grid.values"),
+    ("rank-sweep", {"ranks": 3}, "ranks"),
+    ("rank-sweep", {"rank_offsets": 0}, "rank_offsets"),
+    ("phase", {"grid": [0.5]}, "grid"),
+], ids=["grid_deltas", "grid_values", "ranks", "rank_offsets", "grid"])
+def test_non_list_sweep_field_exit_code(tmp_path, capsys, command, change, field):
+    cfg = dict(RECOVER_CFG, trials=1, **change)
+    code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    kind = "an object" if field == "grid" else "a list"
+    assert len(err) == 1 and err[0].startswith(f"config error: field '{field}' must be {kind}")
+
+
 class TestSelectLambda:
     def test_canonical_shape(self):
         # fall, plateau at the floor, then steady overfit decay

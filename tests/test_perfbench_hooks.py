@@ -7,6 +7,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import nlrecover
 import nlrecover.cli
 import nlrecover.lifting
@@ -51,3 +53,22 @@ def test_workload_names_exist():
     missing = [f"{owner}.{attr}" for owner, attr in sorted(used)
                if not hasattr(owners[owner], attr)]
     assert not missing
+
+
+def test_tcg_wrapper_runs_the_real_subproblem(monkeypatch):
+    # the traced run binds tcg_subproblem's arguments by name and unpacks its
+    # (step, hit_boundary, iterations) result
+    tracing = load_tracing(monkeypatch)
+    tcg = nlrecover.solvers.tcg_subproblem
+    tracer = tracing.Tracer()
+    traced = tracer._tcg(tcg)
+    h_mat = np.diag([1.0, 2.0, 3.0])
+    args = (np.ones(3), lambda v: h_mat @ v, 1.0, nlrecover.solvers.TcgConfig(),
+            lambda a, b: float(a @ b), 3)
+    expect = tcg(*args)
+    for kwargs in ({}, {"path": {}}):
+        eta, on_boundary, iters = traced(*args, **kwargs)
+        assert np.array_equal(eta, expect[0]) and (on_boundary, iters) == expect[1:]
+    assert tracer.calls["solvers.tcg"] == 2
+    assert tracer.counts["solvers.tcg.inner_iters"] == 2 * expect[2]
+    assert tracer.counts["solvers.tcg.boundary"] == 2 * expect[1]

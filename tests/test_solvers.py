@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlrecover.cli import build_solver_configs
 from nlrecover.lifting import LiftingSpec
@@ -17,19 +18,24 @@ from nlrecover.solvers import (
     ArmijoConfig,
     LineSearchError,
     NumericalError,
+    STALL_RADIUS,
     RiemannianProblem,
     RtrConfig,
+    SolveTrace,
     SvdPolicyConfig,
     TcgConfig,
+    TraceRecord,
     TRACE_COLUMNS,
     altmin_solve,
     armijo,
     default_init,
+    product_problem,
     random_init,
     randomized_svd,
     rtr_generic,
     rtr_solve,
     svd_policy,
+    tcg_replay,
     tcg_subproblem,
     truncated_svd,
 )
@@ -203,7 +209,145 @@ class TestTcg:
             tcg_subproblem(g, lambda v: np.full(2, np.nan), 1.0, TcgConfig(), vec_inner, 2)
 
 
+def assert_replays_match(h_mat, g, delta, cfg=None):
+    """Every radius tCG records must replay to the fresh solve with that
+    radius, bit for bit; returns the exits the fresh solves took."""
+    cfg = cfg or TcgConfig()
+    dim = g.size
+    hop = lambda v: h_mat @ v
+    path = {}
+    full = tcg_subproblem(g, hop, delta, cfg, vec_inner, dim, path=path)
+    fresh_full = tcg_subproblem(g, hop, delta, cfg, vec_inner, dim)
+    assert full[0].tobytes() == fresh_full[0].tobytes() and full[1:] == fresh_full[1:]
+    radii = []
+    radius = delta / 4.0
+    while radius >= STALL_RADIUS:
+        radii.append(radius)
+        radius /= 4.0
+    assert sorted(path) == sorted(radii)
+    exits = []
+    for radius in radii:
+        eta, boundary, iters = tcg_replay(path[radius], radius)
+        f_eta, f_boundary, f_iters = tcg_subproblem(g, hop, radius, cfg, vec_inner, dim)
+        assert eta.tobytes() == f_eta.tobytes(), radius
+        assert (boundary, iters) == (f_boundary, f_iters), radius
+        exits.append((boundary, iters))
+    return full, exits
+
+
+class TestTcgReplay:
+    def test_spd_interior(self, rng):
+        a = rng.standard_normal((6, 6))
+        h_mat = a @ a.T + np.eye(6)
+        g = rng.standard_normal(6)
+        (_, boundary, _), exits = assert_replays_match(h_mat, g, 1e8)
+        # the full radius and the largest recorded ones converge inside
+        assert not boundary and not exits[0][0]
+        assert exits[-1] == (True, 1)
+
+    def test_spd_boundary(self):
+        # the Newton step has norm 1.22 and the first CG iterate 0.70
+        h_mat = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        g = np.ones(6)
+        (_, boundary, iters), exits = assert_replays_match(h_mat, g, 1.0)
+        assert boundary and iters > 1
+        assert all(b for b, _ in exits)
+        assert exits[0] == (True, 1)
+
+    def test_indefinite_negative_curvature(self):
+        # the second Krylov direction meets the negative eigenvalue, inside
+        # the full radius: every radius that has not crossed exits there too
+        h_mat = np.diag([1.0, -1.0])
+        g = np.array([1.0, 0.2])
+        (eta, boundary, iters), exits = assert_replays_match(h_mat, g, 50.0)
+        assert boundary and iters == 2
+        assert np.linalg.norm(eta) == pytest.approx(50.0, rel=1e-12)
+        assert exits[0] == (True, 2) and exits[-1] == (True, 1)
+
+    def test_cap_exit_replays(self, rng):
+        a = rng.standard_normal((8, 8))
+        h_mat = a @ a.T + 0.1 * np.eye(8)
+        g = rng.standard_normal(8)
+        (_, boundary, iters), exits = assert_replays_match(h_mat, g, 1e6, TcgConfig(max_inner=2))
+        assert not boundary and iters == 2
+
+    def test_zero_gradient_records_zero_steps(self):
+        path = {}
+        tcg_subproblem(np.zeros(3), lambda v: v, 1.0, TcgConfig(), vec_inner, 3, path=path)
+        assert path and all(tcg_replay(rec, r)[1:] == (False, 0) for r, rec in path.items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
+           n_neg=st.integers(0, 3), log_delta=st.floats(-6.0, 3.0),
+           cap=st.one_of(st.none(), st.integers(1, 8)))
+    def test_random_operators(self, seed, dim, n_neg, log_delta, cap):
+        gen = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(gen.standard_normal((dim, dim)))
+        evals = gen.uniform(0.01, 10.0, dim)
+        evals[: min(n_neg, dim - 1)] *= -1.0
+        h_mat = (q * evals) @ q.T
+        g = gen.standard_normal(dim)
+        assert_replays_match(h_mat, g, 10.0**log_delta, TcgConfig(max_inner=cap))
+
+
+def reference_rtr(prob, z0, cfg):
+    """The trust-region loop that solves tCG again, and rebuilds the gradient
+    and the Hessian operator, after every rejected step."""
+    delta_bar = cfg.delta_bar if cfg.delta_bar is not None else 2.0 * math.sqrt(prob.dim)
+    z, delta, f_val, trace = z0, cfg.delta0, prob.cost(z0), SolveTrace()
+    for k in range(cfg.max_iter):
+        g = prob.grad(z)
+        gnorm = prob.norm(g)
+        gx, gu = float(np.linalg.norm(g.dx)), float(np.linalg.norm(g.du))
+        rec = TraceRecord(k=k, f=f_val, gnorm_x=gx, gnorm_u=gu, delta=delta)
+        hop = prob.hess_at(z)
+        if gnorm <= cfg.eps_g:
+            trace.append(rec)
+            trace.status = "grad_tol"
+            return z, trace
+        eta, on_boundary, n_inner = tcg_subproblem(g, hop, delta, cfg.tcg, prob.inner, prob.dim)
+        model_decrease = -(prob.inner(g, eta) + 0.5 * prob.inner(eta, hop(eta)))
+        z_plus = prob.retract(z, eta)
+        f_plus = prob.cost(z_plus)
+        actual = f_val - f_plus
+        if model_decrease <= 1e-15 * (1.0 + abs(f_val)):
+            rho = 1.0 if actual >= 0.0 else -math.inf
+        else:
+            rho = actual / model_decrease
+        if rho < 0.25:
+            delta = delta / 4.0
+        elif rho > 0.75 and on_boundary:
+            delta = min(2.0 * delta, delta_bar)
+        if rho > cfg.rho_prime:
+            z, f_val = z_plus, f_plus
+        rec.step, rec.rho, rec.inner_iters = prob.norm(eta), rho, n_inner
+        trace.append(rec)
+        if delta < STALL_RADIUS:
+            trace.status = "stalled"
+            return z, trace
+    return z, trace
+
+
 class TestRtr:
+    def test_replay_matches_solving_again(self):
+        obj, _, _ = uos_completion_problem(n=6, pts_per=8, seed=4)
+        z0 = default_init(obj)
+        cfg = RtrConfig(eps_g=1e-8, max_iter=60)
+        z_ref, ref = reference_rtr(product_problem(obj), z0, cfg)
+        z, trace = rtr_solve(obj, z0, cfg)
+        assert trace.status == ref.status
+        for c in TRACE_COLUMNS[:-1]:  # all but hess_calls
+            assert trace.column(c) == ref.column(c), c
+        assert z.x.tobytes() == z_ref.x.tobytes()
+        assert z.u.basis.tobytes() == z_ref.u.basis.tobytes()
+        # a solved step applies one product per tCG iteration and one for the
+        # model decrease; the step replayed after a rejection only the last
+        after_rejection = [False] + [r.rho <= cfg.rho_prime for r in trace.records[:-1]]
+        assert any(after_rejection), "the instance must reject a step"
+        for rec, replayed in zip(trace.records, after_rejection):
+            if rec.rho is not None:
+                assert rec.hess_calls == (1 if replayed else rec.inner_iters + 1)
+
     def test_immediate_return_at_critical_point(self):
         rng = np.random.default_rng(0)
         x = np.vstack([rng.standard_normal((1, 8)), np.zeros((2, 8))])
@@ -365,6 +509,9 @@ class TestAltmin:
         )
         f_vals = [r.f for r in trace.records]
         assert f_vals[-1] <= f_vals[0]
+        # a round applies at least one Hessian product per inner iteration
+        for rec in trace.records[:-1]:
+            assert rec.hess_calls >= rec.inner_iters
 
     def test_rejects_penalized_objective(self):
         obj, _ = small_masked_objective(seed=16)
