@@ -29,7 +29,6 @@ from .solvers import (
     ArmijoConfig,
     NumericalError,
     RtrConfig,
-    SolveTrace,
     SvdPolicyConfig,
     TcgConfig,
     altmin_solve,
@@ -100,7 +99,7 @@ def load_config(path: str) -> dict:
 
 
 def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
+    if key not in _object(cfg, where):
         raise ConfigError(f"missing field '{key}' in {where}")
     return cfg[key]
 
@@ -123,6 +122,22 @@ def _list(value, field: str) -> list:
     return value
 
 
+def _object(value, field: str) -> dict:
+    """The config value itself when it is a JSON object; a ConfigError naming
+    the field otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"field '{field}' must be an object, got {value!r}")
+    return value
+
+
+def _bool(value, field: str) -> bool:
+    """The config value itself when it is a JSON boolean; a ConfigError naming
+    the field otherwise (so the string "false" is not read as true)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"field '{field}' must be true or false, got {value!r}")
+    return value
+
+
 def parse_data_spec(cfg: dict):
     data = _require(cfg, "data", "config")
     kind = _require(data, "kind", "data")
@@ -133,7 +148,7 @@ def parse_data_spec(cfg: dict):
             "k": _number(data.get("k", 1), int, "data.k"),
             "dims": tuple(dims) if isinstance(dims, (list, tuple)) else (_number(dims, int, "data.dim"),),
             "pts_per": _number(_require(data, "pts_per", "data"), int, "data.pts_per"),
-            "affine": bool(data.get("affine", False)),
+            "affine": _bool(data.get("affine", False), "data.affine"),
         }
     elif kind == "clusters":
         spec_type, params = ClusterSpec, {
@@ -182,7 +197,7 @@ def parse_solver_name(cfg: dict, override: str | None) -> str:
 
 
 def build_solver_configs(cfg: dict, name: str):
-    opts = dict(cfg.get("solver_options", {}))
+    opts = dict(_object(cfg.get("solver_options", {}), "solver_options"))
     try:
         if name == "rtr2":
             tcg = TcgConfig(**opts.pop("tcg", {}))
@@ -258,15 +273,22 @@ def solve(obj: Objective, z0: ProductPoint, name: str, solver_cfg, rng, truth=No
 # ---------------------------------------------------------------------------
 
 
+def _instance(cfg: dict, seed_key: tuple):
+    """(rng, data spec, target, labels, lifting, rank) of one trial. The rng
+    of the seed key has drawn the data and draws the measurements next;
+    lifting and rank draw nothing."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
+    data_spec = parse_data_spec(cfg)
+    target, labels = generate_data(data_spec, rng)
+    lifting = parse_lifting(cfg, data_spec)
+    return rng, data_spec, target, labels, lifting, resolve_rank(cfg, lifting, data_spec, target)
+
+
 def run_trial(cfg: dict, seed_key: tuple, solver_name: str) -> dict:
     """Generate one instance, solve it, return the per-trial record (and the
     trace under key 'trace')."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    data_spec = parse_data_spec(cfg)
-    target, _ = generate_data(data_spec, rng)
+    rng, _, target, _, lifting, rank = _instance(cfg, seed_key)
     meas, _ = build_sensing(cfg, target, rng)
-    lifting = parse_lifting(cfg, data_spec)
-    rank = resolve_rank(cfg, lifting, data_spec, target)
     obj = build_objective(lifting, rank, meas)
     solver_cfg = build_solver_configs(cfg, solver_name)
     restarts = _number(cfg.get("restarts", 1), int, "restarts")
@@ -292,24 +314,26 @@ def run_trial(cfg: dict, seed_key: tuple, solver_name: str) -> dict:
     }
 
 
-def _trial_worker(args):
-    cfg, seed_key, solver_name = args
-    row = run_trial(cfg, seed_key, solver_name)
-    trace = row.pop("trace")
-    row["trace_csv_rows"] = _trace_rows(trace)
-    return row
-
-
-def _trace_rows(trace: SolveTrace) -> list[list]:
-    return [[getattr(r, c) for c in TRACE_COLUMNS] for r in trace.records]
-
-
-def _run_trials(cfg: dict, solver_name: str, trials: int, seed: int, jobs: int):
-    tasks = [(cfg, (seed, t), solver_name) for t in range(trials)]
+def _run_trials(run, cfg: dict, seed: int, trials: int, jobs: int, *args) -> list[dict]:
+    """[run(cfg, (seed, t), *args) for t in range(trials)], in jobs worker
+    processes when jobs > 1; the seed keys make the results independent of
+    the worker count."""
+    columns = ([cfg] * trials, [(seed, t) for t in range(trials)], *([a] * trials for a in args))
     if jobs <= 1:
-        return [_trial_worker(task) for task in tasks]
+        return list(map(run, *columns))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_trial_worker, tasks))
+        return list(pool.map(run, *columns))
+
+
+def _write_trials(out_dir: Path, seed: int, columns: list[str], rows: list[dict]) -> None:
+    """trials.csv, one line per trial with the given keys of its record, and
+    the trial's trace as trace_<t>.csv."""
+    table = []
+    for t, row in enumerate(rows):
+        table.append([t, seed] + [row[c] for c in columns])
+        trace_rows = [[getattr(r, c) for c in TRACE_COLUMNS] for r in row["trace"].records]
+        _write_csv(out_dir / f"trace_{t}.csv", list(TRACE_COLUMNS), trace_rows)
+    _write_csv(out_dir / "trials.csv", ["trial", "seed", *columns], table)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +342,9 @@ def _run_trials(cfg: dict, solver_name: str, trials: int, seed: int, jobs: int):
 
 
 def cmd_recover(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solver: str) -> int:
-    rows = _run_trials(cfg, solver, trials, seed, jobs)
-    header = ["trial", "seed", "rmse", "success", "f_final", "gnorm_x", "gnorm_u", "iters", "status", "rank"]
-    table = []
-    for t, row in enumerate(rows):
-        table.append([t, seed, row["rmse"], row["success"], row["f_final"],
-                      row["gnorm_x"], row["gnorm_u"], row["iters"], row["status"], row["rank"]])
-        _write_csv(out_dir / f"trace_{t}.csv", list(TRACE_COLUMNS), row["trace_csv_rows"])
-    _write_csv(out_dir / "trials.csv", header, table)
+    rows = _run_trials(run_trial, cfg, seed, trials, jobs, solver)
+    _write_trials(out_dir, seed, ["rmse", "success", "f_final", "gnorm_x", "gnorm_u", "iters",
+                                  "status", "rank"], rows)
     aggregates = {
         "trials": trials,
         "success_fraction": float(np.mean([r["success"] for r in rows])),
@@ -350,9 +369,7 @@ def _write_summary(out_dir: Path, command: str, cfg: dict, seed: int, solver: st
 
 
 def cmd_phase(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solver: str) -> int:
-    grid = _require(cfg, "grid", "config")
-    if not isinstance(grid, dict):
-        raise ConfigError(f"field 'grid' must be an object, got {grid!r}")
+    grid = _object(_require(cfg, "grid", "config"), "grid")
     deltas = [_number(d, float, "grid.deltas") for d in _list(grid.get("deltas", []), "grid.deltas")]
     param = grid.get("param", "k")
     values = _list(grid.get("values", []), "grid.values")
@@ -364,7 +381,7 @@ def cmd_phase(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solve
             sub_cfg = json.loads(json.dumps(cfg))
             _apply_param(sub_cfg, param, val)
             sub_cfg["sensing"] = {"kind": "mask", "delta": delta}
-            trial_rows = _run_trials(sub_cfg, solver, trials, _cell_seed(seed, vi, di), jobs)
+            trial_rows = _run_trials(run_trial, sub_cfg, _cell_seed(seed, vi, di), trials, jobs, solver)
             cell_fracs.append(float(np.mean([r["success"] for r in trial_rows])))
         rows_out.append([val] + cell_fracs)
     _write_csv(out_dir / "heatmap.csv", header, rows_out)
@@ -391,9 +408,9 @@ def _apply_param(cfg: dict, param: str, value) -> None:
 
 
 def cmd_noise(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solver: str) -> int:
-    if solver not in ("rtr2",):
+    if solver != "rtr2":
         raise ConfigError("the noise continuation uses the penalized form; solver must be rtr2")
-    sched = cfg.get("lambda_schedule", {})
+    sched = _object(cfg.get("lambda_schedule", {}), "lambda_schedule")
     lam0 = _number(sched.get("lambda0", 1e-6), float, "lambda_schedule.lambda0")
     factor = _number(sched.get("factor", 10.0), float, "lambda_schedule.factor")
     steps = _number(sched.get("steps", 12), int, "lambda_schedule.steps")
@@ -413,27 +430,19 @@ def run_lambda_continuation(cfg: dict, seed: int, lam0: float, factor: float, st
     """Solve the penalized problem along an increasing lambda ladder with warm
     starts; select lambda* minimizing the lifted residual on the plateau of
     the noisy misfit."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    data_spec = parse_data_spec(cfg)
-    target, _ = generate_data(data_spec, rng)
-    sensing = _require(cfg, "sensing", "config")
-    if sensing.get("kind") != "dense":
+    rng, _, target, _, lifting, rank = _instance(cfg, (seed, 0))
+    if _require(_require(cfg, "sensing", "config"), "kind", "sensing") != "dense":
         raise ConfigError("noise continuation requires dense sensing")
     meas, b_clean = build_sensing(cfg, target, rng)
-    lifting = parse_lifting(cfg, data_spec)
-    rank = resolve_rank(cfg, lifting, data_spec, target)
     solver_cfg = build_solver_configs(cfg, solver)
 
     lam = lam0
     z = None
     ladder = []
-    for j in range(steps):
+    for _ in range(steps):
         obj = build_objective(lifting, rank, meas, penalty=lam)
-        if z is None:
-            z0 = default_init(build_objective(lifting, rank, meas))
-        else:
-            z0 = z  # warm start at the previous solution
-        z, trace = rtr_solve(obj, z0, solver_cfg, truth=target)
+        # warm start at the previous solution
+        z, trace = rtr_solve(obj, default_init(obj) if z is None else z, solver_cfg, truth=target)
         ax = meas.apply(z.x)
         ladder.append({
             "lambda": lam,
@@ -461,7 +470,11 @@ def run_lambda_continuation(cfg: dict, seed: int, lam0: float, factor: float, st
     return {"ladder": ladder, "summary": summary}
 
 
-def select_lambda(misfits: list[float], lifted: list[float], flat_factor: float = 1.25) -> int:
+# consecutive noisy misfits within this factor of each other count as flat
+PLATEAU_FLAT_FACTOR = 1.25
+
+
+def select_lambda(misfits: list[float], lifted: list[float]) -> int:
     """Index of the best lambda on the ladder.
 
     The noisy misfit falls as lambda grows, flattens once the solution sits at
@@ -472,7 +485,7 @@ def select_lambda(misfits: list[float], lifted: list[float], flat_factor: float 
     n = len(misfits)
     if n == 1:
         return 0
-    flat = [j for j in range(n - 1) if misfits[j] <= flat_factor * misfits[j + 1]]
+    flat = [j for j in range(n - 1) if misfits[j] <= PLATEAU_FLAT_FACTOR * misfits[j + 1]]
     runs: list[list[int]] = []
     for j in flat:
         if runs and j == runs[-1][-1] + 1:
@@ -540,20 +553,17 @@ def _snap_columns(obj: Objective, z: ProductPoint, k: int, rng: np.random.Genera
 
 def run_cluster_trial(cfg: dict, seed_key: tuple) -> dict:
     """One clustering-with-missing-data trial: complete, cluster, score."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    data_spec = parse_data_spec(cfg)
+    rng, data_spec, target, labels, lifting, rank = _instance(cfg, seed_key)
     if not isinstance(data_spec, ClusterSpec):
         raise ConfigError("the cluster command requires data of kind 'clusters'")
-    target, labels = generate_data(data_spec, rng)
-    sensing = _require(cfg, "sensing", "config")
-    if sensing.get("kind") != "mask":
-        raise ConfigError("the cluster command requires mask sensing")
-    delta = _number(_require(sensing, "delta", "sensing"), float, "sensing.delta")
-    meas = gen_entry_mask(target, delta, rng, per_column=bool(sensing.get("per_column", True)))
-    lifting = parse_lifting(cfg, data_spec)
     if lifting.kind != "gaussian_kernel":
         raise ConfigError("clustered data routes to the Gaussian kernel")
-    rank = resolve_rank(cfg, lifting, data_spec, target)
+    sensing = _require(cfg, "sensing", "config")
+    if _require(sensing, "kind", "sensing") != "mask":
+        raise ConfigError("the cluster command requires mask sensing")
+    delta = _number(_require(sensing, "delta", "sensing"), float, "sensing.delta")
+    per_column = _bool(sensing.get("per_column", True), "sensing.per_column")
+    meas = gen_entry_mask(target, delta, rng, per_column=per_column)
     z, trace = cluster_complete(meas, rank, lifting.sigma, rng)
     pred = cluster_assign(z.x, data_spec.k, rng)
     ri = rand_index(labels, pred)
@@ -565,30 +575,16 @@ def run_cluster_trial(cfg: dict, seed_key: tuple) -> dict:
         "gnorm_x": trace.final.gnorm_x,
         "iters": trace.final.k,
         "status": trace.status,
-        "trace_csv_rows": _trace_rows(trace),
+        "trace": trace,
     }
 
 
-def _cluster_trial_worker(args):
-    cfg, seed_key = args
-    return run_cluster_trial(cfg, seed_key)
-
-
 def cmd_cluster(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solver: str) -> int:
-    tasks = [(cfg, (seed, t)) for t in range(trials)]
-    if jobs <= 1:
-        rows = [run_cluster_trial(c, s) for c, s in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_cluster_trial_worker, tasks))
-    header = ["trial", "seed", "rand_index", "cluster_success", "rmse", "f_final",
-              "gnorm_x", "iters", "status"]
-    table = []
-    for t, row in enumerate(rows):
-        table.append([t, seed, row["rand_index"], row["cluster_success"], row["rmse"],
-                      row["f_final"], row["gnorm_x"], row["iters"], row["status"]])
-        _write_csv(out_dir / f"trace_{t}.csv", list(TRACE_COLUMNS), row["trace_csv_rows"])
-    _write_csv(out_dir / "trials.csv", header, table)
+    if solver != "rtr2":
+        raise ConfigError("the cluster command completes with the trust region; solver must be rtr2")
+    rows = _run_trials(run_cluster_trial, cfg, seed, trials, jobs)
+    _write_trials(out_dir, seed, ["rand_index", "cluster_success", "rmse", "f_final", "gnorm_x",
+                                  "iters", "status"], rows)
     aggregates = {
         "trials": trials,
         "cluster_success_fraction": float(np.mean([r["cluster_success"] for r in rows])),
@@ -600,11 +596,8 @@ def cmd_cluster(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, sol
 
 
 def cmd_rank_sweep(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solver: str) -> int:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 987)))
-    data_spec = parse_data_spec(cfg)
-    target, _ = generate_data(data_spec, rng)
-    lifting = parse_lifting(cfg, data_spec)
-    true_rank = resolve_rank({"rank": "auto"}, lifting, data_spec, target)
+    # the lifted rank of a target drawn from the sweep's own key
+    *_, true_rank = _instance(dict(cfg, rank="auto"), (seed, 987))
     if "ranks" in cfg:
         ranks = [_number(r, int, "ranks") for r in _list(cfg["ranks"], "ranks")]
     else:
@@ -615,7 +608,7 @@ def cmd_rank_sweep(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, 
     for ri, r in enumerate(ranks):
         sub_cfg = json.loads(json.dumps(cfg))
         sub_cfg["rank"] = r
-        trial_rows = _run_trials(sub_cfg, solver, trials, _cell_seed(seed, ri, 0), jobs)
+        trial_rows = _run_trials(run_trial, sub_cfg, _cell_seed(seed, ri, 0), trials, jobs, solver)
         frac = float(np.mean([row["success"] for row in trial_rows]))
         rows_out.append([r, int(r == true_rank), frac])
     _write_csv(out_dir / "rank_sweep.csv", ["rank", "is_true_rank", "success_fraction"], rows_out)

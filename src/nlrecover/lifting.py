@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .manifold import DimensionError, GrassmannPoint
+from .manifold import DimensionError
 
 MAX_EXPLICIT_FEATURES = 20000
 
@@ -33,20 +33,6 @@ def count_monomials(n: int, d: int) -> int:
     return math.comb(n + d, n)
 
 
-@dataclass(frozen=True)
-class MultiIndexTable:
-    """All exponent vectors alpha with |alpha| <= d, in graded lexicographic
-    order (total degree ascending, lexicographically descending within a
-    degree, so for n=2, d=2: 1, x1, x2, x1^2, x1*x2, x2^2)."""
-
-    n: int
-    d: int
-    exponents: np.ndarray  # (N, n) int array
-
-    def __len__(self) -> int:
-        return self.exponents.shape[0]
-
-
 def _exponents_of_degree(n: int, t: int) -> list[tuple[int, ...]]:
     if n == 1:
         return [(t,)]
@@ -58,13 +44,17 @@ def _exponents_of_degree(n: int, t: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=64)
-def multi_index_table(n: int, d: int) -> MultiIndexTable:
+def multi_index_table(n: int, d: int) -> np.ndarray:
+    """The (N, n) int array of all exponent vectors alpha with |alpha| <= d,
+    in graded lexicographic order (total degree ascending, lexicographically
+    descending within a degree, so for n=2, d=2: 1, x1, x2, x1^2, x1*x2, x2^2)."""
     rows: list[tuple[int, ...]] = []
     for t in range(d + 1):
         rows.extend(_exponents_of_degree(n, t))
     exps = np.array(rows, dtype=int)
     assert exps.shape[0] == count_monomials(n, d)
-    return MultiIndexTable(n, d, exps)
+    exps.setflags(write=False)  # shared by every caller through the cache
+    return exps
 
 
 @lru_cache(maxsize=64)
@@ -72,11 +62,11 @@ def _derivative_index(n: int, d: int):
     """For each variable j, the triples (row, coeff, lowered row) with
     alpha_j > 0 and lowered = index of alpha - e_j in the same table."""
     table = multi_index_table(n, d)
-    lookup = {tuple(row): i for i, row in enumerate(table.exponents)}
+    lookup = {tuple(row): i for i, row in enumerate(table)}
     per_var = []
     for j in range(n):
         rows, coeffs, lowers = [], [], []
-        for a, alpha in enumerate(table.exponents):
+        for a, alpha in enumerate(table):
             if alpha[j] > 0:
                 lowered = alpha.copy()
                 lowered[j] -= 1
@@ -89,7 +79,7 @@ def _derivative_index(n: int, d: int):
     return per_var
 
 
-def monomial_features(x_mat: np.ndarray, d: int, max_features: int = MAX_EXPLICIT_FEATURES) -> np.ndarray:
+def monomial_features(x_mat: np.ndarray, d: int) -> np.ndarray:
     """Explicit monomial feature matrix: column j lists all x_j^alpha with
     |alpha| <= d, coefficient 1, in multi-index table order."""
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
@@ -97,13 +87,12 @@ def monomial_features(x_mat: np.ndarray, d: int, max_features: int = MAX_EXPLICI
         raise ValueError("degree must be >= 1")
     n, s = x_mat.shape
     n_feat = count_monomials(n, d)
-    if n_feat > max_features:
-        raise FeatureSizeError(f"N(n={n}, d={d}) = {n_feat} exceeds cap {max_features}")
-    table = multi_index_table(n, d)
+    if n_feat > MAX_EXPLICIT_FEATURES:
+        raise FeatureSizeError(f"N(n={n}, d={d}) = {n_feat} exceeds cap {MAX_EXPLICIT_FEATURES}")
     out = np.empty((n_feat, s))
     # powers[j][e] = x_j ** e, computed once per variable
     powers = [np.vander(x_mat[j], N=d + 1, increasing=True).T for j in range(n)]
-    for a, alpha in enumerate(table.exponents):
+    for a, alpha in enumerate(multi_index_table(n, d)):
         row = np.ones(s)
         for j in range(n):
             e = alpha[j]
@@ -146,28 +135,27 @@ def _features_jvp(phi: np.ndarray, d: int, dx: np.ndarray) -> np.ndarray:
     return out
 
 
-def monomial_features_hess_operator(x_mat: np.ndarray, u, d: int):
+def monomial_features_hess_operator(x_mat: np.ndarray, u: np.ndarray, d: int):
     """Euclidean Hessian of ||Phi||_F^2 - ||U^T Phi||_F^2, Phi = Phi_d(X), at
     (X, U) as an operator on (dx, du). With Psi the feature JVP along dx and
     R = 2 (Phi - U U^T Phi):
     h_x = VJP(2 (Psi - U U^T Psi) - 2 (du U^T + U du^T) Phi) + (R contracted
     with Psi in place of Phi), h_u = -2 (Psi Phi^T + Phi Psi^T) U - 2 Phi Phi^T du."""
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
-    ub = u.basis if isinstance(u, GrassmannPoint) else np.asarray(u, dtype=float)
     n = x_mat.shape[0]
     phi = monomial_features(x_mat, d)
-    ut_phi = ub.T @ phi
-    resid = 2.0 * (phi - ub @ ut_phi)
+    ut_phi = u.T @ phi
+    resid = 2.0 * (phi - u @ ut_phi)
 
     def apply(dx: np.ndarray, du: np.ndarray | None = None):
         psi = _features_jvp(phi, d, dx)
-        d_resid = 2.0 * (psi - ub @ (ub.T @ psi))
+        d_resid = 2.0 * (psi - u @ (u.T @ psi))
         if du is not None:
-            d_resid = d_resid - 2.0 * (du @ ut_phi + ub @ (du.T @ phi))
+            d_resid = d_resid - 2.0 * (du @ ut_phi + u @ (du.T @ phi))
         h_x = _features_contract(n, d, d_resid, phi) + _features_contract(n, d, resid, psi)
         if du is None:
             return h_x
-        h_u = -2.0 * (psi @ ut_phi.T + phi @ (psi.T @ ub) + phi @ (phi.T @ du))
+        h_u = -2.0 * (psi @ ut_phi.T + phi @ (psi.T @ u) + phi @ (phi.T @ du))
         return h_x, h_u
 
     return apply
@@ -202,14 +190,13 @@ def gaussian_kernel(x_mat: np.ndarray, y_mat: np.ndarray, sigma: float) -> np.nd
     return np.exp(-np.maximum(sq, 0.0) / (2.0 * sigma**2))
 
 
-def _w_perp(w: GrassmannPoint | np.ndarray, s: int) -> np.ndarray:
-    wb = w.basis if isinstance(w, GrassmannPoint) else np.asarray(w, dtype=float)
-    if wb.shape[0] != s:
+def _w_perp(w: np.ndarray, s: int) -> np.ndarray:
+    if w.shape[0] != s:
         raise DimensionError("subspace basis does not match the number of columns")
-    return np.eye(s) - wb @ wb.T
+    return np.eye(s) - w @ w.T
 
 
-def monomial_grad_x(x_mat: np.ndarray, w, d: int, c: float) -> np.ndarray:
+def monomial_grad_x(x_mat: np.ndarray, w: np.ndarray, d: int, c: float) -> np.ndarray:
     """Euclidean gradient in X of trace(P_{W_perp} K_d(X, X)):
     2 d X (K_{d-1} o P_{W_perp})."""
     if d < 1:
@@ -220,16 +207,14 @@ def monomial_grad_x(x_mat: np.ndarray, w, d: int, c: float) -> np.ndarray:
     return 2.0 * d * x_mat @ (k_lower * p_perp)
 
 
-def monomial_hess_operator(x_mat: np.ndarray, w, d: int, c: float):
+def monomial_hess_operator(x_mat: np.ndarray, w: np.ndarray, d: int, c: float):
     """Euclidean Hessian of trace(P_{W_perp} K_d(X, X)) at (X, W) as an
     operator on (dx, dw); the kernel matrices are built once so repeated
     products (e.g. inside a CG loop) stay cheap."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
-    wb = w.basis if isinstance(w, GrassmannPoint) else np.asarray(w, dtype=float)
-    s = x_mat.shape[1]
-    p_perp = _w_perp(wb, s)
+    p_perp = _w_perp(w, x_mat.shape[1])
     k_d = monomial_kernel(x_mat, x_mat, d, c)
     k_1 = monomial_kernel(x_mat, x_mat, d - 1, c)
     k_1_perp = k_1 * p_perp
@@ -242,15 +227,15 @@ def monomial_hess_operator(x_mat: np.ndarray, w, d: int, c: float):
             h_x = h_x + 2.0 * d * (d - 1) * x_mat @ (k_2_perp * sym_x)
         if dw is None:
             return h_x
-        sym_w = wb @ dw.T + dw @ wb.T
+        sym_w = w @ dw.T + dw @ w.T
         h_x = h_x - 2.0 * d * x_mat @ (k_1 * sym_w)
-        h_w = -2.0 * d * (k_1 * sym_x) @ wb - 2.0 * k_d @ dw
+        h_w = -2.0 * d * (k_1 * sym_x) @ w - 2.0 * k_d @ dw
         return h_x, h_w
 
     return apply
 
 
-def gaussian_grad_x(x_mat: np.ndarray, w, sigma: float) -> np.ndarray:
+def gaussian_grad_x(x_mat: np.ndarray, w: np.ndarray, sigma: float) -> np.ndarray:
     """Euclidean gradient in X of trace(P_{W_perp} K_G(X, X)) for the Gaussian
     kernel: -(2 / sigma^2) X (diag(colsum(K o P)) - K o P)."""
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
@@ -259,7 +244,7 @@ def gaussian_grad_x(x_mat: np.ndarray, w, sigma: float) -> np.ndarray:
     return -(2.0 / sigma**2) * x_mat @ (np.diag(kp.sum(axis=0)) - kp)
 
 
-def gaussian_hess_operator(x_mat: np.ndarray, w, sigma: float):
+def gaussian_hess_operator(x_mat: np.ndarray, w: np.ndarray, sigma: float):
     """Euclidean Hessian of trace(P_{W_perp} K_G(X, X)) at (X, W) as an
     operator on (dx, dw). With B = K o P_{W_perp}, C = X^T dx, a = diag(C) and
     S_w = W dw^T + dw W^T:
@@ -267,8 +252,7 @@ def gaussian_hess_operator(x_mat: np.ndarray, w, sigma: float):
     h_x = -(2 / sigma^2) (dx diag(B 1) - dx B + X diag(dB 1) - X dB),
     h_w = -2 (dK W + K dw)."""
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
-    wb = w.basis if isinstance(w, GrassmannPoint) else np.asarray(w, dtype=float)
-    p_perp = _w_perp(wb, x_mat.shape[1])
+    p_perp = _w_perp(w, x_mat.shape[1])
     k = gaussian_kernel(x_mat, x_mat, sigma)
     b = k * p_perp
     b_sum = b.sum(axis=0)
@@ -280,24 +264,23 @@ def gaussian_hess_operator(x_mat: np.ndarray, w, sigma: float):
         dk = -inv_var * k * (a[:, None] + a[None, :] - c - c.T)
         db = dk * p_perp
         if dw is not None:
-            db = db - k * (wb @ dw.T + dw @ wb.T)
+            db = db - k * (w @ dw.T + dw @ w.T)
         # B and dB are symmetric, so diag(B 1) scales the columns by colsums
         h_x = -2.0 * inv_var * (dx * b_sum - dx @ b + x_mat * db.sum(axis=0) - x_mat @ db)
         if dw is None:
             return h_x
-        h_w = -2.0 * (dk @ wb + k @ dw)
+        h_w = -2.0 * (dk @ w + k @ dw)
         return h_x, h_w
 
     return apply
 
 
-def lift_grad_w(k_mat: np.ndarray, w) -> np.ndarray:
+def lift_grad_w(k_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Euclidean gradient of the residual cost in the subspace variable:
     -2 K W (valid for any symmetric kernel matrix K)."""
-    wb = w.basis if isinstance(w, GrassmannPoint) else np.asarray(w, dtype=float)
-    if k_mat.shape != (wb.shape[0], wb.shape[0]):
+    if k_mat.shape != (w.shape[0], w.shape[0]):
         raise DimensionError("kernel matrix and basis sizes disagree")
-    return -2.0 * k_mat @ wb
+    return -2.0 * k_mat @ w
 
 
 @dataclass(frozen=True)
@@ -349,15 +332,15 @@ class LiftingSpec:
             raise ValueError("only the explicit feature map has a feature dimension")
         return count_monomials(self.n, self.degree)
 
-    def kernel(self, x_mat: np.ndarray, y_mat: np.ndarray | None = None) -> np.ndarray:
-        """Kernel matrix of the lifting (Gram of the features for the explicit
-        monomial map)."""
-        y_mat = x_mat if y_mat is None else y_mat
+    def kernel(self, x_mat: np.ndarray) -> np.ndarray:
+        """Kernel matrix K(X, X) of the lifting (Gram of the features for the
+        explicit monomial map)."""
         if self.kind == "monomial_kernel":
-            return monomial_kernel(x_mat, y_mat, self.degree, self.offset)
+            return monomial_kernel(x_mat, x_mat, self.degree, self.offset)
         if self.kind == "gaussian_kernel":
-            return gaussian_kernel(x_mat, y_mat, self.sigma)
-        return monomial_features(x_mat, self.degree).T @ monomial_features(y_mat, self.degree)
+            return gaussian_kernel(x_mat, x_mat, self.sigma)
+        phi = monomial_features(x_mat, self.degree)
+        return phi.T @ phi
 
     def features(self, x_mat: np.ndarray) -> np.ndarray:
         if self.kind != "monomial_features":

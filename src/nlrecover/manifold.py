@@ -48,14 +48,6 @@ class GrassmannPoint:
             raise ValueError(f"basis not orthonormal (defect {defect:.3e})")
         object.__setattr__(self, "basis", b)
 
-    @property
-    def p(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.basis.shape[1]
-
 
 def grass_project(u: GrassmannPoint, z: np.ndarray) -> np.ndarray:
     """Project an ambient p x r matrix onto the horizontal space at u, the

@@ -34,7 +34,6 @@ from .manifold import (
     ProductPoint,
     ProductTangent,
     grass_project,
-    grass_retract,
     meas_project,
     product_inner,
     product_norm,
@@ -64,26 +63,18 @@ def kernel_tail_cost(k_mat: np.ndarray, r: int) -> float:
 class Objective:
     """Residual cost of a lifting under measurement constraints.
 
-    form is 'feature' (explicit monomial features, U in Grass(N, r)) or
-    'kernel_trace' (kernel lifting, W in Grass(s, r)). penalty_lambda switches
-    to the penalized formulation for noisy measurements.
+    The lifting fixes the form: the feature form for the explicit monomial
+    features (U in Grass(N, r)), the kernel trace form for kernel liftings
+    (W in Grass(s, r)). penalty_lambda switches to the penalized formulation
+    for noisy measurements.
     """
 
     lifting: LiftingSpec
     rank_r: int
     measurement: MeasurementSubspace
-    form: str = ""
     penalty_lambda: float | None = None
 
     def __post_init__(self):
-        if not self.form:
-            self.form = "kernel_trace" if self.lifting.is_kernel else "feature"
-        if self.form == "feature" and self.lifting.kind != "monomial_features":
-            raise ValueError("feature form requires the explicit monomial features")
-        if self.form == "kernel_trace" and not self.lifting.is_kernel:
-            raise ValueError("kernel trace form requires a kernel lifting")
-        if self.form not in ("feature", "kernel_trace"):
-            raise ValueError(f"unknown form {self.form!r}")
         if self.penalty_lambda is not None and self.penalty_lambda <= 0:
             raise ValueError("penalty lambda must be positive")
         ambient = self.grassmann_ambient()
@@ -96,7 +87,7 @@ class Objective:
     def grassmann_ambient(self) -> int:
         """Ambient dimension of the subspace variable: N(n, d) for the feature
         form, the number of data columns for kernel forms."""
-        if self.form == "feature":
+        if not self.lifting.is_kernel:
             return self.lifting.feature_dim()
         return self.measurement.s
 
@@ -107,7 +98,7 @@ class Objective:
     def lift(self, x_mat: np.ndarray) -> np.ndarray:
         """The matrix whose leading left singular subspace solves the
         U-subproblem: Phi(X) for the feature form, K(X, X) for kernels."""
-        if self.form == "feature":
+        if not self.lifting.is_kernel:
             return self.lifting.features(x_mat)
         return self.lifting.kernel(x_mat)
 
@@ -117,7 +108,7 @@ class Objective:
 
     def residual_of_lift(self, lifted: np.ndarray, basis: np.ndarray) -> float:
         """The lifted residual of an already lifted matrix (see `lift`)."""
-        if self.form == "feature":
+        if not self.lifting.is_kernel:
             return feature_residual_cost(lifted, basis)
         return kernel_trace_cost(lifted, basis)
 
@@ -134,7 +125,7 @@ class Objective:
         """Euclidean gradient blocks of the ambient extension of the lifted
         residual (valid for any, not necessarily orthonormal, basis)."""
         lf = self.lifting
-        if self.form == "feature":
+        if not lf.is_kernel:
             phi = monomial_features(x_mat, lf.degree)
             resid = 2.0 * (phi - basis @ (basis.T @ phi))
             gx = monomial_features_vjp(x_mat, lf.degree, resid)
@@ -148,7 +139,7 @@ class Objective:
     def _euclid_grad_u(self, lifted: np.ndarray, basis: np.ndarray) -> np.ndarray:
         """Euclidean gradient block of the subspace variable from the lifted
         matrix (see `lift`): -2 Phi Phi^T U for features, -2 K W for kernels."""
-        if self.form == "feature":
+        if not self.lifting.is_kernel:
             return -2.0 * lifted @ (lifted.T @ basis)
         return lift_grad_w(lifted, basis)
 
@@ -202,23 +193,12 @@ class Objective:
         euclid = self._euclid_hess_operator(z.x, z.u.basis)
         return lambda dx: self._hess_x(euclid(dx), dx)
 
-    def retract(self, z: ProductPoint, xi: ProductTangent) -> ProductPoint:
-        if self.constrained:
-            return product_retract(z, xi)
-        return ProductPoint(z.x + xi.dx, grass_retract(z.u, xi.du))
-
-    def project(self, z: ProductPoint, dx: np.ndarray, du: np.ndarray) -> ProductTangent:
-        du = grass_project(z.u, du)
+    def random_tangent(self, z: ProductPoint, rng: np.random.Generator) -> ProductTangent:
+        dx = rng.standard_normal(z.x.shape)
+        du = grass_project(z.u, rng.standard_normal(z.u.basis.shape))
         if self.constrained:
             dx = meas_project(self.measurement, dx)
         return ProductTangent(dx, du)
-
-    def random_tangent(self, z: ProductPoint, rng: np.random.Generator) -> ProductTangent:
-        return self.project(
-            z,
-            rng.standard_normal(z.x.shape),
-            rng.standard_normal(z.u.basis.shape),
-        )
 
 
 @dataclass
@@ -258,8 +238,8 @@ def fd_check(
         analytic = product_inner(grad, xi)
         errs = []
         for h in (1e-3, 1e-4, 1e-5, 1e-6):
-            fp = obj.cost(obj.retract(z, h * xi))
-            fm = obj.cost(obj.retract(z, (-h) * xi))
+            fp = obj.cost(product_retract(z, h * xi))
+            fm = obj.cost(product_retract(z, (-h) * xi))
             errs.append(abs((fp - fm) / (2.0 * h) - analytic))
         grad_err = max(grad_err, min(errs) / max(gnorm, 1e-12))
 

@@ -8,12 +8,11 @@ Two families:
     X factor) alternating with a truncated-SVD update of the subspace, with an
     adaptive exact/randomized SVD policy or an exact SVD every round.
 
-All solvers record a per-iteration trace serializable to CSV.
+All solvers record a per-iteration trace (the CLI writes it as CSV).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,6 +24,7 @@ from .manifold import (
     ProductPoint,
     meas_feasible_point,
     meas_project,
+    product_retract,
 )
 from .objective import Objective
 from .synth import rmse
@@ -152,21 +152,6 @@ class SolveTrace:
     def column(self, name: str) -> list:
         return [getattr(r, name) for r in self.records]
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for r in self.records:
-                writer.writerow([_fmt(getattr(r, c)) for c in TRACE_COLUMNS])
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
 
 # --------------------------------------------------------------------------
 # SVD machinery
@@ -277,7 +262,7 @@ def product_problem(obj: Objective) -> RiemannianProblem:
         cost=obj.cost,
         grad=obj.rgrad,
         hess_at=obj.rhess_operator,
-        retract=obj.retract,
+        retract=product_retract,
         inner=lambda a, b: float(np.vdot(a.dx, b.dx) + np.vdot(a.du, b.du)),
         rand_tangent=obj.random_tangent,
         dim=max(dim, 1),
@@ -622,7 +607,7 @@ def rtr_solve_restarts(
     cfg = cfg or RtrConfig()
     rng = np.random.default_rng(0) if rng is None else rng
     scale = max(float(np.trace(obj.lift(meas_feasible_point(obj.measurement))))
-                if obj.form != "feature" else 1.0, 1.0)
+                if obj.lifting.is_kernel else 1.0, 1.0)
     best = None
     for i in range(max(n_starts, 1)):
         z0 = default_init(obj) if i == 0 else random_init(obj, rng, perturb_scale)
@@ -677,10 +662,10 @@ def altmin_solve(
     # the SVD-policy thresholds compare f after normalizing by the lifted
     # energy at the initial point (trace of K, or ||Phi||_F^2)
     lifted0 = obj.lift(z0.x)
-    if obj.form == "feature":
-        f_scale = max(float(np.sum(lifted0**2)), 1e-30)
-    else:
+    if obj.lifting.is_kernel:
         f_scale = max(float(np.trace(lifted0)), 1e-30)
+    else:
+        f_scale = max(float(np.sum(lifted0**2)), 1e-30)
 
     f_prev = math.inf
     no_progress = 0

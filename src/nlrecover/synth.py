@@ -28,7 +28,6 @@ class UosSpec:
     dims: tuple[int, ...]
     pts_per: int
     affine: bool = False
-    seed: int | None = None
 
     def __post_init__(self):
         dims = tuple(int(d) for d in (self.dims if hasattr(self.dims, "__len__") else [self.dims]))
@@ -53,7 +52,6 @@ class ClusterSpec:
     k: int
     pts_per: int
     sigma_c: float = 0.5
-    seed: int | None = None
 
     def __post_init__(self):
         if self.sigma_c <= 0:
@@ -75,17 +73,10 @@ class NoiseSpec:
             raise ValueError("sigma must be nonnegative")
 
 
-def _resolve_rng(rng, seed):
-    if rng is not None:
-        return rng
-    return np.random.default_rng(seed)
-
-
-def gen_uos(spec: UosSpec, rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
+def gen_uos(spec: UosSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample the union of subspaces. Each point is a standard-normal
     combination of an orthonormalized Gaussian basis (plus a random offset in
     the affine case). Returns (matrix n x s, labels)."""
-    rng = _resolve_rng(rng, spec.seed)
     cols = []
     labels = []
     for idx, dim in enumerate(spec.dims):
@@ -97,10 +88,9 @@ def gen_uos(spec: UosSpec, rng: np.random.Generator | None = None) -> tuple[np.n
     return np.hstack(cols), np.array(labels, dtype=int)
 
 
-def gen_clusters(spec: ClusterSpec, rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
+def gen_clusters(spec: ClusterSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample clustered points: random centers, then N(0, sigma_c^2 I) around
     each. Returns (matrix n x s, labels)."""
-    rng = _resolve_rng(rng, spec.seed)
     cols = []
     labels = []
     for idx in range(spec.k):

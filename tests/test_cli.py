@@ -20,6 +20,7 @@ from nlrecover.cli import (
 )
 from nlrecover import cli
 from nlrecover.manifold import DegenerateRetractionError
+from nlrecover.solvers import TRACE_COLUMNS
 from nlrecover.synth import ClusterSpec, UosSpec
 
 RECOVER_CFG = {
@@ -60,6 +61,13 @@ class TestConfigParsing:
     def test_missing_field_rejected(self):
         with pytest.raises(ConfigError, match="pts_per"):
             parse_data_spec({"data": {"kind": "uos", "n": 5}})
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_boolean_field_must_be_json_boolean(self, value):
+        data = dict(RECOVER_CFG["data"], affine=value)
+        with pytest.raises(ConfigError, match="field 'data.affine' must be true or false"):
+            parse_data_spec({"data": data})
+        assert parse_data_spec({"data": dict(data, affine=False)}).affine is False
 
     def test_lifting_routing(self):
         uos = parse_data_spec(RECOVER_CFG)
@@ -134,6 +142,18 @@ class TestRecoverCommand:
         _, out2 = self.run(tmp_path, RECOVER_CFG, "out2")
         assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    def test_trace_csv_format(self, tmp_path):
+        # the trace of trial 0 as the CLI writes it: header TRACE_COLUMNS, one
+        # line per record, floats with 17 significant digits (exact round trip)
+        _, out = self.run(tmp_path, RECOVER_CFG, extra=("--trials", "1"))
+        rows = read_csv(out / "trace_0.csv")
+        trace = run_trial(RECOVER_CFG, (0, 0), "rtr2")["trace"]
+        assert rows[0] == list(TRACE_COLUMNS)
+        assert len(rows) == len(trace.records) + 1
+        assert [float(row[1]) for row in rows[1:]] == trace.column("f")
+        first_f = rows[1][1]
+        assert len(first_f.replace(".", "").replace("-", "").lstrip("0")) >= 15
 
     def test_parallel_matches_serial(self, tmp_path):
         _, out1 = self.run(tmp_path, RECOVER_CFG, "serial")
@@ -231,6 +251,22 @@ def test_non_list_sweep_field_exit_code(tmp_path, capsys, command, change, field
     assert len(err) == 1 and err[0].startswith(f"config error: field '{field}' must be {kind}")
 
 
+@pytest.mark.parametrize("command,field", [
+    ("recover", "data"),
+    ("recover", "sensing"),
+    ("recover", "lifting"),
+    ("recover", "solver_options"),
+    ("noise", "lambda_schedule"),
+])
+def test_non_object_section_exit_code(tmp_path, capsys, command, field):
+    cfg = dict(RECOVER_CFG, trials=1)
+    cfg[field] = 5
+    code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: field '{field}' must be an object, got 5"]
+
+
 class TestSelectLambda:
     def test_canonical_shape(self):
         # fall, plateau at the floor, then steady overfit decay
@@ -254,7 +290,21 @@ class TestSelectLambda:
         assert select_lambda(misfits, lifted) == 1
 
 
+CLUSTER_CFG = {
+    "data": {"kind": "clusters", "n": 4, "k": 2, "pts_per": 8},
+    "sensing": {"kind": "mask", "delta": 0.8},
+    "rank": "auto",
+    "trials": 2,
+    "seed": 1,
+}
+
+
 class TestClusterCommand:
+    def run(self, tmp_path, cfg, sub="out", extra=()):
+        out = tmp_path / sub
+        code = main(["cluster", "--config", write_cfg(tmp_path, cfg), "--out", str(out), *extra])
+        return code, out
+
     def test_cluster_trial_fields(self):
         cfg = {
             "data": {"kind": "clusters", "n": 5, "k": 2, "pts_per": 10},
@@ -266,15 +316,7 @@ class TestClusterCommand:
         assert row["cluster_success"] in (0, 1)
 
     def test_command_outputs(self, tmp_path):
-        cfg = {
-            "data": {"kind": "clusters", "n": 4, "k": 2, "pts_per": 8},
-            "sensing": {"kind": "mask", "delta": 0.8},
-            "rank": "auto",
-            "trials": 2,
-            "seed": 1,
-        }
-        out = tmp_path / "out"
-        code = main(["cluster", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        code, out = self.run(tmp_path, CLUSTER_CFG)
         assert code == EXIT_OK
         rows = read_csv(out / "trials.csv")
         assert rows[0][2] == "rand_index"
@@ -283,6 +325,26 @@ class TestClusterCommand:
             summary = json.load(fh)
         fracs = [int(r[3]) for r in rows[1:]]
         assert summary["aggregates"]["cluster_success_fraction"] == pytest.approx(np.mean(fracs))
+
+    def test_parallel_matches_serial(self, tmp_path):
+        _, out1 = self.run(tmp_path, CLUSTER_CFG, "serial")
+        _, out2 = self.run(tmp_path, CLUSTER_CFG, "parallel", extra=("--jobs", "2"))
+        assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
+
+    def test_rejects_other_solvers(self, tmp_path, capsys):
+        # the completion always runs the trust region
+        code, out = self.run(tmp_path, CLUSTER_CFG, extra=("--solver", "altmin1"))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and "rtr2" in err[0]
+        assert not (out / "summary.json").exists()
+
+    def test_per_column_must_be_json_boolean(self, tmp_path, capsys):
+        sensing = dict(CLUSTER_CFG["sensing"], per_column="false")
+        code, _ = self.run(tmp_path, dict(CLUSTER_CFG, sensing=sensing))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: field 'sensing.per_column' must be true or false, got 'false'"]
 
 
 class TestRankSweepCommand:

@@ -42,15 +42,15 @@ class TestMultiIndexTable:
     def test_length_and_uniqueness(self):
         table = multi_index_table(3, 3)
         assert len(table) == count_monomials(3, 3)
-        rows = {tuple(r) for r in table.exponents}
+        rows = {tuple(r) for r in table}
         assert len(rows) == len(table)
 
     def test_graded_order(self):
         table = multi_index_table(2, 2)
-        degrees = table.exponents.sum(axis=1)
+        degrees = table.sum(axis=1)
         assert list(degrees) == sorted(degrees)
         # within each degree the leading variable comes first
-        assert [tuple(r) for r in table.exponents] == [
+        assert [tuple(r) for r in table] == [
             (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)
         ]
 

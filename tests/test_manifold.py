@@ -36,7 +36,7 @@ class TestGrassmannPoint:
 
     def test_accepts_orthonormal_basis(self, rng):
         u = random_point(rng, 6, 2)
-        assert u.p == 6 and u.r == 2
+        assert u.basis.shape == (6, 2)
         assert np.allclose(u.basis.T @ u.basis, np.eye(2), atol=1e-12)
 
 

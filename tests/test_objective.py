@@ -10,6 +10,7 @@ from nlrecover.manifold import (
     ProductTangent,
     product_inner,
     product_norm,
+    product_retract,
 )
 from nlrecover.objective import (
     Objective,
@@ -87,16 +88,6 @@ class TestCost:
         k = obj.lifting.kernel(z.x)
         assert obj.cost(z) >= -1e-10 * np.trace(k)
 
-    def test_form_lifting_mismatch(self):
-        obj, _ = small_masked_objective(seed=0)
-        with pytest.raises(ValueError):
-            Objective(
-                lifting=LiftingSpec.monomial(4, 2),
-                rank_r=2,
-                measurement=obj.measurement,
-                form="feature",
-            )
-
     def test_rank_bounds(self):
         obj, _ = small_masked_objective(seed=0)
         with pytest.raises(ValueError):
@@ -149,8 +140,8 @@ class TestRgrad:
             analytic = product_inner(g, xi)
             errs = []
             for h in (1e-4, 1e-5, 1e-6):
-                fp = obj.cost(obj.retract(z, h * xi))
-                fm = obj.cost(obj.retract(z, (-h) * xi))
+                fp = obj.cost(product_retract(z, h * xi))
+                fm = obj.cost(product_retract(z, (-h) * xi))
                 errs.append(abs((fp - fm) / (2 * h) - analytic))
             assert min(errs) <= 1e-6 * max(1.0, product_norm(g))
 
@@ -170,8 +161,8 @@ class TestRgrad:
             analytic = product_inner(g, xi)
             errs = []
             for h in (1e-4, 1e-5, 1e-6):
-                fp = pen.cost(pen.retract(z, h * xi))
-                fm = pen.cost(pen.retract(z, (-h) * xi))
+                fp = pen.cost(product_retract(z, h * xi))
+                fm = pen.cost(product_retract(z, (-h) * xi))
                 errs.append(abs((fp - fm) / (2 * h) - analytic))
             assert min(errs) <= 1e-5 * max(1.0, product_norm(g))
 
@@ -224,7 +215,7 @@ class TestRhess:
         xhx = product_inner(xi, h_xi)
         ts = np.logspace(-1, -4, 7)
         res = np.array([
-            abs(obj.cost(obj.retract(z, t * xi)) - f0 - t * gxi - 0.5 * t * t * xhx)
+            abs(obj.cost(product_retract(z, t * xi)) - f0 - t * gxi - 0.5 * t * t * xhx)
             for t in ts
         ])
         if np.all(res < 1e-13 * (1 + abs(f0))):

@@ -610,18 +610,6 @@ class TestWedin:
 
 
 class TestTrace:
-    def test_csv_round_trip(self, tmp_path):
-        obj, target, _ = uos_completion_problem(n=6, pts_per=8, seed=14)
-        _, trace = rtr_solve(obj, default_init(obj), RtrConfig(eps_g=1e-4, max_iter=20), truth=target)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == ",".join(TRACE_COLUMNS)
-        assert len(lines) == len(trace.records) + 1
-        # floats carry 17 significant digits
-        first_f = lines[1].split(",")[1]
-        assert len(first_f.replace(".", "").replace("-", "").lstrip("0")) >= 15
-
     def test_random_init_feasible(self):
         obj, target, _ = uos_completion_problem(n=6, pts_per=8, seed=15)
         z0 = random_init(obj, np.random.default_rng(3))
