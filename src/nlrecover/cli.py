@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .lifting import LiftingSpec
+from .lifting import LiftingSpec, kernel_tail_cost
 from .manifold import DegenerateRetractionError, ProductPoint
-from .objective import Objective, fd_check, kernel_tail_cost
+from .objective import Objective, fd_check
 from .solvers import (
     TRACE_COLUMNS,
     AltminConfig,
@@ -33,6 +33,7 @@ from .solvers import (
     TcgConfig,
     altmin_solve,
     default_init,
+    fit_subspace,
     random_init,
     rtr_solve,
     rtr_solve_restarts,
@@ -284,21 +285,36 @@ def _instance(cfg: dict, seed_key: tuple):
     return rng, data_spec, target, labels, lifting, resolve_rank(cfg, lifting, data_spec, target)
 
 
+def parse_start(cfg: dict, solver_name: str) -> tuple[int, bool]:
+    """(restarts, random start) of a recovery trial. Only rtr2 restarts, and
+    its restarts begin at the measured start."""
+    init = cfg.get("init", "measured")
+    if init not in ("measured", "random"):
+        raise ConfigError(f"field 'init' must be 'measured' or 'random', got {init!r}")
+    restarts = 1
+    if "restarts" in cfg:
+        if solver_name != "rtr2":
+            raise ConfigError(f"field 'restarts' applies to solver rtr2 only, not {solver_name!r}")
+        restarts = _number(cfg["restarts"], int, "restarts")
+        if restarts < 1:
+            raise ConfigError(f"field 'restarts' must be >= 1, got {restarts}")
+        if restarts > 1 and init == "random":
+            raise ConfigError("field 'init' must be 'measured' when 'restarts' > 1")
+    return restarts, init == "random"
+
+
 def run_trial(cfg: dict, seed_key: tuple, solver_name: str) -> dict:
     """Generate one instance, solve it, return the per-trial record (and the
     trace under key 'trace')."""
+    restarts, random_start = parse_start(cfg, solver_name)
     rng, _, target, _, lifting, rank = _instance(cfg, seed_key)
     meas, _ = build_sensing(cfg, target, rng)
     obj = build_objective(lifting, rank, meas)
     solver_cfg = build_solver_configs(cfg, solver_name)
-    restarts = _number(cfg.get("restarts", 1), int, "restarts")
-    if solver_name == "rtr2" and restarts > 1:
+    if restarts > 1:
         z, trace = rtr_solve_restarts(obj, solver_cfg, rng, n_starts=restarts, truth=target)
     else:
-        if cfg.get("init", "measured") == "random":
-            z0 = random_init(obj, rng)
-        else:
-            z0 = default_init(obj)
+        z0 = random_init(obj, rng) if random_start else default_init(obj)
         z, trace = solve(obj, z0, solver_name, solver_cfg, rng, truth=target)
     err = rmse(z.x, target)
     return {
@@ -499,10 +515,10 @@ def select_lambda(misfits: list[float], lifted: list[float]) -> int:
 
 
 SIGMA_LADDER = (4.0, 2.0, 1.414, 1.0)  # kernel-width continuation multipliers
+CLUSTER_MAX_ITER = 200  # trust-region iterations per solve of the clustering pipeline
 
 
-def cluster_complete(meas, k: int, sigma: float, rng: np.random.Generator,
-                     max_iter: int = 200):
+def cluster_complete(meas, k: int, sigma: float, rng: np.random.Generator):
     """Complete a clustered matrix with the Gaussian-kernel objective.
 
     The plain objective at the target width has poor basins of attraction
@@ -517,13 +533,10 @@ def cluster_complete(meas, k: int, sigma: float, rng: np.random.Generator,
         obj = Objective(
             lifting=LiftingSpec.gaussian(meas.n, sigma * mult), rank_r=k, measurement=meas
         )
-        if z is None:
-            z = default_init(obj)
-        else:
-            z = ProductPoint(z.x, truncated_svd(obj.lift(z.x), k))
-        z, trace = rtr_solve(obj, z, RtrConfig(eps_g=1e-6, max_iter=max_iter))
+        z = default_init(obj) if z is None else fit_subspace(obj, z.x)
+        z, trace = rtr_solve(obj, z, RtrConfig(eps_g=1e-6, max_iter=CLUSTER_MAX_ITER))
     z_snap = _snap_columns(obj, z, k, rng)
-    z_snap, trace_snap = rtr_solve(obj, z_snap, RtrConfig(eps_g=1e-6, max_iter=max_iter))
+    z_snap, trace_snap = rtr_solve(obj, z_snap, RtrConfig(eps_g=1e-6, max_iter=CLUSTER_MAX_ITER))
     if obj.cost(z_snap) < obj.cost(z):
         return z_snap, trace_snap
     return z, trace
@@ -544,11 +557,11 @@ def _snap_columns(obj: Objective, z: ProductPoint, k: int, rng: np.random.Genera
         for c in range(k):
             cand = x.copy()
             cand[~mask[:, j], j] = centers[~mask[:, j], c]
-            f = kernel_tail_cost(obj.lift(cand), obj.rank_r)
+            f = kernel_tail_cost(obj.lifting.lift(cand), obj.rank_r)
             if best is None or f < best[0]:
                 best = (f, cand)
         x = best[1]
-    return ProductPoint(x, truncated_svd(obj.lift(x), obj.rank_r))
+    return fit_subspace(obj, x)
 
 
 def run_cluster_trial(cfg: dict, seed_key: tuple) -> dict:

@@ -275,6 +275,24 @@ def gaussian_hess_operator(x_mat: np.ndarray, w: np.ndarray, sigma: float):
     return apply
 
 
+def feature_residual_cost(phi: np.ndarray, basis: np.ndarray) -> float:
+    """||Phi - P_U Phi||_F^2 evaluated explicitly."""
+    resid = phi - basis @ (basis.T @ phi)
+    return float(np.sum(resid * resid))
+
+
+def kernel_trace_cost(k_mat: np.ndarray, basis: np.ndarray) -> float:
+    """trace(K) - trace(W^T K W), the kernel-side value of the same residual."""
+    return float(np.trace(k_mat) - np.sum((k_mat @ basis) * basis))
+
+
+def kernel_tail_cost(k_mat: np.ndarray, r: int) -> float:
+    """kernel_trace_cost at the best W, the leading r-dimensional eigenspace
+    of the symmetric positive semidefinite K: trace(K) minus its r largest
+    eigenvalues, without forming W."""
+    return float(np.trace(k_mat) - np.sum(np.linalg.eigvalsh(k_mat)[-r:]))
+
+
 def lift_grad_w(k_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Euclidean gradient of the residual cost in the subspace variable:
     -2 K W (valid for any symmetric kernel matrix K)."""
@@ -285,7 +303,8 @@ def lift_grad_w(k_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LiftingSpec:
-    """Choice of lifting and its parameters.
+    """Choice of lifting and its parameters, and the one place that branches
+    on it: the lifted matrix, the residual and its derivatives.
 
     kind is one of 'monomial_features', 'monomial_kernel', 'gaussian_kernel';
     degree/offset apply to the monomial variants, sigma to the Gaussian.
@@ -327,10 +346,11 @@ class LiftingSpec:
     def is_kernel(self) -> bool:
         return self.kind in ("monomial_kernel", "gaussian_kernel")
 
-    def feature_dim(self) -> int:
-        if self.kind != "monomial_features":
-            raise ValueError("only the explicit feature map has a feature dimension")
-        return count_monomials(self.n, self.degree)
+    def ambient(self, s: int) -> int:
+        """Ambient dimension of the subspace variable for s data columns."""
+        if not self.is_kernel:
+            return count_monomials(self.n, self.degree)
+        return s
 
     def kernel(self, x_mat: np.ndarray) -> np.ndarray:
         """Kernel matrix K(X, X) of the lifting (Gram of the features for the
@@ -342,7 +362,48 @@ class LiftingSpec:
         phi = monomial_features(x_mat, self.degree)
         return phi.T @ phi
 
-    def features(self, x_mat: np.ndarray) -> np.ndarray:
-        if self.kind != "monomial_features":
-            raise ValueError(f"{self.kind} has no explicit feature matrix")
-        return monomial_features(x_mat, self.degree)
+    def lift(self, x_mat: np.ndarray) -> np.ndarray:
+        """The matrix whose leading left singular subspace solves the
+        subspace subproblem: Phi(X) for the features, K(X, X) for kernels."""
+        if not self.is_kernel:
+            return monomial_features(x_mat, self.degree)
+        return self.kernel(x_mat)
+
+    def residual(self, lifted: np.ndarray, basis: np.ndarray) -> float:
+        """The lifted residual of an already lifted matrix (see `lift`)."""
+        if not self.is_kernel:
+            return feature_residual_cost(lifted, basis)
+        return kernel_trace_cost(lifted, basis)
+
+    def energy(self, lifted: np.ndarray) -> float:
+        """The residual at the zero subspace: ||Phi||_F^2, or trace(K)."""
+        if not self.is_kernel:
+            return float(np.sum(lifted**2))
+        return float(np.trace(lifted))
+
+    def grad(self, x_mat: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Euclidean gradient blocks (X, basis) of the ambient extension of
+        the residual (valid for any, not necessarily orthonormal, basis)."""
+        if not self.is_kernel:
+            phi = monomial_features(x_mat, self.degree)
+            resid = 2.0 * (phi - basis @ (basis.T @ phi))
+            return monomial_features_vjp(x_mat, self.degree, resid), self.grad_basis(phi, basis)
+        if self.kind == "monomial_kernel":
+            gx = monomial_grad_x(x_mat, basis, self.degree, self.offset)
+        else:
+            gx = gaussian_grad_x(x_mat, basis, self.sigma)
+        return gx, self.grad_basis(self.kernel(x_mat), basis)
+
+    def grad_basis(self, lifted: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """Euclidean gradient block of the basis from the lifted matrix."""
+        if not self.is_kernel:
+            return -2.0 * lifted @ (lifted.T @ basis)
+        return lift_grad_w(lifted, basis)
+
+    def hess_operator(self, x_mat: np.ndarray, basis: np.ndarray):
+        """Closed-form Euclidean Hessian operator of the residual at (X, basis)."""
+        if self.kind == "monomial_kernel":
+            return monomial_hess_operator(x_mat, basis, self.degree, self.offset)
+        if self.kind == "gaussian_kernel":
+            return gaussian_hess_operator(x_mat, basis, self.sigma)
+        return monomial_features_hess_operator(x_mat, basis, self.degree)

@@ -1,10 +1,11 @@
 """Cost functions on the product of the measurement subspace and a Grassmann.
 
-Two evaluation paths for the same residual: the explicit feature form
-||Phi(X) - P_U Phi(X)||_F^2 with U in Grass(N, r), and the kernel trace form
-trace(K(X,X)) - trace(W^T K(X,X) W) with W in Grass(s, r). An optional
-quadratic penalty lambda * ||A(X) - b||^2 replaces the affine constraint for
-noisy measurements, in which case X ranges over all of R^{n x s}.
+The lifting computes the residual and its Euclidean derivatives: the feature
+form ||Phi(X) - P_U Phi(X)||_F^2 with U in Grass(N, r), or the kernel trace
+form trace(K(X,X)) - trace(W^T K(X,X) W) with W in Grass(s, r). The objective
+composes them with the affine constraint A(X) = b, or with a quadratic
+penalty lambda * ||A(X) - b||^2 for noisy measurements, where X ranges over
+all of R^{n x s}.
 
 Riemannian gradients project the Euclidean blocks onto the tangent spaces;
 the Hessian operator adds the Grassmann curvature correction to the
@@ -18,17 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lifting import (
-    LiftingSpec,
-    gaussian_grad_x,
-    gaussian_hess_operator,
-    lift_grad_w,
-    monomial_features,
-    monomial_features_hess_operator,
-    monomial_features_vjp,
-    monomial_grad_x,
-    monomial_hess_operator,
-)
+from .lifting import LiftingSpec
 from .manifold import (
     MeasurementSubspace,
     ProductPoint,
@@ -39,24 +30,6 @@ from .manifold import (
     product_norm,
     product_retract,
 )
-
-
-def feature_residual_cost(phi: np.ndarray, basis: np.ndarray) -> float:
-    """||Phi - P_U Phi||_F^2 evaluated explicitly."""
-    resid = phi - basis @ (basis.T @ phi)
-    return float(np.sum(resid * resid))
-
-
-def kernel_trace_cost(k_mat: np.ndarray, basis: np.ndarray) -> float:
-    """trace(K) - trace(W^T K W), the kernel-side value of the same residual."""
-    return float(np.trace(k_mat) - np.sum((k_mat @ basis) * basis))
-
-
-def kernel_tail_cost(k_mat: np.ndarray, r: int) -> float:
-    """kernel_trace_cost at the best W, the leading r-dimensional eigenspace
-    of the symmetric positive semidefinite K: trace(K) minus its r largest
-    eigenvalues, without forming W."""
-    return float(np.trace(k_mat) - np.sum(np.linalg.eigvalsh(k_mat)[-r:]))
 
 
 @dataclass
@@ -87,30 +60,20 @@ class Objective:
     def grassmann_ambient(self) -> int:
         """Ambient dimension of the subspace variable: N(n, d) for the feature
         form, the number of data columns for kernel forms."""
-        if not self.lifting.is_kernel:
-            return self.lifting.feature_dim()
-        return self.measurement.s
+        return self.lifting.ambient(self.measurement.s)
+
+    def x_dim(self) -> int:
+        """Dimension of the X factor: null(A), or R^{n x s} under the penalty."""
+        meas = self.measurement
+        return meas.n * meas.s - (meas.m if self.constrained else 0)
 
     @property
     def constrained(self) -> bool:
         return self.penalty_lambda is None
 
-    def lift(self, x_mat: np.ndarray) -> np.ndarray:
-        """The matrix whose leading left singular subspace solves the
-        U-subproblem: Phi(X) for the feature form, K(X, X) for kernels."""
-        if not self.lifting.is_kernel:
-            return self.lifting.features(x_mat)
-        return self.lifting.kernel(x_mat)
-
     def lifted_residual(self, z: ProductPoint) -> float:
         """Cost without the penalty term (always >= 0 up to roundoff)."""
-        return self.residual_of_lift(self.lift(z.x), z.u.basis)
-
-    def residual_of_lift(self, lifted: np.ndarray, basis: np.ndarray) -> float:
-        """The lifted residual of an already lifted matrix (see `lift`)."""
-        if not self.lifting.is_kernel:
-            return feature_residual_cost(lifted, basis)
-        return kernel_trace_cost(lifted, basis)
+        return self.lifting.residual(self.lifting.lift(z.x), z.u.basis)
 
     # --- cost / gradient / Hessian -----------------------------------------
 
@@ -121,30 +84,8 @@ class Objective:
             val += self.penalty_lambda * float(r @ r)
         return val
 
-    def _euclid_grad(self, x_mat: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Euclidean gradient blocks of the ambient extension of the lifted
-        residual (valid for any, not necessarily orthonormal, basis)."""
-        lf = self.lifting
-        if not lf.is_kernel:
-            phi = monomial_features(x_mat, lf.degree)
-            resid = 2.0 * (phi - basis @ (basis.T @ phi))
-            gx = monomial_features_vjp(x_mat, lf.degree, resid)
-            return gx, self._euclid_grad_u(phi, basis)
-        if lf.kind == "monomial_kernel":
-            gx = monomial_grad_x(x_mat, basis, lf.degree, lf.offset)
-        else:
-            gx = gaussian_grad_x(x_mat, basis, lf.sigma)
-        return gx, self._euclid_grad_u(lf.kernel(x_mat), basis)
-
-    def _euclid_grad_u(self, lifted: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        """Euclidean gradient block of the subspace variable from the lifted
-        matrix (see `lift`): -2 Phi Phi^T U for features, -2 K W for kernels."""
-        if not self.lifting.is_kernel:
-            return -2.0 * lifted @ (lifted.T @ basis)
-        return lift_grad_w(lifted, basis)
-
     def rgrad(self, z: ProductPoint) -> ProductTangent:
-        gx, gu = self._euclid_grad(z.x, z.u.basis)
+        gx, gu = self.lifting.grad(z.x, z.u.basis)
         if self.penalty_lambda is not None:
             gx = gx + 2.0 * self.penalty_lambda * self.measurement.adjoint(
                 self.measurement.residual(z.x)
@@ -152,14 +93,6 @@ class Objective:
         else:
             gx = meas_project(self.measurement, gx)
         return ProductTangent(gx, grass_project(z.u, gu))
-
-    def _euclid_hess_operator(self, x_mat: np.ndarray, basis: np.ndarray):
-        lf = self.lifting
-        if lf.kind == "monomial_kernel":
-            return monomial_hess_operator(x_mat, basis, lf.degree, lf.offset)
-        if lf.kind == "gaussian_kernel":
-            return gaussian_hess_operator(x_mat, basis, lf.sigma)
-        return monomial_features_hess_operator(x_mat, basis, lf.degree)
 
     def _hess_x(self, hx: np.ndarray, dx: np.ndarray) -> np.ndarray:
         """X block of a Riemannian Hessian product from its Euclidean part:
@@ -173,8 +106,8 @@ class Objective:
     def rhess_operator(self, z: ProductPoint):
         """Riemannian Hessian at z as an operator on tangents; point-dependent
         quantities (kernel matrices, the curvature term) are built once."""
-        euclid = self._euclid_hess_operator(z.x, z.u.basis)
-        gu = self._euclid_grad_u(self.lift(z.x), z.u.basis)
+        euclid = self.lifting.hess_operator(z.x, z.u.basis)
+        gu = self.lifting.grad_basis(self.lifting.lift(z.x), z.u.basis)
         u_gu = z.u.basis.T @ gu
 
         def apply(xi: ProductTangent) -> ProductTangent:
@@ -190,7 +123,7 @@ class Objective:
         X block of `rhess_operator(z)` applied to (dx, 0), built without the
         subspace gradient and curvature term that block does not use, and
         applied without the subspace block of the Euclidean operator."""
-        euclid = self._euclid_hess_operator(z.x, z.u.basis)
+        euclid = self.lifting.hess_operator(z.x, z.u.basis)
         return lambda dx: self._hess_x(euclid(dx), dx)
 
     def random_tangent(self, z: ProductPoint, rng: np.random.Generator) -> ProductTangent:
@@ -244,7 +177,7 @@ def fd_check(
         grad_err = max(grad_err, min(errs) / max(gnorm, 1e-12))
 
     hess_err = 0.0
-    hess_op = obj._euclid_hess_operator(z.x, z.u.basis)
+    hess_op = obj.lifting.hess_operator(z.x, z.u.basis)
     for _ in range(n_dirs):
         xi = obj.random_tangent(z, rng)
         nrm = product_norm(xi)
@@ -253,8 +186,8 @@ def fd_check(
         xi = (1.0 / nrm) * xi
         hx, hu = hess_op(xi.dx, xi.du)
         h = 1e-5 * (1.0 + np.linalg.norm(z.x))
-        gx_p, gu_p = obj._euclid_grad(z.x + h * xi.dx, z.u.basis + h * xi.du)
-        gx_m, gu_m = obj._euclid_grad(z.x - h * xi.dx, z.u.basis - h * xi.du)
+        gx_p, gu_p = obj.lifting.grad(z.x + h * xi.dx, z.u.basis + h * xi.du)
+        gx_m, gu_m = obj.lifting.grad(z.x - h * xi.dx, z.u.basis - h * xi.du)
         fd_x = (gx_p - gx_m) / (2.0 * h)
         fd_u = (gu_p - gu_m) / (2.0 * h)
         num = np.sqrt(np.sum((hx - fd_x) ** 2) + np.sum((hu - fd_u) ** 2))

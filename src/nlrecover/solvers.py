@@ -45,6 +45,8 @@ class LineSearchError(RuntimeError):
 
 # the trust region stops as stalled once a rejection shrinks the radius below
 STALL_RADIUS = 1e-16
+LANCZOS_ITERS = 30  # steps of the smallest-eigenvalue estimate behind eps_h
+PERTURB_SCALE = 0.3  # size of the null-space perturbation of a trust-region restart
 
 
 @dataclass
@@ -251,13 +253,7 @@ class RiemannianProblem:
 
 
 def product_problem(obj: Objective) -> RiemannianProblem:
-    meas = obj.measurement
-    if obj.constrained:
-        mask_dim = meas.n * meas.s - meas.m
-    else:
-        mask_dim = meas.n * meas.s
-    s_amb = obj.grassmann_ambient()
-    dim = mask_dim + (s_amb - obj.rank_r) * obj.rank_r
+    dim = obj.x_dim() + (obj.grassmann_ambient() - obj.rank_r) * obj.rank_r
     return RiemannianProblem(
         cost=obj.cost,
         grad=obj.rgrad,
@@ -272,33 +268,14 @@ def product_problem(obj: Objective) -> RiemannianProblem:
 def x_factor_problem(obj: Objective, u: GrassmannPoint) -> RiemannianProblem:
     """The X-subproblem with the subspace frozen, as a Riemannian problem on
     the affine factor alone (tangent vectors are plain matrices)."""
-    meas = obj.measurement
-
-    def cost(x):
-        return obj.cost(ProductPoint(x, u))
-
-    def grad(x):
-        return obj.rgrad(ProductPoint(x, u)).dx
-
-    def hess_at(x):
-        return obj.rhess_x_operator(ProductPoint(x, u))
-
-    def retract(x, dx):
-        return x + dx
-
-    def rand_tangent(x, rng):
-        d = rng.standard_normal(x.shape)
-        return meas_project(meas, d) if obj.constrained else d
-
-    dim = meas.n * meas.s - (meas.m if obj.constrained else 0)
     return RiemannianProblem(
-        cost=cost,
-        grad=grad,
-        hess_at=hess_at,
-        retract=retract,
+        cost=lambda x: obj.cost(ProductPoint(x, u)),
+        grad=lambda x: obj.rgrad(ProductPoint(x, u)).dx,
+        hess_at=lambda x: obj.rhess_x_operator(ProductPoint(x, u)),
+        retract=lambda x, dx: x + dx,
         inner=lambda a, b: float(np.vdot(a, b)),
-        rand_tangent=rand_tangent,
-        dim=max(dim, 1),
+        rand_tangent=lambda x, rng: obj.random_tangent(ProductPoint(x, u), rng).dx,
+        dim=max(obj.x_dim(), 1),
     )
 
 
@@ -397,9 +374,7 @@ def _boundary_step(eta_sq: float, eta_d: float, d_sq: float, delta: float) -> fl
     return (-eta_d + math.sqrt(max(disc, 0.0))) / d_sq
 
 
-def _min_eig_estimate(
-    prob: RiemannianProblem, z, rng: np.random.Generator, iters: int = 30
-) -> tuple[float, object, int]:
+def _min_eig_estimate(prob: RiemannianProblem, z, rng: np.random.Generator) -> tuple[float, object, int]:
     """Lanczos estimate of the smallest Hessian eigenvalue on the tangent
     space at z, with the corresponding Ritz direction and the number of
     Hessian products it took."""
@@ -412,7 +387,7 @@ def _min_eig_estimate(
     alphas, betas = [], []
     v_prev = None
     hop = prob.hess_at(z)
-    for _ in range(min(iters, prob.dim)):
+    for _ in range(min(LANCZOS_ITERS, prob.dim)):
         w = hop(basis[-1])
         a = prob.inner(basis[-1], w)
         alphas.append(a)
@@ -457,7 +432,8 @@ def rtr_generic(
 
     rmse_of(z) optionally records an error-to-truth column; gnorm_parts(g)
     splits the gradient norm into (x, u) components for the trace; on_iterate
-    is called with every iterate (for invariant monitoring).
+    is called with every iterate (for invariant monitoring). The last record
+    of the trace is at the returned point.
 
     A rejected step leaves z unchanged and divides the radius by 4, so the
     gradient, the model operator and the truncated-CG path are kept until a
@@ -548,8 +524,14 @@ def rtr_generic(
         trace.append(rec)
         if delta < STALL_RADIUS:
             trace.status = "stalled"
-            return z, trace
-    trace.status = "max_iter"
+            break
+    if new_point:  # the last step moved z past the last record
+        if on_iterate is not None:
+            on_iterate(z)
+        g = prob.grad(z)
+        gx, gu = gnorm_parts(g) if gnorm_parts is not None else (prob.norm(g), 0.0)
+        trace.append(TraceRecord(k=len(trace.records), f=f_val, gnorm_x=gx, gnorm_u=gu, delta=delta,
+                                 rmse=rmse_of(z) if rmse_of is not None else None))
     return z, trace
 
 
@@ -575,12 +557,16 @@ def rtr_solve(
 # --------------------------------------------------------------------------
 
 
+def fit_subspace(obj: Objective, x_mat: np.ndarray) -> ProductPoint:
+    """X with the subspace that minimizes the cost for it: the leading-r left
+    singular subspace of its lifting."""
+    return ProductPoint(x_mat, truncated_svd(obj.lifting.lift(x_mat), obj.rank_r))
+
+
 def default_init(obj: Objective) -> ProductPoint:
     """Feasible X0 (observed entries / min-norm solution) plus the leading-r
     subspace of its lifting."""
-    x0 = meas_feasible_point(obj.measurement)
-    u0 = truncated_svd(obj.lift(x0), obj.rank_r)
-    return ProductPoint(x0, u0)
+    return fit_subspace(obj, meas_feasible_point(obj.measurement))
 
 
 def random_init(obj: Objective, rng: np.random.Generator, scale: float = 1.0) -> ProductPoint:
@@ -588,9 +574,7 @@ def random_init(obj: Objective, rng: np.random.Generator, scale: float = 1.0) ->
     subspace re-fit by a truncated SVD."""
     x0 = meas_feasible_point(obj.measurement)
     noise = meas_project(obj.measurement, rng.standard_normal(x0.shape))
-    x0 = x0 + scale * noise
-    u0 = truncated_svd(obj.lift(x0), obj.rank_r)
-    return ProductPoint(x0, u0)
+    return fit_subspace(obj, x0 + scale * noise)
 
 
 def rtr_solve_restarts(
@@ -598,19 +582,18 @@ def rtr_solve_restarts(
     cfg: RtrConfig | None = None,
     rng: np.random.Generator | None = None,
     n_starts: int = 3,
-    perturb_scale: float = 0.3,
     truth: np.ndarray | None = None,
 ) -> tuple[ProductPoint, SolveTrace]:
     """Trust-region solves from the measured init plus perturbed restarts,
     keeping the lowest final cost; stops early once the cost is essentially
-    zero. Restarts only help against bad basins of the nonconvex landscape."""
+    zero against the lifted energy of the measured start. Restarts only help
+    against bad basins of the nonconvex landscape."""
     cfg = cfg or RtrConfig()
     rng = np.random.default_rng(0) if rng is None else rng
-    scale = max(float(np.trace(obj.lift(meas_feasible_point(obj.measurement))))
-                if obj.lifting.is_kernel else 1.0, 1.0)
+    scale = max(obj.lifting.energy(obj.lifting.lift(meas_feasible_point(obj.measurement))), 1.0)
     best = None
     for i in range(max(n_starts, 1)):
-        z0 = default_init(obj) if i == 0 else random_init(obj, rng, perturb_scale)
+        z0 = default_init(obj) if i == 0 else random_init(obj, rng, PERTURB_SCALE)
         z, trace = rtr_solve(obj, z0, cfg, truth=truth)
         f_val = obj.cost(z)
         if best is None or f_val < best[0]:
@@ -628,7 +611,7 @@ def _subspace_update(
     cfg: SvdPolicyConfig | None,
     rng: np.random.Generator,
 ) -> tuple[GrassmannPoint, str]:
-    lifted = obj.lift(x_mat)
+    lifted = obj.lifting.lift(x_mat)
     mode = "exact" if cfg is None else svd_policy(f_val / f_scale, cfg.tau1, cfg.tau2)
     if mode == "exact":
         return truncated_svd(lifted, obj.rank_r), mode
@@ -636,7 +619,7 @@ def _subspace_update(
     u_new = randomized_svd(lifted, obj.rank_r, cfg.oversample, power_q, rng)
     # the exact SVD never increases f; guard the randomized shortcut so the
     # monotonicity of the outer loop is preserved
-    if obj.residual_of_lift(lifted, u_new.basis) > f_val + 1e-12 * (1.0 + abs(f_val)):
+    if obj.lifting.residual(lifted, u_new.basis) > f_val + 1e-12 * (1.0 + abs(f_val)):
         return truncated_svd(lifted, obj.rank_r), "exact"
     return u_new, mode
 
@@ -652,7 +635,8 @@ def altmin_solve(
     """Alternating minimization: inexact X-minimization to a scheduled
     tolerance, then a truncated-SVD subspace update, skipped while the
     subspace gradient passes eps_u and routed by the SVD policy (exact in
-    every round when cfg.svd_policy is None)."""
+    every round when cfg.svd_policy is None). The last record of the trace is
+    at the returned point."""
     if not obj.constrained:
         raise ValueError("alternating minimization requires the constrained formulation")
     cfg = cfg or AltminConfig()
@@ -660,26 +644,27 @@ def altmin_solve(
     trace = SolveTrace()
     x, u = z0.x, z0.u
     # the SVD-policy thresholds compare f after normalizing by the lifted
-    # energy at the initial point (trace of K, or ||Phi||_F^2)
-    lifted0 = obj.lift(z0.x)
-    if obj.lifting.is_kernel:
-        f_scale = max(float(np.trace(lifted0)), 1e-30)
-    else:
-        f_scale = max(float(np.sum(lifted0**2)), 1e-30)
+    # energy at the initial point
+    f_scale = max(obj.lifting.energy(obj.lifting.lift(z0.x)), 1e-30)
+
+    def record(k, x, f_val, g):
+        return TraceRecord(k=k, f=f_val, gnorm_x=float(np.linalg.norm(g.dx)),
+                           gnorm_u=float(np.linalg.norm(g.du)),
+                           rmse=None if truth is None else rmse(x, truth))
 
     f_prev = math.inf
     no_progress = 0
-    for k in range(cfg.max_outer):
+    for k in range(cfg.max_outer + 1):
         z = ProductPoint(x, u)
         if on_iterate is not None:
             on_iterate(z)
         g = obj.rgrad(z)
-        gx = float(np.linalg.norm(g.dx))
-        gu = float(np.linalg.norm(g.du))
         f_val = obj.cost(z)
-        rec = TraceRecord(k=k, f=f_val, gnorm_x=gx, gnorm_u=gu,
-                          rmse=None if truth is None else rmse(x, truth))
-        if gx <= cfg.eps_x and gu <= cfg.eps_u:
+        rec = record(k, x, f_val, g)
+        if k == cfg.max_outer:
+            trace.append(rec)
+            return z, trace  # status max_iter
+        if rec.gnorm_x <= cfg.eps_x and rec.gnorm_u <= cfg.eps_u:
             trace.append(rec)
             trace.status = "grad_tol"
             return z, trace
@@ -695,7 +680,7 @@ def altmin_solve(
             no_progress = 0
         f_prev = f_val
 
-        eps_xk = cfg.eps_x if cfg.schedule == "greedy" else max(cfg.eps_x, cfg.theta * gx)
+        eps_xk = cfg.eps_x if cfg.schedule == "greedy" else max(cfg.eps_x, cfg.theta * rec.gnorm_x)
 
         # after the inner solve, g and f_val hold the gradient and cost at the
         # new X with the old basis
@@ -739,12 +724,16 @@ def altmin_solve(
         if stalled:
             trace.append(rec)
             trace.status = "stalled"
-            return ProductPoint(x, u), trace
+            z = ProductPoint(x, u)
+            if n_inner:
+                # the steps before the failed search moved X past the record
+                if on_iterate is not None:
+                    on_iterate(z)
+                trace.append(record(k + 1, x, f_val, g))
+            return z, trace
 
         if float(np.linalg.norm(g.du)) <= cfg.eps_u:
             rec.svd_mode = "skip"
         else:
             u, rec.svd_mode = _subspace_update(obj, x, f_val, f_scale, cfg.svd_policy, rng)
         trace.append(rec)
-    trace.status = "max_iter"
-    return ProductPoint(x, u), trace

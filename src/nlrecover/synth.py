@@ -17,6 +17,7 @@ from .manifold import MeasurementSubspace
 
 CLUSTER_CENTER_SCALE = 5.0  # centers ~ N(0, 25 I); keeps clusters separated at sigma_c = 0.5
 RECOVERY_RMSE_THRESHOLD = 1e-3
+KMEANS_MAX_ITER = 100  # Lloyd iterations per k-means restart
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,6 @@ class UosSpec:
         if any(d < 1 or d >= self.n for d in self.dims):
             raise ValueError("subspace dimensions must satisfy 1 <= dim < n")
 
-    @property
-    def s(self) -> int:
-        return self.k * self.pts_per
-
 
 @dataclass(frozen=True)
 class ClusterSpec:
@@ -56,10 +53,6 @@ class ClusterSpec:
     def __post_init__(self):
         if self.sigma_c <= 0:
             raise ValueError("sigma_c must be positive")
-
-    @property
-    def s(self) -> int:
-        return self.k * self.pts_per
 
 
 @dataclass(frozen=True)
@@ -194,11 +187,11 @@ def cluster_assign(x_mat: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return best_labels
 
 
-def _kmeans_once(pts: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 100):
+def _kmeans_once(pts: np.ndarray, k: int, rng: np.random.Generator):
     n_pts = pts.shape[0]
     centers = pts[_kmeanspp_indices(pts, k, rng)].copy()
     labels = np.zeros(n_pts, dtype=int)
-    for it in range(max_iter):
+    for it in range(KMEANS_MAX_ITER):
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         if it > 0 and np.array_equal(new_labels, labels):

@@ -13,6 +13,8 @@ import numpy as np
 from nlrecover.cli import build_solver_configs, run_cluster_trial, run_lambda_continuation
 from nlrecover.lifting import (
     LiftingSpec,
+    feature_residual_cost,
+    kernel_trace_cost,
     monomial_features,
     monomial_kernel,
 )
@@ -23,12 +25,7 @@ from nlrecover.manifold import (
     grass_distance,
     product_inner,
 )
-from nlrecover.objective import (
-    Objective,
-    fd_check,
-    feature_residual_cost,
-    kernel_trace_cost,
-)
+from nlrecover.objective import Objective, fd_check
 from nlrecover.solvers import (
     AltminConfig,
     RtrConfig,

@@ -203,6 +203,18 @@ class TestRecoverCommand:
         field = next(iter(change))
         assert len(err) == 1 and err[0].startswith(f"config error: field '{field}")
 
+    @pytest.mark.parametrize("change,field", [
+        ({"init": "randon"}, "init"),
+        ({"restarts": 3, "solver": "altmin1", "solver_options": {}}, "restarts"),
+        ({"restarts": 0}, "restarts"),
+        ({"restarts": 2, "init": "random"}, "init"),
+    ], ids=["unknown_init", "restarts_without_rtr2", "restarts_below_one", "restarts_with_random_init"])
+    def test_start_field_exit_code(self, tmp_path, capsys, change, field):
+        code, _ = self.run(tmp_path, dict(RECOVER_CFG, **change))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: field '{field}'")
+
     def test_degenerate_retraction_exit_code(self, tmp_path, capsys, monkeypatch):
         def degenerate(*args, **kwargs):
             raise DegenerateRetractionError("U + H is numerically rank deficient")

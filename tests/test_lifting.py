@@ -301,6 +301,20 @@ class TestLiftingSpec:
         phi = monomial_features(x, 2)
         assert np.allclose(fspec.kernel(x), phi.T @ phi)
 
+    @pytest.mark.parametrize("spec,ambient", [
+        (LiftingSpec.monomial(3, 2), 7),
+        (LiftingSpec.gaussian(3, 2.0), 7),
+        (LiftingSpec.monomials(3, 2), count_monomials(3, 2)),
+    ], ids=["monomial_kernel", "gaussian_kernel", "monomial_features"])
+    def test_energy_is_residual_at_zero_subspace(self, spec, ambient, rng):
+        # the subspace variable lives in R^ambient: s columns for the
+        # kernels, N(n, d) features for the explicit map
+        assert spec.ambient(7) == ambient
+        lifted = spec.lift(rng.standard_normal((3, 7)))
+        assert lifted.shape[0] == ambient
+        empty = np.zeros((ambient, 0))
+        assert spec.energy(lifted) == pytest.approx(spec.residual(lifted, empty), rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LiftingSpec("unknown", 3)

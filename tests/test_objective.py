@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlrecover.lifting import LiftingSpec, monomial_features
+from nlrecover.lifting import (
+    LiftingSpec,
+    feature_residual_cost,
+    kernel_tail_cost,
+    kernel_trace_cost,
+    monomial_features,
+)
 from nlrecover.manifold import (
     GrassmannPoint,
     MeasurementSubspace,
@@ -12,13 +18,7 @@ from nlrecover.manifold import (
     product_norm,
     product_retract,
 )
-from nlrecover.objective import (
-    Objective,
-    fd_check,
-    feature_residual_cost,
-    kernel_tail_cost,
-    kernel_trace_cost,
-)
+from nlrecover.objective import Objective, fd_check
 from nlrecover.solvers import default_init, truncated_svd
 
 from conftest import small_masked_objective
@@ -67,7 +67,7 @@ class TestCost:
         for seed in range(5):
             obj, _ = small_masked_objective(kind=kind, seed=seed)
             x = default_init(obj).x + obj.random_tangent(default_init(obj), rng).dx
-            k = obj.lift(x)
+            k = obj.lifting.lift(x)
             refit = obj.cost(ProductPoint(x, truncated_svd(k, obj.rank_r)))
             assert kernel_tail_cost(k, obj.rank_r) == pytest.approx(refit, rel=1e-12)
 
@@ -233,7 +233,7 @@ class TestRhess:
         xi = pen.random_tangent(z, rng)
         # penalized Hessian = unconstrained lifted Hessian + 2 lambda A^T A
         hx_pen = pen.rhess_operator(z)(xi).dx
-        hx_lift, _ = pen._euclid_hess_operator(z.x, z.u.basis)(xi.dx, xi.du)
+        hx_lift, _ = pen.lifting.hess_operator(z.x, z.u.basis)(xi.dx, xi.du)
         extra = 2.0 * 2.0 * pen.measurement.adjoint(pen.measurement.apply(xi.dx))
         assert np.allclose(hx_pen, hx_lift + extra, atol=1e-9)
 

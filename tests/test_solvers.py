@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlrecover.cli import build_solver_configs
+from nlrecover.cli import build_solver_configs, solve
 from nlrecover.lifting import LiftingSpec
 from nlrecover.manifold import (
     GrassmannPoint,
@@ -292,9 +292,11 @@ class TestTcgReplay:
 
 def reference_rtr(prob, z0, cfg):
     """The trust-region loop that solves tCG again, and rebuilds the gradient
-    and the Hessian operator, after every rejected step."""
+    and the Hessian operator, after every rejected step. Its last record is at
+    the returned point."""
     delta_bar = cfg.delta_bar if cfg.delta_bar is not None else 2.0 * math.sqrt(prob.dim)
     z, delta, f_val, trace = z0, cfg.delta0, prob.cost(z0), SolveTrace()
+    moved = True
     for k in range(cfg.max_iter):
         g = prob.grad(z)
         gnorm = prob.norm(g)
@@ -318,13 +320,18 @@ def reference_rtr(prob, z0, cfg):
             delta = delta / 4.0
         elif rho > 0.75 and on_boundary:
             delta = min(2.0 * delta, delta_bar)
-        if rho > cfg.rho_prime:
+        moved = rho > cfg.rho_prime
+        if moved:
             z, f_val = z_plus, f_plus
         rec.step, rec.rho, rec.inner_iters = prob.norm(eta), rho, n_inner
         trace.append(rec)
         if delta < STALL_RADIUS:
             trace.status = "stalled"
-            return z, trace
+            break
+    if moved:
+        g = prob.grad(z)
+        gx, gu = float(np.linalg.norm(g.dx)), float(np.linalg.norm(g.du))
+        trace.append(TraceRecord(k=len(trace.records), f=f_val, gnorm_x=gx, gnorm_u=gu, delta=delta))
     return z, trace
 
 
@@ -546,8 +553,6 @@ class TestSimpleAltmin:
         assert all(f2 <= f1 + 1e-12 * (1 + abs(f1)) for f1, f2 in zip(f_vals, f_vals[1:]))
         # every round but the last took one step and an exact SVD
         assert all(r.svd_mode == "exact" and r.inner_iters == 1 for r in trace.records[:-1])
-        if trace.status == "max_iter":
-            path.append(z)  # the last round's step ends at the returned point
         # path-length increments (Kurdyka-Lojasiewicz finite length)
         inc = [
             math.sqrt(float(np.sum((b.x - a.x) ** 2)) + grass_distance(a.u, b.u) ** 2)
@@ -615,3 +620,16 @@ class TestTrace:
         z0 = random_init(obj, np.random.default_rng(3))
         res = np.linalg.norm(obj.measurement.residual(z0.x))
         assert res <= 1e-9 * (1 + np.linalg.norm(obj.measurement.b))
+
+    @pytest.mark.parametrize("solver", ["rtr2", "altmin1", "altmin2", "simple"])
+    def test_capped_run_ends_at_returned_point(self, solver):
+        # the CLI's trials.csv reads f_final, the gradient norms and iters
+        # from the final record
+        obj, _, _ = uos_completion_problem(n=15, k=2, dim=2, pts_per=20, delta=0.6, seed=0)
+        cfg = build_solver_configs({}, solver)
+        cfg = replace(cfg, max_iter=5) if solver == "rtr2" else replace(cfg, max_outer=5)
+        z, trace = solve(obj, default_init(obj), solver, cfg, np.random.default_rng(0))
+        assert trace.status == "max_iter"
+        assert trace.final.f == obj.cost(z)
+        g = obj.rgrad(z)
+        assert (trace.final.gnorm_x, trace.final.gnorm_u) == (np.linalg.norm(g.dx), np.linalg.norm(g.du))

@@ -1,6 +1,7 @@
-"""Static checks on the library source: no unused imports, and no function,
+"""Static checks on the library source: no unused imports, no function,
 class or method that nothing in the library refers to (code that only tests
-call belongs in the tests)."""
+call belongs in the tests), and no branch on the lifting outside lifting.py
+and the CLI's config routing."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,12 @@ def test_every_definition_is_referenced_in_the_library():
             if node.name not in used:
                 unreferenced.append(f"{name}: {methods.get(node, node.name)}")
     assert unreferenced == []
+
+
+def test_objective_and_solvers_do_not_branch_on_the_lifting():
+    # which lifting is in use is the lifting's own decision (LiftingSpec)
+    trees = _modules()
+    reads = [f"{name}:{node.lineno}: .{node.attr}" for name in ("objective.py", "solvers.py")
+             for node in ast.walk(trees[name])
+             if isinstance(node, ast.Attribute) and node.attr in ("is_kernel", "kind")]
+    assert reads == []

@@ -58,7 +58,6 @@ class TestGenUos:
     def test_scalar_dim_broadcasts(self):
         spec = UosSpec(n=6, k=3, dims=(2,), pts_per=4)
         assert spec.dims == (2, 2, 2)
-        assert spec.s == 12
 
 
 class TestGenClusters:
