@@ -537,7 +537,7 @@ def cluster_complete(meas, k: int, sigma: float, rng: np.random.Generator):
         z, trace = rtr_solve(obj, z, RtrConfig(eps_g=1e-6, max_iter=CLUSTER_MAX_ITER))
     z_snap = _snap_columns(obj, z, k, rng)
     z_snap, trace_snap = rtr_solve(obj, z_snap, RtrConfig(eps_g=1e-6, max_iter=CLUSTER_MAX_ITER))
-    if obj.cost(z_snap) < obj.cost(z):
+    if trace_snap.final.f < trace.final.f:  # the costs at z_snap and z
         return z_snap, trace_snap
     return z, trace
 

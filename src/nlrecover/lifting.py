@@ -6,7 +6,9 @@ Euclidean gradient of its residual cost (trace(P_{W_perp} K(X, X)) for the
 kernels, ||Phi(X) - U U^T Phi(X)||_F^2 for the features) and a closed-form
 Euclidean Hessian operator on (dx, dw), built once per point. Each operator
 returns the pair (h_x, h_w), or h_x alone when dw is omitted, which is the X
-block at dw = 0 without computing the subspace block.
+block at dw = 0 without computing the subspace block. For the monomial kernel
+of degree 1 or 2 the residual along a line X + alpha D, with the subspace
+fixed, is a polynomial in alpha whose coefficients come in closed form.
 """
 
 from __future__ import annotations
@@ -102,11 +104,11 @@ def monomial_features(x_mat: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def monomial_features_vjp(x_mat: np.ndarray, d: int, r_mat: np.ndarray) -> np.ndarray:
-    """Columnwise vector-Jacobian product of the monomial feature map:
+def monomial_features_vjp(x_mat: np.ndarray, d: int, r_mat: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Columnwise vector-Jacobian product of the monomial feature map at X,
+    whose features are phi = Phi_d(X):
     out[j, i] = sum_a r_mat[a, i] * d(x_i^alpha_a)/d(x_i)_j."""
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
-    phi = monomial_features(x_mat, d)
     if r_mat.shape != phi.shape:
         raise DimensionError(f"weight matrix must have shape {phi.shape}")
     return _features_contract(x_mat.shape[0], d, r_mat, phi)
@@ -135,15 +137,13 @@ def _features_jvp(phi: np.ndarray, d: int, dx: np.ndarray) -> np.ndarray:
     return out
 
 
-def monomial_features_hess_operator(x_mat: np.ndarray, u: np.ndarray, d: int):
+def monomial_features_hess_operator(x_mat: np.ndarray, u: np.ndarray, d: int, phi: np.ndarray):
     """Euclidean Hessian of ||Phi||_F^2 - ||U^T Phi||_F^2, Phi = Phi_d(X), at
-    (X, U) as an operator on (dx, du). With Psi the feature JVP along dx and
-    R = 2 (Phi - U U^T Phi):
+    (X, U) as an operator on (dx, du), from phi = Phi_d(X). With Psi the
+    feature JVP along dx and R = 2 (Phi - U U^T Phi):
     h_x = VJP(2 (Psi - U U^T Psi) - 2 (du U^T + U du^T) Phi) + (R contracted
     with Psi in place of Phi), h_u = -2 (Psi Phi^T + Phi Psi^T) U - 2 Phi Phi^T du."""
-    x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
-    n = x_mat.shape[0]
-    phi = monomial_features(x_mat, d)
+    n = np.atleast_2d(x_mat).shape[0]
     ut_phi = u.T @ phi
     resid = 2.0 * (phi - u @ ut_phi)
 
@@ -235,25 +235,46 @@ def monomial_hess_operator(x_mat: np.ndarray, w: np.ndarray, d: int, c: float):
     return apply
 
 
-def gaussian_grad_x(x_mat: np.ndarray, w: np.ndarray, sigma: float) -> np.ndarray:
+def monomial_line_coefficients(
+    x_mat: np.ndarray, w: np.ndarray, dx: np.ndarray, d: int, c: float
+) -> tuple[float, float, float]:
+    """(c2, c3, c4) of trace(P_{W_perp} K_d(X + a D, X + a D)) = sum_k c_k a^k
+    for d = 1 or 2 (D = dx); c0 and c1 are the value and the slope <grad_x, D>.
+    With A = X^T X + c, G1 = X^T D + D^T X, G2 = D^T D and P = P_{W_perp}:
+    d = 1 gives c2 = <P, G2>, c3 = c4 = 0; d = 2 gives
+    c2 = <P o G1, G1> + 2 <P o A, G2>, c3 = 2 <P o G1, G2>, c4 = <P o G2, G2>."""
+    if d not in (1, 2):
+        raise ValueError("line coefficients need degree 1 or 2")
+    p_perp = _w_perp(w, x_mat.shape[1])
+    g2 = dx.T @ dx
+    if d == 1:
+        return float(np.vdot(p_perp, g2)), 0.0, 0.0
+    xt_d = x_mat.T @ dx
+    g1 = xt_d + xt_d.T
+    p_g1 = p_perp * g1
+    p_g2 = p_perp * g2
+    c2 = np.vdot(p_g1, g1) + 2.0 * np.vdot(x_mat.T @ x_mat + c, p_g2)
+    return float(c2), float(2.0 * np.vdot(p_g1, g2)), float(np.vdot(p_g2, g2))
+
+
+def gaussian_grad_x(x_mat: np.ndarray, w: np.ndarray, sigma: float, k: np.ndarray) -> np.ndarray:
     """Euclidean gradient in X of trace(P_{W_perp} K_G(X, X)) for the Gaussian
-    kernel: -(2 / sigma^2) X (diag(colsum(K o P)) - K o P)."""
+    kernel, from k = K_G(X, X): -(2 / sigma^2) X (diag(colsum(K o P)) - K o P)."""
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
     p_perp = _w_perp(w, x_mat.shape[1])
-    kp = gaussian_kernel(x_mat, x_mat, sigma) * p_perp
+    kp = k * p_perp
     return -(2.0 / sigma**2) * x_mat @ (np.diag(kp.sum(axis=0)) - kp)
 
 
-def gaussian_hess_operator(x_mat: np.ndarray, w: np.ndarray, sigma: float):
+def gaussian_hess_operator(x_mat: np.ndarray, w: np.ndarray, sigma: float, k: np.ndarray):
     """Euclidean Hessian of trace(P_{W_perp} K_G(X, X)) at (X, W) as an
-    operator on (dx, dw). With B = K o P_{W_perp}, C = X^T dx, a = diag(C) and
-    S_w = W dw^T + dw W^T:
+    operator on (dx, dw), from k = K_G(X, X). With B = K o P_{W_perp},
+    C = X^T dx, a = diag(C) and S_w = W dw^T + dw W^T:
     dK = -(1 / sigma^2) K o (a 1^T + 1 a^T - C - C^T), dB = dK o P_{W_perp} - K o S_w,
     h_x = -(2 / sigma^2) (dx diag(B 1) - dx B + X diag(dB 1) - X dB),
     h_w = -2 (dK W + K dw)."""
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
     p_perp = _w_perp(w, x_mat.shape[1])
-    k = gaussian_kernel(x_mat, x_mat, sigma)
     b = k * p_perp
     b_sum = b.sum(axis=0)
     inv_var = 1.0 / sigma**2
@@ -384,15 +405,21 @@ class LiftingSpec:
     def grad(self, x_mat: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Euclidean gradient blocks (X, basis) of the ambient extension of
         the residual (valid for any, not necessarily orthonormal, basis)."""
-        if not self.is_kernel:
-            phi = monomial_features(x_mat, self.degree)
-            resid = 2.0 * (phi - basis @ (basis.T @ phi))
-            return monomial_features_vjp(x_mat, self.degree, resid), self.grad_basis(phi, basis)
+        lifted = self.lift(x_mat)
+        return self.grad_x(x_mat, basis, lifted), self.grad_basis(lifted, basis)
+
+    def grad_x(self, x_mat: np.ndarray, basis: np.ndarray, lifted: np.ndarray | None = None) -> np.ndarray:
+        """Euclidean gradient block of X alone. lifted, when given, is
+        lift(x_mat), which the explicit features and the Gaussian kernel
+        reuse instead of building it again."""
         if self.kind == "monomial_kernel":
-            gx = monomial_grad_x(x_mat, basis, self.degree, self.offset)
-        else:
-            gx = gaussian_grad_x(x_mat, basis, self.sigma)
-        return gx, self.grad_basis(self.kernel(x_mat), basis)
+            return monomial_grad_x(x_mat, basis, self.degree, self.offset)
+        if lifted is None:
+            lifted = self.lift(x_mat)
+        if self.kind == "gaussian_kernel":
+            return gaussian_grad_x(x_mat, basis, self.sigma, lifted)
+        resid = 2.0 * (lifted - basis @ (basis.T @ lifted))
+        return monomial_features_vjp(x_mat, self.degree, resid, lifted)
 
     def grad_basis(self, lifted: np.ndarray, basis: np.ndarray) -> np.ndarray:
         """Euclidean gradient block of the basis from the lifted matrix."""
@@ -400,10 +427,24 @@ class LiftingSpec:
             return -2.0 * lifted @ (lifted.T @ basis)
         return lift_grad_w(lifted, basis)
 
-    def hess_operator(self, x_mat: np.ndarray, basis: np.ndarray):
-        """Closed-form Euclidean Hessian operator of the residual at (X, basis)."""
+    def hess_operator(self, x_mat: np.ndarray, basis: np.ndarray, lifted: np.ndarray | None = None):
+        """Closed-form Euclidean Hessian operator of the residual at (X, basis).
+        lifted, when given, is lift(x_mat), reused as in `grad_x`; the
+        monomial kernel's operator builds the kernel powers it needs."""
         if self.kind == "monomial_kernel":
             return monomial_hess_operator(x_mat, basis, self.degree, self.offset)
+        if lifted is None:
+            lifted = self.lift(x_mat)
         if self.kind == "gaussian_kernel":
-            return gaussian_hess_operator(x_mat, basis, self.sigma)
-        return monomial_features_hess_operator(x_mat, basis, self.degree)
+            return gaussian_hess_operator(x_mat, basis, self.sigma, lifted)
+        return monomial_features_hess_operator(x_mat, basis, self.degree, lifted)
+
+    def line_coefficients(self, x_mat: np.ndarray, basis: np.ndarray, dx: np.ndarray):
+        """(c2, c3, c4) with residual(X + a dx) = f + a <grad_x, dx> + c2 a^2
+        + c3 a^3 + c4 a^4 at a fixed basis, for the monomial kernel of degree
+        1 or 2 (see `monomial_line_coefficients`); None for the other
+        liftings and degrees, whose residual along a line has no such short
+        closed form."""
+        if self.kind != "monomial_kernel" or self.degree > 2:
+            return None
+        return monomial_line_coefficients(x_mat, basis, dx, self.degree, self.offset)

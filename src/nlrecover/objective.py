@@ -86,13 +86,20 @@ class Objective:
 
     def rgrad(self, z: ProductPoint) -> ProductTangent:
         gx, gu = self.lifting.grad(z.x, z.u.basis)
+        return ProductTangent(self._grad_x(gx, z.x), grass_project(z.u, gu))
+
+    def rgrad_x(self, z: ProductPoint) -> np.ndarray:
+        """X block of `rgrad(z)`, without the subspace block."""
+        return self._grad_x(self.lifting.grad_x(z.x, z.u.basis), z.x)
+
+    def _grad_x(self, gx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """X block of the Riemannian gradient from its Euclidean part: plus
+        the penalty term 2 lambda A^T (A x - b), or projected onto null(A)."""
         if self.penalty_lambda is not None:
-            gx = gx + 2.0 * self.penalty_lambda * self.measurement.adjoint(
-                self.measurement.residual(z.x)
+            return gx + 2.0 * self.penalty_lambda * self.measurement.adjoint(
+                self.measurement.residual(x)
             )
-        else:
-            gx = meas_project(self.measurement, gx)
-        return ProductTangent(gx, grass_project(z.u, gu))
+        return meas_project(self.measurement, gx)
 
     def _hess_x(self, hx: np.ndarray, dx: np.ndarray) -> np.ndarray:
         """X block of a Riemannian Hessian product from its Euclidean part:
@@ -106,8 +113,9 @@ class Objective:
     def rhess_operator(self, z: ProductPoint):
         """Riemannian Hessian at z as an operator on tangents; point-dependent
         quantities (kernel matrices, the curvature term) are built once."""
-        euclid = self.lifting.hess_operator(z.x, z.u.basis)
-        gu = self.lifting.grad_basis(self.lifting.lift(z.x), z.u.basis)
+        lifted = self.lifting.lift(z.x)
+        euclid = self.lifting.hess_operator(z.x, z.u.basis, lifted)
+        gu = self.lifting.grad_basis(lifted, z.u.basis)
         u_gu = z.u.basis.T @ gu
 
         def apply(xi: ProductTangent) -> ProductTangent:

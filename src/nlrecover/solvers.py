@@ -4,9 +4,11 @@ Two families:
   * a Riemannian trust-region method with a Steihaug-Toint truncated-CG
     subproblem (first- or second-order model),
   * an alternating minimization scheme: inexact minimization in X (projected
-    gradient descent with Armijo backtracking, or an inner trust region on the
-    X factor) alternating with a truncated-SVD update of the subspace, with an
-    adaptive exact/randomized SVD policy or an exact SVD every round.
+    gradient descent with Armijo backtracking, which first tries the exact
+    line minimizer where the cost along the line is a polynomial of known
+    coefficients, or an inner trust region on the X factor) alternating with
+    a truncated-SVD update of the subspace, with an adaptive exact/randomized
+    SVD policy or an exact SVD every round.
 
 All solvers record a per-iteration trace (the CLI writes it as CSV).
 """
@@ -213,20 +215,75 @@ def armijo(
     f0: float,
     g_dot_d: float,
     cfg: ArmijoConfig | None = None,
-) -> float:
-    """Largest step alpha in {alpha0 tau^i} with
-    f(alpha) <= f0 + beta alpha <g, d>. Requires a descent direction."""
+    first: float | None = None,
+) -> tuple[float, float]:
+    """(alpha, f(alpha)) for the first step that meets the Armijo condition
+    f(alpha) <= f0 + beta alpha <g, d>: the trial step first, when given,
+    then the largest alpha in {alpha0 tau^i}. Requires a descent direction."""
     cfg = cfg or ArmijoConfig()
     if g_dot_d >= 0:
         raise ValueError("not a descent direction")
+    if first is not None:
+        f_first = f_along(first)
+        if f_first <= f0 + cfg.beta * first * g_dot_d:
+            return first, f_first
     alpha = cfg.alpha0
     for _ in range(cfg.max_backtracks + 1):
-        if f_along(alpha) <= f0 + cfg.beta * alpha * g_dot_d:
-            return alpha
+        f_alpha = f_along(alpha)
+        if f_alpha <= f0 + cfg.beta * alpha * g_dot_d:
+            return alpha, f_alpha
         alpha *= cfg.tau
     raise LineSearchError(
         f"no Armijo step after {cfg.max_backtracks} backtracks (f0={f0:.6g})"
     )
+
+
+def quartic_minimizer(c1: float, c2: float, c3: float, c4: float) -> float | None:
+    """Global minimizer over alpha > 0 of c1 a + c2 a^2 + c3 a^3 + c4 a^4 for
+    c1 < 0, from the closed-form real roots of its derivative. Only a quartic
+    (c4 > 0) or a convex quadratic (c4 = c3 = 0 < c2) is solved; None
+    otherwise, and when no positive finite root comes out."""
+    if c4 > 0:
+        roots = _cubic_roots(3.0 * c3 / (4.0 * c4), c2 / (2.0 * c4), c1 / (4.0 * c4))
+    elif c4 == 0 and c3 == 0 and c2 > 0:
+        roots = (-c1 / (2.0 * c2),)
+    else:
+        return None
+
+    def value(a):
+        return a * (c1 + a * (c2 + a * (c3 + a * c4)))
+
+    return min((a for a in roots if 0 < a < math.inf), key=value, default=None)
+
+
+def _cubic_roots(b: float, c: float, d: float) -> list[float]:
+    """Real roots of x^3 + b x^2 + c x + d by the trigonometric or Cardano
+    form, each polished by Newton steps while they shrink the residual."""
+    q = (b * b - 3.0 * c) / 9.0
+    r = (2.0 * b**3 - 9.0 * b * c + 27.0 * d) / 54.0
+    if r * r < q**3:  # three real roots
+        theta = math.acos(r / math.sqrt(q**3))
+        roots = [-2.0 * math.sqrt(q) * math.cos((theta + 2.0 * math.pi * i) / 3.0) - b / 3.0
+                 for i in range(3)]
+    else:
+        big = -math.copysign(math.cbrt(abs(r) + math.sqrt(r * r - q**3)), r)
+        roots = [big + (q / big if big != 0.0 else 0.0) - b / 3.0]
+
+    def residual(x):
+        return ((x + b) * x + c) * x + d
+
+    polished = []
+    for x in roots:
+        for _ in range(3):
+            slope = (3.0 * x + 2.0 * b) * x + c
+            if slope == 0.0:
+                break
+            x_new = x - residual(x) / slope
+            if not abs(residual(x_new)) < abs(residual(x)):
+                break
+            x = x_new
+        polished.append(x)
+    return polished
 
 
 # --------------------------------------------------------------------------
@@ -270,7 +327,7 @@ def x_factor_problem(obj: Objective, u: GrassmannPoint) -> RiemannianProblem:
     the affine factor alone (tangent vectors are plain matrices)."""
     return RiemannianProblem(
         cost=lambda x: obj.cost(ProductPoint(x, u)),
-        grad=lambda x: obj.rgrad(ProductPoint(x, u)).dx,
+        grad=lambda x: obj.rgrad_x(ProductPoint(x, u)),
         hess_at=lambda x: obj.rhess_x_operator(ProductPoint(x, u)),
         retract=lambda x, dx: x + dx,
         inner=lambda a, b: float(np.vdot(a, b)),
@@ -595,7 +652,7 @@ def rtr_solve_restarts(
     for i in range(max(n_starts, 1)):
         z0 = default_init(obj) if i == 0 else random_init(obj, rng, PERTURB_SCALE)
         z, trace = rtr_solve(obj, z0, cfg, truth=truth)
-        f_val = obj.cost(z)
+        f_val = trace.final.f
         if best is None or f_val < best[0]:
             best = (f_val, z, trace)
         if f_val <= 1e-12 * scale:
@@ -690,21 +747,27 @@ def altmin_solve(
             x, sub_trace = rtr_generic(x_factor_problem(obj, u), x, sub_cfg)
             n_inner = len(sub_trace.records) - 1
             n_hess = sum(n or 0 for n in sub_trace.column("hess_calls"))
-            step = sub_trace.final.step
-            f_val = obj.cost(ProductPoint(x, u))
+            # the norm of the first accepted inner step
+            step = next((r.step for r in sub_trace.records
+                         if r.rho is not None and r.rho > sub_cfg.rho_prime), None)
+            f_val = sub_trace.final.f
             g = obj.rgrad(ProductPoint(x, u))
         else:
             n_inner = 0
             n_hess = None
             step = None  # first inner step size, the one the descent bound uses
-            while n_inner < cfg.max_inner and float(np.linalg.norm(g.dx)) > eps_xk:
-                d = -g.dx
+            gx = g.dx
+            while n_inner < cfg.max_inner and float(np.linalg.norm(gx)) > eps_xk:
+                d = -gx
+                g_dot_d = float(np.vdot(gx, d))
+                coeffs = obj.lifting.line_coefficients(x, u.basis, d)
                 try:
-                    alpha = armijo(
+                    alpha, f_val = armijo(
                         lambda a: obj.cost(ProductPoint(x + a * d, u)),
                         f_val,
-                        float(np.vdot(g.dx, d)),
+                        g_dot_d,
                         cfg.armijo,
+                        first=None if coeffs is None else quartic_minimizer(g_dot_d, *coeffs),
                     )
                 except LineSearchError:
                     # descent direction is exact, so failure means the
@@ -715,8 +778,9 @@ def altmin_solve(
                     step = alpha
                 x = x + alpha * d
                 n_inner += 1
+                gx = obj.rgrad_x(ProductPoint(x, u))
+            if n_inner:
                 g = obj.rgrad(ProductPoint(x, u))
-                f_val = obj.cost(ProductPoint(x, u))
 
         rec.step = step
         rec.inner_iters = n_inner

@@ -165,6 +165,17 @@ class TestRecoverCommand:
         code, out = self.run(tmp_path, cfg, extra=("--solver", "altmin1", "--trials", "1"))
         assert code == EXIT_OK
 
+    def test_altmin2_step_column(self, tmp_path):
+        # each round records the norm of its first accepted inner trust-region
+        # step; only the final record, at the grad_tol exit, has none
+        cfg = {k: v for k, v in RECOVER_CFG.items() if k != "solver_options"}
+        code, out = self.run(tmp_path, cfg, extra=("--solver", "altmin2", "--trials", "1"))
+        assert code == EXIT_OK
+        rows = read_csv(out / "trace_0.csv")
+        step = rows[0].index("step")
+        assert [row[step] for row in rows[-1:]] == [""]
+        assert len(rows) > 10 and all(float(row[step]) > 0.0 for row in rows[1:-1])
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -223,12 +223,12 @@ class TestMonomialHess:
 class TestGaussianGradX:
     def test_full_subspace_gives_zero(self, rng):
         x = rng.standard_normal((3, 4))
-        assert np.linalg.norm(gaussian_grad_x(x, np.eye(4), 1.0)) == 0.0
+        assert np.linalg.norm(gaussian_grad_x(x, np.eye(4), 1.0, gaussian_kernel(x, x, 1.0))) == 0.0
 
     def test_duplicate_columns_antisymmetric(self):
         x = np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
         w = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-        g = gaussian_grad_x(x, w, 1.5)
+        g = gaussian_grad_x(x, w, 1.5, gaussian_kernel(x, x, 1.5))
         assert np.all(np.isfinite(g))
         assert np.allclose(g[:, 0], -g[:, 1], atol=1e-12)
 
@@ -241,7 +241,7 @@ class TestGaussianGradX:
         def cost(xm):
             return float(np.trace(p_perp @ gaussian_kernel(xm, xm, sigma)))
 
-        analytic = gaussian_grad_x(x, w, sigma)
+        analytic = gaussian_grad_x(x, w, sigma, gaussian_kernel(x, x, sigma))
         fd = euclid_fd_gradient(cost, x)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12)
         assert rel <= 1e-6
@@ -287,7 +287,7 @@ class TestVjp:
             return float(np.vdot(r_mat, monomial_features(xm, d)))
 
         fd = euclid_fd_gradient(cost, x)
-        assert np.allclose(monomial_features_vjp(x, d, r_mat), fd, atol=1e-6)
+        assert np.allclose(monomial_features_vjp(x, d, r_mat, monomial_features(x, d)), fd, atol=1e-6)
 
 
 class TestLiftingSpec:
@@ -314,6 +314,30 @@ class TestLiftingSpec:
         assert lifted.shape[0] == ambient
         empty = np.zeros((ambient, 0))
         assert spec.energy(lifted) == pytest.approx(spec.residual(lifted, empty), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_line_coefficients_reproduce_residual(self, d, rng):
+        # residual(X + a D) = f + a <grad_x, D> + c2 a^2 + c3 a^3 + c4 a^4
+        spec = LiftingSpec.monomial(3, d, offset=0.7)
+        x, dx = rng.standard_normal((3, 9)), rng.standard_normal((3, 9))
+        w = random_basis(rng, 9, 4)
+        c0 = spec.residual(spec.lift(x), w)
+        c1 = float(np.vdot(spec.grad_x(x, w), dx))
+        c2, c3, c4 = spec.line_coefficients(x, w, dx)
+        if d == 1:
+            assert c3 == c4 == 0.0
+        for a in (1e-3, 0.1, 0.7, 2.0):
+            f_a = spec.residual(spec.lift(x + a * dx), w)
+            poly = c0 + a * (c1 + a * (c2 + a * (c3 + a * c4)))
+            assert poly == pytest.approx(f_a, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        LiftingSpec.gaussian(3, 2.0), LiftingSpec.monomials(3, 2), LiftingSpec.monomial(3, 3),
+    ], ids=["gaussian_kernel", "monomial_features", "monomial_kernel_d3"])
+    def test_no_line_coefficients(self, spec, rng):
+        x = rng.standard_normal((3, 6))
+        w = random_basis(rng, spec.ambient(6), 2)
+        assert spec.line_coefficients(x, w, rng.standard_normal((3, 6))) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):

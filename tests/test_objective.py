@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nlrecover.lifting
 from nlrecover.lifting import (
     LiftingSpec,
     feature_residual_cost,
@@ -127,6 +128,34 @@ class TestRgrad:
             g = obj.rgrad(z)
             assert np.linalg.norm(obj.measurement.apply(g.dx)) <= 1e-10 * max(1.0, np.linalg.norm(g.dx))
             assert np.linalg.norm(z.u.basis.T @ g.du) <= 1e-10 * max(1.0, np.linalg.norm(g.du))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("penalty", [None, 2.0])
+    def test_x_block_alone(self, kind, penalty, rng):
+        # altmin's inner loop and altmin2's X-subproblem read rgrad_x
+        base, _ = small_masked_objective(kind=kind, seed=7)
+        obj = Objective(lifting=base.lifting, rank_r=base.rank_r,
+                        measurement=base.measurement, penalty_lambda=penalty)
+        z0 = default_init(obj)
+        z = ProductPoint(z0.x + obj.random_tangent(z0, rng).dx, z0.u)
+        assert np.array_equal(obj.rgrad_x(z), obj.rgrad(z).dx)
+
+    def test_features_built_once_per_call(self, monkeypatch, rng):
+        # rgrad, the Hessian operator and the cost each build Phi(X) once
+        calls = []
+        build = nlrecover.lifting.monomial_features
+
+        def counted(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(nlrecover.lifting, "monomial_features", counted)
+        obj, _ = small_masked_objective(kind="monomial_features", seed=8)
+        z = default_init(obj)
+        for method in (obj.rgrad, obj.rhess_operator, obj.cost, obj.rgrad_x):
+            calls.clear()
+            method(z)
+            assert len(calls) == 1, method.__name__
 
     def test_directional_derivative(self, rng):
         obj, _ = small_masked_objective(seed=6)

@@ -72,3 +72,19 @@ def test_tcg_wrapper_runs_the_real_subproblem(monkeypatch):
     assert tracer.calls["solvers.tcg"] == 2
     assert tracer.counts["solvers.tcg.inner_iters"] == 2 * expect[2]
     assert tracer.counts["solvers.tcg.boundary"] == 2 * expect[1]
+
+
+def test_armijo_wrapper_counts_every_trial(monkeypatch):
+    # the traced run counts each evaluation of f_along, the first trial
+    # included, and passes the arguments and the (alpha, f(alpha)) result
+    tracing = load_tracing(monkeypatch)
+    armijo = nlrecover.solvers.armijo
+    tracer = tracing.Tracer()
+    traced = tracer._armijo(armijo)
+    f_along = lambda a: 0.5 * (1.0 - a) ** 2
+    cfg = nlrecover.solvers.ArmijoConfig()
+    for first, evals in ((0.9, 1), (3.0, 3), (None, 2)):
+        assert traced(f_along, 0.5, -1.0, cfg, first=first) == armijo(f_along, 0.5, -1.0, cfg, first=first)
+        assert tracer.counts["solvers.armijo.evals"] == evals
+        tracer.counts.clear()
+    assert tracer.calls["solvers.armijo"] == 3

@@ -29,6 +29,7 @@ from nlrecover.solvers import (
     altmin_solve,
     armijo,
     default_init,
+    quartic_minimizer,
     product_problem,
     random_init,
     randomized_svd,
@@ -131,21 +132,24 @@ class TestArmijo:
     def test_quadratic_example(self):
         # f(x) = x^2/2 at x=1 along d=-1: alpha0=2 overshoots, alpha=1 lands at 0
         f_along = lambda a: 0.5 * (1.0 - a) ** 2
-        alpha = armijo(f_along, 0.5, -1.0, ArmijoConfig(alpha0=2.0, tau=0.5, beta=1e-4))
+        alpha, f_alpha = armijo(f_along, 0.5, -1.0, ArmijoConfig(alpha0=2.0, tau=0.5, beta=1e-4))
         assert alpha == pytest.approx(1.0)
+        assert f_alpha == f_along(alpha)
 
     def test_linear_accepts_initial_step(self):
         f_along = lambda a: 1.0 - a
-        alpha = armijo(f_along, 1.0, -1.0, ArmijoConfig(alpha0=2.0))
+        alpha, f_alpha = armijo(f_along, 1.0, -1.0, ArmijoConfig(alpha0=2.0))
         assert alpha == pytest.approx(2.0)
+        assert f_alpha == f_along(alpha)
 
     def test_accepted_step_satisfies_inequality(self, rng):
         for _ in range(10):
             c3, c2 = rng.uniform(0.1, 1.0), rng.uniform(0.5, 2.0)
             f_along = lambda a: c3 * a**3 - c2 * a  # descent at 0 with slope -c2
             cfg = ArmijoConfig(alpha0=2.0, tau=0.5, beta=1e-4)
-            alpha = armijo(f_along, 0.0, -c2, cfg)
-            assert f_along(alpha) <= 0.0 + cfg.beta * alpha * (-c2) + 1e-15
+            alpha, f_alpha = armijo(f_along, 0.0, -c2, cfg)
+            assert f_alpha == f_along(alpha)
+            assert f_alpha <= 0.0 + cfg.beta * alpha * (-c2) + 1e-15
             if alpha < cfg.alpha0:  # previous trial alpha/tau must have failed
                 prev = alpha / cfg.tau
                 assert f_along(prev) > cfg.beta * prev * (-c2)
@@ -157,6 +161,64 @@ class TestArmijo:
     def test_failure_after_budget(self):
         with pytest.raises(LineSearchError):
             armijo(lambda a: 1.0, 0.0, -1.0, ArmijoConfig(max_backtracks=10))
+
+    @staticmethod
+    def logged_quadratic(tried):
+        def f_along(a):
+            tried.append(a)
+            return 0.5 * (1.0 - a) ** 2
+
+        return f_along
+
+    def test_first_trial_accepted_when_it_passes(self):
+        tried = []
+        out = armijo(self.logged_quadratic(tried), 0.5, -1.0, ArmijoConfig(), first=0.9)
+        assert out == (0.9, 0.5 * (1.0 - 0.9) ** 2)
+        assert tried == [0.9]
+
+    @pytest.mark.parametrize("first", [3.0, 2.5, 1.9999])
+    def test_rejected_first_trial_runs_the_sequence(self, first):
+        # f(first) fails the Armijo test; then come exactly the steps and
+        # values of a search without a first trial
+        tried, plain = [], []
+        out = armijo(self.logged_quadratic(tried), 0.5, -1.0, ArmijoConfig(), first=first)
+        assert out == armijo(self.logged_quadratic(plain), 0.5, -1.0, ArmijoConfig())
+        assert tried == [first] + plain and out == (1.0, 0.0)
+
+
+def _quartic(c1, c2, c3, c4):
+    return lambda a: a * (c1 + a * (c2 + a * (c3 + a * c4)))
+
+
+class TestQuarticMinimizer:
+    @settings(max_examples=300, deadline=None)
+    @given(c1=st.floats(-10.0, -1e-3), c2=st.floats(-10.0, 10.0), c3=st.floats(-10.0, 10.0),
+           c4=st.floats(1e-3, 10.0), log_scale=st.floats(-8.0, 8.0))
+    def test_global_minimizer_of_random_quartics(self, c1, c2, c3, c4, log_scale):
+        # rescaling alpha by t = 10^log_scale spreads the coefficients over
+        # orders of magnitude, as along a short gradient step
+        t = 10.0**log_scale
+        c = (c1 * t, c2 * t**2, c3 * t**3, c4 * t**4)
+        value = _quartic(*c)
+        alpha = quartic_minimizer(*c)
+        roots = np.roots([4.0 * c[3], 3.0 * c[2], 2.0 * c[1], c[0]])
+        real = [r.real for r in roots if abs(r.imag) <= 1e-6 * abs(r) and r.real > 0]
+        best = min(real, key=value)
+        assert alpha is not None and alpha > 0
+        scale = sum(abs(ck) * best ** (k + 1) for k, ck in enumerate(c))
+        assert value(alpha) <= value(best) + 1e-12 * scale
+
+    def test_quadratic(self):
+        assert quartic_minimizer(-1.0, 2.0, 0.0, 0.0) == 0.25
+
+    @pytest.mark.parametrize("coeffs", [
+        (-1.0, 1.0, 1.0, 0.0),   # cubic: no closed form taken
+        (-1.0, 1.0, 0.0, -1.0),  # unbounded below
+        (-1.0, 0.0, 0.0, 0.0),   # linear
+        (-1.0, -1.0, 0.0, 0.0),  # concave quadratic
+    ])
+    def test_no_finite_minimizer(self, coeffs):
+        assert quartic_minimizer(*coeffs) is None
 
 
 def vec_inner(a, b):
@@ -536,6 +598,20 @@ class TestAltmin:
         )
         modes = {r.svd_mode for r in trace.records if r.svd_mode}
         assert modes <= {"skip"}
+
+
+class TestAltminRecords:
+    @pytest.mark.parametrize("solver", ["altmin1", "simple"])
+    def test_recorded_f_is_cost_at_iterate(self, solver):
+        # the inner loop takes f from the accepted Armijo trial; every record
+        # must still hold the cost at its iterate, bit for bit
+        obj, _, _ = uos_completion_problem(n=15, k=2, dim=2, pts_per=20, delta=0.6, seed=0)
+        cfg = replace(build_solver_configs({}, solver), max_outer=15)
+        points = []
+        _, trace = altmin_solve(obj, default_init(obj), cfg, rng=np.random.default_rng(0),
+                                on_iterate=points.append)
+        assert len(points) == len(trace.records) == 16
+        assert [r.f for r in trace.records] == [obj.cost(z) for z in points]
 
 
 class TestSimpleAltmin:
