@@ -26,10 +26,8 @@ from .objective import Objective, fd_check
 from .solvers import (
     TRACE_COLUMNS,
     AltminConfig,
-    ArmijoConfig,
     NumericalError,
     RtrConfig,
-    SvdPolicyConfig,
     TcgConfig,
     altmin_solve,
     default_init,
@@ -203,14 +201,12 @@ def build_solver_configs(cfg: dict, name: str):
         if name == "rtr2":
             tcg = TcgConfig(**opts.pop("tcg", {}))
             return replace(RtrConfig(tcg=tcg), **opts)
-        armijo = ArmijoConfig(**opts.pop("armijo", {}))
-        policy = SvdPolicyConfig(**opts.pop("svd_policy", {}))
-        base = AltminConfig(armijo=armijo, svd_policy=policy)
+        base = AltminConfig()
         if name == "altmin2":
             base = replace(base, inner="trust_region")
         elif name == "simple":
             # one Armijo gradient step in X, then an exact truncated SVD
-            base = replace(base, max_inner=1, svd_policy=None)
+            base = replace(base, max_inner=1, exact_svd=True)
         return replace(base, **opts)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver_options: {exc}") from exc
@@ -222,13 +218,16 @@ def generate_data(data_spec, rng) -> tuple[np.ndarray, np.ndarray]:
     return gen_uos(data_spec, rng)
 
 
-def build_sensing(cfg: dict, target: np.ndarray, rng):
+def build_sensing(cfg: dict, target: np.ndarray, rng, per_column: bool = False):
+    """(measurement, clean measurements b) of the config's sensing section.
+    per_column is the mask sampling mode when the section does not name one."""
     sensing = _require(cfg, "sensing", "config")
     kind = _require(sensing, "kind", "sensing")
     if kind == "mask":
         delta = _number(_require(sensing, "delta", "sensing"), float, "sensing.delta")
+        per_column = _bool(sensing.get("per_column", per_column), "sensing.per_column")
         try:
-            meas = gen_entry_mask(target, delta, rng)
+            meas = gen_entry_mask(target, delta, rng, per_column=per_column)
         except ValueError as exc:
             raise ConfigError(f"bad sensing spec: {exc}") from exc
         return meas, meas.b.copy()
@@ -571,12 +570,9 @@ def run_cluster_trial(cfg: dict, seed_key: tuple) -> dict:
         raise ConfigError("the cluster command requires data of kind 'clusters'")
     if lifting.kind != "gaussian_kernel":
         raise ConfigError("clustered data routes to the Gaussian kernel")
-    sensing = _require(cfg, "sensing", "config")
-    if _require(sensing, "kind", "sensing") != "mask":
+    if _require(_require(cfg, "sensing", "config"), "kind", "sensing") != "mask":
         raise ConfigError("the cluster command requires mask sensing")
-    delta = _number(_require(sensing, "delta", "sensing"), float, "sensing.delta")
-    per_column = _bool(sensing.get("per_column", True), "sensing.per_column")
-    meas = gen_entry_mask(target, delta, rng, per_column=per_column)
+    meas, _ = build_sensing(cfg, target, rng, per_column=True)
     z, trace = cluster_complete(meas, rank, lifting.sigma, rng)
     pred = cluster_assign(z.x, data_spec.k, rng)
     ri = rand_index(labels, pred)

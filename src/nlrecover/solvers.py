@@ -16,8 +16,8 @@ All solvers record a per-iteration trace (the CLI writes it as CSV).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -50,19 +50,37 @@ STALL_RADIUS = 1e-16
 LANCZOS_ITERS = 30  # steps of the smallest-eigenvalue estimate behind eps_h
 PERTURB_SCALE = 0.3  # size of the null-space perturbation of a trust-region restart
 
+# truncated CG stops once the residual drops below ||g|| min(kappa, ||g||^theta)
+TCG_KAPPA = 0.1
+TCG_THETA = 1.0
+
+# Armijo backtracking: trial steps alpha0 tau^i, sufficient-decrease factor beta
+ARMIJO_ALPHA0 = 2.0
+ARMIJO_TAU = 0.5
+ARMIJO_BETA = 1e-4
+ARMIJO_MAX_BACKTRACKS = 60
+
+# SVD policy: exact above SVD_TAU2 (f over the initial lifted energy),
+# randomized with SVD_POWER_Q power passes above SVD_TAU1, plain below
+SVD_TAU1 = 1e-3
+SVD_TAU2 = 1e-1
+SVD_OVERSAMPLE = 10
+SVD_POWER_Q = 1
+
+# the adaptive schedule's inner tolerance: max(eps_x, theta ||grad_X||)
+ADAPTIVE_THETA = 0.5
+
 
 @dataclass
 class TcgConfig:
     max_inner: int | None = None  # default: tangent-space dimension
-    kappa: float = 0.1
-    theta: float = 1.0
 
 
 @dataclass
 class RtrConfig:
+    rho_prime: ClassVar[float] = 0.1  # a step is accepted when rho exceeds this
     delta0: float = 1.0
     delta_bar: float | None = None  # default: 2 sqrt(dim)
-    rho_prime: float = 0.1
     eps_g: float = 1e-6
     eps_h: float = math.inf  # inf disables second-order stopping
     max_iter: int = 500
@@ -70,30 +88,8 @@ class RtrConfig:
     use_hessian: bool = True  # False: identity model (first-order variant)
 
     def __post_init__(self):
-        if not 0 < self.rho_prime < 0.25:
-            raise ValueError("rho_prime must lie in (0, 1/4)")
         if self.delta_bar is not None and not 0 < self.delta0 < self.delta_bar:
             raise ValueError("need 0 < delta0 < delta_bar")
-
-
-@dataclass
-class ArmijoConfig:
-    alpha0: float = 2.0
-    tau: float = 0.5
-    beta: float = 1e-4
-    max_backtracks: int = 60
-
-
-@dataclass
-class SvdPolicyConfig:
-    tau1: float = 1e-3
-    tau2: float = 1e-1
-    oversample: int = 10
-    power_q: int = 1
-
-    def __post_init__(self):
-        if not 0 < self.tau1 < self.tau2 < 1:
-            raise ValueError("need 0 < tau1 << tau2 < 1")
 
 
 @dataclass
@@ -101,10 +97,9 @@ class AltminConfig:
     eps_x: float = 1e-6
     eps_u: float = 1e-6
     schedule: str = "greedy"  # or "adaptive"
-    theta: float = 0.5
-    armijo: ArmijoConfig = field(default_factory=ArmijoConfig)
-    # None: an exact truncated SVD in every round that updates the subspace
-    svd_policy: SvdPolicyConfig | None = field(default_factory=SvdPolicyConfig)
+    # True: an exact truncated SVD in every round that updates the subspace;
+    # False: routed by the SVD policy
+    exact_svd: bool = False
     max_outer: int = 200
     max_inner: int = 200
     inner: str = "gradient"  # or "trust_region"
@@ -114,17 +109,11 @@ class AltminConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.inner not in ("gradient", "trust_region"):
             raise ValueError(f"unknown inner solver {self.inner!r}")
-        if not 0 < self.theta < 1:
-            raise ValueError("theta must lie in (0, 1)")
 
 
 # --------------------------------------------------------------------------
 # trace
 # --------------------------------------------------------------------------
-
-TRACE_COLUMNS = ("k", "f", "gnorm_x", "gnorm_u", "step", "delta", "rho", "svd_mode", "inner_iters", "rmse",
-                 "hess_calls")
-
 
 @dataclass
 class TraceRecord:
@@ -139,6 +128,10 @@ class TraceRecord:
     inner_iters: int | None = None
     rmse: float | None = None
     hess_calls: int | None = None  # Hessian-vector products applied
+
+
+# the CSV header of a trace, in field order
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
 @dataclass
@@ -175,8 +168,8 @@ def truncated_svd(y_mat: np.ndarray, r: int) -> GrassmannPoint:
 def randomized_svd(
     y_mat: np.ndarray,
     r: int,
-    oversample: int = 10,
-    power_q: int = 1,
+    oversample: int = SVD_OVERSAMPLE,
+    power_q: int = SVD_POWER_Q,
     rng: np.random.Generator | None = None,
 ) -> GrassmannPoint:
     """Gaussian range finder of width r + oversample with power_q passes of
@@ -214,27 +207,34 @@ def armijo(
     f_along: Callable[[float], float],
     f0: float,
     g_dot_d: float,
-    cfg: ArmijoConfig | None = None,
     first: float | None = None,
 ) -> tuple[float, float]:
     """(alpha, f(alpha)) for the first step that meets the Armijo condition
     f(alpha) <= f0 + beta alpha <g, d>: the trial step first, when given,
-    then the largest alpha in {alpha0 tau^i}. Requires a descent direction."""
-    cfg = cfg or ArmijoConfig()
+    then the largest alpha in {alpha0 tau^i}. Requires a descent direction.
+
+    A step is tried only while the bound f0 + beta alpha <g, d> stays below
+    f0 in floating point; once the demanded decrease rounds away, the search
+    raises LineSearchError, so an accepted step always lowers f."""
     if g_dot_d >= 0:
         raise ValueError("not a descent direction")
     if first is not None:
-        f_first = f_along(first)
-        if f_first <= f0 + cfg.beta * first * g_dot_d:
-            return first, f_first
-    alpha = cfg.alpha0
-    for _ in range(cfg.max_backtracks + 1):
+        bound = f0 + ARMIJO_BETA * first * g_dot_d
+        if bound < f0:
+            f_first = f_along(first)
+            if f_first <= bound:
+                return first, f_first
+    alpha = ARMIJO_ALPHA0
+    for _ in range(ARMIJO_MAX_BACKTRACKS + 1):
+        bound = f0 + ARMIJO_BETA * alpha * g_dot_d
+        if not bound < f0:
+            raise LineSearchError(f"the Armijo decrease at alpha={alpha:.3g} rounds away (f0={f0:.6g})")
         f_alpha = f_along(alpha)
-        if f_alpha <= f0 + cfg.beta * alpha * g_dot_d:
+        if f_alpha <= bound:
             return alpha, f_alpha
-        alpha *= cfg.tau
+        alpha *= ARMIJO_TAU
     raise LineSearchError(
-        f"no Armijo step after {cfg.max_backtracks} backtracks (f0={f0:.6g})"
+        f"no Armijo step after {ARMIJO_MAX_BACKTRACKS} backtracks (f0={f0:.6g})"
     )
 
 
@@ -381,7 +381,7 @@ def tcg_subproblem(
     g_norm = math.sqrt(r_sq)
     if g_norm == 0.0:
         return finish((eta, 0))
-    tol = g_norm * min(cfg.kappa, g_norm**cfg.theta)
+    tol = g_norm * min(TCG_KAPPA, g_norm**TCG_THETA)
     max_inner = cfg.max_inner if cfg.max_inner is not None else dim
     eta_sq = 0.0
 
@@ -665,15 +665,15 @@ def _subspace_update(
     x_mat: np.ndarray,
     f_val: float,
     f_scale: float,
-    cfg: SvdPolicyConfig | None,
+    exact: bool,
     rng: np.random.Generator,
 ) -> tuple[GrassmannPoint, str]:
     lifted = obj.lifting.lift(x_mat)
-    mode = "exact" if cfg is None else svd_policy(f_val / f_scale, cfg.tau1, cfg.tau2)
+    mode = "exact" if exact else svd_policy(f_val / f_scale, SVD_TAU1, SVD_TAU2)
     if mode == "exact":
         return truncated_svd(lifted, obj.rank_r), mode
-    power_q = cfg.power_q if mode == "rand_power" else 0
-    u_new = randomized_svd(lifted, obj.rank_r, cfg.oversample, power_q, rng)
+    power_q = SVD_POWER_Q if mode == "rand_power" else 0
+    u_new = randomized_svd(lifted, obj.rank_r, SVD_OVERSAMPLE, power_q, rng)
     # the exact SVD never increases f; guard the randomized shortcut so the
     # monotonicity of the outer loop is preserved
     if obj.lifting.residual(lifted, u_new.basis) > f_val + 1e-12 * (1.0 + abs(f_val)):
@@ -692,7 +692,7 @@ def altmin_solve(
     """Alternating minimization: inexact X-minimization to a scheduled
     tolerance, then a truncated-SVD subspace update, skipped while the
     subspace gradient passes eps_u and routed by the SVD policy (exact in
-    every round when cfg.svd_policy is None). The last record of the trace is
+    every round when cfg.exact_svd). The last record of the trace is
     at the returned point."""
     if not obj.constrained:
         raise ValueError("alternating minimization requires the constrained formulation")
@@ -704,11 +704,6 @@ def altmin_solve(
     # energy at the initial point
     f_scale = max(obj.lifting.energy(obj.lifting.lift(z0.x)), 1e-30)
 
-    def record(k, x, f_val, g):
-        return TraceRecord(k=k, f=f_val, gnorm_x=float(np.linalg.norm(g.dx)),
-                           gnorm_u=float(np.linalg.norm(g.du)),
-                           rmse=None if truth is None else rmse(x, truth))
-
     f_prev = math.inf
     no_progress = 0
     for k in range(cfg.max_outer + 1):
@@ -717,7 +712,9 @@ def altmin_solve(
             on_iterate(z)
         g = obj.rgrad(z)
         f_val = obj.cost(z)
-        rec = record(k, x, f_val, g)
+        rec = TraceRecord(k=k, f=f_val, gnorm_x=float(np.linalg.norm(g.dx)),
+                          gnorm_u=float(np.linalg.norm(g.du)),
+                          rmse=None if truth is None else rmse(x, truth))
         if k == cfg.max_outer:
             trace.append(rec)
             return z, trace  # status max_iter
@@ -726,7 +723,8 @@ def altmin_solve(
             trace.status = "grad_tol"
             return z, trace
         # descent below working precision over several whole outer rounds:
-        # the alternation has stalled numerically
+        # the alternation has stalled numerically (its only stall exit; a
+        # failed Armijo search only ends the round's inner loop)
         if f_prev - f_val <= 1e-15 * (1.0 + abs(f_prev)):
             no_progress += 1
             if no_progress >= 3:
@@ -737,13 +735,12 @@ def altmin_solve(
             no_progress = 0
         f_prev = f_val
 
-        eps_xk = cfg.eps_x if cfg.schedule == "greedy" else max(cfg.eps_x, cfg.theta * rec.gnorm_x)
+        eps_xk = cfg.eps_x if cfg.schedule == "greedy" else max(cfg.eps_x, ADAPTIVE_THETA * rec.gnorm_x)
 
         # after the inner solve, g and f_val hold the gradient and cost at the
         # new X with the old basis
-        stalled = False
         if cfg.inner == "trust_region":
-            sub_cfg = RtrConfig(eps_g=eps_xk, max_iter=cfg.max_inner, rho_prime=0.1)
+            sub_cfg = RtrConfig(eps_g=eps_xk, max_iter=cfg.max_inner)
             x, sub_trace = rtr_generic(x_factor_problem(obj, u), x, sub_cfg)
             n_inner = len(sub_trace.records) - 1
             n_hess = sum(n or 0 for n in sub_trace.column("hess_calls"))
@@ -766,13 +763,11 @@ def altmin_solve(
                         lambda a: obj.cost(ProductPoint(x + a * d, u)),
                         f_val,
                         g_dot_d,
-                        cfg.armijo,
                         first=None if coeffs is None else quartic_minimizer(g_dot_d, *coeffs),
                     )
                 except LineSearchError:
-                    # descent direction is exact, so failure means the
-                    # decrease fell below working precision: numerical stall
-                    stalled = True
+                    # no step passes the Armijo test at working precision:
+                    # the round goes on to the subspace update
                     break
                 if step is None:
                     step = alpha
@@ -785,19 +780,8 @@ def altmin_solve(
         rec.step = step
         rec.inner_iters = n_inner
         rec.hess_calls = n_hess
-        if stalled:
-            trace.append(rec)
-            trace.status = "stalled"
-            z = ProductPoint(x, u)
-            if n_inner:
-                # the steps before the failed search moved X past the record
-                if on_iterate is not None:
-                    on_iterate(z)
-                trace.append(record(k + 1, x, f_val, g))
-            return z, trace
-
         if float(np.linalg.norm(g.du)) <= cfg.eps_u:
             rec.svd_mode = "skip"
         else:
-            u, rec.svd_mode = _subspace_update(obj, x, f_val, f_scale, cfg.svd_policy, rng)
+            u, rec.svd_mode = _subspace_update(obj, x, f_val, f_scale, cfg.exact_svd, rng)
         trace.append(rec)

@@ -86,6 +86,13 @@ class TestConfigParsing:
         alt2 = build_solver_configs({}, "altmin2")
         assert alt2.inner == "trust_region"
 
+    def test_per_column_mask_sensing(self):
+        # every mask-sensing command reads per_column, not only cluster
+        target = np.random.default_rng(0).standard_normal((6, 20))
+        cfg = {"sensing": {"kind": "mask", "delta": 0.5, "per_column": True}}
+        meas, _ = cli.build_sensing(cfg, target, np.random.default_rng(1))
+        assert (meas.mask.sum(axis=0) == 3).all()
+
     def test_bad_solver_option_rejected(self):
         with pytest.raises(ConfigError):
             build_solver_configs({"solver_options": {"unknown_knob": 1}}, "rtr2")
@@ -225,6 +232,22 @@ class TestRecoverCommand:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: field '{field}'")
+
+    @pytest.mark.parametrize("options,solver", [
+        ({"armijo": {"beta": 1e-3}}, "altmin1"),
+        ({"svd_policy": {"tau1": 1e-4}}, "altmin1"),
+        ({"theta": 0.3}, "altmin1"),
+        ({"rho_prime": 0.2}, "rtr2"),
+        ({"tcg": {"kappa": 0.2}}, "rtr2"),
+        ({"tcg": {"theta": 0.5}}, "rtr2"),
+    ], ids=["armijo", "svd_policy", "theta", "rho_prime", "tcg_kappa", "tcg_theta"])
+    def test_fixed_method_constant_exit_code(self, tmp_path, capsys, options, solver):
+        # the method constants are not solver options
+        cfg = dict(RECOVER_CFG, solver_options=options, trials=1)
+        code, _ = self.run(tmp_path, cfg, extra=("--solver", solver))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: bad solver_options: ")
 
     def test_degenerate_retraction_exit_code(self, tmp_path, capsys, monkeypatch):
         def degenerate(*args, **kwargs):

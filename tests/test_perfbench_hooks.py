@@ -3,6 +3,7 @@ outside the package; a rename or deletion in src/ must fail here, not in a
 traced benchmark run."""
 
 import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -55,6 +56,21 @@ def test_workload_names_exist():
     assert not missing
 
 
+def test_run_imports_exist():
+    # run.py imports from nlrecover inside its functions and reads the
+    # trust region's acceptance threshold from a default RtrConfig
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nlrecover")
+               for alias in node.names]
+    assert ("nlrecover.solvers", "RtrConfig") in imports
+    missing = [f"{module}.{name}" for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing
+    rho_prime = nlrecover.solvers.RtrConfig().rho_prime
+    assert isinstance(rho_prime, float) and 0.0 < rho_prime < 0.25
+
+
 def test_tcg_wrapper_runs_the_real_subproblem(monkeypatch):
     # the traced run binds tcg_subproblem's arguments by name and unpacks its
     # (step, hit_boundary, iterations) result
@@ -82,9 +98,8 @@ def test_armijo_wrapper_counts_every_trial(monkeypatch):
     tracer = tracing.Tracer()
     traced = tracer._armijo(armijo)
     f_along = lambda a: 0.5 * (1.0 - a) ** 2
-    cfg = nlrecover.solvers.ArmijoConfig()
     for first, evals in ((0.9, 1), (3.0, 3), (None, 2)):
-        assert traced(f_along, 0.5, -1.0, cfg, first=first) == armijo(f_along, 0.5, -1.0, cfg, first=first)
+        assert traced(f_along, 0.5, -1.0, first=first) == armijo(f_along, 0.5, -1.0, first=first)
         assert tracer.counts["solvers.armijo.evals"] == evals
         tracer.counts.clear()
     assert tracer.calls["solvers.armijo"] == 3

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nlrecover.solvers
 from nlrecover.cli import build_solver_configs, solve
 from nlrecover.lifting import LiftingSpec
 from nlrecover.manifold import (
@@ -14,15 +15,17 @@ from nlrecover.manifold import (
 )
 from nlrecover.objective import Objective
 from nlrecover.solvers import (
+    ARMIJO_ALPHA0,
+    ARMIJO_BETA,
+    ARMIJO_MAX_BACKTRACKS,
+    ARMIJO_TAU,
     AltminConfig,
-    ArmijoConfig,
     LineSearchError,
     NumericalError,
     STALL_RADIUS,
     RiemannianProblem,
     RtrConfig,
     SolveTrace,
-    SvdPolicyConfig,
     TcgConfig,
     TraceRecord,
     TRACE_COLUMNS,
@@ -123,44 +126,69 @@ class TestSvdPolicy:
     def test_routing(self, f_val, expected):
         assert svd_policy(f_val, 1e-3, 1e-1) == expected
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SvdPolicyConfig(tau1=0.5, tau2=0.1)
-
 
 class TestArmijo:
     def test_quadratic_example(self):
         # f(x) = x^2/2 at x=1 along d=-1: alpha0=2 overshoots, alpha=1 lands at 0
         f_along = lambda a: 0.5 * (1.0 - a) ** 2
-        alpha, f_alpha = armijo(f_along, 0.5, -1.0, ArmijoConfig(alpha0=2.0, tau=0.5, beta=1e-4))
+        assert (ARMIJO_ALPHA0, ARMIJO_TAU) == (2.0, 0.5)
+        alpha, f_alpha = armijo(f_along, 0.5, -1.0)
         assert alpha == pytest.approx(1.0)
         assert f_alpha == f_along(alpha)
 
     def test_linear_accepts_initial_step(self):
         f_along = lambda a: 1.0 - a
-        alpha, f_alpha = armijo(f_along, 1.0, -1.0, ArmijoConfig(alpha0=2.0))
-        assert alpha == pytest.approx(2.0)
+        alpha, f_alpha = armijo(f_along, 1.0, -1.0)
+        assert alpha == pytest.approx(ARMIJO_ALPHA0)
         assert f_alpha == f_along(alpha)
 
     def test_accepted_step_satisfies_inequality(self, rng):
         for _ in range(10):
             c3, c2 = rng.uniform(0.1, 1.0), rng.uniform(0.5, 2.0)
             f_along = lambda a: c3 * a**3 - c2 * a  # descent at 0 with slope -c2
-            cfg = ArmijoConfig(alpha0=2.0, tau=0.5, beta=1e-4)
-            alpha, f_alpha = armijo(f_along, 0.0, -c2, cfg)
+            alpha, f_alpha = armijo(f_along, 0.0, -c2)
             assert f_alpha == f_along(alpha)
-            assert f_alpha <= 0.0 + cfg.beta * alpha * (-c2) + 1e-15
-            if alpha < cfg.alpha0:  # previous trial alpha/tau must have failed
-                prev = alpha / cfg.tau
-                assert f_along(prev) > cfg.beta * prev * (-c2)
+            assert f_alpha <= 0.0 + ARMIJO_BETA * alpha * (-c2) + 1e-15
+            if alpha < ARMIJO_ALPHA0:  # previous trial alpha/tau must have failed
+                prev = alpha / ARMIJO_TAU
+                assert f_along(prev) > ARMIJO_BETA * prev * (-c2)
 
     def test_requires_descent_direction(self):
         with pytest.raises(ValueError):
             armijo(lambda a: a, 0.0, 1.0)
 
     def test_failure_after_budget(self):
+        # at f0 = 0 the demanded decrease never rounds away; the cap ends it
+        tried = []
         with pytest.raises(LineSearchError):
-            armijo(lambda a: 1.0, 0.0, -1.0, ArmijoConfig(max_backtracks=10))
+            armijo(lambda a: tried.append(a) or 1.0, 0.0, -1.0)
+        assert len(tried) == ARMIJO_MAX_BACKTRACKS + 1
+
+    @pytest.mark.parametrize("first", [None, 0.5])
+    def test_decrease_below_roundoff_raises(self, first):
+        # f0 + beta alpha <g, d> rounds to f0, so a flat f would pass the
+        # test; no step is even evaluated
+        tried = []
+        with pytest.raises(LineSearchError):
+            armijo(lambda a: tried.append(a) or 1.0, 1.0, -1e-30, first=first)
+        assert tried == []
+
+    def test_stops_where_the_decrease_rounds_away(self):
+        # a flat f: every trial fails until the bound rounds to f0
+        g_dot_d = -(2.0**-50) / ARMIJO_BETA
+        tried = []
+        with pytest.raises(LineSearchError):
+            armijo(lambda a: tried.append(a) or 1.0, 1.0, g_dot_d)
+        assert tried and tried[0] == ARMIJO_ALPHA0
+        assert all(1.0 + ARMIJO_BETA * a * g_dot_d < 1.0 for a in tried)
+        assert 1.0 + ARMIJO_BETA * tried[-1] * ARMIJO_TAU * g_dot_d == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(f0=st.floats(-1e3, 1e3), log_slope=st.floats(-40.0, 0.0),
+           first=st.none() | st.floats(1e-8, 4.0))
+    def test_flat_line_is_never_accepted(self, f0, log_slope, first):
+        with pytest.raises(LineSearchError):
+            armijo(lambda a: f0, f0, -(10.0**log_slope), first=first)
 
     @staticmethod
     def logged_quadratic(tried):
@@ -172,7 +200,7 @@ class TestArmijo:
 
     def test_first_trial_accepted_when_it_passes(self):
         tried = []
-        out = armijo(self.logged_quadratic(tried), 0.5, -1.0, ArmijoConfig(), first=0.9)
+        out = armijo(self.logged_quadratic(tried), 0.5, -1.0, first=0.9)
         assert out == (0.9, 0.5 * (1.0 - 0.9) ** 2)
         assert tried == [0.9]
 
@@ -181,8 +209,8 @@ class TestArmijo:
         # f(first) fails the Armijo test; then come exactly the steps and
         # values of a search without a first trial
         tried, plain = [], []
-        out = armijo(self.logged_quadratic(tried), 0.5, -1.0, ArmijoConfig(), first=first)
-        assert out == armijo(self.logged_quadratic(plain), 0.5, -1.0, ArmijoConfig())
+        out = armijo(self.logged_quadratic(tried), 0.5, -1.0, first=first)
+        assert out == armijo(self.logged_quadratic(plain), 0.5, -1.0)
         assert tried == [first] + plain and out == (1.0, 0.0)
 
 
@@ -501,8 +529,6 @@ class TestRtr:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            RtrConfig(rho_prime=0.3)
-        with pytest.raises(ValueError):
             RtrConfig(delta0=3.0, delta_bar=2.0)
 
 
@@ -547,12 +573,35 @@ class TestAltmin:
         obj, target, _ = uos_completion_problem(n=6, pts_per=8, seed=8)
         z, trace = altmin_solve(
             obj, default_init(obj),
-            AltminConfig(eps_x=1e-4, eps_u=1e-4, schedule="adaptive", theta=0.5,
+            AltminConfig(eps_x=1e-4, eps_u=1e-4, schedule="adaptive",
                          max_outer=200, max_inner=100),
             rng=np.random.default_rng(0),
         )
         assert trace.status in ("grad_tol", "stalled", "max_iter")
         assert trace.records[-1].f <= trace.records[0].f
+
+    def test_failed_search_ends_only_the_round(self, monkeypatch):
+        # a LineSearchError ends the round's inner loop; the subspace update
+        # and the later rounds still run
+        real, calls = nlrecover.solvers.armijo, []
+
+        def failing_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise LineSearchError("forced")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nlrecover.solvers, "armijo", failing_once)
+        obj, _, _ = uos_completion_problem(n=6, pts_per=8, seed=6)
+        _, trace = altmin_solve(
+            obj, default_init(obj),
+            AltminConfig(eps_x=1e-5, eps_u=1e-5, max_outer=10, max_inner=30),
+            rng=np.random.default_rng(0),
+        )
+        first = trace.records[0]
+        assert (first.inner_iters, first.step) == (0, None) and first.svd_mode is not None
+        assert len(calls) > 1 and trace.records[1].inner_iters > 0
+        assert trace.records[-1].f < first.f
 
     def test_halving_tolerance_bounded_cost_growth(self):
         # gradient-step count grows by at most ~4x when eps is halved
@@ -618,7 +667,7 @@ class TestSimpleAltmin:
     """The CLI's `simple` solver: one Armijo gradient step in X per exact SVD."""
 
     def test_simple_preset_config(self):
-        assert build_solver_configs({}, "simple") == AltminConfig(max_inner=1, svd_policy=None)
+        assert build_solver_configs({}, "simple") == AltminConfig(max_inner=1, exact_svd=True)
 
     def test_monotone_and_finite_path(self):
         obj, target, _ = uos_completion_problem(n=6, pts_per=8, seed=13)
