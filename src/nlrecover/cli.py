@@ -14,8 +14,9 @@ import csv
 import json
 import math
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,12 +105,17 @@ def _require(cfg: dict, key: str, where: str):
 
 
 def _number(value, kind: type, field: str):
-    """kind(value) for kind int or float; a ConfigError naming the field when
-    the config value does not convert."""
+    """The config value as kind (int or float) when it is a JSON number of
+    that kind: an integer for int, any number for float. A string, a boolean
+    or, for int, a fraction is a ConfigError naming the field, so "0.8" or
+    6.7 is not silently read as 0.8 or 6."""
+    what = "an integer" if kind is int else "a number"
+    json_kinds = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, json_kinds):
+        raise ConfigError(f"field '{field}' must be {what}, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
+    except OverflowError:  # an integer too large for a float
         raise ConfigError(f"field '{field}' must be {what}, got {value!r}") from None
 
 
@@ -195,19 +201,43 @@ def parse_solver_name(cfg: dict, override: str | None) -> str:
     return name
 
 
+def _typed_options(opts: dict, config_cls, where: str) -> dict:
+    """opts with each value checked against the type of its field in the
+    config dataclass: a JSON number for float, a JSON integer for int, a JSON
+    boolean for bool, and null where the field takes None. Other values, and
+    keys that name no field, are left for the dataclass to reject."""
+    hints = typing.get_type_hints(config_cls)
+    kinds_of = {f.name: typing.get_args(hints[f.name]) or (hints[f.name],)
+                for f in fields(config_cls)}
+    out = {}
+    for key, value in opts.items():
+        kinds = kinds_of.get(key, ())
+        field = f"{where}.{key}"
+        if value is None and type(None) in kinds:
+            out[key] = None
+        elif bool in kinds:
+            out[key] = _bool(value, field)
+        elif int in kinds or float in kinds:
+            out[key] = _number(value, int if int in kinds else float, field)
+        else:
+            out[key] = value
+    return out
+
+
 def build_solver_configs(cfg: dict, name: str):
     opts = dict(_object(cfg.get("solver_options", {}), "solver_options"))
     try:
         if name == "rtr2":
-            tcg = TcgConfig(**opts.pop("tcg", {}))
-            return replace(RtrConfig(tcg=tcg), **opts)
+            where = "solver_options.tcg"
+            tcg = TcgConfig(**_typed_options(_object(opts.pop("tcg", {}), where), TcgConfig, where))
+            return replace(RtrConfig(tcg=tcg), **_typed_options(opts, RtrConfig, "solver_options"))
         base = AltminConfig()
         if name == "altmin2":
             base = replace(base, inner="trust_region")
         elif name == "simple":
             # one Armijo gradient step in X, then an exact truncated SVD
             base = replace(base, max_inner=1, exact_svd=True)
-        return replace(base, **opts)
+        return replace(base, **_typed_options(opts, AltminConfig, "solver_options"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver_options: {exc}") from exc
 

@@ -191,9 +191,13 @@ def gaussian_kernel(x_mat: np.ndarray, y_mat: np.ndarray, sigma: float) -> np.nd
 
 
 def _w_perp(w: np.ndarray, s: int) -> np.ndarray:
+    """I - W W^T, built in the one s x s array its GEMM returns."""
     if w.shape[0] != s:
         raise DimensionError("subspace basis does not match the number of columns")
-    return np.eye(s) - w @ w.T
+    p_perp = w @ w.T
+    np.negative(p_perp, out=p_perp)
+    p_perp.reshape(-1)[:: s + 1] += 1.0  # the diagonal, through a view
+    return p_perp
 
 
 def monomial_grad_x(x_mat: np.ndarray, w: np.ndarray, d: int, c: float) -> np.ndarray:
@@ -209,28 +213,61 @@ def monomial_grad_x(x_mat: np.ndarray, w: np.ndarray, d: int, c: float) -> np.nd
 
 def monomial_hess_operator(x_mat: np.ndarray, w: np.ndarray, d: int, c: float):
     """Euclidean Hessian of trace(P_{W_perp} K_d(X, X)) at (X, W) as an
-    operator on (dx, dw); the kernel matrices are built once so repeated
-    products (e.g. inside a CG loop) stay cheap."""
+    operator on (dx, dw). With G = X^T X + c, K_j = G^(.j), P = P_{W_perp},
+    S_x = X^T dx + dx^T X and S_w = W dw^T + dw W^T:
+    h_x = 2d (dx (K_{d-1} o P) + X ((d-1) K_{d-2} o P o S_x - K_{d-1} o S_w)),
+    h_w = -2 (d (K_{d-1} o S_x) W + K_d dw).
+    The kernel powers come from one Gram, built once so repeated products
+    (e.g. inside a CG loop) stay cheap. Each symmetric sum is one GEMM over
+    stacked factors, [X^T | dx^T] [dx; X] and [W | dw] [dw^T; W^T], whose
+    fixed blocks are filled here; a product writes only dx and dw into them,
+    and does six GEMMs, or three when dw is omitted (one for d = 1)."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
-    p_perp = _w_perp(w, x_mat.shape[1])
-    k_d = monomial_kernel(x_mat, x_mat, d, c)
-    k_1 = monomial_kernel(x_mat, x_mat, d - 1, c)
+    n, s = x_mat.shape
+    r = w.shape[1]
+    # the Gram turns into K_d in place and P is formed after the powers, so
+    # the build holds at most five s x s arrays at once
+    gram = x_mat.T @ x_mat
+    gram += c
+    k_1 = gram ** (d - 1)
+    k_2_perp = gram ** (d - 2) if d >= 2 else None
+    k_d = np.multiply(gram, k_1, out=gram)
+    p_perp = _w_perp(w, s)
     k_1_perp = k_1 * p_perp
-    k_2_perp = monomial_kernel(x_mat, x_mat, d - 2, c) * p_perp if d >= 2 else None
+    if k_2_perp is not None:
+        # (d-1) K_{d-2} o P, the weight of S_x in h_x; zero for d = 1
+        k_2_perp *= p_perp
+        k_2_perp *= d - 1
+    # [X; dx; X]: rows :2n are [X; dx], the transpose of [X^T | dx^T]; rows n: are [dx; X]
+    stack_x = np.empty((3 * n, s))
+    stack_x[:n] = x_mat
+    stack_x[2 * n:] = x_mat
+    # [W | dw | W]: columns :2r are [W | dw]; columns r: are [dw | W], the transpose of [dw^T; W^T]
+    stack_w = np.empty((s, 3 * r))
+    stack_w[:, :r] = w
+    stack_w[:, 2 * r:] = w
 
     def apply(dx: np.ndarray, dw: np.ndarray | None = None):
-        sym_x = x_mat.T @ dx + dx.T @ x_mat
-        h_x = 2.0 * d * dx @ k_1_perp
-        if k_2_perp is not None:
-            h_x = h_x + 2.0 * d * (d - 1) * x_mat @ (k_2_perp * sym_x)
+        if dw is None and k_2_perp is None:
+            return (2.0 * d) * (dx @ k_1_perp)
+        stack_x[n:2 * n] = dx
+        sym_x = stack_x[:2 * n].T @ stack_x[n:]
         if dw is None:
-            return h_x
-        sym_w = w @ dw.T + dw @ w.T
-        h_x = h_x - 2.0 * d * x_mat @ (k_1 * sym_w)
-        h_w = -2.0 * d * (k_1 * sym_x) @ w - 2.0 * k_d @ dw
-        return h_x, h_w
+            inner = np.multiply(sym_x, k_2_perp, out=sym_x)
+        else:
+            stack_w[:, r:2 * r] = dw
+            h_w = -2.0 * (d * ((k_1 * sym_x) @ w) + k_d @ dw)
+            # inner = (d-1) K_{d-2} o P o S_x - K_{d-1} o S_w, in place
+            inner = stack_w[:, :2 * r] @ stack_w[:, r:].T
+            np.multiply(inner, k_1, out=inner)
+            if k_2_perp is None:
+                np.negative(inner, out=inner)
+            else:
+                np.subtract(np.multiply(sym_x, k_2_perp, out=sym_x), inner, out=inner)
+        h_x = (2.0 * d) * (dx @ k_1_perp + x_mat @ inner)
+        return h_x if dw is None else (h_x, h_w)
 
     return apply
 

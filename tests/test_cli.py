@@ -86,6 +86,18 @@ class TestConfigParsing:
         alt2 = build_solver_configs({}, "altmin2")
         assert alt2.inner == "trust_region"
 
+    def test_solver_option_types(self):
+        # null where the field takes None; an integer where a float is asked
+        rtr = build_solver_configs(
+            {"solver_options": {"delta_bar": None, "eps_g": 1, "tcg": {"max_inner": None}}}, "rtr2")
+        assert rtr.delta_bar is None and rtr.tcg.max_inner is None
+        assert rtr.eps_g == 1.0 and isinstance(rtr.eps_g, float)
+        rtr = build_solver_configs({"solver_options": {"tcg": {"max_inner": 20}}}, "rtr2")
+        assert rtr.tcg.max_inner == 20
+        for options in ({"eps_g": None}, {"max_iter": None}, {"use_hessian": None}):
+            with pytest.raises(ConfigError, match="bad solver_options"):
+                build_solver_configs({"solver_options": options}, "rtr2")
+
     def test_per_column_mask_sensing(self):
         # every mask-sensing command reads per_column, not only cluster
         target = np.random.default_rng(0).standard_normal((6, 20))
@@ -249,6 +261,24 @@ class TestRecoverCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: bad solver_options: ")
 
+    @pytest.mark.parametrize("options,solver,field", [
+        ({"eps_g": "1e-6"}, "rtr2", "eps_g"),
+        ({"use_hessian": "false"}, "rtr2", "use_hessian"),
+        ({"exact_svd": 1}, "altmin1", "exact_svd"),
+        ({"max_iter": 2.5}, "rtr2", "max_iter"),
+        ({"tcg": {"max_inner": "20"}}, "rtr2", "tcg.max_inner"),
+    ], ids=["string_eps_g", "string_use_hessian", "integer_exact_svd", "float_max_iter",
+            "string_tcg_max_inner"])
+    def test_mistyped_solver_option_exit_code(self, tmp_path, capsys, options, solver, field):
+        # no string becomes a number or a boolean, no integer a boolean and
+        # no fraction an integer
+        cfg = dict(RECOVER_CFG, solver_options=options, trials=1)
+        code, _ = self.run(tmp_path, cfg, extra=("--solver", solver))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        prefix = f"config error: bad solver_options: field 'solver_options.{field}' must be "
+        assert len(err) == 1 and err[0].startswith(prefix)
+
     def test_degenerate_retraction_exit_code(self, tmp_path, capsys, monkeypatch):
         def degenerate(*args, **kwargs):
             raise DegenerateRetractionError("U + H is numerically rank deficient")
@@ -311,6 +341,23 @@ def test_non_object_section_exit_code(tmp_path, capsys, command, field):
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"config error: field '{field}' must be an object, got 5"]
+
+
+@pytest.mark.parametrize("change,field,kind", [
+    ({"data": dict(RECOVER_CFG["data"], n=6.7)}, "data.n", "an integer"),
+    ({"sensing": {"kind": "mask", "delta": "0.8"}}, "sensing.delta", "a number"),
+    ({"lifting": {"kind": "monomial_kernel", "degree": 2, "offset": True}}, "lifting.offset",
+     "a number"),
+    ({"rank": 2.5}, "rank", "an integer"),
+], ids=["fraction_n", "string_delta", "boolean_offset", "fraction_rank"])
+def test_mistyped_number_exit_code(tmp_path, capsys, change, field, kind):
+    # a number is never read from a string or a boolean, nor an integer
+    # truncated from a fraction
+    cfg = dict(RECOVER_CFG, trials=1, **change)
+    code = main(["recover", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: field '{field}' must be {kind}, got ")
 
 
 class TestSelectLambda:

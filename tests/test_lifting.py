@@ -219,6 +219,63 @@ class TestMonomialHess:
         den = max(np.sqrt(np.linalg.norm(h_x) ** 2 + np.linalg.norm(h_w) ** 2), 1e-12)
         assert num / den <= 1e-5
 
+    @staticmethod
+    def term_by_term(x, w, d, c, dx, dw=None):
+        """The product written out in nine GEMMs: each half of each symmetric
+        sum on its own, each kernel power built from its own Gram."""
+        p_perp = np.eye(x.shape[1]) - w @ w.T
+        k_d = monomial_kernel(x, x, d, c)
+        k_1 = monomial_kernel(x, x, d - 1, c)
+        sym_x = x.T @ dx + dx.T @ x
+        h_x = 2.0 * d * dx @ (k_1 * p_perp)
+        if d >= 2:
+            h_x = h_x + 2.0 * d * (d - 1) * x @ (monomial_kernel(x, x, d - 2, c) * p_perp * sym_x)
+        if dw is None:
+            return h_x
+        sym_w = w @ dw.T + dw @ w.T
+        h_x = h_x - 2.0 * d * x @ (k_1 * sym_w)
+        h_w = -2.0 * d * (k_1 * sym_x) @ w - 2.0 * k_d @ dw
+        return h_x, h_w
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("with_dw", [True, False])
+    def test_matches_term_by_term_formula(self, d, with_dw, rng):
+        n, s, r, c = 4, 12, 3, 0.7
+        x = rng.standard_normal((n, s)) / np.sqrt(n)
+        w = random_basis(rng, s, r)
+        op = monomial_hess_operator(x, w, d, c)
+        for _ in range(3):
+            args = (rng.standard_normal((n, s)), rng.standard_normal((s, r)))[: 1 + with_dw]
+            got, expect = op(*args), self.term_by_term(x, w, d, c, *args)
+            got, expect = (got, expect) if with_dw else ((got,), (expect,))
+            for g, e in zip(got, expect, strict=True):
+                assert g.shape == e.shape
+                assert np.linalg.norm(g - e) <= 1e-13 * np.linalg.norm(e)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_reuse_leaves_earlier_results_alone(self, d, rng):
+        # the operator keeps stacked buffers across products; each product
+        # must still equal a fresh operator's, and no result may live in them
+        n, s, r = 3, 7, 2
+        x = rng.standard_normal((n, s))
+        w = random_basis(rng, s, r)
+        op = monomial_hess_operator(x, w, d, 1.0)
+        buffers = [cell.cell_contents for cell in op.__closure__
+                   if isinstance(cell.cell_contents, np.ndarray)]
+        calls = [
+            (rng.standard_normal((n, s)), rng.standard_normal((s, r))),
+            (np.asfortranarray(rng.standard_normal((n, s))), rng.standard_normal((s, r))),
+            (rng.standard_normal((n, s)),),
+            (rng.standard_normal((n, s)), rng.standard_normal((s, r))),
+        ]
+        results = [op(*args) for args in calls]
+        for args, result in zip(calls, results):
+            fresh = monomial_hess_operator(x, w, d, 1.0)(*args)
+            pairs = zip(result, fresh) if len(args) == 2 else [(result, fresh)]
+            for got, expect in pairs:
+                assert np.array_equal(got, expect)
+                assert not any(np.shares_memory(got, buf) for buf in buffers)
+
 
 class TestGaussianGradX:
     def test_full_subspace_gives_zero(self, rng):

@@ -90,6 +90,32 @@ def test_tcg_wrapper_runs_the_real_subproblem(monkeypatch):
     assert tracer.counts["solvers.tcg.boundary"] == 2 * expect[1]
 
 
+def test_monomial_hess_wrapper_keeps_the_product(monkeypatch):
+    # the traced run wraps monomial_hess_operator and binds its (x_mat, w,
+    # d, c) arguments to count the flops of each product it returns
+    tracing = load_tracing(monkeypatch)
+    (module, attr), apply_span, flops_of = tracing.OPERATOR_SPANS["lifting.hess_build"]
+    factory = getattr(importlib.import_module(f"nlrecover.{module}"), attr)
+    assert factory is nlrecover.lifting.monomial_hess_operator
+    tracer = tracing.Tracer()
+    traced = tracer._operator_factory("lifting.hess_build", apply_span, flops_of, factory)
+    rng = np.random.default_rng(7)
+    n, s, r = 3, 9, 2
+    for d in (1, 2, 3):
+        x = rng.standard_normal((n, s))
+        w, _ = np.linalg.qr(rng.standard_normal((s, r)))
+        plain, counted = factory(x, w, d, 1.0), traced(x, w, d=d, c=1.0)
+        for args in ((rng.standard_normal((n, s)), rng.standard_normal((s, r))),
+                     (rng.standard_normal((n, s)),)):
+            expect, got = plain(*args), counted(*args)
+            if len(args) == 1:
+                expect, got = (expect,), (got,)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expect, strict=True))
+    assert tracer.calls["lifting.hess_build"] == 3
+    assert tracer.calls[apply_span] == 6
+    assert tracer.counts[f"{apply_span}.flops"] > 0
+
+
 def test_armijo_wrapper_counts_every_trial(monkeypatch):
     # the traced run counts each evaluation of f_along, the first trial
     # included, and passes the arguments and the (alpha, f(alpha)) result
