@@ -10,13 +10,14 @@ number of worker processes. Outputs are CSV files with a fixed column order
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -143,55 +144,75 @@ def _bool(value, field: str) -> bool:
     return value
 
 
+def _typed(value, hint, field: str):
+    """The config value read as the type hint of its dataclass field: a JSON
+    number for float, a JSON integer for int, a JSON boolean for bool, a list
+    of JSON integers for a tuple of int, and null where the field takes None.
+    Other values are left for the dataclass to reject."""
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in value):
+            raise ConfigError(f"field '{field}' must be a list of integers, got {value!r}")
+        return tuple(value)
+    kinds = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    if bool in kinds:
+        return _bool(value, field)
+    if int in kinds or float in kinds:
+        return _number(value, int if int in kinds else float, field)
+    return value
+
+
+@contextlib.contextmanager
+def _reading(section: str):
+    """A TypeError or ValueError (ConfigError included) of the block as one
+    ConfigError 'bad <section>: ...'."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {section}: {exc}") from exc
+
+
+def _build(config_cls, section, where: str, **given):
+    """config_cls(**given, **section) with each value of the JSON object
+    section (at where) typed by its field (`_typed`); every other field keeps
+    its dataclass default. A key that names no field or one of given, a
+    missing field, a mistyped value and a value the dataclass rejects are
+    each one ConfigError 'bad <top-level section>: ...'."""
+    hints = typing.get_type_hints(config_cls)
+    settable = {f.name for f in fields(config_cls)} - given.keys()
+    with _reading(where.split(".")[0]):
+        for key, value in _object(section, where).items():
+            if key not in settable:
+                raise ConfigError(f"unknown field '{where}.{key}'")
+            given[key] = _typed(value, hints[key], f"{where}.{key}")
+        return config_cls(**given)
+
+
 def parse_data_spec(cfg: dict):
     data = _require(cfg, "data", "config")
     kind = _require(data, "kind", "data")
+    section = {key: value for key, value in data.items() if key != "kind"}
     if kind == "uos":
-        dims = data.get("dims", data.get("dim", 2))
-        spec_type, params = UosSpec, {
-            "n": _number(_require(data, "n", "data"), int, "data.n"),
-            "k": _number(data.get("k", 1), int, "data.k"),
-            "dims": tuple(dims) if isinstance(dims, (list, tuple)) else (_number(dims, int, "data.dim"),),
-            "pts_per": _number(_require(data, "pts_per", "data"), int, "data.pts_per"),
-            "affine": _bool(data.get("affine", False), "data.affine"),
-        }
-    elif kind == "clusters":
-        spec_type, params = ClusterSpec, {
-            "n": _number(_require(data, "n", "data"), int, "data.n"),
-            "k": _number(_require(data, "k", "data"), int, "data.k"),
-            "pts_per": _number(_require(data, "pts_per", "data"), int, "data.pts_per"),
-            "sigma_c": _number(data.get("sigma_c", 0.5), float, "data.sigma_c"),
-        }
-    else:
-        raise ConfigError(f"unknown data kind {kind!r} (expected 'uos' or 'clusters')")
-    try:
-        return spec_type(**params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad data spec: {exc}") from exc
+        section.setdefault("k", 1)
+        if "dims" not in section:  # "dim": one dimension shared by the k subspaces
+            with _reading("data"):
+                section["dims"] = [_number(section.pop("dim", 2), int, "data.dim")]
+        return _build(UosSpec, section, "data")
+    if kind == "clusters":
+        return _build(ClusterSpec, section, "data")
+    raise ConfigError(f"unknown data kind {kind!r} (expected 'uos' or 'clusters')")
 
 
 def parse_lifting(cfg: dict, data_spec) -> LiftingSpec:
     """Lifting from the config, or routed by the data structure: algebraic
     (union-of-subspaces) data gets the monomial kernel, clusters the Gaussian."""
-    n = data_spec.n
     lift = cfg.get("lifting")
     if lift is None:
-        if isinstance(data_spec, ClusterSpec):
-            return LiftingSpec.gaussian(n, sigma=2.5)
-        return LiftingSpec.monomial(n, degree=2, offset=1.0)
-    kind = _require(lift, "kind", "lifting")
-    if kind in ("monomial_kernel", "monomial_features"):
-        params = {"degree": _number(lift.get("degree", 2), int, "lifting.degree")}
-        if kind == "monomial_kernel":
-            params["offset"] = _number(lift.get("offset", 1.0), float, "lifting.offset")
-    elif kind == "gaussian_kernel":
-        params = {"sigma": _number(lift.get("sigma", 2.5), float, "lifting.sigma")}
-    else:
-        raise ConfigError(f"unknown lifting kind {kind!r}")
-    try:
-        return LiftingSpec(kind, n, **params)
-    except ValueError as exc:
-        raise ConfigError(f"bad lifting spec: {exc}") from exc
+        kind = "gaussian_kernel" if isinstance(data_spec, ClusterSpec) else "monomial_kernel"
+        return LiftingSpec(kind, data_spec.n)
+    _require(lift, "kind", "lifting")
+    return _build(LiftingSpec, lift, "lifting", n=data_spec.n)
 
 
 def parse_solver_name(cfg: dict, override: str | None) -> str:
@@ -201,45 +222,17 @@ def parse_solver_name(cfg: dict, override: str | None) -> str:
     return name
 
 
-def _typed_options(opts: dict, config_cls, where: str) -> dict:
-    """opts with each value checked against the type of its field in the
-    config dataclass: a JSON number for float, a JSON integer for int, a JSON
-    boolean for bool, and null where the field takes None. Other values, and
-    keys that name no field, are left for the dataclass to reject."""
-    hints = typing.get_type_hints(config_cls)
-    kinds_of = {f.name: typing.get_args(hints[f.name]) or (hints[f.name],)
-                for f in fields(config_cls)}
-    out = {}
-    for key, value in opts.items():
-        kinds = kinds_of.get(key, ())
-        field = f"{where}.{key}"
-        if value is None and type(None) in kinds:
-            out[key] = None
-        elif bool in kinds:
-            out[key] = _bool(value, field)
-        elif int in kinds or float in kinds:
-            out[key] = _number(value, int if int in kinds else float, field)
-        else:
-            out[key] = value
-    return out
+# AltminConfig settings of altmin2 and simple, under the config's
+# solver_options; simple takes one Armijo gradient step in X, then an exact SVD
+ALTMIN_PRESETS = {"altmin2": {"inner": "trust_region"}, "simple": {"max_inner": 1, "exact_svd": True}}
 
 
 def build_solver_configs(cfg: dict, name: str):
     opts = dict(_object(cfg.get("solver_options", {}), "solver_options"))
-    try:
-        if name == "rtr2":
-            where = "solver_options.tcg"
-            tcg = TcgConfig(**_typed_options(_object(opts.pop("tcg", {}), where), TcgConfig, where))
-            return replace(RtrConfig(tcg=tcg), **_typed_options(opts, RtrConfig, "solver_options"))
-        base = AltminConfig()
-        if name == "altmin2":
-            base = replace(base, inner="trust_region")
-        elif name == "simple":
-            # one Armijo gradient step in X, then an exact truncated SVD
-            base = replace(base, max_inner=1, exact_svd=True)
-        return replace(base, **_typed_options(opts, AltminConfig, "solver_options"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad solver_options: {exc}") from exc
+    if name == "rtr2":
+        tcg = _build(TcgConfig, opts.pop("tcg", {}), "solver_options.tcg")
+        return _build(RtrConfig, opts, "solver_options", tcg=tcg)
+    return _build(AltminConfig, {**ALTMIN_PRESETS.get(name, {}), **opts}, "solver_options")
 
 
 def generate_data(data_spec, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -263,10 +256,10 @@ def build_sensing(cfg: dict, target: np.ndarray, rng, per_column: bool = False):
         return meas, meas.b.copy()
     if kind == "dense":
         m = _number(_require(sensing, "m", "sensing"), int, "sensing.m")
-        if m > target.size:
-            # no exact solution to start from, for the constrained and the
-            # penalized forms alike (default_init needs one)
-            raise ConfigError(f"dense sensing needs m <= n*s = {target.size}, got m={m}")
+        if not 1 <= m <= target.size:
+            # above n*s no exact solution to start from, for the constrained
+            # and the penalized forms alike (default_init needs one)
+            raise ConfigError(f"dense sensing needs 1 <= m <= n*s = {target.size}, got m={m}")
         sigma = _number(sensing.get("noise_sigma", 0.0), float, "sensing.noise_sigma")
         noise = NoiseSpec(sigma) if sigma > 0 else None
         meas, b_clean = gen_gaussian_sensing(target, m, rng, noise)
@@ -459,6 +452,8 @@ def cmd_noise(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solve
     lam0 = _number(sched.get("lambda0", 1e-6), float, "lambda_schedule.lambda0")
     factor = _number(sched.get("factor", 10.0), float, "lambda_schedule.factor")
     steps = _number(sched.get("steps", 12), int, "lambda_schedule.steps")
+    if steps < 1:
+        raise ConfigError(f"field 'lambda_schedule.steps' must be >= 1, got {steps}")
     report = run_lambda_continuation(cfg, seed, lam0, factor, steps, solver)
     header = ["lambda", "misfit_noisy", "misfit_clean", "err_fro", "lifted_residual", "iters", "selected"]
     rows = [
@@ -731,10 +726,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return cmd_check(Path(args.out), args.seed)
-        cfg = load_config(args.config)
+        cfg = {} if args.command == "check" else load_config(args.config)
         seed = args.seed if args.seed is not None else _number(cfg.get("seed", 0), int, "seed")
+        if seed < 0:
+            raise ConfigError(f"field 'seed' must be >= 0, got {seed}")
+        if args.command == "check":
+            return cmd_check(Path(args.out), seed)
         trials = args.trials if args.trials is not None else _number(cfg.get("trials", 1), int, "trials")
         if trials < 1:
             raise ConfigError("trials must be >= 1")

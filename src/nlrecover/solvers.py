@@ -26,6 +26,7 @@ from .manifold import (
     ProductPoint,
     meas_feasible_point,
     meas_project,
+    product_inner,
     product_retract,
 )
 from .objective import Objective
@@ -316,7 +317,7 @@ def product_problem(obj: Objective) -> RiemannianProblem:
         grad=obj.rgrad,
         hess_at=obj.rhess_operator,
         retract=product_retract,
-        inner=lambda a, b: float(np.vdot(a.dx, b.dx) + np.vdot(a.du, b.du)),
+        inner=product_inner,
         rand_tangent=obj.random_tangent,
         dim=max(dim, 1),
     )

@@ -31,6 +31,8 @@ class UosSpec:
     affine: bool = False
 
     def __post_init__(self):
+        if self.k < 1 or self.pts_per < 1:
+            raise ValueError("need k >= 1 subspaces and pts_per >= 1 points on each")
         dims = tuple(int(d) for d in (self.dims if hasattr(self.dims, "__len__") else [self.dims]))
         object.__setattr__(self, "dims", dims)
         if len(dims) == 1 and self.k > 1:
@@ -51,6 +53,8 @@ class ClusterSpec:
     sigma_c: float = 0.5
 
     def __post_init__(self):
+        if min(self.n, self.k, self.pts_per) < 1:
+            raise ValueError("need n, k and pts_per >= 1")
         if self.sigma_c <= 0:
             raise ValueError("sigma_c must be positive")
 

@@ -18,9 +18,11 @@ from nlrecover.cli import (
     run_trial,
     select_lambda,
 )
+import nlrecover.solvers
 from nlrecover import cli
+from nlrecover.lifting import LiftingSpec
 from nlrecover.manifold import DegenerateRetractionError
-from nlrecover.solvers import TRACE_COLUMNS
+from nlrecover.solvers import TRACE_COLUMNS, AltminConfig, RtrConfig
 from nlrecover.synth import ClusterSpec, UosSpec
 
 RECOVER_CFG = {
@@ -109,6 +111,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             build_solver_configs({"solver_options": {"unknown_knob": 1}}, "rtr2")
 
+    def test_required_keys_alone_give_the_dataclass_defaults(self):
+        # every default of a section is its dataclass's own; the CLI adds
+        # only k = 1 and dim = 2 for union-of-subspaces data
+        uos = {"kind": "uos", "n": 6, "k": 2, "dims": [1, 2], "pts_per": 4}
+        assert parse_data_spec({"data": uos}) == UosSpec(n=6, k=2, dims=(1, 2), pts_per=4)
+        assert (parse_data_spec({"data": {"kind": "uos", "n": 6, "pts_per": 4}})
+                == UosSpec(n=6, k=1, dims=(2,), pts_per=4))
+        clusters = {"kind": "clusters", "n": 5, "k": 3, "pts_per": 20}
+        assert parse_data_spec({"data": clusters}) == ClusterSpec(n=5, k=3, pts_per=20)
+        spec = parse_data_spec({"data": uos})
+        for kind in ("monomial_kernel", "monomial_features", "gaussian_kernel"):
+            assert parse_lifting({"lifting": {"kind": kind}}, spec) == LiftingSpec(kind, 6)
+        assert parse_lifting({}, spec) == LiftingSpec("monomial_kernel", 6)
+        assert build_solver_configs({}, "rtr2") == RtrConfig()
+        assert build_solver_configs({}, "altmin1") == AltminConfig()
+
     def test_auto_rank_uses_lifted_rank(self):
         spec = UosSpec(n=6, k=2, dims=(1, 1), pts_per=10)
         from nlrecover.synth import gen_uos
@@ -127,6 +145,25 @@ class TestRunTrial:
         row = run_trial(cfg, (0, 0), "rtr2")
         assert row["success"] == 1
         assert row["iters"] <= 1
+
+    def test_restarts_keep_the_best_start(self, monkeypatch):
+        # key (0, 2) at delta 0.6: the measured start ends at a spurious
+        # minimum and the perturbed second start recovers the target
+        cfg = dict(RECOVER_CFG, sensing={"kind": "mask", "delta": 0.6})
+        single = run_trial(cfg, (0, 2), "rtr2")
+        finals = []
+        solve_one = nlrecover.solvers.rtr_solve
+
+        def recorded(*args, **kwargs):
+            z, trace = solve_one(*args, **kwargs)
+            finals.append(trace.final.f)
+            return z, trace
+
+        monkeypatch.setattr(nlrecover.solvers, "rtr_solve", recorded)
+        row = run_trial(dict(cfg, restarts=2), (0, 2), "rtr2")
+        assert len(finals) == 2 and finals[0] == single["f_final"]
+        assert row["f_final"] == min(finals) < single["f_final"]
+        assert (single["success"], row["success"]) == (0, 1)
 
     def test_trial_reproducibility(self):
         a = run_trial(RECOVER_CFG, (0, 1), "rtr2")
@@ -310,6 +347,28 @@ class TestPhaseCommand:
         for row in rows[1:]:
             assert 0.0 <= float(row[1]) <= 1.0
 
+    @pytest.mark.parametrize("data,param,values,read", [
+        (RECOVER_CFG["data"], "dim", [1, 2], lambda spec: spec.dims),
+        ({"kind": "clusters", "n": 5, "k": 2, "pts_per": 8}, "sigma_c", [0.5, 1],
+         lambda spec: spec.sigma_c),
+    ], ids=["dim", "sigma_c"])
+    def test_data_parameter_sweep(self, tmp_path, monkeypatch, data, param, values, read):
+        specs = []
+        trial = cli.run_trial
+
+        def recorded(cfg, seed_key, solver):
+            specs.append(parse_data_spec(cfg))
+            return trial(cfg, seed_key, solver)
+
+        monkeypatch.setattr(cli, "run_trial", recorded)
+        cfg = {key: value for key, value in RECOVER_CFG.items() if key != "lifting"}
+        cfg.update(data=data, trials=1, grid={"deltas": [0.9], "param": param, "values": values})
+        out = tmp_path / "out"
+        assert main(["phase", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+        rows = read_csv(out / "heatmap.csv")
+        assert [row[0] for row in rows] == [f"{param}\\delta", *map(str, values)]
+        assert [read(spec) for spec in specs] == ([(1, 1), (2, 2)] if param == "dim" else [0.5, 1.0])
+
 
 @pytest.mark.parametrize("command,change,field", [
     ("phase", {"grid": {"deltas": 0.5, "param": "k", "values": [2]}}, "grid.deltas"),
@@ -343,21 +402,71 @@ def test_non_object_section_exit_code(tmp_path, capsys, command, field):
     assert err == [f"config error: field '{field}' must be an object, got 5"]
 
 
-@pytest.mark.parametrize("change,field,kind", [
-    ({"data": dict(RECOVER_CFG["data"], n=6.7)}, "data.n", "an integer"),
-    ({"sensing": {"kind": "mask", "delta": "0.8"}}, "sensing.delta", "a number"),
+@pytest.mark.parametrize("change,field,kind,section", [
+    ({"data": dict(RECOVER_CFG["data"], n=6.7)}, "data.n", "an integer", "bad data: "),
+    ({"sensing": {"kind": "mask", "delta": "0.8"}}, "sensing.delta", "a number", ""),
     ({"lifting": {"kind": "monomial_kernel", "degree": 2, "offset": True}}, "lifting.offset",
-     "a number"),
-    ({"rank": 2.5}, "rank", "an integer"),
-], ids=["fraction_n", "string_delta", "boolean_offset", "fraction_rank"])
-def test_mistyped_number_exit_code(tmp_path, capsys, change, field, kind):
+     "a number", "bad lifting: "),
+    ({"rank": 2.5}, "rank", "an integer", ""),
+    ({"data": {"kind": "uos", "n": 6, "k": 2, "dims": [2.7, "2"], "pts_per": 8}}, "data.dims",
+     "a list of integers", "bad data: "),
+], ids=["fraction_n", "string_delta", "boolean_offset", "fraction_rank", "mistyped_dims"])
+def test_mistyped_number_exit_code(tmp_path, capsys, change, field, kind, section):
     # a number is never read from a string or a boolean, nor an integer
-    # truncated from a fraction
+    # truncated from a fraction; a dataclass section prefixes its name
     cfg = dict(RECOVER_CFG, trials=1, **change)
     code = main(["recover", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"config error: field '{field}' must be {kind}, got ")
+    assert len(err) == 1 and err[0].startswith(f"config error: {section}field '{field}' must be {kind}, got ")
+
+
+NOISE_CFG = {
+    "data": {"kind": "uos", "n": 5, "k": 2, "dim": 1, "pts_per": 6},
+    "sensing": {"kind": "dense", "m": 50, "noise_sigma": 1e-3},
+    "lambda_schedule": {"lambda0": 1e-4, "factor": 10.0, "steps": 6},
+}
+
+
+@pytest.mark.parametrize("command,cfg,extra,message", [
+    ("recover", dict(RECOVER_CFG, lifting={"kind": "monomial_kernel", "degre": 3}), (),
+     "bad lifting: unknown field 'lifting.degre'"),
+    ("recover", dict(RECOVER_CFG, data=dict(RECOVER_CFG["data"], afine=True)), (),
+     "bad data: unknown field 'data.afine'"),
+    ("phase", dict(RECOVER_CFG, data={"kind": "clusters", "n": 5, "k": 2, "pts_per": 8},
+                   grid={"deltas": [0.9], "param": "dim", "values": [1]}), (),
+     "bad data: unknown field 'data.dim'"),
+    ("recover", dict(RECOVER_CFG, data={"kind": "uos", "n": 6, "k": 0, "dims": [], "pts_per": 8}), (),
+     "bad data: need k >= 1 subspaces and pts_per >= 1 points on each"),
+    ("recover", dict(RECOVER_CFG, data=dict(RECOVER_CFG["data"], pts_per=0)), (),
+     "bad data: need k >= 1 subspaces and pts_per >= 1 points on each"),
+    ("recover", dict(RECOVER_CFG, data={"kind": "clusters", "n": 5, "k": 0, "pts_per": 8}), (),
+     "bad data: need n, k and pts_per >= 1"),
+    ("recover", dict(RECOVER_CFG, data={"kind": "clusters", "n": 0, "k": 2, "pts_per": 8}), (),
+     "bad data: need n, k and pts_per >= 1"),
+    ("recover", dict(RECOVER_CFG, sensing={"kind": "dense", "m": 0}), (),
+     "dense sensing needs 1 <= m <= n*s = 96, got m=0"),
+    ("recover", dict(RECOVER_CFG, sensing={"kind": "dense", "m": -3}), (),
+     "dense sensing needs 1 <= m <= n*s = 96, got m=-3"),
+    ("noise", dict(NOISE_CFG, lambda_schedule={"steps": 0}), (),
+     "field 'lambda_schedule.steps' must be >= 1, got 0"),
+    ("noise", dict(NOISE_CFG, lambda_schedule={"steps": -2}), (),
+     "field 'lambda_schedule.steps' must be >= 1, got -2"),
+    ("recover", dict(RECOVER_CFG, seed=-1), (), "field 'seed' must be >= 0, got -1"),
+    ("recover", RECOVER_CFG, ("--seed", "-1"), "field 'seed' must be >= 0, got -1"),
+    ("check", None, ("--seed", "-1"), "field 'seed' must be >= 0, got -1"),
+], ids=["lifting_unknown_key", "data_unknown_key", "dim_sweep_over_clusters", "uos_no_subspace",
+        "no_points", "no_clusters", "clusters_in_r0", "dense_no_measurement",
+        "dense_negative_m", "no_lambda_steps", "negative_lambda_steps", "negative_config_seed",
+        "negative_seed_flag", "check_negative_seed"])
+def test_rejected_input_exit_code(tmp_path, capsys, command, cfg, extra, message):
+    # a typo, a mistyped value or an empty size ends in one line on stderr,
+    # never in a run of something else or a traceback
+    args = [command, "--out", str(tmp_path / "out"), *extra]
+    if cfg is not None:
+        args += ["--config", write_cfg(tmp_path, cfg)]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
 
 
 class TestSelectLambda:

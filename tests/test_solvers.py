@@ -531,6 +531,55 @@ class TestRtr:
         with pytest.raises(ValueError):
             RtrConfig(delta0=3.0, delta_bar=2.0)
 
+    def test_stalls_when_every_step_raises_the_cost(self):
+        # the gradient points away from the minimum at 0, so every model step
+        # raises f = |x|^2 and is rejected until the radius drops below the
+        # stall radius
+        prob = RiemannianProblem(
+            cost=lambda x: float(x @ x),
+            grad=lambda x: np.array([1.0, 0.0]),
+            hess_at=lambda x: (lambda v: v),
+            retract=lambda x, v: x + v,
+            inner=vec_inner,
+            rand_tangent=lambda x, rng: rng.standard_normal(2),
+            dim=2,
+        )
+        z0 = np.zeros(2)
+        z, trace = rtr_generic(prob, z0, RtrConfig(max_iter=100))
+        assert trace.status == "stalled"
+        assert all(r.rho < 0.0 for r in trace.records)
+        last = trace.records[-1].delta
+        assert last / 4.0 < STALL_RADIUS <= last
+        assert z is z0
+
+    def test_second_order_stop_at_strict_minimum(self):
+        # zero gradient and positive curvature: the Lanczos estimate ends the
+        # solve on the first record, which counts the products it took
+        h_mat = np.diag([1.0, 2.0, 3.0])
+        products = []
+
+        def hess_at(x):
+            def hop(v):
+                products.append(1)
+                return h_mat @ v
+            return hop
+
+        prob = RiemannianProblem(
+            cost=lambda x: float(0.5 * x @ h_mat @ x),
+            grad=lambda x: h_mat @ x,
+            hess_at=hess_at,
+            retract=lambda x, v: x + v,
+            inner=vec_inner,
+            rand_tangent=lambda x, rng: rng.standard_normal(3),
+            dim=3,
+        )
+        z0 = np.zeros(3)
+        z, trace = rtr_generic(prob, z0, RtrConfig(eps_g=1e-8, eps_h=1e-3))
+        assert trace.status == "grad_tol"
+        assert [r.k for r in trace.records] == [0]
+        assert 0 < trace.records[0].hess_calls == len(products) <= prob.dim
+        assert z is z0
+
 
 class TestAltmin:
     def test_zero_iterations_at_solution(self):
@@ -637,6 +686,22 @@ class TestAltmin:
                         measurement=obj.measurement, penalty_lambda=1.0)
         with pytest.raises(ValueError):
             altmin_solve(pen, default_init(obj), AltminConfig())
+
+    def test_randomized_subspace_that_raises_f_falls_back_to_exact(self, monkeypatch):
+        obj, _ = small_masked_objective(s=10, r=2)
+        x_mat = default_init(obj).x
+        lifted = obj.lifting.lift(x_mat)
+        exact = truncated_svd(lifted, obj.rank_r)
+        f_val = obj.lifting.residual(lifted, exact.basis)
+        args = (obj, x_mat, f_val, 1e6 * (1.0 + f_val), False, np.random.default_rng(0))
+        # f far below the policy's thresholds routes to the plain randomized SVD
+        assert nlrecover.solvers._subspace_update(*args)[1] == "rand_plain"
+        worse = truncated_svd(np.random.default_rng(1).standard_normal(lifted.shape), obj.rank_r)
+        monkeypatch.setattr(nlrecover.solvers, "randomized_svd", lambda *a, **k: worse)
+        assert obj.lifting.residual(lifted, worse.basis) > f_val
+        u_new, mode = nlrecover.solvers._subspace_update(*args)
+        assert mode == "exact"
+        assert np.array_equal(u_new.basis, exact.basis)
 
     def test_svd_skip_marked_in_trace(self):
         obj, target, _ = uos_completion_problem(n=6, pts_per=8, seed=11)
