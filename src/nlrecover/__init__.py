@@ -33,7 +33,6 @@ from .solvers import (
 )
 from .synth import (
     ClusterSpec,
-    NoiseSpec,
     UosSpec,
     cluster_assign,
     gen_clusters,

@@ -34,14 +34,12 @@ from .solvers import (
     altmin_solve,
     default_init,
     fit_subspace,
-    random_init,
     rtr_solve,
     rtr_solve_restarts,
     truncated_svd,
 )
 from .synth import (
     ClusterSpec,
-    NoiseSpec,
     RECOVERY_RMSE_THRESHOLD,
     UosSpec,
     cluster_assign,
@@ -86,6 +84,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 
 
+# the top-level keys of a config; each is read by at least one command
+CONFIG_KEYS = ("data", "sensing", "lifting", "rank", "solver", "solver_options", "trials", "seed",
+               "restarts", "grid", "lambda_schedule", "ranks", "rank_offsets")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -99,10 +102,10 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in _object(cfg, where):
+def _require(section: dict, key: str, where: str):
+    if key not in _object(section, where):
         raise ConfigError(f"missing field '{key}' in {where}")
-    return cfg[key]
+    return section[key]
 
 
 def _number(value, kind: type, field: str):
@@ -136,19 +139,23 @@ def _object(value, field: str) -> dict:
     return value
 
 
-def _bool(value, field: str) -> bool:
-    """The config value itself when it is a JSON boolean; a ConfigError naming
-    the field otherwise (so the string "false" is not read as true)."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"field '{field}' must be true or false, got {value!r}")
-    return value
+def _known(section, keys, where: str = "") -> dict:
+    """The config value itself when it is a JSON object and each of its keys
+    is one of keys; a ConfigError naming the field or the first other key
+    ('<where>.<key>', or the bare key at the top level) otherwise."""
+    prefix = f"{where}." if where else ""
+    for key in _object(section, where):
+        if key not in keys:
+            raise ConfigError(f"unknown field '{prefix}{key}'")
+    return section
 
 
 def _typed(value, hint, field: str):
     """The config value read as the type hint of its dataclass field: a JSON
-    number for float, a JSON integer for int, a JSON boolean for bool, a list
-    of JSON integers for a tuple of int, and null where the field takes None.
-    Other values are left for the dataclass to reject."""
+    number for float, a JSON integer for int, a JSON boolean for bool (so the
+    string "false" is not read as true), a list of JSON integers for a tuple
+    of int, and null where the field takes None. Other values are left for
+    the dataclass to reject."""
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in value):
             raise ConfigError(f"field '{field}' must be a list of integers, got {value!r}")
@@ -157,7 +164,9 @@ def _typed(value, hint, field: str):
     if value is None and type(None) in kinds:
         return None
     if bool in kinds:
-        return _bool(value, field)
+        if not isinstance(value, bool):
+            raise ConfigError(f"field '{field}' must be true or false, got {value!r}")
+        return value
     if int in kinds or float in kinds:
         return _number(value, int if int in kinds else float, field)
     return value
@@ -182,9 +191,7 @@ def _build(config_cls, section, where: str, **given):
     hints = typing.get_type_hints(config_cls)
     settable = {f.name for f in fields(config_cls)} - given.keys()
     with _reading(where.split(".")[0]):
-        for key, value in _object(section, where).items():
-            if key not in settable:
-                raise ConfigError(f"unknown field '{where}.{key}'")
+        for key, value in _known(section, settable, where).items():
             given[key] = _typed(value, hints[key], f"{where}.{key}")
         return config_cls(**given)
 
@@ -206,13 +213,17 @@ def parse_data_spec(cfg: dict):
 
 def parse_lifting(cfg: dict, data_spec) -> LiftingSpec:
     """Lifting from the config, or routed by the data structure: algebraic
-    (union-of-subspaces) data gets the monomial kernel, clusters the Gaussian."""
+    (union-of-subspaces) data gets the monomial kernel, clusters the Gaussian.
+    The section sets only the parameters its kind reads (LiftingSpec.PARAMS)."""
     lift = cfg.get("lifting")
     if lift is None:
         kind = "gaussian_kernel" if isinstance(data_spec, ClusterSpec) else "monomial_kernel"
         return LiftingSpec(kind, data_spec.n)
     _require(lift, "kind", "lifting")
-    return _build(LiftingSpec, lift, "lifting", n=data_spec.n)
+    spec = _build(LiftingSpec, lift, "lifting", n=data_spec.n)
+    with _reading("lifting"):
+        _known(lift, ("kind", *LiftingSpec.PARAMS[spec.kind]), "lifting")
+    return spec
 
 
 def parse_solver_name(cfg: dict, override: str | None) -> str:
@@ -247,23 +258,22 @@ def build_sensing(cfg: dict, target: np.ndarray, rng, per_column: bool = False):
     sensing = _require(cfg, "sensing", "config")
     kind = _require(sensing, "kind", "sensing")
     if kind == "mask":
+        _known(sensing, ("kind", "delta", "per_column"), "sensing")
         delta = _number(_require(sensing, "delta", "sensing"), float, "sensing.delta")
-        per_column = _bool(sensing.get("per_column", per_column), "sensing.per_column")
-        try:
+        per_column = _typed(sensing.get("per_column", per_column), bool, "sensing.per_column")
+        with _reading("sensing spec"):
             meas = gen_entry_mask(target, delta, rng, per_column=per_column)
-        except ValueError as exc:
-            raise ConfigError(f"bad sensing spec: {exc}") from exc
         return meas, meas.b.copy()
     if kind == "dense":
+        _known(sensing, ("kind", "m", "noise_sigma"), "sensing")
         m = _number(_require(sensing, "m", "sensing"), int, "sensing.m")
         if not 1 <= m <= target.size:
             # above n*s no exact solution to start from, for the constrained
             # and the penalized forms alike (default_init needs one)
             raise ConfigError(f"dense sensing needs 1 <= m <= n*s = {target.size}, got m={m}")
         sigma = _number(sensing.get("noise_sigma", 0.0), float, "sensing.noise_sigma")
-        noise = NoiseSpec(sigma) if sigma > 0 else None
-        meas, b_clean = gen_gaussian_sensing(target, m, rng, noise)
-        return meas, b_clean
+        with _reading("sensing spec"):
+            return gen_gaussian_sensing(target, m, rng, sigma)
     raise ConfigError(f"unknown sensing kind {kind!r} (expected 'mask' or 'dense')")
 
 
@@ -307,28 +317,23 @@ def _instance(cfg: dict, seed_key: tuple):
     return rng, data_spec, target, labels, lifting, resolve_rank(cfg, lifting, data_spec, target)
 
 
-def parse_start(cfg: dict, solver_name: str) -> tuple[int, bool]:
-    """(restarts, random start) of a recovery trial. Only rtr2 restarts, and
-    its restarts begin at the measured start."""
-    init = cfg.get("init", "measured")
-    if init not in ("measured", "random"):
-        raise ConfigError(f"field 'init' must be 'measured' or 'random', got {init!r}")
-    restarts = 1
-    if "restarts" in cfg:
-        if solver_name != "rtr2":
-            raise ConfigError(f"field 'restarts' applies to solver rtr2 only, not {solver_name!r}")
-        restarts = _number(cfg["restarts"], int, "restarts")
-        if restarts < 1:
-            raise ConfigError(f"field 'restarts' must be >= 1, got {restarts}")
-        if restarts > 1 and init == "random":
-            raise ConfigError("field 'init' must be 'measured' when 'restarts' > 1")
-    return restarts, init == "random"
+def parse_start(cfg: dict, solver_name: str) -> int:
+    """The restarts of a recovery trial: 1, or the config's count for rtr2,
+    the only solver that restarts."""
+    if "restarts" not in cfg:
+        return 1
+    if solver_name != "rtr2":
+        raise ConfigError(f"field 'restarts' applies to solver rtr2 only, not {solver_name!r}")
+    restarts = _number(cfg["restarts"], int, "restarts")
+    if restarts < 1:
+        raise ConfigError(f"field 'restarts' must be >= 1, got {restarts}")
+    return restarts
 
 
 def run_trial(cfg: dict, seed_key: tuple, solver_name: str) -> dict:
     """Generate one instance, solve it, return the per-trial record (and the
     trace under key 'trace')."""
-    restarts, random_start = parse_start(cfg, solver_name)
+    restarts = parse_start(cfg, solver_name)
     rng, _, target, _, lifting, rank = _instance(cfg, seed_key)
     meas, _ = build_sensing(cfg, target, rng)
     obj = build_objective(lifting, rank, meas)
@@ -336,8 +341,7 @@ def run_trial(cfg: dict, seed_key: tuple, solver_name: str) -> dict:
     if restarts > 1:
         z, trace = rtr_solve_restarts(obj, solver_cfg, rng, n_starts=restarts, truth=target)
     else:
-        z0 = random_init(obj, rng) if random_start else default_init(obj)
-        z, trace = solve(obj, z0, solver_name, solver_cfg, rng, truth=target)
+        z, trace = solve(obj, default_init(obj), solver_name, solver_cfg, rng, truth=target)
     err = rmse(z.x, target)
     return {
         "rmse": err,
@@ -357,7 +361,7 @@ def _run_trials(run, cfg: dict, seed: int, trials: int, jobs: int, *args) -> lis
     processes when jobs > 1; the seed keys make the results independent of
     the worker count."""
     columns = ([cfg] * trials, [(seed, t) for t in range(trials)], *([a] * trials for a in args))
-    if jobs <= 1:
+    if jobs == 1:
         return list(map(run, *columns))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(run, *columns))
@@ -406,19 +410,29 @@ def _write_summary(out_dir: Path, command: str, cfg: dict, seed: int, solver: st
         fh.write("\n")
 
 
+SWEEP_PARAMS = ("k", "pts_per", "n", "dim", "sigma_c")  # the data fields phase may sweep
+
+
 def cmd_phase(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solver: str) -> int:
-    grid = _object(_require(cfg, "grid", "config"), "grid")
+    grid = _known(_require(cfg, "grid", "config"), ("deltas", "param", "values"), "grid")
     deltas = [_number(d, float, "grid.deltas") for d in _list(grid.get("deltas", []), "grid.deltas")]
     param = grid.get("param", "k")
+    if param not in SWEEP_PARAMS:
+        raise ConfigError(f"unknown sweep parameter {param!r}")
     values = _list(grid.get("values", []), "grid.values")
+    # each cell puts its delta into the config's own mask section (per_column kept)
+    sensing = _object(cfg.get("sensing", {}), "sensing")
     header = [f"{param}\\delta"] + [f"{d:g}" for d in deltas]
     rows_out = []
     for vi, val in enumerate(values):
         cell_fracs = []
         for di, delta in enumerate(deltas):
             sub_cfg = json.loads(json.dumps(cfg))
-            _apply_param(sub_cfg, param, val)
-            sub_cfg["sensing"] = {"kind": "mask", "delta": delta}
+            data = _object(sub_cfg.setdefault("data", {}), "data")
+            data[param] = val  # typed by parse_data_spec
+            if param == "dim":
+                data.pop("dims", None)
+            sub_cfg["sensing"] = {**sensing, "kind": "mask", "delta": delta}
             trial_rows = _run_trials(run_trial, sub_cfg, _cell_seed(seed, vi, di), trials, jobs, solver)
             cell_fracs.append(float(np.mean([r["success"] for r in trial_rows])))
         rows_out.append([val] + cell_fracs)
@@ -432,28 +446,13 @@ def _cell_seed(seed: int, vi: int, di: int) -> int:
     return seed * 1_000_003 + vi * 1009 + di
 
 
-def _apply_param(cfg: dict, param: str, value) -> None:
-    data = cfg.setdefault("data", {})
-    if param in ("k", "pts_per", "n"):
-        data[param] = _number(value, int, "grid.values")
-    elif param == "dim":
-        data["dim"] = _number(value, int, "grid.values")
-        data.pop("dims", None)
-    elif param == "sigma_c":
-        data["sigma_c"] = _number(value, float, "grid.values")
-    else:
-        raise ConfigError(f"unknown sweep parameter {param!r}")
-
-
 def cmd_noise(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solver: str) -> int:
     if solver != "rtr2":
         raise ConfigError("the noise continuation uses the penalized form; solver must be rtr2")
-    sched = _object(cfg.get("lambda_schedule", {}), "lambda_schedule")
+    sched = _known(cfg.get("lambda_schedule", {}), ("lambda0", "factor", "steps"), "lambda_schedule")
     lam0 = _number(sched.get("lambda0", 1e-6), float, "lambda_schedule.lambda0")
     factor = _number(sched.get("factor", 10.0), float, "lambda_schedule.factor")
     steps = _number(sched.get("steps", 12), int, "lambda_schedule.steps")
-    if steps < 1:
-        raise ConfigError(f"field 'lambda_schedule.steps' must be >= 1, got {steps}")
     report = run_lambda_continuation(cfg, seed, lam0, factor, steps, solver)
     header = ["lambda", "misfit_noisy", "misfit_clean", "err_fro", "lifted_residual", "iters", "selected"]
     rows = [
@@ -469,7 +468,13 @@ def cmd_noise(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solve
 def run_lambda_continuation(cfg: dict, seed: int, lam0: float, factor: float, steps: int, solver: str) -> dict:
     """Solve the penalized problem along an increasing lambda ladder with warm
     starts; select lambda* minimizing the lifted residual on the plateau of
-    the noisy misfit."""
+    the noisy misfit. The ladder starts at lam0 > 0 and grows by factor > 1."""
+    if not lam0 > 0:
+        raise ConfigError(f"field 'lambda_schedule.lambda0' must be > 0, got {lam0}")
+    if not factor > 1:
+        raise ConfigError(f"field 'lambda_schedule.factor' must be > 1, got {factor}")
+    if steps < 1:
+        raise ConfigError(f"field 'lambda_schedule.steps' must be >= 1, got {steps}")
     rng, _, target, _, lifting, rank = _instance(cfg, (seed, 0))
     if _require(_require(cfg, "sensing", "config"), "kind", "sensing") != "dense":
         raise ConfigError("noise continuation requires dense sensing")
@@ -616,6 +621,8 @@ def run_cluster_trial(cfg: dict, seed_key: tuple) -> dict:
 def cmd_cluster(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solver: str) -> int:
     if solver != "rtr2":
         raise ConfigError("the cluster command completes with the trust region; solver must be rtr2")
+    if "solver_options" in cfg:
+        raise ConfigError("field 'solver_options' does not apply to cluster (its trust region is fixed)")
     rows = _run_trials(run_cluster_trial, cfg, seed, trials, jobs)
     _write_trials(out_dir, seed, ["rand_index", "cluster_success", "rmse", "f_final", "gnorm_x",
                                   "iters", "status"], rows)
@@ -726,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = {} if args.command == "check" else load_config(args.config)
+        cfg = {} if args.command == "check" else _known(load_config(args.config), CONFIG_KEYS)
         seed = args.seed if args.seed is not None else _number(cfg.get("seed", 0), int, "seed")
         if seed < 0:
             raise ConfigError(f"field 'seed' must be >= 0, got {seed}")
@@ -735,6 +742,8 @@ def main(argv: list[str] | None = None) -> int:
         trials = args.trials if args.trials is not None else _number(cfg.get("trials", 1), int, "trials")
         if trials < 1:
             raise ConfigError("trials must be >= 1")
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         solver = parse_solver_name(cfg, args.solver)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

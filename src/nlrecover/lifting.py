@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -364,9 +365,14 @@ class LiftingSpec:
     """Choice of lifting and its parameters, and the one place that branches
     on it: the lifted matrix, the residual and its derivatives.
 
-    kind is one of 'monomial_features', 'monomial_kernel', 'gaussian_kernel';
-    degree/offset apply to the monomial variants, sigma to the Gaussian.
+    kind is one of the keys of PARAMS, which lists the parameters it reads.
     """
+
+    PARAMS: ClassVar[dict[str, tuple[str, ...]]] = {
+        "monomial_features": ("degree",),
+        "monomial_kernel": ("degree", "offset"),
+        "gaussian_kernel": ("sigma",),
+    }
 
     kind: str
     n: int
@@ -375,7 +381,7 @@ class LiftingSpec:
     sigma: float = 2.5
 
     def __post_init__(self):
-        if self.kind not in ("monomial_features", "monomial_kernel", "gaussian_kernel"):
+        if not isinstance(self.kind, str) or self.kind not in self.PARAMS:
             raise ValueError(f"unknown lifting kind {self.kind!r}")
         if self.kind in ("monomial_features", "monomial_kernel") and self.degree < 1:
             raise ValueError("monomial degree must be >= 1")

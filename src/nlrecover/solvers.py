@@ -50,6 +50,7 @@ class LineSearchError(RuntimeError):
 STALL_RADIUS = 1e-16
 LANCZOS_ITERS = 30  # steps of the smallest-eigenvalue estimate behind eps_h
 PERTURB_SCALE = 0.3  # size of the null-space perturbation of a trust-region restart
+DELTA0 = 1.0  # initial trust-region radius; the radius cap is 2 sqrt(dim)
 
 # truncated CG stops once the residual drops below ||g|| min(kappa, ||g||^theta)
 TCG_KAPPA = 0.1
@@ -80,17 +81,11 @@ class TcgConfig:
 @dataclass
 class RtrConfig:
     rho_prime: ClassVar[float] = 0.1  # a step is accepted when rho exceeds this
-    delta0: float = 1.0
-    delta_bar: float | None = None  # default: 2 sqrt(dim)
     eps_g: float = 1e-6
     eps_h: float = math.inf  # inf disables second-order stopping
     max_iter: int = 500
     tcg: TcgConfig = field(default_factory=TcgConfig)
     use_hessian: bool = True  # False: identity model (first-order variant)
-
-    def __post_init__(self):
-        if self.delta_bar is not None and not 0 < self.delta0 < self.delta_bar:
-            raise ValueError("need 0 < delta0 < delta_bar")
 
 
 @dataclass
@@ -498,12 +493,10 @@ def rtr_generic(
     step is accepted, and the step at the smaller radius is replayed from
     the recorded path (see `tcg_subproblem`) instead of solved again.
     """
-    delta_bar = cfg.delta_bar if cfg.delta_bar is not None else 2.0 * math.sqrt(prob.dim)
-    if not 0 < cfg.delta0 < delta_bar:
-        raise ValueError("need 0 < delta0 < delta_bar")
+    delta_bar = 2.0 * math.sqrt(prob.dim)
     rng = np.random.default_rng(2**32 - 1)
     z = z0
-    delta = cfg.delta0
+    delta = DELTA0
     trace = SolveTrace()
     f_val = prob.cost(z)
     if not math.isfinite(f_val):
@@ -627,12 +620,12 @@ def default_init(obj: Objective) -> ProductPoint:
     return fit_subspace(obj, meas_feasible_point(obj.measurement))
 
 
-def random_init(obj: Objective, rng: np.random.Generator, scale: float = 1.0) -> ProductPoint:
-    """Feasible X0 perturbed by a random null-space component, with the
-    subspace re-fit by a truncated SVD."""
+def random_init(obj: Objective, rng: np.random.Generator) -> ProductPoint:
+    """Feasible X0 perturbed by a random null-space component of size
+    PERTURB_SCALE, with the subspace re-fit by a truncated SVD."""
     x0 = meas_feasible_point(obj.measurement)
     noise = meas_project(obj.measurement, rng.standard_normal(x0.shape))
-    return fit_subspace(obj, x0 + scale * noise)
+    return fit_subspace(obj, x0 + PERTURB_SCALE * noise)
 
 
 def rtr_solve_restarts(
@@ -651,7 +644,7 @@ def rtr_solve_restarts(
     scale = max(obj.lifting.energy(obj.lifting.lift(meas_feasible_point(obj.measurement))), 1.0)
     best = None
     for i in range(max(n_starts, 1)):
-        z0 = default_init(obj) if i == 0 else random_init(obj, rng, PERTURB_SCALE)
+        z0 = default_init(obj) if i == 0 else random_init(obj, rng)
         z, trace = rtr_solve(obj, z0, cfg, truth=truth)
         f_val = trace.final.f
         if best is None or f_val < best[0]:

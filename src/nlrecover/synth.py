@@ -59,17 +59,6 @@ class ClusterSpec:
             raise ValueError("sigma_c must be positive")
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """i.i.d. Gaussian noise of standard deviation sigma on each measurement."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-
-
 def gen_uos(spec: UosSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample the union of subspaces. Each point is a standard-normal
     combination of an orthonormalized Gaussian basis (plus a random offset in
@@ -133,17 +122,20 @@ def gen_gaussian_sensing(
     target: np.ndarray,
     m: int,
     rng: np.random.Generator,
-    noise: NoiseSpec | None = None,
+    noise_sigma: float = 0.0,
 ) -> tuple[MeasurementSubspace, np.ndarray]:
     """Dense Gaussian sensing: A has i.i.d. N(0, 1/m) entries, b = A vec(M)
-    plus optional noise. Returns (subspace built on the noisy b, clean b)."""
+    plus i.i.d. Gaussian noise of standard deviation noise_sigma on each
+    measurement. Returns (subspace built on the noisy b, clean b)."""
+    if not noise_sigma >= 0:
+        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma!r}")
     target = np.asarray(target, dtype=float)
     n, s = target.shape
     a_mat = rng.standard_normal((m, n * s)) / math.sqrt(m)
     b_clean = a_mat @ target.ravel(order="F")
     b = b_clean.copy()
-    if noise is not None and noise.sigma > 0:
-        b = b + noise.sigma * rng.standard_normal(m)
+    if noise_sigma > 0:
+        b = b + noise_sigma * rng.standard_normal(m)
     return MeasurementSubspace.from_dense(a_mat, b, n, s), b_clean
 
 

@@ -91,8 +91,8 @@ class TestConfigParsing:
     def test_solver_option_types(self):
         # null where the field takes None; an integer where a float is asked
         rtr = build_solver_configs(
-            {"solver_options": {"delta_bar": None, "eps_g": 1, "tcg": {"max_inner": None}}}, "rtr2")
-        assert rtr.delta_bar is None and rtr.tcg.max_inner is None
+            {"solver_options": {"eps_g": 1, "tcg": {"max_inner": None}}}, "rtr2")
+        assert rtr.tcg.max_inner is None
         assert rtr.eps_g == 1.0 and isinstance(rtr.eps_g, float)
         rtr = build_solver_configs({"solver_options": {"tcg": {"max_inner": 20}}}, "rtr2")
         assert rtr.tcg.max_inner == 20
@@ -270,17 +270,18 @@ class TestRecoverCommand:
         field = next(iter(change))
         assert len(err) == 1 and err[0].startswith(f"config error: field '{field}")
 
-    @pytest.mark.parametrize("change,field", [
-        ({"init": "randon"}, "init"),
-        ({"restarts": 3, "solver": "altmin1", "solver_options": {}}, "restarts"),
-        ({"restarts": 0}, "restarts"),
-        ({"restarts": 2, "init": "random"}, "init"),
+    @pytest.mark.parametrize("change,message", [
+        ({"init": "randon"}, "unknown field 'init'"),
+        ({"restarts": 3, "solver": "altmin1", "solver_options": {}}, "field 'restarts'"),
+        ({"restarts": 0}, "field 'restarts'"),
+        ({"restarts": 2, "init": "random"}, "unknown field 'init'"),
     ], ids=["unknown_init", "restarts_without_rtr2", "restarts_below_one", "restarts_with_random_init"])
-    def test_start_field_exit_code(self, tmp_path, capsys, change, field):
+    def test_start_field_exit_code(self, tmp_path, capsys, change, message):
+        # the start is always the measured one: "init" is not a config key
         code, _ = self.run(tmp_path, dict(RECOVER_CFG, **change))
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(f"config error: field '{field}'")
+        assert len(err) == 1 and err[0].startswith(f"config error: {message}")
 
     @pytest.mark.parametrize("options,solver", [
         ({"armijo": {"beta": 1e-3}}, "altmin1"),
@@ -370,6 +371,23 @@ class TestPhaseCommand:
         assert [read(spec) for spec in specs] == ([(1, 1), (2, 2)] if param == "dim" else [0.5, 1.0])
 
 
+    def test_mask_section_of_the_config_kept(self, tmp_path, monkeypatch):
+        # each cell sets only kind and delta; per_column comes from the config
+        sampled = []
+        sample = cli.gen_entry_mask
+
+        def recorded(target, delta, rng, per_column=False):
+            sampled.append((delta, per_column))
+            return sample(target, delta, rng, per_column=per_column)
+
+        monkeypatch.setattr(cli, "gen_entry_mask", recorded)
+        cfg = dict(RECOVER_CFG, trials=1, sensing={"kind": "mask", "delta": 0.5, "per_column": True},
+                   grid={"deltas": [0.8, 0.9], "param": "k", "values": [2]})
+        out = tmp_path / "out"
+        assert main(["phase", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+        assert sampled == [(0.8, True), (0.9, True)]
+
+
 @pytest.mark.parametrize("command,change,field", [
     ("phase", {"grid": {"deltas": 0.5, "param": "k", "values": [2]}}, "grid.deltas"),
     ("phase", {"grid": {"deltas": [0.5], "param": "k", "values": 2}}, "grid.values"),
@@ -455,10 +473,50 @@ NOISE_CFG = {
     ("recover", dict(RECOVER_CFG, seed=-1), (), "field 'seed' must be >= 0, got -1"),
     ("recover", RECOVER_CFG, ("--seed", "-1"), "field 'seed' must be >= 0, got -1"),
     ("check", None, ("--seed", "-1"), "field 'seed' must be >= 0, got -1"),
+    # every key of every section is one that some command reads
+    ("recover", dict(RECOVER_CFG, solver_option={"max_iter": 3}), (), "unknown field 'solver_option'"),
+    ("recover", dict(RECOVER_CFG, trails=2), (), "unknown field 'trails'"),
+    ("recover", dict(RECOVER_CFG, lifting={"kind": "monomial_kernel", "sigma": 0.1}), (),
+     "bad lifting: unknown field 'lifting.sigma'"),
+    ("recover", dict(RECOVER_CFG, lifting={"kind": "monomial_features", "offset": 2.0}), (),
+     "bad lifting: unknown field 'lifting.offset'"),
+    ("recover", dict(RECOVER_CFG, lifting={"kind": "gaussian_kernel", "degree": 3}), (),
+     "bad lifting: unknown field 'lifting.degree'"),
+    ("recover", dict(RECOVER_CFG, sensing={"kind": "mask", "delta": 0.8, "per_col": True}), (),
+     "unknown field 'sensing.per_col'"),
+    ("recover", dict(RECOVER_CFG, sensing={"kind": "dense", "m": 40, "per_column": True}), (),
+     "unknown field 'sensing.per_column'"),
+    ("noise", dict(NOISE_CFG, lambda_schedule={"lambda0": 1e-4, "step": 3}), (),
+     "unknown field 'lambda_schedule.step'"),
+    ("phase", dict(RECOVER_CFG, grid={"delta": [0.5], "param": "k", "values": [2]}), (),
+     "unknown field 'grid.delta'"),
+    ("phase", dict(RECOVER_CFG, grid={"deltas": [0.5], "param": "kk", "values": []}), (),
+     "unknown sweep parameter 'kk'"),
+    ("phase", dict(RECOVER_CFG, grid={"deltas": [0.9], "param": "k", "values": ["2"]}), (),
+     "bad data: field 'data.k' must be an integer, got '2'"),
+    ("phase", dict(RECOVER_CFG, sensing={"kind": "dense", "m": 40},
+                   grid={"deltas": [0.9], "param": "k", "values": [2]}), (),
+     "unknown field 'sensing.m'"),
+    ("cluster", {"data": {"kind": "clusters", "n": 4, "k": 2, "pts_per": 8},
+                 "sensing": {"kind": "mask", "delta": 0.8}, "solver_options": {"max_iter": 5}}, (),
+     "field 'solver_options' does not apply to cluster (its trust region is fixed)"),
+    ("noise", dict(NOISE_CFG, sensing={"kind": "dense", "m": 50, "noise_sigma": -1}), (),
+     "bad sensing spec: noise_sigma must be >= 0, got -1.0"),
+    ("noise", dict(NOISE_CFG, lambda_schedule={"factor": 0}), (),
+     "field 'lambda_schedule.factor' must be > 1, got 0.0"),
+    ("noise", dict(NOISE_CFG, lambda_schedule={"lambda0": -1e-4}), (),
+     "field 'lambda_schedule.lambda0' must be > 0, got -0.0001"),
+    ("recover", RECOVER_CFG, ("--jobs", "0"), "--jobs must be >= 1, got 0"),
+    ("recover", RECOVER_CFG, ("--jobs", "-3"), "--jobs must be >= 1, got -3"),
 ], ids=["lifting_unknown_key", "data_unknown_key", "dim_sweep_over_clusters", "uos_no_subspace",
         "no_points", "no_clusters", "clusters_in_r0", "dense_no_measurement",
         "dense_negative_m", "no_lambda_steps", "negative_lambda_steps", "negative_config_seed",
-        "negative_seed_flag", "check_negative_seed"])
+        "negative_seed_flag", "check_negative_seed", "top_level_typo", "trials_typo",
+        "sigma_on_monomial_kernel", "offset_on_features", "degree_on_gaussian", "sensing_typo",
+        "per_column_on_dense", "lambda_schedule_typo", "grid_typo", "unknown_sweep_parameter",
+        "mistyped_sweep_value", "dense_sensing_under_phase", "cluster_solver_options",
+        "negative_noise_sigma", "zero_lambda_factor", "negative_lambda0", "zero_jobs",
+        "negative_jobs"])
 def test_rejected_input_exit_code(tmp_path, capsys, command, cfg, extra, message):
     # a typo, a mistyped value or an empty size ends in one line on stderr,
     # never in a run of something else or a traceback
@@ -467,6 +525,24 @@ def test_rejected_input_exit_code(tmp_path, capsys, command, cfg, extra, message
         args += ["--config", write_cfg(tmp_path, cfg)]
     assert main(args) == EXIT_CONFIG
     assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
+
+
+def test_lambda_ladder_checked_before_the_first_rung(tmp_path, capsys, monkeypatch):
+    # a factor that does not grow lambda is reported by name, and no rung runs
+    solves = []
+    solve_one = cli.rtr_solve
+
+    def recorded(*args, **kwargs):
+        solves.append(args)
+        return solve_one(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "rtr_solve", recorded)
+    cfg = dict(NOISE_CFG, lambda_schedule={"lambda0": 1e-4, "factor": 0, "steps": 3})
+    code = main(["noise", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "lambda_schedule.factor" in err[0]
+    assert solves == []
 
 
 class TestSelectLambda:
@@ -642,14 +718,14 @@ class TestWarmStartContinuation:
         from nlrecover.cli import parse_lifting
         from nlrecover.objective import Objective
         from nlrecover.solvers import RtrConfig, default_init, rtr_solve
-        from nlrecover.synth import NoiseSpec, UosSpec, gen_gaussian_sensing, gen_uos
+        from nlrecover.synth import UosSpec, gen_gaussian_sensing, gen_uos
 
         wins = 0
         total = 0
         for seed in range(6):
             rng = np.random.default_rng((seed, 77))
             target, _ = gen_uos(UosSpec(n=5, k=2, dims=(1, 1), pts_per=6), rng)
-            meas, _ = gen_gaussian_sensing(target, 24, rng, NoiseSpec(1e-3))
+            meas, _ = gen_gaussian_sensing(target, 24, rng, 1e-3)
             spec = UosSpec(n=5, k=2, dims=(1, 1), pts_per=6)
             lifting = parse_lifting({}, spec)
             from nlrecover.synth import numerical_rank

@@ -20,6 +20,7 @@ from nlrecover.solvers import (
     ARMIJO_MAX_BACKTRACKS,
     ARMIJO_TAU,
     AltminConfig,
+    DELTA0,
     LineSearchError,
     NumericalError,
     STALL_RADIUS,
@@ -384,8 +385,8 @@ def reference_rtr(prob, z0, cfg):
     """The trust-region loop that solves tCG again, and rebuilds the gradient
     and the Hessian operator, after every rejected step. Its last record is at
     the returned point."""
-    delta_bar = cfg.delta_bar if cfg.delta_bar is not None else 2.0 * math.sqrt(prob.dim)
-    z, delta, f_val, trace = z0, cfg.delta0, prob.cost(z0), SolveTrace()
+    delta_bar = 2.0 * math.sqrt(prob.dim)
+    z, delta, f_val, trace = z0, DELTA0, prob.cost(z0), SolveTrace()
     moved = True
     for k in range(cfg.max_iter):
         g = prob.grad(z)
@@ -468,10 +469,21 @@ class TestRtr:
         assert f_vals[-1] < f_vals[0]
 
     def test_radius_never_exceeds_cap(self):
-        obj, target, _ = uos_completion_problem(n=6, pts_per=8, seed=3)
-        cfg = RtrConfig(eps_g=1e-8, max_iter=60, delta_bar=2.0, delta0=1.0)
-        _, trace = rtr_solve(obj, default_init(obj), cfg)
-        assert all(r.delta <= 2.0 + 1e-15 for r in trace.records)
+        # f = |x - c|^2 with c far away: every step ends on the boundary with
+        # rho = 1, so the radius doubles from DELTA0 up to the 2 sqrt(dim) cap
+        c = np.array([100.0, 0.0])
+        prob = RiemannianProblem(
+            cost=lambda x: float((x - c) @ (x - c)),
+            grad=lambda x: 2.0 * (x - c),
+            hess_at=lambda x: (lambda v: 2.0 * v),
+            retract=lambda x, v: x + v,
+            inner=vec_inner,
+            rand_tangent=lambda x, rng: rng.standard_normal(2),
+            dim=2,
+        )
+        _, trace = rtr_generic(prob, np.zeros(2), RtrConfig(eps_g=1e-8, max_iter=60))
+        deltas = [r.delta for r in trace.records]
+        assert deltas[0] == DELTA0 and max(deltas) == 2.0 * math.sqrt(2.0)
 
     def test_rejected_steps_leave_iterate_unchanged(self):
         obj, target, _ = uos_completion_problem(n=6, pts_per=8, seed=4)
@@ -526,10 +538,6 @@ class TestRtr:
         )
         z, trace = rtr_generic(prob, np.zeros(2), RtrConfig(eps_g=1e-8, eps_h=1e-3, max_iter=50))
         assert prob.cost(z) < 0.0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RtrConfig(delta0=3.0, delta_bar=2.0)
 
     def test_stalls_when_every_step_raises_the_cost(self):
         # the gradient points away from the minimum at 0, so every model step

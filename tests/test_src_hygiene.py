@@ -65,3 +65,47 @@ def test_objective_and_solvers_do_not_branch_on_the_lifting():
              for node in ast.walk(trees[name])
              if isinstance(node, ast.Attribute) and node.attr in ("is_kernel", "kind")]
     assert reads == []
+
+
+def _keys_cli_reads_from_a_config() -> set:
+    """The keys that cli.py reads from or writes to a whole config (a name cfg
+    or sub_cfg): cfg.get(key), cfg.setdefault(key), cfg[key], key in cfg,
+    _require(cfg, key, ...) and dict(cfg, key=...). A key that is not a
+    string literal shows up as None."""
+    def is_config(node):
+        return isinstance(node, ast.Name) and node.id in ("cfg", "sub_cfg")
+
+    def literal(node):
+        return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+
+    keys = set()
+    for node in ast.walk(_modules()["cli.py"]):
+        if isinstance(node, ast.Subscript) and is_config(node.value):
+            keys.add(literal(node.slice))
+        elif isinstance(node, ast.Compare) and is_config(node.comparators[-1]) \
+                and isinstance(node.ops[-1], (ast.In, ast.NotIn)):
+            keys.add(literal(node.left))
+        elif isinstance(node, ast.Call) and node.args:
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in ("get", "setdefault") \
+                    and is_config(func.value):
+                keys.add(literal(node.args[0]))
+            elif isinstance(func, ast.Name) and func.id == "_require" and is_config(node.args[0]):
+                keys.add(literal(node.args[1]))
+            elif isinstance(func, ast.Name) and func.id == "dict" and is_config(node.args[0]):
+                keys.update(kw.arg for kw in node.keywords)
+    return keys
+
+
+def test_config_allow_lists_match_the_code_that_reads_them():
+    # a top-level key is accepted exactly when some command reads it, and a
+    # lifting kind names only parameters that LiftingSpec holds
+    from dataclasses import fields
+
+    from nlrecover.cli import CONFIG_KEYS
+    from nlrecover.lifting import LiftingSpec
+
+    assert _keys_cli_reads_from_a_config() == set(CONFIG_KEYS)
+    params = {f.name for f in fields(LiftingSpec)} - {"kind", "n"}
+    named = {p for kind_params in LiftingSpec.PARAMS.values() for p in kind_params}
+    assert named == params

@@ -4,7 +4,6 @@ import pytest
 from nlrecover.lifting import gaussian_kernel, monomial_features
 from nlrecover.synth import (
     ClusterSpec,
-    NoiseSpec,
     UosSpec,
     cluster_assign,
     gen_clusters,
@@ -138,7 +137,7 @@ class TestGaussianSensing:
         # sigma=1e-2, m=300: ||A(M) - b_noisy|| around 0.2 (within +-50%)
         gen = np.random.default_rng(0)
         target = gen.standard_normal((10, 40))
-        meas, b_clean = gen_gaussian_sensing(target, 300, gen, NoiseSpec(1e-2))
+        meas, b_clean = gen_gaussian_sensing(target, 300, gen, 1e-2)
         mag = np.linalg.norm(meas.apply(target) - meas.b)
         assert 0.1 <= mag <= 0.3
 
