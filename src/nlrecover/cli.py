@@ -84,11 +84,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 
 
-# the top-level keys of a config; each is read by at least one command
-CONFIG_KEYS = ("data", "sensing", "lifting", "rank", "solver", "solver_options", "trials", "seed",
-               "restarts", "grid", "lambda_schedule", "ranks", "rank_offsets")
-
-
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -110,12 +105,12 @@ def _require(section: dict, key: str, where: str):
 
 def _number(value, kind: type, field: str):
     """The config value as kind (int or float) when it is a JSON number of
-    that kind: an integer for int, any number for float. A string, a boolean
-    or, for int, a fraction is a ConfigError naming the field, so "0.8" or
-    6.7 is not silently read as 0.8 or 6."""
+    that kind: an integer for int, any number but NaN for float (Infinity is
+    one). A string, a boolean, NaN or, for int, a fraction is a ConfigError
+    naming the field, so "0.8" or 6.7 is not silently read as 0.8 or 6."""
     what = "an integer" if kind is int else "a number"
     json_kinds = (int,) if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, json_kinds):
+    if isinstance(value, bool) or not isinstance(value, json_kinds) or value != value:  # NaN
         raise ConfigError(f"field '{field}' must be {what}, got {value!r}")
     try:
         return kind(value)
@@ -383,7 +378,7 @@ def _write_trials(out_dir: Path, seed: int, columns: list[str], rows: list[dict]
 # ---------------------------------------------------------------------------
 
 
-def cmd_recover(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solver: str) -> int:
+def cmd_recover(cfg: dict, out_dir: Path, seed: int, solver: str, trials: int, jobs: int) -> int:
     rows = _run_trials(run_trial, cfg, seed, trials, jobs, solver)
     _write_trials(out_dir, seed, ["rmse", "success", "f_final", "gnorm_x", "gnorm_u", "iters",
                                   "status", "rank"], rows)
@@ -413,7 +408,7 @@ def _write_summary(out_dir: Path, command: str, cfg: dict, seed: int, solver: st
 SWEEP_PARAMS = ("k", "pts_per", "n", "dim", "sigma_c")  # the data fields phase may sweep
 
 
-def cmd_phase(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solver: str) -> int:
+def cmd_phase(cfg: dict, out_dir: Path, seed: int, solver: str, trials: int, jobs: int) -> int:
     grid = _known(_require(cfg, "grid", "config"), ("deltas", "param", "values"), "grid")
     deltas = [_number(d, float, "grid.deltas") for d in _list(grid.get("deltas", []), "grid.deltas")]
     param = grid.get("param", "k")
@@ -446,7 +441,7 @@ def _cell_seed(seed: int, vi: int, di: int) -> int:
     return seed * 1_000_003 + vi * 1009 + di
 
 
-def cmd_noise(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solver: str) -> int:
+def cmd_noise(cfg: dict, out_dir: Path, seed: int, solver: str) -> int:
     if solver != "rtr2":
         raise ConfigError("the noise continuation uses the penalized form; solver must be rtr2")
     sched = _known(cfg.get("lambda_schedule", {}), ("lambda0", "factor", "steps"), "lambda_schedule")
@@ -618,11 +613,9 @@ def run_cluster_trial(cfg: dict, seed_key: tuple) -> dict:
     }
 
 
-def cmd_cluster(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solver: str) -> int:
+def cmd_cluster(cfg: dict, out_dir: Path, seed: int, solver: str, trials: int, jobs: int) -> int:
     if solver != "rtr2":
         raise ConfigError("the cluster command completes with the trust region; solver must be rtr2")
-    if "solver_options" in cfg:
-        raise ConfigError("field 'solver_options' does not apply to cluster (its trust region is fixed)")
     rows = _run_trials(run_cluster_trial, cfg, seed, trials, jobs)
     _write_trials(out_dir, seed, ["rand_index", "cluster_success", "rmse", "f_final", "gnorm_x",
                                   "iters", "status"], rows)
@@ -636,15 +629,19 @@ def cmd_cluster(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, sol
     return EXIT_OK
 
 
-def cmd_rank_sweep(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int, solver: str) -> int:
+def cmd_rank_sweep(cfg: dict, out_dir: Path, seed: int, solver: str, trials: int, jobs: int) -> int:
+    if "ranks" in cfg:
+        if "rank_offsets" in cfg:
+            raise ConfigError("field 'rank_offsets' does not apply when 'ranks' is given")
+        ranks = [_number(r, int, "ranks") for r in _list(cfg["ranks"], "ranks")]
+        if any(r < 1 for r in ranks):
+            raise ConfigError(f"field 'ranks' must be >= 1, got {min(ranks)}")
     # the lifted rank of a target drawn from the sweep's own key
     *_, true_rank = _instance(dict(cfg, rank="auto"), (seed, 987))
-    if "ranks" in cfg:
-        ranks = [_number(r, int, "ranks") for r in _list(cfg["ranks"], "ranks")]
-    else:
+    if "ranks" not in cfg:
         offsets = _list(cfg.get("rank_offsets", list(range(-2, 5))), "rank_offsets")
-        ranks = [true_rank + _number(o, int, "rank_offsets") for o in offsets]
-    ranks = [r for r in ranks if r >= 1]
+        # an offset that lands below rank 1 is skipped
+        ranks = [r for r in (true_rank + _number(o, int, "rank_offsets") for o in offsets) if r >= 1]
     rows_out = []
     for ri, r in enumerate(ranks):
         sub_cfg = json.loads(json.dumps(cfg))
@@ -709,6 +706,18 @@ def cmd_check(out_dir: Path, seed: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# each command's runner and the top-level keys it reads (rank-sweep sets "rank");
+# a runner reading "trials" takes trials and jobs after cfg, out_dir, seed, solver
+_SOLVE_KEYS = ("data", "sensing", "lifting", "solver", "solver_options", "seed")
+COMMANDS = {
+    "recover": (cmd_recover, _SOLVE_KEYS + ("rank", "trials", "restarts")),
+    "phase": (cmd_phase, _SOLVE_KEYS + ("rank", "trials", "restarts", "grid")),
+    "noise": (cmd_noise, _SOLVE_KEYS + ("rank", "lambda_schedule")),
+    "cluster": (cmd_cluster, ("data", "sensing", "lifting", "solver", "seed", "rank", "trials")),
+    "rank-sweep": (cmd_rank_sweep, _SOLVE_KEYS + ("trials", "restarts", "ranks", "rank_offsets")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlrecover",
@@ -716,12 +725,13 @@ def build_parser() -> argparse.ArgumentParser:
         "noise continuation, clustering, rank sweeps).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("recover", "phase", "noise", "cluster", "rank-sweep"):
+    for name, (_, keys) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="base seed (overrides config)")
-        p.add_argument("--trials", type=int, default=None, help="trials per cell (overrides config)")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes (1 = bit-exact)")
+        if "trials" in keys:
+            p.add_argument("--trials", type=int, default=None, help="trials per cell (overrides config)")
+            p.add_argument("--jobs", type=int, default=1, help="worker processes (1 = bit-exact)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--solver", choices=SOLVERS, default=None)
     p = sub.add_parser("check")
@@ -732,29 +742,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    run, keys = COMMANDS.get(args.command, (None, ()))
     try:
-        cfg = {} if args.command == "check" else _known(load_config(args.config), CONFIG_KEYS)
+        cfg = {} if args.command == "check" else _known(load_config(args.config), keys)
         seed = args.seed if args.seed is not None else _number(cfg.get("seed", 0), int, "seed")
         if seed < 0:
             raise ConfigError(f"field 'seed' must be >= 0, got {seed}")
         if args.command == "check":
             return cmd_check(Path(args.out), seed)
-        trials = args.trials if args.trials is not None else _number(cfg.get("trials", 1), int, "trials")
-        if trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        counts = ()
+        if "trials" in keys:
+            trials = args.trials if args.trials is not None else _number(cfg.get("trials", 1), int, "trials")
+            if trials < 1:
+                raise ConfigError("trials must be >= 1")
+            if args.jobs < 1:
+                raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+            counts = (trials, args.jobs)
         solver = parse_solver_name(cfg, args.solver)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        dispatch = {
-            "recover": cmd_recover,
-            "phase": cmd_phase,
-            "noise": cmd_noise,
-            "cluster": cmd_cluster,
-            "rank-sweep": cmd_rank_sweep,
-        }
-        return dispatch[args.command](cfg, out_dir, seed, trials, args.jobs, solver)
+        return run(cfg, out_dir, seed, solver, *counts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

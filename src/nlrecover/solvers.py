@@ -73,9 +73,22 @@ SVD_POWER_Q = 1
 ADAPTIVE_THETA = 0.5
 
 
+def _at_least(config, bound, *names) -> None:
+    """A ValueError naming the first of the config's fields (names) that is
+    not >= bound; NaN is not."""
+    for name in names:
+        value = getattr(config, name)
+        if not value >= bound:
+            raise ValueError(f"{name} must be >= {bound}, got {value!r}")
+
+
 @dataclass
 class TcgConfig:
     max_inner: int | None = None  # default: tangent-space dimension
+
+    def __post_init__(self):
+        if self.max_inner is not None:
+            _at_least(self, 1, "max_inner")
 
 
 @dataclass
@@ -86,6 +99,9 @@ class RtrConfig:
     max_iter: int = 500
     tcg: TcgConfig = field(default_factory=TcgConfig)
     use_hessian: bool = True  # False: identity model (first-order variant)
+
+    def __post_init__(self):
+        _at_least(self, 0, "eps_g", "eps_h", "max_iter")
 
 
 @dataclass
@@ -101,6 +117,7 @@ class AltminConfig:
     inner: str = "gradient"  # or "trust_region"
 
     def __post_init__(self):
+        _at_least(self, 0, "eps_x", "eps_u", "max_outer", "max_inner")
         if self.schedule not in ("greedy", "adaptive"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.inner not in ("gradient", "trust_region"):

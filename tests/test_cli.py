@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,9 @@ RECOVER_CFG = {
     "seed": 0,
 }
 
+# rank-sweep sets the rank of each cell itself
+RANK_SWEEP_CFG = {key: value for key, value in RECOVER_CFG.items() if key != "rank"}
+
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
@@ -46,6 +51,19 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The names of the solvers that the CLI calls during the test."""
+    calls = []
+    for name in ("rtr_solve", "rtr_solve_restarts", "altmin_solve"):
+        def recorded(*args, _name=name, _solve=getattr(cli, name), **kwargs):
+            calls.append(_name)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recorded)
+    return calls
 
 
 class TestConfigParsing:
@@ -396,7 +414,7 @@ class TestPhaseCommand:
     ("phase", {"grid": [0.5]}, "grid"),
 ], ids=["grid_deltas", "grid_values", "ranks", "rank_offsets", "grid"])
 def test_non_list_sweep_field_exit_code(tmp_path, capsys, command, change, field):
-    cfg = dict(RECOVER_CFG, trials=1, **change)
+    cfg = dict(RANK_SWEEP_CFG if command == "rank-sweep" else RECOVER_CFG, trials=1, **change)
     code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
@@ -413,6 +431,8 @@ def test_non_list_sweep_field_exit_code(tmp_path, capsys, command, change, field
 ])
 def test_non_object_section_exit_code(tmp_path, capsys, command, field):
     cfg = dict(RECOVER_CFG, trials=1)
+    if command == "noise":
+        del cfg["trials"]  # noise solves one ladder
     cfg[field] = 5
     code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
@@ -499,7 +519,7 @@ NOISE_CFG = {
      "unknown field 'sensing.m'"),
     ("cluster", {"data": {"kind": "clusters", "n": 4, "k": 2, "pts_per": 8},
                  "sensing": {"kind": "mask", "delta": 0.8}, "solver_options": {"max_iter": 5}}, (),
-     "field 'solver_options' does not apply to cluster (its trust region is fixed)"),
+     "unknown field 'solver_options'"),
     ("noise", dict(NOISE_CFG, sensing={"kind": "dense", "m": 50, "noise_sigma": -1}), (),
      "bad sensing spec: noise_sigma must be >= 0, got -1.0"),
     ("noise", dict(NOISE_CFG, lambda_schedule={"factor": 0}), (),
@@ -508,6 +528,31 @@ NOISE_CFG = {
      "field 'lambda_schedule.lambda0' must be > 0, got -0.0001"),
     ("recover", RECOVER_CFG, ("--jobs", "0"), "--jobs must be >= 1, got 0"),
     ("recover", RECOVER_CFG, ("--jobs", "-3"), "--jobs must be >= 1, got -3"),
+    # a solver setting outside its range, and a JSON NaN for any number
+    ("recover", dict(RECOVER_CFG, solver_options={"max_iter": -4}), (),
+     "bad solver_options: max_iter must be >= 0, got -4"),
+    ("recover", dict(RECOVER_CFG, solver_options={"eps_g": -1e-6}), (),
+     "bad solver_options: eps_g must be >= 0, got -1e-06"),
+    ("recover", dict(RECOVER_CFG, solver_options={"eps_h": -1}), (),
+     "bad solver_options: eps_h must be >= 0, got -1.0"),
+    ("recover", dict(RECOVER_CFG, solver_options={"tcg": {"max_inner": 0}}), (),
+     "bad solver_options: max_inner must be >= 1, got 0"),
+    ("recover", dict(RECOVER_CFG, solver="altmin1", solver_options={"max_outer": -1}), (),
+     "bad solver_options: max_outer must be >= 0, got -1"),
+    ("recover", dict(RECOVER_CFG, solver="altmin1", solver_options={"max_inner": -1}), (),
+     "bad solver_options: max_inner must be >= 0, got -1"),
+    ("recover", dict(RECOVER_CFG, solver="altmin1", solver_options={"eps_x": -1e-6}), (),
+     "bad solver_options: eps_x must be >= 0, got -1e-06"),
+    ("recover", dict(RECOVER_CFG, solver="altmin1", solver_options={"eps_u": -1e-6}), (),
+     "bad solver_options: eps_u must be >= 0, got -1e-06"),
+    ("recover", dict(RECOVER_CFG, solver_options={"eps_g": float("nan")}), (),
+     "bad solver_options: field 'solver_options.eps_g' must be a number, got nan"),
+    ("recover", dict(RECOVER_CFG, sensing={"kind": "mask", "delta": float("nan")}), (),
+     "field 'sensing.delta' must be a number, got nan"),
+    # an explicit rank below 1, and ranks given both ways
+    ("rank-sweep", dict(RANK_SWEEP_CFG, ranks=[0, 5]), (), "field 'ranks' must be >= 1, got 0"),
+    ("rank-sweep", dict(RANK_SWEEP_CFG, ranks=[5], rank_offsets=[-1, 0, 1]), (),
+     "field 'rank_offsets' does not apply when 'ranks' is given"),
 ], ids=["lifting_unknown_key", "data_unknown_key", "dim_sweep_over_clusters", "uos_no_subspace",
         "no_points", "no_clusters", "clusters_in_r0", "dense_no_measurement",
         "dense_negative_m", "no_lambda_steps", "negative_lambda_steps", "negative_config_seed",
@@ -516,15 +561,19 @@ NOISE_CFG = {
         "per_column_on_dense", "lambda_schedule_typo", "grid_typo", "unknown_sweep_parameter",
         "mistyped_sweep_value", "dense_sensing_under_phase", "cluster_solver_options",
         "negative_noise_sigma", "zero_lambda_factor", "negative_lambda0", "zero_jobs",
-        "negative_jobs"])
-def test_rejected_input_exit_code(tmp_path, capsys, command, cfg, extra, message):
-    # a typo, a mistyped value or an empty size ends in one line on stderr,
-    # never in a run of something else or a traceback
+        "negative_jobs", "negative_max_iter", "negative_eps_g", "negative_eps_h",
+        "zero_tcg_max_inner", "negative_max_outer", "negative_altmin_max_inner",
+        "negative_eps_x", "negative_eps_u", "nan_eps_g", "nan_delta", "rank_below_one",
+        "ranks_and_rank_offsets"])
+def test_rejected_input_exit_code(tmp_path, capsys, solves, command, cfg, extra, message):
+    # a typo, a mistyped value or an empty size ends in one line on stderr
+    # before any solve, never in a run of something else or a traceback
     args = [command, "--out", str(tmp_path / "out"), *extra]
     if cfg is not None:
         args += ["--config", write_cfg(tmp_path, cfg)]
     assert main(args) == EXIT_CONFIG
     assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
+    assert solves == []
 
 
 def test_lambda_ladder_checked_before_the_first_rung(tmp_path, capsys, monkeypatch):
@@ -627,7 +676,7 @@ class TestClusterCommand:
 
 class TestRankSweepCommand:
     def test_sweep_outputs(self, tmp_path):
-        cfg = dict(RECOVER_CFG, trials=1, rank_offsets=[-1, 0, 1])
+        cfg = dict(RANK_SWEEP_CFG, trials=1, rank_offsets=[-1, 0, 1])
         out = tmp_path / "out"
         code = main(["rank-sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
         assert code == EXIT_OK
@@ -636,6 +685,81 @@ class TestRankSweepCommand:
         assert len(rows) == 4
         marked_true = [r for r in rows[1:] if r[1] == "1"]
         assert len(marked_true) == 1
+
+    def test_offsets_below_rank_one_are_skipped(self, tmp_path):
+        # the true rank of this config is 5: offset -5 would be rank 0
+        cfg = dict(RANK_SWEEP_CFG, trials=1, rank_offsets=[-5, 0])
+        out = tmp_path / "out"
+        assert main(["rank-sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
+        assert [row[:2] for row in read_csv(out / "rank_sweep.csv")] == [
+            ["rank", "is_true_rank"], ["5", "1"]]
+
+
+# the top-level config keys each command reads
+COMMAND_KEYS = {
+    "recover": {"data", "sensing", "lifting", "rank", "solver", "solver_options", "seed", "trials",
+                "restarts"},
+    "phase": {"data", "sensing", "lifting", "rank", "solver", "solver_options", "seed", "trials",
+              "restarts", "grid"},
+    "noise": {"data", "sensing", "lifting", "rank", "solver", "solver_options", "seed",
+              "lambda_schedule"},
+    "cluster": {"data", "sensing", "lifting", "rank", "solver", "seed", "trials"},
+    "rank-sweep": {"data", "sensing", "lifting", "solver", "solver_options", "seed", "trials",
+                   "restarts", "ranks", "rank_offsets"},
+}
+# a valid config of each command, and a value for each key
+COMMAND_CFGS = {
+    "recover": RECOVER_CFG,
+    "phase": dict(RECOVER_CFG, grid={"deltas": [0.9], "param": "k", "values": [2]}),
+    "noise": NOISE_CFG,
+    "cluster": CLUSTER_CFG,
+    "rank-sweep": dict(RANK_SWEEP_CFG, rank_offsets=[0]),
+}
+KEY_VALUES = {"rank": 3, "solver_options": {"max_iter": 5}, "trials": 2, "restarts": 2,
+              "grid": {"deltas": [0.9], "param": "k", "values": [2]},
+              "lambda_schedule": {"steps": 2}, "ranks": [2], "rank_offsets": [0]}
+
+
+def test_command_table():
+    assert {name: set(keys) for name, (_, keys) in cli.COMMANDS.items()} == COMMAND_KEYS
+    assert sum(map(len, COMMAND_KEYS.values())) == 44
+    for name, cfg in COMMAND_CFGS.items():
+        assert set(cfg) <= COMMAND_KEYS[name]
+
+
+def test_output_check_configs_fit_their_commands():
+    # tools/cli_outputs.py runs only configs whose keys their commands read
+    path = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
+    spec = importlib.util.spec_from_file_location("cli_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert {command for command, _ in module.RUNS.values()} == {*COMMAND_KEYS, "check"}
+    for command, cfg in module.RUNS.values():
+        assert cfg is None if command == "check" else set(cfg) <= COMMAND_KEYS[command]
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, keys in COMMAND_KEYS.items()
+    for key in sorted(set().union(*COMMAND_KEYS.values()) - keys)])
+def test_key_of_another_command_exit_code(tmp_path, capsys, solves, command, key):
+    # a key that only other commands read is an unknown field, not ignored
+    cfg = dict(COMMAND_CFGS[command], **{key: KEY_VALUES[key]})
+    code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip().splitlines() == [f"config error: unknown field '{key}'"]
+    assert solves == []
+
+
+@pytest.mark.parametrize("flag", [("--trials", "3"), ("--jobs", "2")], ids=["trials", "jobs"])
+def test_noise_takes_no_trial_flags(tmp_path, capsys, solves, flag):
+    # the noise study solves one ladder, so it has no trials to count or spread
+    args = ["noise", "--config", write_cfg(tmp_path, NOISE_CFG), "--out", str(tmp_path / "out"), *flag]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1] == f"nlrecover: error: unrecognized arguments: {' '.join(flag)}"
+    assert solves == []
 
 
 class TestNoiseCommand:

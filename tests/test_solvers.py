@@ -589,6 +589,31 @@ class TestRtr:
         assert z is z0
 
 
+class TestConfigRanges:
+    @pytest.mark.parametrize("make,message", [
+        (lambda: RtrConfig(max_iter=-4), "max_iter must be >= 0, got -4"),
+        (lambda: RtrConfig(eps_g=-1e-6), "eps_g must be >= 0, got -1e-06"),
+        (lambda: RtrConfig(eps_h=-1.0), "eps_h must be >= 0, got -1.0"),
+        (lambda: RtrConfig(eps_g=math.nan), "eps_g must be >= 0, got nan"),
+        (lambda: TcgConfig(max_inner=0), "max_inner must be >= 1, got 0"),
+        (lambda: AltminConfig(max_outer=-1), "max_outer must be >= 0, got -1"),
+        (lambda: AltminConfig(max_inner=-1), "max_inner must be >= 0, got -1"),
+        (lambda: AltminConfig(eps_x=-1e-6), "eps_x must be >= 0, got -1e-06"),
+        (lambda: AltminConfig(eps_u=-1e-6), "eps_u must be >= 0, got -1e-06"),
+    ], ids=["max_iter", "eps_g", "eps_h", "nan_eps_g", "tcg_max_inner", "max_outer",
+            "altmin_max_inner", "eps_x", "eps_u"])
+    def test_out_of_range_setting_rejected(self, make, message):
+        # a negative budget or tolerance would run no iteration (or, for
+        # max_outer, return nothing) instead of failing
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+    def test_edges_accepted(self):
+        assert RtrConfig(eps_g=0.0, eps_h=math.inf, max_iter=0).max_iter == 0
+        assert TcgConfig(max_inner=None).max_inner is None and TcgConfig(max_inner=1).max_inner == 1
+        assert AltminConfig(eps_x=0.0, eps_u=0.0, max_outer=0, max_inner=0).max_outer == 0
+
+
 class TestAltmin:
     def test_zero_iterations_at_solution(self):
         rng = np.random.default_rng(0)

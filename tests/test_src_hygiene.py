@@ -67,11 +67,11 @@ def test_objective_and_solvers_do_not_branch_on_the_lifting():
     assert reads == []
 
 
-def _keys_cli_reads_from_a_config() -> set:
-    """The keys that cli.py reads from or writes to a whole config (a name cfg
-    or sub_cfg): cfg.get(key), cfg.setdefault(key), cfg[key], key in cfg,
-    _require(cfg, key, ...) and dict(cfg, key=...). A key that is not a
-    string literal shows up as None."""
+def _keys_read_from_a_config(tree: ast.AST) -> set:
+    """The keys that the code under tree reads from or writes to a whole
+    config (a name cfg or sub_cfg): cfg.get(key), cfg.setdefault(key),
+    cfg[key], key in cfg, _require(cfg, key, ...) and dict(cfg, key=...). A
+    key that is not a string literal shows up as None."""
     def is_config(node):
         return isinstance(node, ast.Name) and node.id in ("cfg", "sub_cfg")
 
@@ -79,7 +79,7 @@ def _keys_cli_reads_from_a_config() -> set:
         return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
 
     keys = set()
-    for node in ast.walk(_modules()["cli.py"]):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Subscript) and is_config(node.value):
             keys.add(literal(node.slice))
         elif isinstance(node, ast.Compare) and is_config(node.comparators[-1]) \
@@ -97,15 +97,35 @@ def _keys_cli_reads_from_a_config() -> set:
     return keys
 
 
+def _keys_read_by(*roots: str) -> set:
+    """The config keys read by the cli.py functions named roots and by every
+    cli.py function they reach through a name."""
+    functions = {node.name: node for node in _modules()["cli.py"].body
+                 if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(functions[name])
+                     if isinstance(node, ast.Name) and node.id in functions]
+    return set().union(*(_keys_read_from_a_config(functions[name]) for name in reached))
+
+
 def test_config_allow_lists_match_the_code_that_reads_them():
-    # a top-level key is accepted exactly when some command reads it, and a
-    # lifting kind names only parameters that LiftingSpec holds
+    # a command's row of top-level keys holds only keys that its runner, the
+    # functions the runner reaches, or main read, and every key that cli.py
+    # reads is in some row; a lifting kind names only parameters that
+    # LiftingSpec holds
     from dataclasses import fields
 
-    from nlrecover.cli import CONFIG_KEYS
+    from nlrecover.cli import COMMANDS
     from nlrecover.lifting import LiftingSpec
 
-    assert _keys_cli_reads_from_a_config() == set(CONFIG_KEYS)
+    for name, (run, keys) in COMMANDS.items():
+        assert set(keys) - _keys_read_by(run.__name__, "main") == set(), name
+    rows = set().union(*(keys for _, keys in COMMANDS.values()))
+    assert rows == _keys_read_from_a_config(_modules()["cli.py"])
     params = {f.name for f in fields(LiftingSpec)} - {"kind", "n"}
     named = {p for kind_params in LiftingSpec.PARAMS.values() for p in kind_params}
     assert named == params
