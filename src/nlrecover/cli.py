@@ -656,7 +656,7 @@ def cmd_rank_sweep(cfg: dict, out_dir: Path, seed: int, solver: str, trials: int
     return EXIT_OK
 
 
-def cmd_check(out_dir: Path, seed: int) -> int:
+def cmd_check(seed: int) -> int:
     """Derivative and geometry self-check; prints one PASS/FAIL line per item."""
     from . import manifold as mf
 
@@ -736,7 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--solver", choices=SOLVERS, default=None)
     p = sub.add_parser("check")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".", help="unused; accepted for uniformity")
     return parser
 
 
@@ -749,7 +748,7 @@ def main(argv: list[str] | None = None) -> int:
         if seed < 0:
             raise ConfigError(f"field 'seed' must be >= 0, got {seed}")
         if args.command == "check":
-            return cmd_check(Path(args.out), seed)
+            return cmd_check(seed)
         counts = ()
         if "trials" in keys:
             trials = args.trials if args.trials is not None else _number(cfg.get("trials", 1), int, "trials")

@@ -75,7 +75,7 @@ ADAPTIVE_THETA = 0.5
 
 def _at_least(config, bound, *names) -> None:
     """A ValueError naming the first of the config's fields (names) that is
-    not >= bound; NaN is not."""
+    not >= bound, NaN included."""
     for name in names:
         value = getattr(config, name)
         if not value >= bound:

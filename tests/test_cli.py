@@ -568,9 +568,9 @@ NOISE_CFG = {
 def test_rejected_input_exit_code(tmp_path, capsys, solves, command, cfg, extra, message):
     # a typo, a mistyped value or an empty size ends in one line on stderr
     # before any solve, never in a run of something else or a traceback
-    args = [command, "--out", str(tmp_path / "out"), *extra]
+    args = [command, *extra]
     if cfg is not None:
-        args += ["--config", write_cfg(tmp_path, cfg)]
+        args += ["--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]
     assert main(args) == EXIT_CONFIG
     assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
     assert solves == []
@@ -750,10 +750,15 @@ def test_key_of_another_command_exit_code(tmp_path, capsys, solves, command, key
     assert solves == []
 
 
-@pytest.mark.parametrize("flag", [("--trials", "3"), ("--jobs", "2")], ids=["trials", "jobs"])
-def test_noise_takes_no_trial_flags(tmp_path, capsys, solves, flag):
-    # the noise study solves one ladder, so it has no trials to count or spread
-    args = ["noise", "--config", write_cfg(tmp_path, NOISE_CFG), "--out", str(tmp_path / "out"), *flag]
+@pytest.mark.parametrize("command,flag", [
+    ("noise", ("--trials", "3")), ("noise", ("--jobs", "2")), ("check", ("--out", "x")),
+], ids=["noise_trials", "noise_jobs", "check_out"])
+def test_unread_flag_exit_code(tmp_path, capsys, solves, command, flag):
+    # the noise study solves one ladder, so it has no trials to count or
+    # spread, and the self-check writes no file
+    args = [command, *flag]
+    if command != "check":
+        args += ["--config", write_cfg(tmp_path, NOISE_CFG), "--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == EXIT_CONFIG

@@ -67,11 +67,11 @@ def run_all(src: Path, out: Path) -> int:
     for name, (command, cfg) in RUNS.items():
         run_dir = out / name
         run_dir.mkdir(parents=True, exist_ok=True)
-        args = [sys.executable, "-m", "nlrecover.cli", command, "--out", str(run_dir)]
+        args = [sys.executable, "-m", "nlrecover.cli", command]
         if cfg is not None:
             (run_dir / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-            args += ["--config", str(run_dir / "config.json")]
-            if "trials" in cfg:
+            args += ["--config", str(run_dir / "config.json"), "--out", str(run_dir)]
+            if "trials" in cfg:  # the commands that read trials take --jobs
                 args += ["--jobs", "1"]
         proc = subprocess.run(args, env=env, capture_output=True, text=True)
         (run_dir / "stdout.txt").write_text(proc.stdout)
