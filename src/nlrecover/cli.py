@@ -449,10 +449,11 @@ def cmd_noise(cfg: dict, out_dir: Path, seed: int, solver: str) -> int:
     factor = _number(sched.get("factor", 10.0), float, "lambda_schedule.factor")
     steps = _number(sched.get("steps", 12), int, "lambda_schedule.steps")
     report = run_lambda_continuation(cfg, seed, lam0, factor, steps, solver)
-    header = ["lambda", "misfit_noisy", "misfit_clean", "err_fro", "lifted_residual", "iters", "selected"]
+    header = ["lambda", "misfit_noisy", "misfit_clean", "err_fro", "lifted_residual", "iters", "selected",
+              "status", "hess_calls"]
     rows = [
         [r["lambda"], r["misfit_noisy"], r["misfit_clean"], r["err_fro"],
-         r["lifted_residual"], r["iters"], int(r["selected"])]
+         r["lifted_residual"], r["iters"], int(r["selected"]), r["status"], r["hess_calls"]]
         for r in report["ladder"]
     ]
     _write_csv(out_dir / "lambda_ladder.csv", header, rows)
@@ -492,6 +493,8 @@ def run_lambda_continuation(cfg: dict, seed: int, lam0: float, factor: float, st
             "lifted_residual": math.sqrt(max(obj.lifted_residual(z), 0.0)),
             "iters": trace.final.k,
             "selected": False,
+            "status": trace.status,
+            "hess_calls": sum(n or 0 for n in trace.column("hess_calls")),
         })
         lam *= factor
 
@@ -718,8 +721,16 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one stderr line, like config
+    errors; subparsers are made of this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlrecover",
         description="Nonlinear matrix recovery experiments (recovery, phase sweeps, "
         "noise continuation, clustering, rank sweeps).",

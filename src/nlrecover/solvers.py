@@ -52,7 +52,8 @@ LANCZOS_ITERS = 30  # steps of the smallest-eigenvalue estimate behind eps_h
 PERTURB_SCALE = 0.3  # size of the null-space perturbation of a trust-region restart
 DELTA0 = 1.0  # initial trust-region radius; the radius cap is 2 sqrt(dim)
 
-# truncated CG stops once the residual drops below ||g|| min(kappa, ||g||^theta)
+# truncated CG stops once the residual is at most
+# max(||g|| min(kappa, ||g||^theta), kappa eps_g)
 TCG_KAPPA = 0.1
 TCG_THETA = 1.0
 
@@ -357,13 +358,18 @@ def tcg_subproblem(
     inner: Callable,
     dim: int,
     path: dict | None = None,
+    eps_g: float = 0.0,
 ) -> tuple[object, bool, int]:
     """Steihaug-Toint truncated CG for the trust-region subproblem.
 
     Returns (step, hit_boundary, iterations). Starts at zero, so the model
     decrease is at least the Cauchy decrease; exits on the boundary, on
-    negative curvature (followed to the boundary), or once the residual drops
-    below ||g|| min(kappa, ||g||^theta).
+    negative curvature (followed to the boundary), or once the residual is at
+    most max(||g|| min(kappa, ||g||^theta), kappa eps_g). eps_g is the outer
+    loop's gradient tolerance: a residual below kappa eps_g buys nothing
+    the outer test can see, so the floor binds only once ||g||^2 < kappa eps_g
+    (for theta = 1), near the end of a solve; eps_g = 0 keeps the pure
+    kappa/theta rule.
 
     The iterates do not depend on the radius, only the exit test does, and a
     smaller radius exits no later. So when path is a dict, it is filled, for
@@ -394,7 +400,7 @@ def tcg_subproblem(
     g_norm = math.sqrt(r_sq)
     if g_norm == 0.0:
         return finish((eta, 0))
-    tol = g_norm * min(TCG_KAPPA, g_norm**TCG_THETA)
+    tol = max(g_norm * min(TCG_KAPPA, g_norm**TCG_THETA), TCG_KAPPA * eps_g)
     max_inner = cfg.max_inner if cfg.max_inner is not None else dim
     eta_sq = 0.0
 
@@ -544,7 +550,7 @@ def rtr_generic(
             else:
                 path = {}
                 eta, on_boundary, n_inner = tcg_subproblem(
-                    g, hop, delta, cfg.tcg, prob.inner, prob.dim, path=path
+                    g, hop, delta, cfg.tcg, prob.inner, prob.dim, path=path, eps_g=cfg.eps_g
                 )
                 n_hess = n_inner
         elif math.isfinite(cfg.eps_h):

@@ -750,20 +750,25 @@ def test_key_of_another_command_exit_code(tmp_path, capsys, solves, command, key
     assert solves == []
 
 
-@pytest.mark.parametrize("command,flag", [
-    ("noise", ("--trials", "3")), ("noise", ("--jobs", "2")), ("check", ("--out", "x")),
-], ids=["noise_trials", "noise_jobs", "check_out"])
-def test_unread_flag_exit_code(tmp_path, capsys, solves, command, flag):
+@pytest.mark.parametrize("command,flag,message", [
+    ("noise", ("--trials", "3"), "nlrecover: error: unrecognized arguments: --trials 3"),
+    ("noise", ("--jobs", "2"), "nlrecover: error: unrecognized arguments: --jobs 2"),
+    ("check", ("--out", "x"), "nlrecover: error: unrecognized arguments: --out x"),
+    ("recover", ("--solver", "x"), "nlrecover recover: error: argument --solver: invalid choice: 'x'"),
+], ids=["noise_trials", "noise_jobs", "check_out", "recover_solver"])
+def test_unread_flag_exit_code(tmp_path, capsys, solves, command, flag, message):
     # the noise study solves one ladder, so it has no trials to count or
-    # spread, and the self-check writes no file
+    # spread, and the self-check writes no file; a flag error is one stderr
+    # line, like a config error
     args = [command, *flag]
     if command != "check":
         args += ["--config", write_cfg(tmp_path, NOISE_CFG), "--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == EXIT_CONFIG
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1] == f"nlrecover: error: unrecognized arguments: {' '.join(flag)}"
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert err.startswith(message)  # invalid choices go on to list the valid ones
     assert solves == []
 
 
@@ -788,6 +793,19 @@ class TestNoiseCommand:
         with open(out / "summary.json") as fh:
             summary = json.load(fh)
         assert "lambda_star" in summary["aggregates"]
+
+    def test_rung_status_and_hessian_products(self, tmp_path):
+        # a rung that runs out of outer iterations says so in the file
+        cfg = dict(NOISE_CFG, solver_options={"eps_g": 1e-6, "max_iter": 3})
+        out = tmp_path / "out"
+        code = main(["noise", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == EXIT_OK
+        rows = read_csv(out / "lambda_ladder.csv")
+        assert rows[0] == ["lambda", "misfit_noisy", "misfit_clean", "err_fro", "lifted_residual",
+                           "iters", "selected", "status", "hess_calls"]
+        assert "max_iter" in [r[7] for r in rows[1:]]
+        assert all(r[7] in ("grad_tol", "max_iter", "stalled") for r in rows[1:])
+        assert all(int(r[8]) >= int(r[5]) for r in rows[1:])
 
     def test_rejects_altmin(self, tmp_path):
         cfg = {

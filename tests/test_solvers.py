@@ -24,6 +24,7 @@ from nlrecover.solvers import (
     LineSearchError,
     NumericalError,
     STALL_RADIUS,
+    TCG_KAPPA,
     RiemannianProblem,
     RtrConfig,
     SolveTrace,
@@ -299,16 +300,35 @@ class TestTcg:
         with pytest.raises(NumericalError):
             tcg_subproblem(g, lambda v: np.full(2, np.nan), 1.0, TcgConfig(), vec_inner, 2)
 
+    def test_residual_floor_stops_at_kappa_eps_g(self):
+        # condition number 100 and ||g|| = 1e-5: the kappa/theta target
+        # ||g||^2 = 1e-10 lies far below the floor kappa eps_g = 1e-7
+        dim, eps_g = 30, 1e-6
+        h_diag = np.logspace(0.0, -2.0, dim)
+        g = np.full(dim, 1e-5 / math.sqrt(dim))
+        hop = lambda v: h_diag * v
+        floor_eta, floor_boundary, floor_iters = tcg_subproblem(
+            g, hop, 1e8, TcgConfig(), vec_inner, dim, eps_g=eps_g)
+        _, _, plain_iters = tcg_subproblem(g, hop, 1e8, TcgConfig(), vec_inner, dim)
+        assert not floor_boundary and floor_iters < plain_iters
+        # the iterates do not depend on the stop: the i-th is the i-capped run's
+        residuals = []
+        for cap in range(1, floor_iters + 1):
+            eta, _, _ = tcg_subproblem(g, hop, 1e8, TcgConfig(max_inner=cap), vec_inner, dim)
+            residuals.append(float(np.linalg.norm(g + h_diag * eta)))
+        assert eta.tobytes() == floor_eta.tobytes()
+        assert residuals[-1] <= TCG_KAPPA * eps_g < min(residuals[:-1])
 
-def assert_replays_match(h_mat, g, delta, cfg=None):
+
+def assert_replays_match(h_mat, g, delta, cfg=None, eps_g=0.0):
     """Every radius tCG records must replay to the fresh solve with that
     radius, bit for bit; returns the exits the fresh solves took."""
     cfg = cfg or TcgConfig()
     dim = g.size
     hop = lambda v: h_mat @ v
     path = {}
-    full = tcg_subproblem(g, hop, delta, cfg, vec_inner, dim, path=path)
-    fresh_full = tcg_subproblem(g, hop, delta, cfg, vec_inner, dim)
+    full = tcg_subproblem(g, hop, delta, cfg, vec_inner, dim, path=path, eps_g=eps_g)
+    fresh_full = tcg_subproblem(g, hop, delta, cfg, vec_inner, dim, eps_g=eps_g)
     assert full[0].tobytes() == fresh_full[0].tobytes() and full[1:] == fresh_full[1:]
     radii = []
     radius = delta / 4.0
@@ -319,7 +339,7 @@ def assert_replays_match(h_mat, g, delta, cfg=None):
     exits = []
     for radius in radii:
         eta, boundary, iters = tcg_replay(path[radius], radius)
-        f_eta, f_boundary, f_iters = tcg_subproblem(g, hop, radius, cfg, vec_inner, dim)
+        f_eta, f_boundary, f_iters = tcg_subproblem(g, hop, radius, cfg, vec_inner, dim, eps_g=eps_g)
         assert eta.tobytes() == f_eta.tobytes(), radius
         assert (boundary, iters) == (f_boundary, f_iters), radius
         exits.append((boundary, iters))
@@ -362,6 +382,15 @@ class TestTcgReplay:
         (_, boundary, iters), exits = assert_replays_match(h_mat, g, 1e6, TcgConfig(max_inner=2))
         assert not boundary and iters == 2
 
+    def test_floor_exit_replays(self):
+        # the floor exit is interior at every radius it reaches inside
+        h_mat = np.diag(np.logspace(0.0, -2.0, 30))
+        g = np.full(30, 1e-5 / math.sqrt(30))
+        (_, boundary, iters), exits = assert_replays_match(h_mat, g, 1e8, eps_g=1e-6)
+        _, _, plain_iters = tcg_subproblem(g, lambda v: h_mat @ v, 1e8, TcgConfig(), vec_inner, 30)
+        assert not boundary and iters < plain_iters
+        assert exits[0] == (False, iters) and exits[-1] == (True, 1)
+
     def test_zero_gradient_records_zero_steps(self):
         path = {}
         tcg_subproblem(np.zeros(3), lambda v: v, 1.0, TcgConfig(), vec_inner, 3, path=path)
@@ -370,15 +399,16 @@ class TestTcgReplay:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
            n_neg=st.integers(0, 3), log_delta=st.floats(-6.0, 3.0),
-           cap=st.one_of(st.none(), st.integers(1, 8)))
-    def test_random_operators(self, seed, dim, n_neg, log_delta, cap):
+           cap=st.one_of(st.none(), st.integers(1, 8)),
+           eps_g=st.sampled_from([0.0, 1.0, 10.0]))
+    def test_random_operators(self, seed, dim, n_neg, log_delta, cap, eps_g):
         gen = np.random.default_rng(seed)
         q, _ = np.linalg.qr(gen.standard_normal((dim, dim)))
         evals = gen.uniform(0.01, 10.0, dim)
         evals[: min(n_neg, dim - 1)] *= -1.0
         h_mat = (q * evals) @ q.T
         g = gen.standard_normal(dim)
-        assert_replays_match(h_mat, g, 10.0**log_delta, TcgConfig(max_inner=cap))
+        assert_replays_match(h_mat, g, 10.0**log_delta, TcgConfig(max_inner=cap), eps_g=eps_g)
 
 
 def reference_rtr(prob, z0, cfg):
@@ -398,7 +428,8 @@ def reference_rtr(prob, z0, cfg):
             trace.append(rec)
             trace.status = "grad_tol"
             return z, trace
-        eta, on_boundary, n_inner = tcg_subproblem(g, hop, delta, cfg.tcg, prob.inner, prob.dim)
+        eta, on_boundary, n_inner = tcg_subproblem(
+            g, hop, delta, cfg.tcg, prob.inner, prob.dim, eps_g=cfg.eps_g)
         model_decrease = -(prob.inner(g, eta) + 0.5 * prob.inner(eta, hop(eta)))
         z_plus = prob.retract(z, eta)
         f_plus = prob.cost(z_plus)
@@ -426,25 +457,43 @@ def reference_rtr(prob, z0, cfg):
     return z, trace
 
 
+def assert_loop_matches_reference(pts_per, seed, eps_g):
+    """The trust-region loop against `reference_rtr` on a completion instance
+    that rejects a step; returns the loop's trace."""
+    obj, _, _ = uos_completion_problem(n=6, pts_per=pts_per, seed=seed)
+    z0 = default_init(obj)
+    cfg = RtrConfig(eps_g=eps_g, max_iter=60)
+    z_ref, ref = reference_rtr(product_problem(obj), z0, cfg)
+    z, trace = rtr_solve(obj, z0, cfg)
+    assert trace.status == ref.status
+    for c in TRACE_COLUMNS[:-1]:  # all but hess_calls
+        assert trace.column(c) == ref.column(c), c
+    assert z.x.tobytes() == z_ref.x.tobytes()
+    assert z.u.basis.tobytes() == z_ref.u.basis.tobytes()
+    # a solved step applies one product per tCG iteration and one for the
+    # model decrease; the step replayed after a rejection only the last
+    after_rejection = [False] + [r.rho <= cfg.rho_prime for r in trace.records[:-1]]
+    assert any(after_rejection), "the instance must reject a step"
+    for rec, replayed in zip(trace.records, after_rejection):
+        if rec.rho is not None:
+            assert rec.hess_calls == (1 if replayed else rec.inner_iters + 1)
+    return trace
+
+
+def floor_binds(trace, eps_g):
+    """Whether the tCG floor kappa eps_g lies above ||g||^2 on a solved step."""
+    return any(r.inner_iters and r.gnorm_x**2 + r.gnorm_u**2 < TCG_KAPPA * eps_g
+               for r in trace.records)
+
+
 class TestRtr:
     def test_replay_matches_solving_again(self):
-        obj, _, _ = uos_completion_problem(n=6, pts_per=8, seed=4)
-        z0 = default_init(obj)
-        cfg = RtrConfig(eps_g=1e-8, max_iter=60)
-        z_ref, ref = reference_rtr(product_problem(obj), z0, cfg)
-        z, trace = rtr_solve(obj, z0, cfg)
-        assert trace.status == ref.status
-        for c in TRACE_COLUMNS[:-1]:  # all but hess_calls
-            assert trace.column(c) == ref.column(c), c
-        assert z.x.tobytes() == z_ref.x.tobytes()
-        assert z.u.basis.tobytes() == z_ref.u.basis.tobytes()
-        # a solved step applies one product per tCG iteration and one for the
-        # model decrease; the step replayed after a rejection only the last
-        after_rejection = [False] + [r.rho <= cfg.rho_prime for r in trace.records[:-1]]
-        assert any(after_rejection), "the instance must reject a step"
-        for rec, replayed in zip(trace.records, after_rejection):
-            if rec.rho is not None:
-                assert rec.hess_calls == (1 if replayed else rec.inner_iters + 1)
+        trace = assert_loop_matches_reference(pts_per=8, seed=4, eps_g=1e-8)
+        assert not floor_binds(trace, 1e-8)
+
+    def test_replay_matches_solving_again_at_the_floor(self):
+        trace = assert_loop_matches_reference(pts_per=10, seed=3, eps_g=1e-6)
+        assert floor_binds(trace, 1e-6)
 
     def test_immediate_return_at_critical_point(self):
         rng = np.random.default_rng(0)

@@ -9,7 +9,9 @@ Each run calls `python -m nlrecover.cli` with PYTHONPATH=<src-dir> and one
 BLAS thread, at --jobs 1 for the commands that take it, and writes into
 <out-dir>/<run>/: the command's output files, its config (config.json),
 and its stdout, stderr and exit code (stdout.txt, stderr.txt, exit_code.txt).
-The whole set takes well under a minute on one core.
+The runs in FLAG_ERRORS also get a flag their command does not take, so the
+set covers the stderr of a flag error. The whole set takes well under a
+minute on one core.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ RECOVER = {
     "seed": 0,
 }
 ALTMIN_OPTIONS = {"eps_x": 1e-5, "eps_u": 1e-5, "max_outer": 30, "max_inner": 30}
+NOISE = {
+    "data": {"kind": "uos", "n": 5, "k": 2, "dim": 1, "pts_per": 6},
+    "sensing": {"kind": "dense", "m": 50, "noise_sigma": 1e-3},
+    "solver_options": {"eps_g": 1e-6, "max_iter": 120},
+    "lambda_schedule": {"lambda0": 1e-4, "factor": 10.0, "steps": 6},
+    "seed": 0,
+}
 
 # run name -> (command, config); check has no config
 RUNS = {
@@ -40,13 +49,8 @@ RUNS = {
     "recover_features_restarts": ("recover", dict(
         RECOVER, lifting={"kind": "monomial_features", "degree": 2}, restarts=2)),
     "phase": ("phase", dict(RECOVER, grid={"deltas": [0.7, 0.9], "param": "k", "values": [1, 2]})),
-    "noise": ("noise", {
-        "data": {"kind": "uos", "n": 5, "k": 2, "dim": 1, "pts_per": 6},
-        "sensing": {"kind": "dense", "m": 50, "noise_sigma": 1e-3},
-        "solver_options": {"eps_g": 1e-6, "max_iter": 120},
-        "lambda_schedule": {"lambda0": 1e-4, "factor": 10.0, "steps": 6},
-        "seed": 0,
-    }),
+    "noise": ("noise", NOISE),
+    "noise_flag_error": ("noise", NOISE),
     "cluster": ("cluster", {
         "data": {"kind": "clusters", "n": 4, "k": 2, "pts_per": 8},
         "sensing": {"kind": "mask", "delta": 0.8},
@@ -57,10 +61,13 @@ RUNS = {
                                       rank_offsets=[-1, 0, 1], trials=1)),
     "check": ("check", None),
 }
+# runs given a flag their command does not take; they exit 2
+FLAG_ERRORS = {"noise_flag_error": ["--trials", "3"]}
 
 
 def run_all(src: Path, out: Path) -> int:
-    """Run every entry of RUNS; the number of runs that did not exit 0."""
+    """Run every entry of RUNS; the number of runs that did not exit as
+    expected (2 for FLAG_ERRORS, 0 for the others)."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     failed = 0
@@ -73,12 +80,13 @@ def run_all(src: Path, out: Path) -> int:
             args += ["--config", str(run_dir / "config.json"), "--out", str(run_dir)]
             if "trials" in cfg:  # the commands that read trials take --jobs
                 args += ["--jobs", "1"]
+        args += FLAG_ERRORS.get(name, [])
         proc = subprocess.run(args, env=env, capture_output=True, text=True)
         (run_dir / "stdout.txt").write_text(proc.stdout)
         (run_dir / "stderr.txt").write_text(proc.stderr)
         (run_dir / "exit_code.txt").write_text(f"{proc.returncode}\n")
         print(f"{name}: exit {proc.returncode}")
-        failed += proc.returncode != 0
+        failed += proc.returncode != (2 if name in FLAG_ERRORS else 0)
     return failed
 
 
