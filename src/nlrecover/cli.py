@@ -30,7 +30,6 @@ from .solvers import (
     AltminConfig,
     NumericalError,
     RtrConfig,
-    TcgConfig,
     altmin_solve,
     default_init,
     fit_subspace,
@@ -52,7 +51,15 @@ from .synth import (
     rmse,
 )
 
-SOLVERS = ("rtr2", "altmin1", "altmin2", "simple")
+# each solver name: its config class and the fields the name fixes (solver_options
+# sets only the others); with one inner step, both schedules take it iff ||grad_X|| > eps_x
+SOLVERS = {
+    "rtr1": (RtrConfig, {"use_hessian": False}),
+    "rtr2": (RtrConfig, {"use_hessian": True}),
+    "altmin1": (AltminConfig, {"inner": "gradient", "exact_svd": False}),
+    "altmin2": (AltminConfig, {"inner": "trust_region", "exact_svd": False}),
+    "simple": (AltminConfig, {"inner": "gradient", "max_inner": 1, "exact_svd": True, "schedule": "greedy"}),
+}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -119,10 +126,11 @@ def _number(value, kind: type, field: str):
 
 
 def _list(value, field: str) -> list:
-    """The config value itself when it is a list; a ConfigError naming the
-    field otherwise."""
-    if not isinstance(value, list):
-        raise ConfigError(f"field '{field}' must be a list, got {value!r}")
+    """The config value itself when it is a non-empty list; a ConfigError
+    naming the field otherwise (every list of a config is a sweep, and an
+    empty one would solve nothing)."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"field '{field}' must be a list of at least one value, got {value!r}")
     return value
 
 
@@ -148,16 +156,13 @@ def _known(section, keys, where: str = "") -> dict:
 def _typed(value, hint, field: str):
     """The config value read as the type hint of its dataclass field: a JSON
     number for float, a JSON integer for int, a JSON boolean for bool (so the
-    string "false" is not read as true), a list of JSON integers for a tuple
-    of int, and null where the field takes None. Other values are left for
-    the dataclass to reject."""
+    string "false" is not read as true) and a list of JSON integers for a
+    tuple of int. Other values are left for the dataclass to reject."""
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in value):
             raise ConfigError(f"field '{field}' must be a list of integers, got {value!r}")
         return tuple(value)
     kinds = typing.get_args(hint) or (hint,)
-    if value is None and type(None) in kinds:
-        return None
     if bool in kinds:
         if not isinstance(value, bool):
             raise ConfigError(f"field '{field}' must be true or false, got {value!r}")
@@ -224,21 +229,16 @@ def parse_lifting(cfg: dict, data_spec) -> LiftingSpec:
 def parse_solver_name(cfg: dict, override: str | None) -> str:
     name = override or cfg.get("solver", "rtr2")
     if name not in SOLVERS:
-        raise ConfigError(f"unknown solver {name!r} (expected one of {SOLVERS})")
+        raise ConfigError(f"unknown solver {name!r} (expected one of {tuple(SOLVERS)})")
     return name
 
 
-# AltminConfig settings of altmin2 and simple, under the config's
-# solver_options; simple takes one Armijo gradient step in X, then an exact SVD
-ALTMIN_PRESETS = {"altmin2": {"inner": "trust_region"}, "simple": {"max_inner": 1, "exact_svd": True}}
-
-
 def build_solver_configs(cfg: dict, name: str):
-    opts = dict(_object(cfg.get("solver_options", {}), "solver_options"))
-    if name == "rtr2":
-        tcg = _build(TcgConfig, opts.pop("tcg", {}), "solver_options.tcg")
-        return _build(RtrConfig, opts, "solver_options", tcg=tcg)
-    return _build(AltminConfig, {**ALTMIN_PRESETS.get(name, {}), **opts}, "solver_options")
+    """The config of solver name: the fields it fixes, and the others from
+    the config's solver_options (a fixed field there is an unknown field)."""
+    config_cls, fixed = SOLVERS[name]
+    return _build(config_cls, _object(cfg.get("solver_options", {}), "solver_options"), "solver_options",
+                  **fixed)
 
 
 def generate_data(data_spec, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +291,7 @@ def build_objective(lifting: LiftingSpec, rank: int, meas, penalty: float | None
 
 
 def solve(obj: Objective, z0: ProductPoint, name: str, solver_cfg, rng, truth=None):
-    if name == "rtr2":
+    if SOLVERS[name][0] is RtrConfig:
         return rtr_solve(obj, z0, solver_cfg, truth=truth)
     return altmin_solve(obj, z0, solver_cfg, rng=rng, truth=truth)
 
@@ -313,12 +313,12 @@ def _instance(cfg: dict, seed_key: tuple):
 
 
 def parse_start(cfg: dict, solver_name: str) -> int:
-    """The restarts of a recovery trial: 1, or the config's count for rtr2,
-    the only solver that restarts."""
+    """The restarts of a recovery trial: 1, or the config's count for the
+    trust-region solvers, the only ones that restart."""
     if "restarts" not in cfg:
         return 1
-    if solver_name != "rtr2":
-        raise ConfigError(f"field 'restarts' applies to solver rtr2 only, not {solver_name!r}")
+    if SOLVERS[solver_name][0] is not RtrConfig:
+        raise ConfigError(f"field 'restarts' applies to solvers rtr1 and rtr2 only, not {solver_name!r}")
     restarts = _number(cfg["restarts"], int, "restarts")
     if restarts < 1:
         raise ConfigError(f"field 'restarts' must be >= 1, got {restarts}")
@@ -410,11 +410,12 @@ SWEEP_PARAMS = ("k", "pts_per", "n", "dim", "sigma_c")  # the data fields phase 
 
 def cmd_phase(cfg: dict, out_dir: Path, seed: int, solver: str, trials: int, jobs: int) -> int:
     grid = _known(_require(cfg, "grid", "config"), ("deltas", "param", "values"), "grid")
-    deltas = [_number(d, float, "grid.deltas") for d in _list(grid.get("deltas", []), "grid.deltas")]
+    deltas = [_number(d, float, "grid.deltas")
+              for d in _list(_require(grid, "deltas", "grid"), "grid.deltas")]
     param = grid.get("param", "k")
     if param not in SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {param!r}")
-    values = _list(grid.get("values", []), "grid.values")
+    values = _list(_require(grid, "values", "grid"), "grid.values")
     # each cell puts its delta into the config's own mask section (per_column kept)
     sensing = _object(cfg.get("sensing", {}), "sensing")
     header = [f"{param}\\delta"] + [f"{d:g}" for d in deltas]
@@ -441,14 +442,12 @@ def _cell_seed(seed: int, vi: int, di: int) -> int:
     return seed * 1_000_003 + vi * 1009 + di
 
 
-def cmd_noise(cfg: dict, out_dir: Path, seed: int, solver: str) -> int:
-    if solver != "rtr2":
-        raise ConfigError("the noise continuation uses the penalized form; solver must be rtr2")
+def cmd_noise(cfg: dict, out_dir: Path, seed: int) -> int:
     sched = _known(cfg.get("lambda_schedule", {}), ("lambda0", "factor", "steps"), "lambda_schedule")
     lam0 = _number(sched.get("lambda0", 1e-6), float, "lambda_schedule.lambda0")
     factor = _number(sched.get("factor", 10.0), float, "lambda_schedule.factor")
     steps = _number(sched.get("steps", 12), int, "lambda_schedule.steps")
-    report = run_lambda_continuation(cfg, seed, lam0, factor, steps, solver)
+    report = run_lambda_continuation(cfg, seed, lam0, factor, steps, "rtr2")
     header = ["lambda", "misfit_noisy", "misfit_clean", "err_fro", "lifted_residual", "iters", "selected",
               "status", "hess_calls"]
     rows = [
@@ -457,7 +456,7 @@ def cmd_noise(cfg: dict, out_dir: Path, seed: int, solver: str) -> int:
         for r in report["ladder"]
     ]
     _write_csv(out_dir / "lambda_ladder.csv", header, rows)
-    _write_summary(out_dir, "noise", cfg, seed, solver, report["summary"])
+    _write_summary(out_dir, "noise", cfg, seed, "rtr2", report["summary"])
     return EXIT_OK
 
 
@@ -616,9 +615,7 @@ def run_cluster_trial(cfg: dict, seed_key: tuple) -> dict:
     }
 
 
-def cmd_cluster(cfg: dict, out_dir: Path, seed: int, solver: str, trials: int, jobs: int) -> int:
-    if solver != "rtr2":
-        raise ConfigError("the cluster command completes with the trust region; solver must be rtr2")
+def cmd_cluster(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int) -> int:
     rows = _run_trials(run_cluster_trial, cfg, seed, trials, jobs)
     _write_trials(out_dir, seed, ["rand_index", "cluster_success", "rmse", "f_final", "gnorm_x",
                                   "iters", "status"], rows)
@@ -628,7 +625,7 @@ def cmd_cluster(cfg: dict, out_dir: Path, seed: int, solver: str, trials: int, j
         "rand_index_mean": float(np.mean([r["rand_index"] for r in rows])),
         "rmse_mean": float(np.mean([r["rmse"] for r in rows])),
     }
-    _write_summary(out_dir, "cluster", cfg, seed, solver, aggregates)
+    _write_summary(out_dir, "cluster", cfg, seed, "rtr2", aggregates)  # cluster_complete's solver
     return EXIT_OK
 
 
@@ -645,6 +642,8 @@ def cmd_rank_sweep(cfg: dict, out_dir: Path, seed: int, solver: str, trials: int
         offsets = _list(cfg.get("rank_offsets", list(range(-2, 5))), "rank_offsets")
         # an offset that lands below rank 1 is skipped
         ranks = [r for r in (true_rank + _number(o, int, "rank_offsets") for o in offsets) if r >= 1]
+        if not ranks:
+            raise ConfigError(f"field 'rank_offsets' leaves no rank >= 1 (the true rank is {true_rank})")
     rows_out = []
     for ri, r in enumerate(ranks):
         sub_cfg = json.loads(json.dumps(cfg))
@@ -710,13 +709,15 @@ def cmd_check(seed: int) -> int:
 
 
 # each command's runner and the top-level keys it reads (rank-sweep sets "rank");
-# a runner reading "trials" takes trials and jobs after cfg, out_dir, seed, solver
+# after cfg, out_dir and seed, a runner reading "solver" takes the solver name,
+# then one reading "trials" takes trials and jobs
 _SOLVE_KEYS = ("data", "sensing", "lifting", "solver", "solver_options", "seed")
 COMMANDS = {
     "recover": (cmd_recover, _SOLVE_KEYS + ("rank", "trials", "restarts")),
     "phase": (cmd_phase, _SOLVE_KEYS + ("rank", "trials", "restarts", "grid")),
-    "noise": (cmd_noise, _SOLVE_KEYS + ("rank", "lambda_schedule")),
-    "cluster": (cmd_cluster, ("data", "sensing", "lifting", "solver", "seed", "rank", "trials")),
+    "noise": (cmd_noise, ("data", "sensing", "lifting", "solver_options", "seed", "rank",
+                          "lambda_schedule")),
+    "cluster": (cmd_cluster, ("data", "sensing", "lifting", "seed", "rank", "trials")),
     "rank-sweep": (cmd_rank_sweep, _SOLVE_KEYS + ("trials", "restarts", "ranks", "rank_offsets")),
 }
 
@@ -744,7 +745,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trials", type=int, default=None, help="trials per cell (overrides config)")
             p.add_argument("--jobs", type=int, default=1, help="worker processes (1 = bit-exact)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--solver", choices=SOLVERS, default=None)
+        if "solver" in keys:
+            p.add_argument("--solver", choices=SOLVERS, default=None)
     p = sub.add_parser("check")
     p.add_argument("--seed", type=int, default=0)
     return parser
@@ -768,10 +770,10 @@ def main(argv: list[str] | None = None) -> int:
             if args.jobs < 1:
                 raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
             counts = (trials, args.jobs)
-        solver = parse_solver_name(cfg, args.solver)
+        solver = (parse_solver_name(cfg, args.solver),) if "solver" in keys else ()
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return run(cfg, out_dir, seed, solver, *counts)
+        return run(cfg, out_dir, seed, *solver, *counts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -98,7 +98,6 @@ class RtrConfig:
     eps_g: float = 1e-6
     eps_h: float = math.inf  # inf disables second-order stopping
     max_iter: int = 500
-    tcg: TcgConfig = field(default_factory=TcgConfig)
     use_hessian: bool = True  # False: identity model (first-order variant)
 
     def __post_init__(self):
@@ -550,7 +549,7 @@ def rtr_generic(
             else:
                 path = {}
                 eta, on_boundary, n_inner = tcg_subproblem(
-                    g, hop, delta, cfg.tcg, prob.inner, prob.dim, path=path, eps_g=cfg.eps_g
+                    g, hop, delta, TcgConfig(), prob.inner, prob.dim, path=path, eps_g=cfg.eps_g
                 )
                 n_hess = n_inner
         elif math.isfinite(cfg.eps_h):

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -107,14 +108,10 @@ class TestConfigParsing:
         assert alt2.inner == "trust_region"
 
     def test_solver_option_types(self):
-        # null where the field takes None; an integer where a float is asked
-        rtr = build_solver_configs(
-            {"solver_options": {"eps_g": 1, "tcg": {"max_inner": None}}}, "rtr2")
-        assert rtr.tcg.max_inner is None
+        # an integer where a float is asked; null is no solver field's value
+        rtr = build_solver_configs({"solver_options": {"eps_g": 1}}, "rtr2")
         assert rtr.eps_g == 1.0 and isinstance(rtr.eps_g, float)
-        rtr = build_solver_configs({"solver_options": {"tcg": {"max_inner": 20}}}, "rtr2")
-        assert rtr.tcg.max_inner == 20
-        for options in ({"eps_g": None}, {"max_iter": None}, {"use_hessian": None}):
+        for options in ({"eps_g": None}, {"max_iter": None}, {"eps_h": None}):
             with pytest.raises(ConfigError, match="bad solver_options"):
                 build_solver_configs({"solver_options": options}, "rtr2")
 
@@ -239,6 +236,17 @@ class TestRecoverCommand:
         code, out = self.run(tmp_path, cfg, extra=("--solver", "altmin1", "--trials", "1"))
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("solver", ["rtr1", "rtr2", "altmin1", "altmin2", "simple"])
+    def test_every_solver_name_runs(self, tmp_path, solves, solver):
+        # each name runs its own solver; restarts apply to rtr1 and rtr2 alike
+        rtr = solver.startswith("rtr")
+        cfg = dict(RECOVER_CFG, trials=1, solver=solver,
+                   solver_options={"max_iter": 20} if rtr else {"max_outer": 5})
+        code, out = self.run(tmp_path, dict(cfg, restarts=2) if rtr else cfg)
+        assert code == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["solver"] == solver
+        assert solves == (["rtr_solve_restarts"] if rtr else ["altmin_solve"])
+
     def test_altmin2_step_column(self, tmp_path):
         # each round records the norm of its first accepted inner trust-region
         # step; only the final record, at the grad_tol exit, has none
@@ -319,15 +327,10 @@ class TestRecoverCommand:
 
     @pytest.mark.parametrize("options,solver,field", [
         ({"eps_g": "1e-6"}, "rtr2", "eps_g"),
-        ({"use_hessian": "false"}, "rtr2", "use_hessian"),
-        ({"exact_svd": 1}, "altmin1", "exact_svd"),
         ({"max_iter": 2.5}, "rtr2", "max_iter"),
-        ({"tcg": {"max_inner": "20"}}, "rtr2", "tcg.max_inner"),
-    ], ids=["string_eps_g", "string_use_hessian", "integer_exact_svd", "float_max_iter",
-            "string_tcg_max_inner"])
+    ], ids=["string_eps_g", "float_max_iter"])
     def test_mistyped_solver_option_exit_code(self, tmp_path, capsys, options, solver, field):
-        # no string becomes a number or a boolean, no integer a boolean and
-        # no fraction an integer
+        # no string becomes a number and no fraction an integer
         cfg = dict(RECOVER_CFG, solver_options=options, trials=1)
         code, _ = self.run(tmp_path, cfg, extra=("--solver", solver))
         assert code == EXIT_CONFIG
@@ -346,14 +349,6 @@ class TestRecoverCommand:
 
 
 class TestPhaseCommand:
-    def test_empty_grid_header_only(self, tmp_path):
-        cfg = dict(RECOVER_CFG, grid={"deltas": [], "param": "k", "values": []})
-        out = tmp_path / "out"
-        code = main(["phase", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
-        assert code == EXIT_OK
-        rows = read_csv(out / "heatmap.csv")
-        assert rows == [["k\\delta"]]
-
     def test_small_grid(self, tmp_path):
         cfg = dict(RECOVER_CFG, trials=2,
                    grid={"deltas": [0.9], "param": "k", "values": [1, 2]})
@@ -422,6 +417,30 @@ def test_non_list_sweep_field_exit_code(tmp_path, capsys, command, change, field
     assert len(err) == 1 and err[0].startswith(f"config error: field '{field}' must be {kind}")
 
 
+@pytest.mark.parametrize("command,change,message", [
+    ("phase", {"grid": {"deltas": [], "param": "k", "values": []}},
+     "field 'grid.deltas' must be a list of at least one value, got []"),
+    ("phase", {"grid": {"param": "k", "values": [2]}}, "missing field 'deltas' in grid"),
+    ("phase", {"grid": {"deltas": [], "param": "k", "values": [2]}},
+     "field 'grid.deltas' must be a list of at least one value, got []"),
+    ("phase", {"grid": {"deltas": [0.5], "param": "k"}}, "missing field 'values' in grid"),
+    ("phase", {"grid": {"deltas": [0.5], "param": "k", "values": []}},
+     "field 'grid.values' must be a list of at least one value, got []"),
+    ("rank-sweep", {"ranks": []}, "field 'ranks' must be a list of at least one value, got []"),
+    ("rank-sweep", {"rank_offsets": []}, "field 'rank_offsets' must be a list of at least one value, got []"),
+    # the true rank of this config is 5
+    ("rank-sweep", {"rank_offsets": [-100]}, "field 'rank_offsets' leaves no rank >= 1 (the true rank is 5)"),
+], ids=["empty_grid", "no_deltas", "empty_deltas", "no_values", "empty_values", "empty_ranks",
+        "empty_rank_offsets", "offsets_below_rank_one"])
+def test_sweep_that_solves_nothing_exit_code(tmp_path, capsys, solves, command, change, message):
+    # a sweep without a cell writes no header-only file: it is a config error
+    cfg = dict(RANK_SWEEP_CFG if command == "rank-sweep" else RECOVER_CFG, trials=1, **change)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
+    assert solves == [] and list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("command,field", [
     ("recover", "data"),
     ("recover", "sensing"),
@@ -432,7 +451,7 @@ def test_non_list_sweep_field_exit_code(tmp_path, capsys, command, change, field
 def test_non_object_section_exit_code(tmp_path, capsys, command, field):
     cfg = dict(RECOVER_CFG, trials=1)
     if command == "noise":
-        del cfg["trials"]  # noise solves one ladder
+        del cfg["trials"], cfg["solver"]  # noise solves one ladder with rtr2
     cfg[field] = 5
     code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
@@ -536,7 +555,7 @@ NOISE_CFG = {
     ("recover", dict(RECOVER_CFG, solver_options={"eps_h": -1}), (),
      "bad solver_options: eps_h must be >= 0, got -1.0"),
     ("recover", dict(RECOVER_CFG, solver_options={"tcg": {"max_inner": 0}}), (),
-     "bad solver_options: max_inner must be >= 1, got 0"),
+     "bad solver_options: unknown field 'solver_options.tcg'"),
     ("recover", dict(RECOVER_CFG, solver="altmin1", solver_options={"max_outer": -1}), (),
      "bad solver_options: max_outer must be >= 0, got -1"),
     ("recover", dict(RECOVER_CFG, solver="altmin1", solver_options={"max_inner": -1}), (),
@@ -652,6 +671,7 @@ class TestClusterCommand:
             summary = json.load(fh)
         fracs = [int(r[3]) for r in rows[1:]]
         assert summary["aggregates"]["cluster_success_fraction"] == pytest.approx(np.mean(fracs))
+        assert summary["solver"] == "rtr2"
 
     def test_parallel_matches_serial(self, tmp_path):
         _, out1 = self.run(tmp_path, CLUSTER_CFG, "serial")
@@ -659,12 +679,17 @@ class TestClusterCommand:
         assert (out1 / "trials.csv").read_bytes() == (out2 / "trials.csv").read_bytes()
 
     def test_rejects_other_solvers(self, tmp_path, capsys):
-        # the completion always runs the trust region
-        code, out = self.run(tmp_path, CLUSTER_CFG, extra=("--solver", "altmin1"))
+        # the completion always runs rtr2, so the command reads no solver
+        # key and takes no --solver flag
+        code, out = self.run(tmp_path, dict(CLUSTER_CFG, solver="altmin1"))
         assert code == EXIT_CONFIG
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: ") and "rtr2" in err[0]
+        assert capsys.readouterr().err.strip().splitlines() == ["config error: unknown field 'solver'"]
         assert not (out / "summary.json").exists()
+        with pytest.raises(SystemExit) as exc:
+            self.run(tmp_path, CLUSTER_CFG, extra=("--solver", "altmin1"))
+        assert exc.value.code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "nlrecover: error: unrecognized arguments: --solver altmin1")
 
     def test_per_column_must_be_json_boolean(self, tmp_path, capsys):
         sensing = dict(CLUSTER_CFG["sensing"], per_column="false")
@@ -701,9 +726,8 @@ COMMAND_KEYS = {
                 "restarts"},
     "phase": {"data", "sensing", "lifting", "rank", "solver", "solver_options", "seed", "trials",
               "restarts", "grid"},
-    "noise": {"data", "sensing", "lifting", "rank", "solver", "solver_options", "seed",
-              "lambda_schedule"},
-    "cluster": {"data", "sensing", "lifting", "rank", "solver", "seed", "trials"},
+    "noise": {"data", "sensing", "lifting", "rank", "solver_options", "seed", "lambda_schedule"},
+    "cluster": {"data", "sensing", "lifting", "rank", "seed", "trials"},
     "rank-sweep": {"data", "sensing", "lifting", "solver", "solver_options", "seed", "trials",
                    "restarts", "ranks", "rank_offsets"},
 }
@@ -715,14 +739,14 @@ COMMAND_CFGS = {
     "cluster": CLUSTER_CFG,
     "rank-sweep": dict(RANK_SWEEP_CFG, rank_offsets=[0]),
 }
-KEY_VALUES = {"rank": 3, "solver_options": {"max_iter": 5}, "trials": 2, "restarts": 2,
+KEY_VALUES = {"rank": 3, "solver": "rtr2", "solver_options": {"max_iter": 5}, "trials": 2, "restarts": 2,
               "grid": {"deltas": [0.9], "param": "k", "values": [2]},
               "lambda_schedule": {"steps": 2}, "ranks": [2], "rank_offsets": [0]}
 
 
 def test_command_table():
     assert {name: set(keys) for name, (_, keys) in cli.COMMANDS.items()} == COMMAND_KEYS
-    assert sum(map(len, COMMAND_KEYS.values())) == 44
+    assert sum(map(len, COMMAND_KEYS.values())) == 42
     for name, cfg in COMMAND_CFGS.items():
         assert set(cfg) <= COMMAND_KEYS[name]
 
@@ -750,16 +774,58 @@ def test_key_of_another_command_exit_code(tmp_path, capsys, solves, command, key
     assert solves == []
 
 
+# the fields each solver name fixes; solver_options sets only the others
+FIXED_FIELDS = {
+    "rtr1": {"use_hessian": False},
+    "rtr2": {"use_hessian": True},
+    "altmin1": {"inner": "gradient", "exact_svd": False},
+    "altmin2": {"inner": "trust_region", "exact_svd": False},
+    "simple": {"inner": "gradient", "max_inner": 1, "exact_svd": True, "schedule": "greedy"},
+}
+
+
+def test_solver_table():
+    # one name per algorithm: the name alone fixes the method
+    for name, fixed in FIXED_FIELDS.items():
+        config_cls = RtrConfig if name.startswith("rtr") else AltminConfig
+        assert cli.SOLVERS[name] == (config_cls, fixed)
+        assert build_solver_configs({}, name) == config_cls(**fixed)
+    assert set(cli.SOLVERS) == set(FIXED_FIELDS)
+    # the values solver_options can set, summed over the names
+    assert sum(len(fields(cls)) - len(fixed) for cls, fixed in cli.SOLVERS.values()) == 19
+    # the two configs perfbench/workloads.py builds through the CLI
+    assert build_solver_configs({}, "altmin1") == AltminConfig()
+    assert (build_solver_configs({"solver_options": {"eps_g": 1e-6, "max_iter": 300}}, "rtr2")
+            == RtrConfig(eps_g=1e-6, max_iter=300))
+
+
+@pytest.mark.parametrize("solver,key", [
+    (name, key) for name, fixed in FIXED_FIELDS.items()
+    for key in sorted({*fixed, "use_hessian", "tcg"})])
+def test_fixed_solver_field_exit_code(tmp_path, capsys, solves, solver, key):
+    # a field the name fixes is an unknown field, even at the fixed value;
+    # so are use_hessian (rtr1 is the first-order trust region) and tcg
+    value = FIXED_FIELDS[solver].get(key, {"max_inner": 20} if key == "tcg" else False)
+    cfg = dict(RECOVER_CFG, solver=solver, trials=1, solver_options={key: value})
+    code = main(["recover", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"config error: bad solver_options: unknown field 'solver_options.{key}'"]
+    assert solves == []
+
+
 @pytest.mark.parametrize("command,flag,message", [
     ("noise", ("--trials", "3"), "nlrecover: error: unrecognized arguments: --trials 3"),
     ("noise", ("--jobs", "2"), "nlrecover: error: unrecognized arguments: --jobs 2"),
     ("check", ("--out", "x"), "nlrecover: error: unrecognized arguments: --out x"),
     ("recover", ("--solver", "x"), "nlrecover recover: error: argument --solver: invalid choice: 'x'"),
-], ids=["noise_trials", "noise_jobs", "check_out", "recover_solver"])
+    ("noise", ("--solver", "rtr2"), "nlrecover: error: unrecognized arguments: --solver rtr2"),
+    ("cluster", ("--solver", "rtr2"), "nlrecover: error: unrecognized arguments: --solver rtr2"),
+], ids=["noise_trials", "noise_jobs", "check_out", "recover_solver", "noise_solver", "cluster_solver"])
 def test_unread_flag_exit_code(tmp_path, capsys, solves, command, flag, message):
     # the noise study solves one ladder, so it has no trials to count or
-    # spread, and the self-check writes no file; a flag error is one stderr
-    # line, like a config error
+    # spread; noise and cluster always run rtr2; the self-check writes no
+    # file; a flag error is one stderr line, like a config error
     args = [command, *flag]
     if command != "check":
         args += ["--config", write_cfg(tmp_path, NOISE_CFG), "--out", str(tmp_path / "out")]
@@ -793,6 +859,7 @@ class TestNoiseCommand:
         with open(out / "summary.json") as fh:
             summary = json.load(fh)
         assert "lambda_star" in summary["aggregates"]
+        assert summary["solver"] == "rtr2"
 
     def test_rung_status_and_hessian_products(self, tmp_path):
         # a rung that runs out of outer iterations says so in the file
@@ -807,7 +874,8 @@ class TestNoiseCommand:
         assert all(r[7] in ("grad_tol", "max_iter", "stalled") for r in rows[1:])
         assert all(int(r[8]) >= int(r[5]) for r in rows[1:])
 
-    def test_rejects_altmin(self, tmp_path):
+    def test_rejects_altmin(self, tmp_path, capsys):
+        # the ladder always runs rtr2, so the command reads no solver key
         cfg = {
             "data": {"kind": "uos", "n": 5, "k": 2, "dim": 1, "pts_per": 6},
             "sensing": {"kind": "dense", "m": 50, "noise_sigma": 1e-3},
@@ -816,6 +884,7 @@ class TestNoiseCommand:
         out = tmp_path / "out"
         code = main(["noise", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.strip().splitlines() == ["config error: unknown field 'solver'"]
 
 
 class TestCheckCommand:

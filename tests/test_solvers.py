@@ -429,7 +429,7 @@ def reference_rtr(prob, z0, cfg):
             trace.status = "grad_tol"
             return z, trace
         eta, on_boundary, n_inner = tcg_subproblem(
-            g, hop, delta, cfg.tcg, prob.inner, prob.dim, eps_g=cfg.eps_g)
+            g, hop, delta, TcgConfig(), prob.inner, prob.dim, eps_g=cfg.eps_g)
         model_decrease = -(prob.inner(g, eta) + 0.5 * prob.inner(eta, hop(eta)))
         z_plus = prob.retract(z, eta)
         f_plus = prob.cost(z_plus)
@@ -893,13 +893,13 @@ class TestTrace:
         res = np.linalg.norm(obj.measurement.residual(z0.x))
         assert res <= 1e-9 * (1 + np.linalg.norm(obj.measurement.b))
 
-    @pytest.mark.parametrize("solver", ["rtr2", "altmin1", "altmin2", "simple"])
+    @pytest.mark.parametrize("solver", ["rtr1", "rtr2", "altmin1", "altmin2", "simple"])
     def test_capped_run_ends_at_returned_point(self, solver):
         # the CLI's trials.csv reads f_final, the gradient norms and iters
         # from the final record
         obj, _, _ = uos_completion_problem(n=15, k=2, dim=2, pts_per=20, delta=0.6, seed=0)
         cfg = build_solver_configs({}, solver)
-        cfg = replace(cfg, max_iter=5) if solver == "rtr2" else replace(cfg, max_outer=5)
+        cfg = replace(cfg, max_iter=5) if solver.startswith("rtr") else replace(cfg, max_outer=5)
         z, trace = solve(obj, default_init(obj), solver, cfg, np.random.default_rng(0))
         assert trace.status == "max_iter"
         assert trace.final.f == obj.cost(z)

@@ -33,6 +33,7 @@ RECOVER = {
     "seed": 0,
 }
 ALTMIN_OPTIONS = {"eps_x": 1e-5, "eps_u": 1e-5, "max_outer": 30, "max_inner": 30}
+SIMPLE_OPTIONS = {"eps_x": 1e-5, "eps_u": 1e-5, "max_outer": 30}  # simple fixes max_inner = 1
 NOISE = {
     "data": {"kind": "uos", "n": 5, "k": 2, "dim": 1, "pts_per": 6},
     "sensing": {"kind": "dense", "m": 50, "noise_sigma": 1e-3},
@@ -40,29 +41,33 @@ NOISE = {
     "lambda_schedule": {"lambda0": 1e-4, "factor": 10.0, "steps": 6},
     "seed": 0,
 }
+CLUSTER = {
+    "data": {"kind": "clusters", "n": 4, "k": 2, "pts_per": 8},
+    "sensing": {"kind": "mask", "delta": 0.8},
+    "trials": 2,
+    "seed": 1,
+}
 
 # run name -> (command, config); check has no config
 RUNS = {
     "recover_rtr2": ("recover", RECOVER),
+    "recover_rtr1": ("recover", dict(RECOVER, solver="rtr1")),
     **{f"recover_{solver}": ("recover", dict(RECOVER, solver=solver, solver_options=ALTMIN_OPTIONS))
-       for solver in ("altmin1", "altmin2", "simple")},
+       for solver in ("altmin1", "altmin2")},
+    "recover_simple": ("recover", dict(RECOVER, solver="simple", solver_options=SIMPLE_OPTIONS)),
     "recover_features_restarts": ("recover", dict(
         RECOVER, lifting={"kind": "monomial_features", "degree": 2}, restarts=2)),
     "phase": ("phase", dict(RECOVER, grid={"deltas": [0.7, 0.9], "param": "k", "values": [1, 2]})),
     "noise": ("noise", NOISE),
     "noise_flag_error": ("noise", NOISE),
-    "cluster": ("cluster", {
-        "data": {"kind": "clusters", "n": 4, "k": 2, "pts_per": 8},
-        "sensing": {"kind": "mask", "delta": 0.8},
-        "trials": 2,
-        "seed": 1,
-    }),
+    "cluster": ("cluster", CLUSTER),
+    "cluster_flag_error": ("cluster", CLUSTER),
     "rank-sweep": ("rank-sweep", dict({k: v for k, v in RECOVER.items() if k != "rank"},
                                       rank_offsets=[-1, 0, 1], trials=1)),
     "check": ("check", None),
 }
 # runs given a flag their command does not take; they exit 2
-FLAG_ERRORS = {"noise_flag_error": ["--trials", "3"]}
+FLAG_ERRORS = {"noise_flag_error": ["--trials", "3"], "cluster_flag_error": ["--solver", "rtr2"]}
 
 
 def run_all(src: Path, out: Path) -> int:
