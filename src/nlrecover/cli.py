@@ -14,6 +14,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -325,14 +326,19 @@ def parse_start(cfg: dict, solver_name: str) -> int:
     return restarts
 
 
-def run_trial(cfg: dict, seed_key: tuple, solver_name: str) -> dict:
-    """Generate one instance, solve it, return the per-trial record (and the
-    trace under key 'trace')."""
+def _trial_problem(cfg: dict, seed_key: tuple, solver_name: str):
+    """(restarts, rng, target, objective, solver config) of one recovery
+    trial; building them checks every config field the trial reads."""
     restarts = parse_start(cfg, solver_name)
     rng, _, target, _, lifting, rank = _instance(cfg, seed_key)
     meas, _ = build_sensing(cfg, target, rng)
-    obj = build_objective(lifting, rank, meas)
-    solver_cfg = build_solver_configs(cfg, solver_name)
+    return restarts, rng, target, build_objective(lifting, rank, meas), build_solver_configs(cfg, solver_name)
+
+
+def run_trial(cfg: dict, seed_key: tuple, solver_name: str) -> dict:
+    """Generate one instance, solve it, return the per-trial record (and the
+    trace under key 'trace')."""
+    restarts, rng, target, obj, solver_cfg = _trial_problem(cfg, seed_key, solver_name)
     if restarts > 1:
         z, trace = rtr_solve_restarts(obj, solver_cfg, rng, n_starts=restarts, truth=target)
     else:
@@ -346,7 +352,7 @@ def run_trial(cfg: dict, seed_key: tuple, solver_name: str) -> dict:
         "gnorm_u": trace.final.gnorm_u,
         "iters": trace.final.k,
         "status": trace.status,
-        "rank": rank,
+        "rank": obj.rank_r,
         "trace": trace,
     }
 
@@ -362,53 +368,47 @@ def _run_trials(run, cfg: dict, seed: int, trials: int, jobs: int, *args) -> lis
         return list(pool.map(run, *columns))
 
 
-def _write_trials(out_dir: Path, seed: int, columns: list[str], rows: list[dict]) -> None:
-    """trials.csv, one line per trial with the given keys of its record, and
-    the trial's trace as trace_<t>.csv."""
-    table = []
+def _trial_tables(seed: int, rows: list[dict]) -> dict:
+    """trials.csv, one line per trial with the keys of its record but the
+    trace, in record order, and the trial's trace as trace_<t>.csv."""
+    columns = [key for key in rows[0] if key != "trace"]
+    tables = {"trials.csv": (["trial", "seed", *columns],
+                             [[t, seed, *map(row.get, columns)] for t, row in enumerate(rows)])}
     for t, row in enumerate(rows):
-        table.append([t, seed] + [row[c] for c in columns])
-        trace_rows = [[getattr(r, c) for c in TRACE_COLUMNS] for r in row["trace"].records]
-        _write_csv(out_dir / f"trace_{t}.csv", list(TRACE_COLUMNS), trace_rows)
-    _write_csv(out_dir / "trials.csv", ["trial", "seed", *columns], table)
+        tables[f"trace_{t}.csv"] = (TRACE_COLUMNS, [[getattr(r, c) for c in TRACE_COLUMNS]
+                                                    for r in row["trace"].records])
+    return tables
+
+
+def _sweep(cells: list[tuple], solver: str, trials: int, jobs: int) -> list[float]:
+    """The success fraction of each (config, seed) cell. The first trial
+    problem of every cell is built, and so checked, before any cell is solved."""
+    for sub_cfg, cell_seed in cells:
+        _trial_problem(sub_cfg, (cell_seed, 0), solver)
+    return [float(np.mean([row["success"] for row in _run_trials(run_trial, *cell, trials, jobs, solver)]))
+            for cell in cells]
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (solver name, {file name: (header, rows)}, aggregates)
 # ---------------------------------------------------------------------------
 
 
-def cmd_recover(cfg: dict, out_dir: Path, seed: int, solver: str, trials: int, jobs: int) -> int:
+def cmd_recover(cfg: dict, seed: int, solver: str, trials: int, jobs: int) -> tuple:
     rows = _run_trials(run_trial, cfg, seed, trials, jobs, solver)
-    _write_trials(out_dir, seed, ["rmse", "success", "f_final", "gnorm_x", "gnorm_u", "iters",
-                                  "status", "rank"], rows)
     aggregates = {
         "trials": trials,
         "success_fraction": float(np.mean([r["success"] for r in rows])),
         "rmse_mean": float(np.mean([r["rmse"] for r in rows])),
         "rmse_median": float(np.median([r["rmse"] for r in rows])),
     }
-    _write_summary(out_dir, "recover", cfg, seed, solver, aggregates)
-    return EXIT_OK
-
-
-def _write_summary(out_dir: Path, command: str, cfg: dict, seed: int, solver: str, aggregates: dict) -> None:
-    payload = {
-        "command": command,
-        "solver": solver,
-        "seed": seed,
-        "config": cfg,
-        "aggregates": aggregates,
-    }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return solver, _trial_tables(seed, rows), aggregates
 
 
 SWEEP_PARAMS = ("k", "pts_per", "n", "dim", "sigma_c")  # the data fields phase may sweep
 
 
-def cmd_phase(cfg: dict, out_dir: Path, seed: int, solver: str, trials: int, jobs: int) -> int:
+def cmd_phase(cfg: dict, seed: int, solver: str, trials: int, jobs: int) -> tuple:
     grid = _known(_require(cfg, "grid", "config"), ("deltas", "param", "values"), "grid")
     deltas = [_number(d, float, "grid.deltas")
               for d in _list(_require(grid, "deltas", "grid"), "grid.deltas")]
@@ -418,10 +418,8 @@ def cmd_phase(cfg: dict, out_dir: Path, seed: int, solver: str, trials: int, job
     values = _list(_require(grid, "values", "grid"), "grid.values")
     # each cell puts its delta into the config's own mask section (per_column kept)
     sensing = _object(cfg.get("sensing", {}), "sensing")
-    header = [f"{param}\\delta"] + [f"{d:g}" for d in deltas]
-    rows_out = []
+    cells = []
     for vi, val in enumerate(values):
-        cell_fracs = []
         for di, delta in enumerate(deltas):
             sub_cfg = json.loads(json.dumps(cfg))
             data = _object(sub_cfg.setdefault("data", {}), "data")
@@ -429,35 +427,26 @@ def cmd_phase(cfg: dict, out_dir: Path, seed: int, solver: str, trials: int, job
             if param == "dim":
                 data.pop("dims", None)
             sub_cfg["sensing"] = {**sensing, "kind": "mask", "delta": delta}
-            trial_rows = _run_trials(run_trial, sub_cfg, _cell_seed(seed, vi, di), trials, jobs, solver)
-            cell_fracs.append(float(np.mean([r["success"] for r in trial_rows])))
-        rows_out.append([val] + cell_fracs)
-    _write_csv(out_dir / "heatmap.csv", header, rows_out)
+            cells.append((sub_cfg, _cell_seed(seed, vi, di)))
+    fracs = iter(_sweep(cells, solver, trials, jobs))
+    rows = [[val, *(next(fracs) for _ in deltas)] for val in values]
     aggregates = {"param": param, "values": list(values), "deltas": deltas, "trials_per_cell": trials}
-    _write_summary(out_dir, "phase", cfg, seed, solver, aggregates)
-    return EXIT_OK
+    return solver, {"heatmap.csv": ([f"{param}\\delta"] + [f"{d:g}" for d in deltas], rows)}, aggregates
 
 
 def _cell_seed(seed: int, vi: int, di: int) -> int:
     return seed * 1_000_003 + vi * 1009 + di
 
 
-def cmd_noise(cfg: dict, out_dir: Path, seed: int) -> int:
+def cmd_noise(cfg: dict, seed: int) -> tuple:
     sched = _known(cfg.get("lambda_schedule", {}), ("lambda0", "factor", "steps"), "lambda_schedule")
     lam0 = _number(sched.get("lambda0", 1e-6), float, "lambda_schedule.lambda0")
     factor = _number(sched.get("factor", 10.0), float, "lambda_schedule.factor")
     steps = _number(sched.get("steps", 12), int, "lambda_schedule.steps")
     report = run_lambda_continuation(cfg, seed, lam0, factor, steps, "rtr2")
-    header = ["lambda", "misfit_noisy", "misfit_clean", "err_fro", "lifted_residual", "iters", "selected",
-              "status", "hess_calls"]
-    rows = [
-        [r["lambda"], r["misfit_noisy"], r["misfit_clean"], r["err_fro"],
-         r["lifted_residual"], r["iters"], int(r["selected"]), r["status"], r["hess_calls"]]
-        for r in report["ladder"]
-    ]
-    _write_csv(out_dir / "lambda_ladder.csv", header, rows)
-    _write_summary(out_dir, "noise", cfg, seed, "rtr2", report["summary"])
-    return EXIT_OK
+    ladder = report["ladder"]  # one row per rung, "selected" 0 or 1
+    table = (list(ladder[0]), [list(r.values()) for r in ladder])
+    return "rtr2", {"lambda_ladder.csv": table}, report["summary"]
 
 
 def run_lambda_continuation(cfg: dict, seed: int, lam0: float, factor: float, steps: int, solver: str) -> dict:
@@ -491,7 +480,7 @@ def run_lambda_continuation(cfg: dict, seed: int, lam0: float, factor: float, st
             "err_fro": float(np.linalg.norm(z.x - target)),
             "lifted_residual": math.sqrt(max(obj.lifted_residual(z), 0.0)),
             "iters": trace.final.k,
-            "selected": False,
+            "selected": 0,
             "status": trace.status,
             "hess_calls": sum(n or 0 for n in trace.column("hess_calls")),
         })
@@ -499,7 +488,7 @@ def run_lambda_continuation(cfg: dict, seed: int, lam0: float, factor: float, st
 
     best = select_lambda([r["misfit_noisy"] for r in ladder],
                          [r["lifted_residual"] for r in ladder])
-    ladder[best]["selected"] = True
+    ladder[best]["selected"] = 1
     chosen = ladder[best]
     summary = {
         "lambda_star": chosen["lambda"],
@@ -615,21 +604,18 @@ def run_cluster_trial(cfg: dict, seed_key: tuple) -> dict:
     }
 
 
-def cmd_cluster(cfg: dict, out_dir: Path, seed: int, trials: int, jobs: int) -> int:
+def cmd_cluster(cfg: dict, seed: int, trials: int, jobs: int) -> tuple:
     rows = _run_trials(run_cluster_trial, cfg, seed, trials, jobs)
-    _write_trials(out_dir, seed, ["rand_index", "cluster_success", "rmse", "f_final", "gnorm_x",
-                                  "iters", "status"], rows)
     aggregates = {
         "trials": trials,
         "cluster_success_fraction": float(np.mean([r["cluster_success"] for r in rows])),
         "rand_index_mean": float(np.mean([r["rand_index"] for r in rows])),
         "rmse_mean": float(np.mean([r["rmse"] for r in rows])),
     }
-    _write_summary(out_dir, "cluster", cfg, seed, "rtr2", aggregates)  # cluster_complete's solver
-    return EXIT_OK
+    return "rtr2", _trial_tables(seed, rows), aggregates  # cluster_complete's solver
 
 
-def cmd_rank_sweep(cfg: dict, out_dir: Path, seed: int, solver: str, trials: int, jobs: int) -> int:
+def cmd_rank_sweep(cfg: dict, seed: int, solver: str, trials: int, jobs: int) -> tuple:
     if "ranks" in cfg:
         if "rank_offsets" in cfg:
             raise ConfigError("field 'rank_offsets' does not apply when 'ranks' is given")
@@ -644,18 +630,11 @@ def cmd_rank_sweep(cfg: dict, out_dir: Path, seed: int, solver: str, trials: int
         ranks = [r for r in (true_rank + _number(o, int, "rank_offsets") for o in offsets) if r >= 1]
         if not ranks:
             raise ConfigError(f"field 'rank_offsets' leaves no rank >= 1 (the true rank is {true_rank})")
-    rows_out = []
-    for ri, r in enumerate(ranks):
-        sub_cfg = json.loads(json.dumps(cfg))
-        sub_cfg["rank"] = r
-        trial_rows = _run_trials(run_trial, sub_cfg, _cell_seed(seed, ri, 0), trials, jobs, solver)
-        frac = float(np.mean([row["success"] for row in trial_rows]))
-        rows_out.append([r, int(r == true_rank), frac])
-    _write_csv(out_dir / "rank_sweep.csv", ["rank", "is_true_rank", "success_fraction"], rows_out)
-    aggregates = {"true_rank": true_rank, "ranks": ranks,
-                  "fractions": [row[2] for row in rows_out]}
-    _write_summary(out_dir, "rank-sweep", cfg, seed, solver, aggregates)
-    return EXIT_OK
+    fracs = _sweep([(dict(cfg, rank=r), _cell_seed(seed, ri, 0)) for ri, r in enumerate(ranks)],
+                   solver, trials, jobs)
+    rows = [[r, int(r == true_rank), frac] for r, frac in zip(ranks, fracs)]
+    aggregates = {"true_rank": true_rank, "ranks": ranks, "fractions": fracs}
+    return solver, {"rank_sweep.csv": (["rank", "is_true_rank", "success_fraction"], rows)}, aggregates
 
 
 def cmd_check(seed: int) -> int:
@@ -709,8 +688,8 @@ def cmd_check(seed: int) -> int:
 
 
 # each command's runner and the top-level keys it reads (rank-sweep sets "rank");
-# after cfg, out_dir and seed, a runner reading "solver" takes the solver name,
-# then one reading "trials" takes trials and jobs
+# after cfg and seed, a runner reading "solver" takes the solver name, then one
+# reading "trials" takes trials and jobs
 _SOLVE_KEYS = ("data", "sensing", "lifting", "solver", "solver_options", "seed")
 COMMANDS = {
     "recover": (cmd_recover, _SOLVE_KEYS + ("rank", "trials", "restarts")),
@@ -770,16 +749,25 @@ def main(argv: list[str] | None = None) -> int:
             if args.jobs < 1:
                 raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
             counts = (trials, args.jobs)
-        solver = (parse_solver_name(cfg, args.solver),) if "solver" in keys else ()
+        name = (parse_solver_name(cfg, args.solver),) if "solver" in keys else ()
+        # --out is made only once the run succeeds, under its nearest existing ancestor
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return run(cfg, out_dir, seed, *solver, *counts)
+        ancestor = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+        if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+            raise ConfigError(f"--out {args.out} cannot be written: {ancestor} is not a writable directory")
+        solver, tables, aggregates = run(cfg, seed, *name, *counts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalError, DegenerateRetractionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for file_name, (header, rows) in tables.items():
+        _write_csv(out_dir / file_name, header, rows)
+    summary = dict(command=args.command, solver=solver, seed=seed, config=cfg, aggregates=aggregates)
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

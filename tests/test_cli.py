@@ -343,9 +343,11 @@ class TestRecoverCommand:
             raise DegenerateRetractionError("U + H is numerically rank deficient")
 
         monkeypatch.setattr(cli, "rtr_solve", degenerate)
-        code, _ = self.run(tmp_path, RECOVER_CFG)
+        code, out = self.run(tmp_path, RECOVER_CFG)
         assert code == EXIT_NUMERICAL
-        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "numerical failure: U + H is numerically rank deficient"]
+        assert not out.exists()  # a command writes nothing unless it runs to the end
 
 
 class TestPhaseCommand:
@@ -385,7 +387,9 @@ class TestPhaseCommand:
 
 
     def test_mask_section_of_the_config_kept(self, tmp_path, monkeypatch):
-        # each cell sets only kind and delta; per_column comes from the config
+        # each cell sets only kind and delta; per_column comes from the config.
+        # Every cell's first trial is built, and so checked, before any solve,
+        # so each cell samples its first mask twice
         sampled = []
         sample = cli.gen_entry_mask
 
@@ -398,7 +402,7 @@ class TestPhaseCommand:
                    grid={"deltas": [0.8, 0.9], "param": "k", "values": [2]})
         out = tmp_path / "out"
         assert main(["phase", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_OK
-        assert sampled == [(0.8, True), (0.9, True)]
+        assert sampled == [(0.8, True), (0.9, True)] * 2
 
 
 @pytest.mark.parametrize("command,change,field", [
@@ -438,7 +442,7 @@ def test_sweep_that_solves_nothing_exit_code(tmp_path, capsys, solves, command, 
     out = tmp_path / "out"
     assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
-    assert solves == [] and list(out.iterdir()) == []
+    assert solves == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command,field", [
@@ -572,6 +576,13 @@ NOISE_CFG = {
     ("rank-sweep", dict(RANK_SWEEP_CFG, ranks=[0, 5]), (), "field 'ranks' must be >= 1, got 0"),
     ("rank-sweep", dict(RANK_SWEEP_CFG, ranks=[5], rank_offsets=[-1, 0, 1]), (),
      "field 'rank_offsets' does not apply when 'ranks' is given"),
+    # a bad later cell of a sweep stops it before its first cell is solved
+    ("phase", dict(RECOVER_CFG, grid={"deltas": [0.7, 0.9], "param": "k", "values": [1, 2, "x"]}), (),
+     "bad data: field 'data.k' must be an integer, got 'x'"),
+    ("phase", dict(RECOVER_CFG, grid={"deltas": [0.7, 1.5], "param": "k", "values": [2]}), (),
+     "bad sensing spec: undersampling ratio must lie in (0, 1]"),
+    ("rank-sweep", dict(RANK_SWEEP_CFG, ranks=[3, 4, 500]), (),
+     "bad objective: rank 500 must satisfy 1 <= r < 16, the ambient dimension of the subspace"),
 ], ids=["lifting_unknown_key", "data_unknown_key", "dim_sweep_over_clusters", "uos_no_subspace",
         "no_points", "no_clusters", "clusters_in_r0", "dense_no_measurement",
         "dense_negative_m", "no_lambda_steps", "negative_lambda_steps", "negative_config_seed",
@@ -583,16 +594,30 @@ NOISE_CFG = {
         "negative_jobs", "negative_max_iter", "negative_eps_g", "negative_eps_h",
         "zero_tcg_max_inner", "negative_max_outer", "negative_altmin_max_inner",
         "negative_eps_x", "negative_eps_u", "nan_eps_g", "nan_delta", "rank_below_one",
-        "ranks_and_rank_offsets"])
+        "ranks_and_rank_offsets", "late_phase_value", "late_phase_delta", "late_rank"])
 def test_rejected_input_exit_code(tmp_path, capsys, solves, command, cfg, extra, message):
     # a typo, a mistyped value or an empty size ends in one line on stderr
-    # before any solve, never in a run of something else or a traceback
+    # before any solve, never in a run of something else or a traceback,
+    # and leaves no --out behind
     args = [command, *extra]
     if cfg is not None:
         args += ["--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]
     assert main(args) == EXIT_CONFIG
     assert capsys.readouterr().err.strip().splitlines() == [f"config error: {message}"]
-    assert solves == []
+    assert solves == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/out", "file/out/deeper"])
+def test_unwritable_out_exit_code(tmp_path, capsys, solves, out):
+    # an --out that is, or would be under, a regular file is found before
+    # any solve and touches nothing
+    (tmp_path / "file").write_text("kept\n")
+    args = ["recover", "--config", write_cfg(tmp_path, RECOVER_CFG), "--out", str(tmp_path / out)]
+    assert main(args) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"config error: --out {tmp_path / out} cannot be written: {tmp_path / 'file'} is not a "
+        "writable directory"]
+    assert solves == [] and (tmp_path / "file").read_text() == "kept\n"
 
 
 def test_lambda_ladder_checked_before_the_first_rung(tmp_path, capsys, monkeypatch):

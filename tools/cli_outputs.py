@@ -9,9 +9,10 @@ Each run calls `python -m nlrecover.cli` with PYTHONPATH=<src-dir> and one
 BLAS thread, at --jobs 1 for the commands that take it, and writes into
 <out-dir>/<run>/: the command's output files, its config (config.json),
 and its stdout, stderr and exit code (stdout.txt, stderr.txt, exit_code.txt).
-The runs in FLAG_ERRORS also get a flag their command does not take, so the
-set covers the stderr of a flag error. The whole set takes well under a
-minute on one core.
+The runs in ERRORS exit 2: two get a flag their command does not take, so
+the set covers the stderr of a flag error, and two give a sweep a bad last
+cell, so it covers a config error that a sweep finds past its first cell.
+The whole set takes well under a minute on one core.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ NOISE = {
     "lambda_schedule": {"lambda0": 1e-4, "factor": 10.0, "steps": 6},
     "seed": 0,
 }
+RANK_SWEEP = {k: v for k, v in RECOVER.items() if k != "rank"}  # rank-sweep sets the rank
 CLUSTER = {
     "data": {"kind": "clusters", "n": 4, "k": 2, "pts_per": 8},
     "sensing": {"kind": "mask", "delta": 0.8},
@@ -62,17 +64,21 @@ RUNS = {
     "noise_flag_error": ("noise", NOISE),
     "cluster": ("cluster", CLUSTER),
     "cluster_flag_error": ("cluster", CLUSTER),
-    "rank-sweep": ("rank-sweep", dict({k: v for k, v in RECOVER.items() if k != "rank"},
-                                      rank_offsets=[-1, 0, 1], trials=1)),
+    "rank-sweep": ("rank-sweep", dict(RANK_SWEEP, rank_offsets=[-1, 0, 1], trials=1)),
+    "phase_bad_value": ("phase", dict(RECOVER, grid={"deltas": [0.7, 0.9], "param": "k",
+                                                     "values": [1, 2, "x"]})),
+    "rank_sweep_bad_rank": ("rank-sweep", dict(RANK_SWEEP, ranks=[3, 4, 500])),
     "check": ("check", None),
 }
-# runs given a flag their command does not take; they exit 2
-FLAG_ERRORS = {"noise_flag_error": ["--trials", "3"], "cluster_flag_error": ["--solver", "rtr2"]}
+# runs that exit 2, and the flags they get besides their config: a flag the
+# command does not take, or none for a config whose last sweep cell is bad
+ERRORS = {"noise_flag_error": ["--trials", "3"], "cluster_flag_error": ["--solver", "rtr2"],
+          "phase_bad_value": [], "rank_sweep_bad_rank": []}
 
 
 def run_all(src: Path, out: Path) -> int:
     """Run every entry of RUNS; the number of runs that did not exit as
-    expected (2 for FLAG_ERRORS, 0 for the others)."""
+    expected (2 for ERRORS, 0 for the others)."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     failed = 0
@@ -85,13 +91,13 @@ def run_all(src: Path, out: Path) -> int:
             args += ["--config", str(run_dir / "config.json"), "--out", str(run_dir)]
             if "trials" in cfg:  # the commands that read trials take --jobs
                 args += ["--jobs", "1"]
-        args += FLAG_ERRORS.get(name, [])
+        args += ERRORS.get(name, [])
         proc = subprocess.run(args, env=env, capture_output=True, text=True)
         (run_dir / "stdout.txt").write_text(proc.stdout)
         (run_dir / "stderr.txt").write_text(proc.stderr)
         (run_dir / "exit_code.txt").write_text(f"{proc.returncode}\n")
         print(f"{name}: exit {proc.returncode}")
-        failed += proc.returncode != (2 if name in FLAG_ERRORS else 0)
+        failed += proc.returncode != (2 if name in ERRORS else 0)
     return failed
 
 
