@@ -65,6 +65,7 @@ SOLVERS = {
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_OUTPUT = 4
 
 
 class ConfigError(ValueError):
@@ -762,11 +763,16 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalError, DegenerateRetractionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for file_name, (header, rows) in tables.items():
-        _write_csv(out_dir / file_name, header, rows)
     summary = dict(command=args.command, solver=solver, seed=seed, config=cfg, aggregates=aggregates)
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for file_name, (header, rows) in tables.items():
+            _write_csv(out_dir / file_name, header, rows)
+        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        # the files written before the failure stay; summary.json is last
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     return EXIT_OK
 
 

@@ -6,9 +6,15 @@ Euclidean gradient of its residual cost (trace(P_{W_perp} K(X, X)) for the
 kernels, ||Phi(X) - U U^T Phi(X)||_F^2 for the features) and a closed-form
 Euclidean Hessian operator on (dx, dw), built once per point. Each operator
 returns the pair (h_x, h_w), or h_x alone when dw is omitted, which is the X
-block at dw = 0 without computing the subspace block. For the monomial kernel
-of degree 1 or 2 the residual along a line X + alpha D, with the subspace
-fixed, is a polynomial in alpha whose coefficients come in closed form.
+block at dw = 0 without computing the subspace block.
+
+`LiftingSpec.at(basis)` evaluates the residual with the basis held fixed:
+P_{W_perp} is built once per basis, and each point X is lifted once (a
+`LiftedPoint`: the lifted matrix and, for the monomial kernel, the Gram
+X^T X + c it is a power of), which its cost, its X gradient and the
+coefficients of the residual along a line X + alpha D all read. For the
+monomial kernel of degree 1 or 2 that residual is a polynomial in alpha
+whose coefficients come in closed form from the Gram, X^T D and D^T D.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -201,15 +207,15 @@ def _w_perp(w: np.ndarray, s: int) -> np.ndarray:
     return p_perp
 
 
-def monomial_grad_x(x_mat: np.ndarray, w: np.ndarray, d: int, c: float) -> np.ndarray:
-    """Euclidean gradient in X of trace(P_{W_perp} K_d(X, X)):
-    2 d X (K_{d-1} o P_{W_perp})."""
+def monomial_grad_x(
+    x_mat: np.ndarray, p_perp: np.ndarray, gram: np.ndarray, d: int
+) -> np.ndarray:
+    """Euclidean gradient in X of trace(P K_d(X, X)) from P = I - W W^T and
+    the Gram G = X^T X + c, with K_j = G^(.j): 2 d X (K_{d-1} o P)."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
-    p_perp = _w_perp(w, x_mat.shape[1])
-    k_lower = monomial_kernel(x_mat, x_mat, d - 1, c)
-    return 2.0 * d * x_mat @ (k_lower * p_perp)
+    k_lower_perp = p_perp if d == 1 else gram ** (d - 1) * p_perp
+    return 2.0 * d * x_mat @ k_lower_perp
 
 
 def monomial_hess_operator(x_mat: np.ndarray, w: np.ndarray, d: int, c: float):
@@ -273,33 +279,12 @@ def monomial_hess_operator(x_mat: np.ndarray, w: np.ndarray, d: int, c: float):
     return apply
 
 
-def monomial_line_coefficients(
-    x_mat: np.ndarray, w: np.ndarray, dx: np.ndarray, d: int, c: float
-) -> tuple[float, float, float]:
-    """(c2, c3, c4) of trace(P_{W_perp} K_d(X + a D, X + a D)) = sum_k c_k a^k
-    for d = 1 or 2 (D = dx); c0 and c1 are the value and the slope <grad_x, D>.
-    With A = X^T X + c, G1 = X^T D + D^T X, G2 = D^T D and P = P_{W_perp}:
-    d = 1 gives c2 = <P, G2>, c3 = c4 = 0; d = 2 gives
-    c2 = <P o G1, G1> + 2 <P o A, G2>, c3 = 2 <P o G1, G2>, c4 = <P o G2, G2>."""
-    if d not in (1, 2):
-        raise ValueError("line coefficients need degree 1 or 2")
-    p_perp = _w_perp(w, x_mat.shape[1])
-    g2 = dx.T @ dx
-    if d == 1:
-        return float(np.vdot(p_perp, g2)), 0.0, 0.0
-    xt_d = x_mat.T @ dx
-    g1 = xt_d + xt_d.T
-    p_g1 = p_perp * g1
-    p_g2 = p_perp * g2
-    c2 = np.vdot(p_g1, g1) + 2.0 * np.vdot(x_mat.T @ x_mat + c, p_g2)
-    return float(c2), float(2.0 * np.vdot(p_g1, g2)), float(np.vdot(p_g2, g2))
-
-
-def gaussian_grad_x(x_mat: np.ndarray, w: np.ndarray, sigma: float, k: np.ndarray) -> np.ndarray:
-    """Euclidean gradient in X of trace(P_{W_perp} K_G(X, X)) for the Gaussian
-    kernel, from k = K_G(X, X): -(2 / sigma^2) X (diag(colsum(K o P)) - K o P)."""
-    x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
-    p_perp = _w_perp(w, x_mat.shape[1])
+def gaussian_grad_x(
+    x_mat: np.ndarray, p_perp: np.ndarray, sigma: float, k: np.ndarray
+) -> np.ndarray:
+    """Euclidean gradient in X of trace(P K_G(X, X)) for the Gaussian kernel,
+    from P = I - W W^T and k = K_G(X, X):
+    -(2 / sigma^2) X (diag(colsum(K o P)) - K o P)."""
     kp = k * p_perp
     return -(2.0 / sigma**2) * x_mat @ (np.diag(kp.sum(axis=0)) - kp)
 
@@ -362,8 +347,9 @@ def lift_grad_w(k_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LiftingSpec:
-    """Choice of lifting and its parameters, and the one place that branches
-    on it: the lifted matrix, the residual and its derivatives.
+    """Choice of lifting and its parameters, and, with its per-basis
+    `BasisEvaluator`, the one place that branches on it: the lifted matrix,
+    the residual and its derivatives.
 
     kind is one of the keys of PARAMS, which lists the parameters it reads.
     """
@@ -447,22 +433,15 @@ class LiftingSpec:
 
     def grad(self, x_mat: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Euclidean gradient blocks (X, basis) of the ambient extension of
-        the residual (valid for any, not necessarily orthonormal, basis)."""
-        lifted = self.lift(x_mat)
-        return self.grad_x(x_mat, basis, lifted), self.grad_basis(lifted, basis)
+        the residual (valid for any, not necessarily orthonormal, basis),
+        from one lift of X."""
+        at = self.at(basis)
+        point = at.lift(x_mat)
+        return at.grad_x(x_mat, point), at.grad_basis(point)
 
-    def grad_x(self, x_mat: np.ndarray, basis: np.ndarray, lifted: np.ndarray | None = None) -> np.ndarray:
-        """Euclidean gradient block of X alone. lifted, when given, is
-        lift(x_mat), which the explicit features and the Gaussian kernel
-        reuse instead of building it again."""
-        if self.kind == "monomial_kernel":
-            return monomial_grad_x(x_mat, basis, self.degree, self.offset)
-        if lifted is None:
-            lifted = self.lift(x_mat)
-        if self.kind == "gaussian_kernel":
-            return gaussian_grad_x(x_mat, basis, self.sigma, lifted)
-        resid = 2.0 * (lifted - basis @ (basis.T @ lifted))
-        return monomial_features_vjp(x_mat, self.degree, resid, lifted)
+    def at(self, basis: np.ndarray) -> "BasisEvaluator":
+        """The residual and its X derivatives with the basis held fixed."""
+        return BasisEvaluator(self, basis)
 
     def grad_basis(self, lifted: np.ndarray, basis: np.ndarray) -> np.ndarray:
         """Euclidean gradient block of the basis from the lifted matrix."""
@@ -472,8 +451,9 @@ class LiftingSpec:
 
     def hess_operator(self, x_mat: np.ndarray, basis: np.ndarray, lifted: np.ndarray | None = None):
         """Closed-form Euclidean Hessian operator of the residual at (X, basis).
-        lifted, when given, is lift(x_mat), reused as in `grad_x`; the
-        monomial kernel's operator builds the kernel powers it needs."""
+        lifted, when given, is lift(x_mat), which the explicit features and
+        the Gaussian kernel reuse instead of building it again; the monomial
+        kernel's operator builds the kernel powers it needs."""
         if self.kind == "monomial_kernel":
             return monomial_hess_operator(x_mat, basis, self.degree, self.offset)
         if lifted is None:
@@ -482,12 +462,77 @@ class LiftingSpec:
             return gaussian_hess_operator(x_mat, basis, self.sigma, lifted)
         return monomial_features_hess_operator(x_mat, basis, self.degree, lifted)
 
-    def line_coefficients(self, x_mat: np.ndarray, basis: np.ndarray, dx: np.ndarray):
-        """(c2, c3, c4) with residual(X + a dx) = f + a <grad_x, dx> + c2 a^2
-        + c3 a^3 + c4 a^4 at a fixed basis, for the monomial kernel of degree
-        1 or 2 (see `monomial_line_coefficients`); None for the other
-        liftings and degrees, whose residual along a line has no such short
-        closed form."""
-        if self.kind != "monomial_kernel" or self.degree > 2:
+
+class LiftedPoint(NamedTuple):
+    """What a lifting builds at one X, whatever the basis: the lifted matrix
+    (see `LiftingSpec.lift`) and, for the monomial kernel, the Gram X^T X + c
+    whose d-th entrywise power it is."""
+
+    lifted: np.ndarray
+    gram: np.ndarray | None = None
+
+
+class BasisEvaluator:
+    """The residual of a lifting and its Euclidean derivatives in X with the
+    basis held fixed. P_{W_perp} = I - W W^T, which the kernel forms read, is
+    built once here (the feature form projects with the basis itself); each X
+    is lifted once, into a `LiftedPoint` that its cost, its gradient and its
+    line coefficients all read."""
+
+    def __init__(self, spec: LiftingSpec, basis: np.ndarray):
+        self.spec = spec
+        self.basis = basis
+        self.p_perp = _w_perp(basis, basis.shape[0]) if spec.is_kernel else None
+
+    def lift(self, x_mat: np.ndarray) -> LiftedPoint:
+        """The lifted point at X. For the monomial kernel the matrix is the
+        Gram's power: the operations of `monomial_kernel`, so it is the same
+        to the bit."""
+        spec = self.spec
+        if spec.kind != "monomial_kernel":
+            return LiftedPoint(spec.lift(x_mat))
+        gram = x_mat.T @ x_mat
+        gram += spec.offset
+        return LiftedPoint(gram**spec.degree, gram)
+
+    def cost(self, x_mat: np.ndarray) -> tuple[float, LiftedPoint]:
+        """The residual at X, and the lifted point it was computed from."""
+        point = self.lift(x_mat)
+        return self.spec.residual(point.lifted, self.basis), point
+
+    def grad_x(self, x_mat: np.ndarray, point: LiftedPoint) -> np.ndarray:
+        """Euclidean gradient block of X at the lifted point of X."""
+        spec = self.spec
+        if spec.kind == "monomial_kernel":
+            return monomial_grad_x(x_mat, self.p_perp, point.gram, spec.degree)
+        if spec.kind == "gaussian_kernel":
+            return gaussian_grad_x(x_mat, self.p_perp, spec.sigma, point.lifted)
+        phi = point.lifted
+        resid = 2.0 * (phi - self.basis @ (self.basis.T @ phi))
+        return monomial_features_vjp(x_mat, spec.degree, resid, phi)
+
+    def grad_basis(self, point: LiftedPoint) -> np.ndarray:
+        """Euclidean gradient block of the basis at a lifted point."""
+        return self.spec.grad_basis(point.lifted, self.basis)
+
+    def line_coefficients(self, x_mat: np.ndarray, point: LiftedPoint, dx: np.ndarray):
+        """(c2, c3, c4) with residual(X + a D) = f + a <grad_x, D> + c2 a^2
+        + c3 a^3 + c4 a^4 (D = dx) for the monomial kernel of degree 1 or 2;
+        None for the other liftings and degrees, whose residual along a line
+        has no such short closed form. With A = X^T X + c (the point's Gram),
+        G1 = X^T D + D^T X, G2 = D^T D and P = P_{W_perp}: d = 1 gives
+        c2 = <P, G2>, c3 = c4 = 0; d = 2 gives c2 = <P o G1, G1> + 2 <P o A, G2>,
+        c3 = 2 <P o G1, G2>, c4 = <P o G2, G2>."""
+        spec = self.spec
+        if spec.kind != "monomial_kernel" or spec.degree > 2:
             return None
-        return monomial_line_coefficients(x_mat, basis, dx, self.degree, self.offset)
+        p_perp = self.p_perp
+        g2 = dx.T @ dx
+        if spec.degree == 1:
+            return float(np.vdot(p_perp, g2)), 0.0, 0.0
+        xt_d = x_mat.T @ dx
+        g1 = xt_d + xt_d.T
+        p_g1 = p_perp * g1
+        p_g2 = p_perp * g2
+        c2 = np.vdot(p_g1, g1) + 2.0 * np.vdot(point.gram, p_g2)
+        return float(c2), float(2.0 * np.vdot(p_g1, g2)), float(np.vdot(p_g2, g2))

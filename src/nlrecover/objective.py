@@ -7,20 +7,25 @@ composes them with the affine constraint A(X) = b, or with a quadratic
 penalty lambda * ||A(X) - b||^2 for noisy measurements, where X ranges over
 all of R^{n x s}.
 
-Riemannian gradients project the Euclidean blocks onto the tangent spaces;
-the Hessian operator adds the Grassmann curvature correction to the
-closed-form Euclidean Hessian of the lifting, which `fd_check` compares with
-finite differences of the gradient for every lifting.
+Riemannian gradients project the Euclidean blocks onto the tangent spaces.
+`Objective.at(u)` holds the subspace fixed: the cost, X gradient and line
+coefficients of the lifting's `BasisEvaluator` at u, plus the constraint's
+share (the projection onto null(A)). The evaluator at the last u is kept, so
+every gradient taken at one u, such as those of an alternating-minimization
+round, shares its P_{W_perp}. The Hessian operator adds the Grassmann curvature correction
+to the closed-form Euclidean Hessian of the lifting, which `fd_check`
+compares with finite differences of the gradient for every lifting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lifting import LiftingSpec
+from .lifting import BasisEvaluator, LiftedPoint, LiftingSpec
 from .manifold import (
+    GrassmannPoint,
     MeasurementSubspace,
     ProductPoint,
     ProductTangent,
@@ -46,6 +51,9 @@ class Objective:
     rank_r: int
     measurement: MeasurementSubspace
     penalty_lambda: float | None = None
+    # the lifting's evaluator at the subspace last asked for, as (u, evaluator);
+    # it holds no reference back to the objective
+    _at: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.penalty_lambda is not None and self.penalty_lambda <= 0:
@@ -78,19 +86,33 @@ class Objective:
     # --- cost / gradient / Hessian -----------------------------------------
 
     def cost(self, z: ProductPoint) -> float:
-        val = self.lifted_residual(z)
+        return self._plus_penalty(self.lifted_residual(z), z.x)
+
+    def _plus_penalty(self, val: float, x: np.ndarray) -> float:
+        """A lifted residual at x plus the penalty term lambda ||A(x) - b||^2,
+        if there is one."""
         if self.penalty_lambda is not None:
-            r = self.measurement.residual(z.x)
+            r = self.measurement.residual(x)
             val += self.penalty_lambda * float(r @ r)
         return val
 
+    def at(self, u: GrassmannPoint) -> "FixedSubspace":
+        """The objective with the subspace held at u. The lifting's evaluator
+        built last is used again while u is the same point, so calls at one u
+        share its P_perp."""
+        if self._at is None or self._at[0] is not u:
+            self._at = (u, self.lifting.at(u.basis))
+        return FixedSubspace(self, u, self._at[1])
+
     def rgrad(self, z: ProductPoint) -> ProductTangent:
-        gx, gu = self.lifting.grad(z.x, z.u.basis)
-        return ProductTangent(self._grad_x(gx, z.x), grass_project(z.u, gu))
+        at = self.at(z.u)
+        point = at.lift(z.x)
+        return ProductTangent(at.rgrad_x(z.x, point), at.rgrad_u(point))
 
     def rgrad_x(self, z: ProductPoint) -> np.ndarray:
         """X block of `rgrad(z)`, without the subspace block."""
-        return self._grad_x(self.lifting.grad_x(z.x, z.u.basis), z.x)
+        at = self.at(z.u)
+        return at.rgrad_x(z.x, at.lift(z.x))
 
     def _grad_x(self, gx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """X block of the Riemannian gradient from its Euclidean part: plus
@@ -140,6 +162,42 @@ class Objective:
         if self.constrained:
             dx = meas_project(self.measurement, dx)
         return ProductTangent(dx, du)
+
+
+class FixedSubspace:
+    """The objective at a fixed subspace u as a function of X alone: its cost,
+    Riemannian X gradient and line coefficients, all read from one
+    `LiftedPoint` per X (see `LiftingSpec.at`)."""
+
+    def __init__(self, obj: Objective, u: GrassmannPoint, lifting: BasisEvaluator):
+        self.obj = obj
+        self.u = u
+        self.lifting = lifting
+
+    def lift(self, x: np.ndarray) -> LiftedPoint:
+        return self.lifting.lift(x)
+
+    def cost(self, x: np.ndarray) -> tuple[float, LiftedPoint]:
+        """`Objective.cost` at (x, u), by the same operations, and the lifted
+        point of x."""
+        val, point = self.lifting.cost(x)
+        return self.obj._plus_penalty(val, x), point
+
+    def rgrad_x(self, x: np.ndarray, point: LiftedPoint) -> np.ndarray:
+        """X block of the Riemannian gradient at (x, u) from x's lifted point."""
+        return self.obj._grad_x(self.lifting.grad_x(x, point), x)
+
+    def rgrad_u(self, point: LiftedPoint) -> np.ndarray:
+        """Subspace block of the Riemannian gradient at a lifted point."""
+        return grass_project(self.u, self.lifting.grad_basis(point))
+
+    def line_coefficients(self, x: np.ndarray, point: LiftedPoint, dx: np.ndarray):
+        """(c2, c3, c4) of the cost along x + a dx for dx in null(A), which
+        keeps the constraint; None under the penalty and where the lifting
+        has none (see `BasisEvaluator.line_coefficients`)."""
+        if not self.obj.constrained:
+            return None
+        return self.lifting.line_coefficients(x, point, dx)
 
 
 @dataclass

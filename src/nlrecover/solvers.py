@@ -24,6 +24,7 @@ import numpy as np
 from .manifold import (
     GrassmannPoint,
     ProductPoint,
+    ProductTangent,
     meas_feasible_point,
     meas_project,
     product_inner,
@@ -678,13 +679,14 @@ def rtr_solve_restarts(
 
 def _subspace_update(
     obj: Objective,
-    x_mat: np.ndarray,
+    lifted: np.ndarray,
     f_val: float,
     f_scale: float,
     exact: bool,
     rng: np.random.Generator,
 ) -> tuple[GrassmannPoint, str]:
-    lifted = obj.lifting.lift(x_mat)
+    """The new subspace from the lifted matrix of the current X, and the SVD
+    mode that computed it."""
     mode = "exact" if exact else svd_policy(f_val / f_scale, SVD_TAU1, SVD_TAU2)
     if mode == "exact":
         return truncated_svd(lifted, obj.rank_r), mode
@@ -754,7 +756,8 @@ def altmin_solve(
         eps_xk = cfg.eps_x if cfg.schedule == "greedy" else max(cfg.eps_x, ADAPTIVE_THETA * rec.gnorm_x)
 
         # after the inner solve, g and f_val hold the gradient and cost at the
-        # new X with the old basis
+        # new X with the old basis, and lifted, once known, the lifted matrix
+        # of that X
         if cfg.inner == "trust_region":
             sub_cfg = RtrConfig(eps_g=eps_xk, max_iter=cfg.max_inner)
             x, sub_trace = rtr_generic(x_factor_problem(obj, u), x, sub_cfg)
@@ -765,7 +768,13 @@ def altmin_solve(
                          if r.rho is not None and r.rho > sub_cfg.rho_prime), None)
             f_val = sub_trace.final.f
             g = obj.rgrad(ProductPoint(x, u))
+            lifted = None  # lifted below if the subspace update runs
         else:
+            # each point is lifted once: the trial that Armijo accepts is the
+            # next iterate, and its lifted point gives the gradient there and
+            # the next step's line coefficients; P_perp is built once, at u
+            at = obj.at(u)
+            point = at.lift(x)
             n_inner = 0
             n_hess = None
             step = None  # first inner step size, the one the descent bound uses
@@ -773,10 +782,18 @@ def altmin_solve(
             while n_inner < cfg.max_inner and float(np.linalg.norm(gx)) > eps_xk:
                 d = -gx
                 g_dot_d = float(np.vdot(gx, d))
-                coeffs = obj.lifting.line_coefficients(x, u.basis, d)
+                coeffs = at.line_coefficients(x, point, d)
+                trial = []  # the last trial point; Armijo accepts the last it evaluates
+
+                def f_along(a, x=x, d=d):
+                    x_a = x + a * d
+                    f_a, point_a = at.cost(x_a)
+                    trial[:] = (x_a, point_a)
+                    return f_a
+
                 try:
                     alpha, f_val = armijo(
-                        lambda a: obj.cost(ProductPoint(x + a * d, u)),
+                        f_along,
                         f_val,
                         g_dot_d,
                         first=None if coeffs is None else quartic_minimizer(g_dot_d, *coeffs),
@@ -787,11 +804,12 @@ def altmin_solve(
                     break
                 if step is None:
                     step = alpha
-                x = x + alpha * d
+                x, point = trial
                 n_inner += 1
-                gx = obj.rgrad_x(ProductPoint(x, u))
+                gx = at.rgrad_x(x, point)
             if n_inner:
-                g = obj.rgrad(ProductPoint(x, u))
+                g = ProductTangent(gx, at.rgrad_u(point))
+            lifted = point.lifted
 
         rec.step = step
         rec.inner_iters = n_inner
@@ -799,5 +817,7 @@ def altmin_solve(
         if float(np.linalg.norm(g.du)) <= cfg.eps_u:
             rec.svd_mode = "skip"
         else:
-            u, rec.svd_mode = _subspace_update(obj, x, f_val, f_scale, cfg.exact_svd, rng)
+            if lifted is None:
+                lifted = obj.lifting.lift(x)
+            u, rec.svd_mode = _subspace_update(obj, lifted, f_val, f_scale, cfg.exact_svd, rng)
         trace.append(rec)

@@ -11,6 +11,7 @@ from nlrecover.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    EXIT_OUTPUT,
     ConfigError,
     build_solver_configs,
     main,
@@ -348,6 +349,18 @@ class TestRecoverCommand:
         assert capsys.readouterr().err.strip().splitlines() == [
             "numerical failure: U + H is numerically rank deficient"]
         assert not out.exists()  # a command writes nothing unless it runs to the end
+
+    def test_failed_write_exit_code(self, tmp_path, capsys):
+        # a write that fails after the solve is one stderr line and exit 4;
+        # the tables written before it stay, and summary.json comes last
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        code, _ = self.run(tmp_path, RECOVER_CFG, extra=("--trials", "1"))
+        assert code == EXIT_OUTPUT
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("output error: ") and "summary.json" in err[0]
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trace_0.csv", "trials.csv"]
+        assert (out / "summary.json").is_dir()
 
 
 class TestPhaseCommand:

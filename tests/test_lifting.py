@@ -23,6 +23,15 @@ def random_basis(rng, p, r):
     return q
 
 
+def perp(w):
+    return np.eye(w.shape[0]) - w @ w.T
+
+
+def monomial_grad(x, w, d, c):
+    """monomial_grad_x from a basis W (P = I - W W^T) and the offset c."""
+    return monomial_grad_x(x, perp(w), x.T @ x + c, d)
+
+
 class TestCountMonomials:
     def test_reference_values(self):
         assert count_monomials(15, 2) == 136
@@ -146,13 +155,13 @@ class TestMonomialGradX:
     def test_full_subspace_gives_zero(self, rng):
         x = rng.standard_normal((3, 5))
         w_full = np.eye(5)  # spans everything: P_perp = 0
-        assert np.linalg.norm(monomial_grad_x(x, w_full, 2, 1.0)) == 0.0
+        assert np.linalg.norm(monomial_grad(x, w_full, 2, 1.0)) == 0.0
 
     def test_degree_one_homogeneous(self, rng):
         x = rng.standard_normal((4, 6))
         w = random_basis(rng, 6, 2)
         p_perp = np.eye(6) - w @ w.T
-        assert np.allclose(monomial_grad_x(x, w, 1, 0.0), 2.0 * x @ p_perp, atol=1e-12)
+        assert np.allclose(monomial_grad(x, w, 1, 0.0), 2.0 * x @ p_perp, atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_finite_differences(self, d, rng):
@@ -164,14 +173,14 @@ class TestMonomialGradX:
         def cost(xm):
             return float(np.trace(p_perp @ monomial_kernel(xm, xm, d, 1.0)))
 
-        analytic = monomial_grad_x(x, w, d, 1.0)
+        analytic = monomial_grad(x, w, d, 1.0)
         fd = euclid_fd_gradient(cost, x)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12)
         assert rel <= 1e-6
 
     def test_degree_validation(self, rng):
         with pytest.raises(ValueError):
-            monomial_grad_x(np.zeros((2, 3)), random_basis(rng, 3, 1), 0, 1.0)
+            monomial_grad(np.zeros((2, 3)), random_basis(rng, 3, 1), 0, 1.0)
 
 
 class TestMonomialHess:
@@ -209,7 +218,7 @@ class TestMonomialHess:
         h = 1e-6 * (1 + np.linalg.norm(x))
 
         def grads(xm, wm):
-            return monomial_grad_x(xm, wm, d, 1.0), lift_grad_w(monomial_kernel(xm, xm, d, 1.0), wm)
+            return monomial_grad(xm, wm, d, 1.0), lift_grad_w(monomial_kernel(xm, xm, d, 1.0), wm)
 
         gx_p, gw_p = grads(x + h * dx, w + h * dw)
         gx_m, gw_m = grads(x - h * dx, w - h * dw)
@@ -280,12 +289,13 @@ class TestMonomialHess:
 class TestGaussianGradX:
     def test_full_subspace_gives_zero(self, rng):
         x = rng.standard_normal((3, 4))
-        assert np.linalg.norm(gaussian_grad_x(x, np.eye(4), 1.0, gaussian_kernel(x, x, 1.0))) == 0.0
+        g = gaussian_grad_x(x, perp(np.eye(4)), 1.0, gaussian_kernel(x, x, 1.0))
+        assert np.linalg.norm(g) == 0.0
 
     def test_duplicate_columns_antisymmetric(self):
         x = np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
         w = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-        g = gaussian_grad_x(x, w, 1.5, gaussian_kernel(x, x, 1.5))
+        g = gaussian_grad_x(x, perp(w), 1.5, gaussian_kernel(x, x, 1.5))
         assert np.all(np.isfinite(g))
         assert np.allclose(g[:, 0], -g[:, 1], atol=1e-12)
 
@@ -298,7 +308,7 @@ class TestGaussianGradX:
         def cost(xm):
             return float(np.trace(p_perp @ gaussian_kernel(xm, xm, sigma)))
 
-        analytic = gaussian_grad_x(x, w, sigma, gaussian_kernel(x, x, sigma))
+        analytic = gaussian_grad_x(x, p_perp, sigma, gaussian_kernel(x, x, sigma))
         fd = euclid_fd_gradient(cost, x)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12)
         assert rel <= 1e-6
@@ -374,17 +384,18 @@ class TestLiftingSpec:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_line_coefficients_reproduce_residual(self, d, rng):
-        # residual(X + a D) = f + a <grad_x, D> + c2 a^2 + c3 a^3 + c4 a^4
+        # residual(X + a D) = f + a <grad_x, D> + c2 a^2 + c3 a^3 + c4 a^4,
+        # every term read from the evaluator's one lifted point of X
         spec = LiftingSpec.monomial(3, d, offset=0.7)
         x, dx = rng.standard_normal((3, 9)), rng.standard_normal((3, 9))
-        w = random_basis(rng, 9, 4)
-        c0 = spec.residual(spec.lift(x), w)
-        c1 = float(np.vdot(spec.grad_x(x, w), dx))
-        c2, c3, c4 = spec.line_coefficients(x, w, dx)
+        at = spec.at(random_basis(rng, 9, 4))
+        c0, point = at.cost(x)
+        c1 = float(np.vdot(at.grad_x(x, point), dx))
+        c2, c3, c4 = at.line_coefficients(x, point, dx)
         if d == 1:
             assert c3 == c4 == 0.0
         for a in (1e-3, 0.1, 0.7, 2.0):
-            f_a = spec.residual(spec.lift(x + a * dx), w)
+            f_a, _ = at.cost(x + a * dx)
             poly = c0 + a * (c1 + a * (c2 + a * (c3 + a * c4)))
             assert poly == pytest.approx(f_a, rel=1e-12)
 
@@ -393,8 +404,8 @@ class TestLiftingSpec:
     ], ids=["gaussian_kernel", "monomial_features", "monomial_kernel_d3"])
     def test_no_line_coefficients(self, spec, rng):
         x = rng.standard_normal((3, 6))
-        w = random_basis(rng, spec.ambient(6), 2)
-        assert spec.line_coefficients(x, w, rng.standard_normal((3, 6))) is None
+        at = spec.at(random_basis(rng, spec.ambient(6), 2))
+        assert at.line_coefficients(x, at.lift(x), rng.standard_normal((3, 6))) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):

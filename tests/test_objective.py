@@ -6,9 +6,13 @@ import nlrecover.lifting
 from nlrecover.lifting import (
     LiftingSpec,
     feature_residual_cost,
+    gaussian_grad_x,
+    gaussian_kernel,
     kernel_tail_cost,
     kernel_trace_cost,
     monomial_features,
+    monomial_features_vjp,
+    monomial_kernel,
 )
 from nlrecover.manifold import (
     GrassmannPoint,
@@ -194,6 +198,93 @@ class TestRgrad:
                 fm = pen.cost(product_retract(z, (-h) * xi))
                 errs.append(abs((fp - fm) / (2 * h) - analytic))
             assert min(errs) <= 1e-5 * max(1.0, product_norm(g))
+
+
+# (kind, degree): the monomial kernel at both degrees with line coefficients
+AT_CASES = [("monomial_kernel", 1), ("monomial_kernel", 2), ("gaussian_kernel", 2),
+            ("monomial_features", 2)]
+AT_IDS = ["monomial_kernel_d1", "monomial_kernel_d2", "gaussian_kernel", "monomial_features"]
+
+
+def one_lift_grad_x(lifting, x, w):
+    """The Euclidean X gradient written out, each from a lift of its own."""
+    p_perp = np.eye(w.shape[0]) - w @ w.T
+    if lifting.kind == "monomial_kernel":
+        d = lifting.degree
+        return 2.0 * d * x @ (monomial_kernel(x, x, d - 1, lifting.offset) * p_perp)
+    if lifting.kind == "gaussian_kernel":
+        return gaussian_grad_x(x, p_perp, lifting.sigma, gaussian_kernel(x, x, lifting.sigma))
+    phi = monomial_features(x, lifting.degree)
+    return monomial_features_vjp(x, lifting.degree, 2.0 * (phi - w @ (w.T @ phi)), phi)
+
+
+class TestFixedSubspace:
+    """`Objective.at(u)`: the cost and X derivatives at a fixed subspace, all
+    read from one lifted point per X."""
+
+    @staticmethod
+    def point(kind, d, penalty, rng):
+        base, _ = small_masked_objective(kind=kind, d=d, seed=9)
+        obj = Objective(lifting=base.lifting, rank_r=base.rank_r,
+                        measurement=base.measurement, penalty_lambda=penalty)
+        z0 = default_init(obj)
+        u = GrassmannPoint(random_basis(rng, obj.grassmann_ambient(), obj.rank_r))
+        return obj, ProductPoint(z0.x + obj.random_tangent(z0, rng).dx, u)
+
+    @pytest.mark.parametrize("kind,d", AT_CASES, ids=AT_IDS)
+    @pytest.mark.parametrize("penalty", [None, 2.0])
+    def test_bit_identical_to_the_objective(self, kind, d, penalty, rng):
+        obj, z = self.point(kind, d, penalty, rng)
+        at = obj.at(z.u)
+        f, point = at.cost(z.x)
+        assert f == obj.cost(z)
+        gx = at.rgrad_x(z.x, point)
+        assert np.array_equal(gx, obj.rgrad_x(z))
+        assert np.array_equal(gx, obj._grad_x(one_lift_grad_x(obj.lifting, z.x, z.u.basis), z.x))
+        g = obj.rgrad(z)
+        assert np.array_equal(gx, g.dx) and np.array_equal(at.rgrad_u(point), g.du)
+
+    @pytest.mark.parametrize("kind,d", AT_CASES, ids=AT_IDS)
+    def test_line_coefficients_reproduce_the_cost(self, kind, d, rng):
+        # only the monomial kernel of degree <= 2 has them, and only under
+        # the constraint, which a step in null(A) keeps
+        obj, z = self.point(kind, d, None, rng)
+        dx = obj.random_tangent(z, rng).dx
+        at = obj.at(z.u)
+        c0, point = at.cost(z.x)
+        coeffs = at.line_coefficients(z.x, point, dx)
+        assert (coeffs is None) == (kind != "monomial_kernel")
+        penalized = Objective(lifting=obj.lifting, rank_r=obj.rank_r,
+                              measurement=obj.measurement, penalty_lambda=1.0)
+        assert penalized.at(z.u).line_coefficients(z.x, point, dx) is None
+        if coeffs is None:
+            return
+        c1 = float(np.vdot(at.rgrad_x(z.x, point), dx))
+        c2, c3, c4 = coeffs
+        for a in (1e-3, 0.1, 0.7, 2.0):
+            poly = c0 + a * (c1 + a * (c2 + a * (c3 + a * c4)))
+            assert poly == pytest.approx(obj.cost(ProductPoint(z.x + a * dx, z.u)), rel=1e-12)
+
+    def test_one_p_perp_per_subspace(self, monkeypatch, rng):
+        calls = []
+        build = nlrecover.lifting._w_perp
+
+        def counted(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(nlrecover.lifting, "_w_perp", counted)
+        obj, z = self.point("monomial_kernel", 2, None, rng)
+        at = obj.at(z.u)
+        for _ in range(3):
+            obj.rgrad(z)
+            obj.rgrad_x(z)
+            at.line_coefficients(z.x, at.lift(z.x), z.x)
+        assert obj.at(z.u).lifting is at.lifting and len(calls) == 1
+        other = GrassmannPoint(z.u.basis.copy())
+        assert obj.at(other).lifting is not at.lifting
+        obj.rgrad(ProductPoint(z.x, other))
+        assert len(calls) == 2
 
 
 class TestQuotientInvariance:

@@ -6,6 +6,7 @@ import ast
 import importlib
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,16 @@ import nlrecover.synth
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+def load_perfbench(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing(monkeypatch):
+    return load_perfbench(monkeypatch, "tracing")
 
 
 def test_every_traced_target_resolves(monkeypatch):
@@ -129,3 +134,28 @@ def test_armijo_wrapper_counts_every_trial(monkeypatch):
         assert tracer.counts["solvers.armijo.evals"] == evals
         tracer.counts.clear()
     assert tracer.calls["solvers.armijo"] == 3
+
+
+def test_altmin_mask_traced_pass_gate(monkeypatch):
+    # the traced benchmark run's gate on one altmin_mask instance cut to two
+    # rounds: every span the workload exercises records calls, and the
+    # solver outcome is the same with and without the spans
+    tracing = load_tracing(monkeypatch)
+    workloads = load_perfbench(monkeypatch, "workloads")
+    monkeypatch.setattr(workloads, "ALTMIN1_SHORT", replace(workloads.ALTMIN1_SHORT, max_outer=2))
+    wl = workloads.WORKLOADS["altmin_mask"]
+    log, tracer = tracing.SolverLog(), tracing.Tracer()
+    log.install()
+    try:
+        wl.solve(wl.setup(wl.keys[0]))
+        tracer.install()
+        try:
+            wl.solve(wl.setup(wl.keys[0]))
+        finally:
+            tracer.uninstall()
+    finally:
+        log.uninstall()
+    untraced, traced = (rec.outcome() for rec in log.records)
+    assert untraced == traced
+    assert untraced[:3] == ("altmin_solve", "max_iter", 3)
+    assert [span for span in wl.exercises if tracer.calls[span] == 0] == []

@@ -775,7 +775,7 @@ class TestAltmin:
         lifted = obj.lifting.lift(x_mat)
         exact = truncated_svd(lifted, obj.rank_r)
         f_val = obj.lifting.residual(lifted, exact.basis)
-        args = (obj, x_mat, f_val, 1e6 * (1.0 + f_val), False, np.random.default_rng(0))
+        args = (obj, lifted, f_val, 1e6 * (1.0 + f_val), False, np.random.default_rng(0))
         # f far below the policy's thresholds routes to the plain randomized SVD
         assert nlrecover.solvers._subspace_update(*args)[1] == "rand_plain"
         worse = truncated_svd(np.random.default_rng(1).standard_normal(lifted.shape), obj.rank_r)
@@ -784,6 +784,34 @@ class TestAltmin:
         u_new, mode = nlrecover.solvers._subspace_update(*args)
         assert mode == "exact"
         assert np.array_equal(u_new.basis, exact.basis)
+
+    def test_round_evaluates_each_point_once(self, monkeypatch):
+        # an altmin1 round builds P_perp once, and its inner steps build no
+        # kernel through monomial_kernel and call no Objective.rgrad_x: the
+        # Gram of each trial point gives its cost, and the accepted one's the
+        # gradient and the next line coefficients. The one kernel of a round
+        # is that of its recorded cost.
+        counts = {"_w_perp": 0, "monomial_kernel": 0, "rgrad_x": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("_w_perp", "monomial_kernel"):
+            monkeypatch.setattr(nlrecover.lifting, name, counted(name, getattr(nlrecover.lifting, name)))
+        monkeypatch.setattr(Objective, "rgrad_x", counted("rgrad_x", Objective.rgrad_x))
+        obj, _, _ = uos_completion_problem(n=15, k=2, dim=2, pts_per=20, delta=0.6, seed=0)
+        at_round_start = []
+        _, trace = altmin_solve(obj, default_init(obj),
+                                replace(build_solver_configs({}, "altmin1"), max_outer=3),
+                                rng=np.random.default_rng(0),
+                                on_iterate=lambda z: at_round_start.append(dict(counts)))
+        for rec, start, end in zip(trace.records, at_round_start, at_round_start[1:]):
+            assert rec.inner_iters > 1 and rec.svd_mode != "skip"
+            assert {name: end[name] - start[name] for name in counts} == \
+                {"_w_perp": 1, "monomial_kernel": 1, "rgrad_x": 0}
 
     def test_svd_skip_marked_in_trace(self):
         obj, target, _ = uos_completion_problem(n=6, pts_per=8, seed=11)
