@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dsymv, dsyrk
 
 ORTHO_TOL = 1e-12
 
@@ -95,7 +96,11 @@ class MeasurementSubspace:
         dense matrix; A is stored flat as (m, n*s) acting on vec(X).
 
     A reduced pivoted-QR basis of range(A^T) is cached at construction for the
-    dense variant; rank-deficient A is rejected.
+    dense variant; rank-deficient A is rejected. The dense variant also caches
+    the Gram A^T A for `normal_apply`, built at its first call (the first
+    penalized Hessian product), not at construction: an (ns)^2 matrix, at
+    most twice the memory of A when m >= ns/2, which every objective over
+    this measurement shares.
     """
 
     def __init__(self, n: int, s: int):
@@ -147,6 +152,7 @@ class MeasurementSubspace:
         self.q_basis = q
         self._r_fac = r
         self._piv = piv
+        self._gram = None
         return self
 
     # --- measurement operator --------------------------------------------
@@ -168,6 +174,20 @@ class MeasurementSubspace:
             out[self.rows, self.cols] = v
             return out
         return (self.a_mat.T @ v).reshape((self.n, self.s), order="F")
+
+    def normal_apply(self, x_mat: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """scale * A^T(A(X)) as an n x s matrix: X zeroed off the mask for an
+        entry mask, bit for bit scale * `adjoint(apply(X))`; one symmetric
+        GEMV with the cached Gram for dense sensing."""
+        x_mat = self._check_shape(x_mat)
+        if self.kind == "entry_mask":
+            return scale * np.where(self.mask, x_mat, 0.0)
+        if self._gram is None:
+            # lower triangle of (A^T)(A^T)^T, F-ordered: a C-ordered A is the
+            # F-ordered A^T that dsyrk reads, so no copy of A is made
+            self._gram = dsyrk(1.0, self.a_mat.T, lower=1)
+        y = dsymv(scale, self._gram, x_mat.ravel(order="F"), lower=1)
+        return y.reshape((self.n, self.s), order="F")
 
     def residual(self, x_mat: np.ndarray) -> np.ndarray:
         return self.apply(x_mat) - self.b

@@ -125,11 +125,11 @@ class Objective:
 
     def _hess_x(self, hx: np.ndarray, dx: np.ndarray) -> np.ndarray:
         """X block of a Riemannian Hessian product from its Euclidean part:
-        plus the penalty term 2 lambda A^T A dx, or projected onto null(A)."""
+        plus the penalty term 2 lambda A^T A dx, read from the measurement's
+        cached Gram (`MeasurementSubspace.normal_apply`), or projected onto
+        null(A)."""
         if self.penalty_lambda is not None:
-            return hx + 2.0 * self.penalty_lambda * self.measurement.adjoint(
-                self.measurement.apply(dx)
-            )
+            return hx + self.measurement.normal_apply(dx, scale=2.0 * self.penalty_lambda)
         return meas_project(self.measurement, hx)
 
     def rhess_operator(self, z: ProductPoint):

@@ -426,7 +426,7 @@ def tcg_subproblem(
         r_sq_new = inner(r, r)
         if math.sqrt(r_sq_new) <= tol:
             return finish((eta, i + 1))
-        d = -r + (r_sq_new / r_sq) * d
+        d = (r_sq_new / r_sq) * d - r
         r_sq = r_sq_new
     return finish((eta, max_inner))
 

@@ -789,15 +789,42 @@ def test_command_table():
         assert set(cfg) <= COMMAND_KEYS[name]
 
 
-def test_output_check_configs_fit_their_commands():
-    # tools/cli_outputs.py runs only configs whose keys their commands read
+def _cli_outputs_tool():
     path = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
     spec = importlib.util.spec_from_file_location("cli_outputs", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_output_check_configs_fit_their_commands():
+    # tools/cli_outputs.py runs only configs whose keys their commands read
+    module = _cli_outputs_tool()
     assert {command for command, _ in module.RUNS.values()} == {*COMMAND_KEYS, "check"}
     for command, cfg in module.RUNS.values():
         assert cfg is None if command == "check" else set(cfg) <= COMMAND_KEYS[command]
+
+
+def test_output_compare_tells_roundoff_from_text(tmp_path, capsys):
+    # --compare: identical runs, runs that differ in numbers only (with the
+    # largest relative difference per file) and runs that differ in text
+    runs = {
+        "same": ({"a.csv": "x,1\n"}, {"a.csv": "x,1\n"}),
+        "roundoff": ({"a.csv": "x,1.0,2\n", "s.json": '{"f": 0.5}'},
+                     {"a.csv": "x,1.0000000000000002,2\n", "s.json": '{"f": 0.25}'}),
+        "text": ({"a.csv": "x,1\n", "b.txt": "ok"}, {"a.csv": "y,1\n"}),
+    }
+    for side in (0, 1):
+        for name, files in runs.items():
+            (tmp_path / str(side) / name).mkdir(parents=True)
+            for f, text in files[side].items():
+                (tmp_path / str(side) / name / f).write_text(text)
+    assert _cli_outputs_tool().compare(tmp_path / "0", tmp_path / "1") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "roundoff: numbers only: a.csv max rel diff 2.22e-16, s.json max rel diff 5.00e-01",
+        "same: identical",
+        "text: text differs: a.csv, b.txt (missing)",
+    ]
 
 
 @pytest.mark.parametrize("command,key", [

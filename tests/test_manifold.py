@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import nlrecover.manifold
+from nlrecover.cli import run_lambda_continuation
+from nlrecover.lifting import LiftingSpec
 from nlrecover.manifold import (
     DegenerateRetractionError,
     DimensionError,
@@ -18,6 +23,8 @@ from nlrecover.manifold import (
     product_norm,
     product_retract,
 )
+from nlrecover.objective import Objective
+from nlrecover.solvers import RtrConfig, default_init, rtr_solve
 
 
 def random_point(rng, p, r):
@@ -243,6 +250,88 @@ class TestDenseSensing:
         a_mat[2] = a_mat[0] + a_mat[1]
         with pytest.raises(RankDeficiencyError):
             MeasurementSubspace.from_dense(a_mat, np.zeros(3), 2, 4)
+
+
+class TestNormalApply:
+    """`normal_apply(X, scale) = scale * A^T(A(X))`, the penalty term of the
+    Hessian: the mask itself, or one symmetric GEMV with a cached Gram."""
+
+    @staticmethod
+    def dense(rng, m, n=4, s=5, order="C"):
+        a_mat = rng.standard_normal((m, n * s)) / np.sqrt(m)
+        with warnings.catch_warnings():  # m > ns warns; the operator still applies
+            warnings.simplefilter("ignore", UserWarning)
+            return MeasurementSubspace.from_dense(np.asarray(a_mat, order=order),
+                                                  rng.standard_normal(m), n, s)
+
+    @staticmethod
+    def counted_gram(monkeypatch):
+        calls = []
+        build = nlrecover.manifold.dsyrk
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(nlrecover.manifold, "dsyrk", counted)
+        return calls
+
+    @pytest.mark.parametrize("scale", [1.0, 0.02])
+    def test_mask_is_adjoint_of_apply_bit_for_bit(self, scale, rng):
+        mask = rng.random((5, 6)) < 0.5
+        meas = MeasurementSubspace.from_mask(mask, rng.standard_normal((5, 6)))
+        for x in (rng.standard_normal((5, 6)), np.asfortranarray(rng.standard_normal((5, 6)))):
+            assert np.array_equal(meas.normal_apply(x, scale=scale),
+                                  scale * meas.adjoint(meas.apply(x)))
+
+    @pytest.mark.parametrize("m", [7, 20, 33], ids=["m<ns", "m=ns", "m>ns"])
+    @pytest.mark.parametrize("a_order", ["C", "F"])
+    @pytest.mark.parametrize("x_order", ["C", "F"])
+    def test_dense_agrees_with_adjoint_of_apply(self, m, a_order, x_order, rng):
+        meas = self.dense(rng, m, order=a_order)
+        for scale in (1.0, 0.02):
+            x = np.asarray(rng.standard_normal((4, 5)), order=x_order)
+            ref = scale * meas.adjoint(meas.apply(x))
+            out = meas.normal_apply(x, scale=scale)
+            assert out.shape == (4, 5)
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_dense_shape_checked(self, rng):
+        with pytest.raises(DimensionError):
+            self.dense(rng, 7).normal_apply(np.zeros((5, 4)))
+
+    def test_gram_built_only_by_a_penalized_hessian_product(self, monkeypatch, rng):
+        calls = self.counted_gram(monkeypatch)
+        n, s = 3, 8
+        target = rng.standard_normal((n, s))
+        a_mat = rng.standard_normal((14, n * s)) / np.sqrt(14)
+        meas = MeasurementSubspace.from_dense(a_mat, a_mat @ target.ravel(order="F"), n, s)
+        lifting = LiftingSpec.monomial(n, 2)
+        obj = Objective(lifting=lifting, rank_r=3, measurement=meas)
+        _, trace = rtr_solve(obj, default_init(obj), RtrConfig(max_iter=20))
+        assert sum(n or 0 for n in trace.column("hess_calls")) > 0
+        pen = Objective(lifting=lifting, rank_r=3, measurement=meas, penalty_lambda=1.0)
+        z = default_init(pen)
+        pen.cost(z), pen.rgrad(z)
+        assert calls == [] and meas._gram is None
+        op = pen.rhess_operator(z)
+        op(pen.random_tangent(z, rng))
+        op(pen.random_tangent(z, rng))
+        assert len(calls) == 1
+
+    def test_one_gram_for_a_lambda_ladder(self, monkeypatch):
+        calls = self.counted_gram(monkeypatch)
+        cfg = {
+            "data": {"kind": "uos", "n": 4, "k": 2, "dim": 1, "pts_per": 5},
+            "sensing": {"kind": "dense", "m": 30, "noise_sigma": 1e-3},
+            "lifting": {"kind": "monomial_kernel", "degree": 2, "offset": 1.0},
+            "rank": "auto",
+            "solver_options": {"eps_g": 1e-6, "max_iter": 40},
+        }
+        rep = run_lambda_continuation(cfg, seed=0, lam0=1e-3, factor=10.0, steps=3, solver="rtr2")
+        assert len(rep["ladder"]) == 3
+        assert all(r["hess_calls"] > 0 for r in rep["ladder"])
+        assert len(calls) == 1
 
 
 class TestProductOps:

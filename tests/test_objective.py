@@ -26,7 +26,7 @@ from nlrecover.manifold import (
 from nlrecover.objective import Objective, fd_check
 from nlrecover.solvers import default_init, truncated_svd
 
-from conftest import small_masked_objective
+from conftest import small_dense_objective, small_masked_objective
 
 KINDS = ["monomial_kernel", "gaussian_kernel", "monomial_features"]
 
@@ -345,17 +345,18 @@ class TestRhess:
 
     def test_penalty_hessian_term(self, rng):
         obj, _ = small_masked_objective(seed=12)
-        pen = Objective(
+        masked = Objective(
             lifting=obj.lifting, rank_r=obj.rank_r,
             measurement=obj.measurement, penalty_lambda=2.0,
         )
-        z = self._generic_point(pen, rng)
-        xi = pen.random_tangent(z, rng)
-        # penalized Hessian = unconstrained lifted Hessian + 2 lambda A^T A
-        hx_pen = pen.rhess_operator(z)(xi).dx
-        hx_lift, _ = pen.lifting.hess_operator(z.x, z.u.basis)(xi.dx, xi.du)
-        extra = 2.0 * 2.0 * pen.measurement.adjoint(pen.measurement.apply(xi.dx))
-        assert np.allclose(hx_pen, hx_lift + extra, atol=1e-9)
+        for pen in (masked, small_dense_objective(seed=12, penalty=2.0)):
+            z = self._generic_point(pen, rng)
+            xi = pen.random_tangent(z, rng)
+            # penalized Hessian = unconstrained lifted Hessian + 2 lambda A^T A
+            hx_pen = pen.rhess_operator(z)(xi).dx
+            hx_lift, _ = pen.lifting.hess_operator(z.x, z.u.basis)(xi.dx, xi.du)
+            extra = 2.0 * 2.0 * pen.measurement.adjoint(pen.measurement.apply(xi.dx))
+            assert np.allclose(hx_pen, hx_lift + extra, atol=1e-9)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("penalty", [None, 2.0])
@@ -372,6 +373,58 @@ class TestRhess:
             dx = obj.random_tangent(z, rng).dx
             expect = full(ProductTangent(dx, np.zeros_like(z.u.basis))).dx
             assert np.array_equal(x_op(dx), expect)
+
+
+class TestRhessDense:
+    """The Hessian under dense sensing (criterion 7), constrained to null(A)
+    and penalized, where the penalty term reads the cached Gram A^T A."""
+
+    @staticmethod
+    def point(kind, penalty, seed, rng):
+        obj = small_dense_objective(kind=kind, seed=seed, penalty=penalty)
+        z0 = default_init(obj)
+        dx = obj.random_tangent(z0, rng).dx  # off the affine set when penalized
+        u = GrassmannPoint(random_basis(rng, obj.grassmann_ambient(), obj.rank_r))
+        return obj, ProductPoint(z0.x + dx, u)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("penalty", [None, 2.0])
+    def test_taylor_order(self, kind, penalty, rng):
+        obj, z = self.point(kind, penalty, 21, rng)
+        xi = obj.random_tangent(z, rng)
+        xi = (1.0 / product_norm(xi)) * xi
+        f0 = obj.cost(z)
+        gxi = product_inner(obj.rgrad(z), xi)
+        xhx = product_inner(xi, obj.rhess_operator(z)(xi))
+        ts = np.logspace(-1, -4, 7)
+        res = np.array([
+            abs(obj.cost(product_retract(z, t * xi)) - f0 - t * gxi - 0.5 * t * t * xhx)
+            for t in ts
+        ])
+        assert not np.all(res < 1e-13 * (1 + abs(f0)))  # the model is not exact here
+        slope = np.polyfit(np.log(ts), np.log(res + 1e-300), 1)[0]
+        assert slope >= 2.7
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("penalty", [None, 2.0])
+    def test_symmetry(self, kind, penalty, rng):
+        obj, z = self.point(kind, penalty, 22, rng)
+        op = obj.rhess_operator(z)
+        for _ in range(5):
+            xi = obj.random_tangent(z, rng)
+            zeta = obj.random_tangent(z, rng)
+            a = product_inner(xi, op(zeta))
+            b = product_inner(zeta, op(xi))
+            assert abs(a - b) <= 1e-8 * (1 + abs(a) + abs(b))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("penalty", [None, 2.0])
+    def test_output_is_tangent(self, kind, penalty, rng):
+        obj, z = self.point(kind, penalty, 23, rng)
+        out = obj.rhess_operator(z)(obj.random_tangent(z, rng))
+        if obj.constrained:
+            assert np.linalg.norm(obj.measurement.apply(out.dx)) <= 1e-10 * max(1.0, np.linalg.norm(out.dx))
+        assert np.linalg.norm(z.u.basis.T @ out.du) <= 1e-10 * max(1.0, np.linalg.norm(out.du))
 
 
 def _property_point(kind, seed, s):

@@ -3,7 +3,7 @@ output, so that two trees can be compared byte for byte:
 
     python tools/cli_outputs.py <src-dir> <out-dir>
     python tools/cli_outputs.py <other-src-dir> <other-out-dir>
-    diff -r <out-dir> <other-out-dir>
+    python tools/cli_outputs.py --compare <out-dir> <other-out-dir>
 
 Each run calls `python -m nlrecover.cli` with PYTHONPATH=<src-dir> and one
 BLAS thread, at --jobs 1 for the commands that take it, and writes into
@@ -13,12 +13,20 @@ The runs in ERRORS exit 2: two get a flag their command does not take, so
 the set covers the stderr of a flag error, and two give a sweep a bad last
 cell, so it covers a config error that a sweep finds past its first cell.
 The whole set takes well under a minute on one core.
+
+--compare reports each run as identical (every file byte for byte), as
+differing in numbers only (the files match once each number is read as a
+float; the largest relative difference |a - b| / max(|a|, |b|) is given per
+file), or as differing in text (anything else, a missing file included), so
+a change at roundoff can be told from a real one. It exits 1 when a run
+differs in text.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,7 +109,56 @@ def run_all(src: Path, out: Path) -> int:
     return failed
 
 
+# a decimal number as Python prints it; the text between numbers must match
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def numeric_difference(a: str, b: str) -> float | None:
+    """The largest relative difference between the numbers of two texts that
+    match apart from their numbers; None when the rest of the text differs."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        return None
+    worst = 0.0
+    for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+        fx, fy = float(x), float(y)
+        if fx != fy:
+            worst = max(worst, abs(fx - fy) / max(abs(fx), abs(fy)))
+    return worst
+
+
+def compare(out_a: Path, out_b: Path) -> int:
+    """Report every run of two output directories; the number of runs that
+    differ in text."""
+    failed = 0
+    for name in sorted({p.name for p in out_a.iterdir()} | {p.name for p in out_b.iterdir()}):
+        run_a, run_b = out_a / name, out_b / name
+        files = sorted({p.name for d in (run_a, run_b) if d.is_dir() for p in d.iterdir()})
+        numeric, text = {}, []
+        for f in files:
+            fa, fb = run_a / f, run_b / f
+            if not (fa.is_file() and fb.is_file()):
+                text.append(f"{f} (missing)")
+            elif fa.read_bytes() != fb.read_bytes():
+                diff = numeric_difference(fa.read_text(), fb.read_text())
+                if diff is None:
+                    text.append(f)
+                else:
+                    numeric[f] = diff
+        if text:
+            print(f"{name}: text differs: {', '.join(text)}")
+            failed += 1
+        elif numeric:
+            print(f"{name}: numbers only: " + ", ".join(
+                f"{f} max rel diff {d:.2e}" for f, d in numeric.items()))
+        else:
+            print(f"{name}: identical")
+    return failed
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(1 if compare(Path(sys.argv[2]), Path(sys.argv[3])) else 0)
     if len(sys.argv) != 3:
-        sys.exit("usage: python tools/cli_outputs.py <src-dir> <out-dir>")
+        sys.exit("usage: python tools/cli_outputs.py <src-dir> <out-dir>\n"
+                 "       python tools/cli_outputs.py --compare <out-dir> <other-out-dir>")
     sys.exit(1 if run_all(Path(sys.argv[1]), Path(sys.argv[2])) else 0)
