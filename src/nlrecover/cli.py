@@ -573,7 +573,7 @@ def _snap_columns(obj: Objective, z: ProductPoint, k: int, rng: np.random.Genera
         for c in range(k):
             cand = x.copy()
             cand[~mask[:, j], j] = centers[~mask[:, j], c]
-            f = kernel_tail_cost(obj.lifting.lift(cand), obj.rank_r)
+            f = kernel_tail_cost(obj.lifting.lift(cand).lifted, obj.rank_r)
             if best is None or f < best[0]:
                 best = (f, cand)
         x = best[1]

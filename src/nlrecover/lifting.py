@@ -8,11 +8,11 @@ Euclidean Hessian operator on (dx, dw), built once per point. Each operator
 returns the pair (h_x, h_w), or h_x alone when dw is omitted, which is the X
 block at dw = 0 without computing the subspace block.
 
-`LiftingSpec.at(basis)` evaluates the residual with the basis held fixed:
-P_{W_perp} is built once per basis, and each point X is lifted once (a
-`LiftedPoint`: the lifted matrix and, for the monomial kernel, the Gram
-X^T X + c it is a power of), which its cost, its X gradient and the
-coefficients of the residual along a line X + alpha D all read. For the
+`LiftingSpec.lift(X)` is the one place a point is lifted: a `LiftedPoint`,
+the lifted matrix and, for the monomial kernel, the Gram X^T X + c it is a
+power of. `LiftingSpec.at(basis)` builds P_{W_perp} once per basis and reads
+that one point for the residual, both gradient blocks, the Hessian operator
+and the coefficients of the residual along a line X + alpha D. For the
 monomial kernel of degree 1 or 2 that residual is a polynomial in alpha
 whose coefficients come in closed form from the Gram, X^T D and D^T D.
 """
@@ -289,15 +289,16 @@ def gaussian_grad_x(
     return -(2.0 / sigma**2) * x_mat @ (np.diag(kp.sum(axis=0)) - kp)
 
 
-def gaussian_hess_operator(x_mat: np.ndarray, w: np.ndarray, sigma: float, k: np.ndarray):
+def gaussian_hess_operator(
+    x_mat: np.ndarray, w: np.ndarray, sigma: float, k: np.ndarray, p_perp: np.ndarray
+):
     """Euclidean Hessian of trace(P_{W_perp} K_G(X, X)) at (X, W) as an
-    operator on (dx, dw), from k = K_G(X, X). With B = K o P_{W_perp},
-    C = X^T dx, a = diag(C) and S_w = W dw^T + dw W^T:
+    operator on (dx, dw), from k = K_G(X, X) and p_perp = P_{W_perp} = I - W W^T.
+    With B = K o P_{W_perp}, C = X^T dx, a = diag(C) and S_w = W dw^T + dw W^T:
     dK = -(1 / sigma^2) K o (a 1^T + 1 a^T - C - C^T), dB = dK o P_{W_perp} - K o S_w,
     h_x = -(2 / sigma^2) (dx diag(B 1) - dx B + X diag(dB 1) - X dB),
     h_w = -2 (dK W + K dw)."""
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
-    p_perp = _w_perp(w, x_mat.shape[1])
     b = k * p_perp
     b_sum = b.sum(axis=0)
     inv_var = 1.0 / sigma**2
@@ -412,15 +413,23 @@ class LiftingSpec:
         phi = monomial_features(x_mat, self.degree)
         return phi.T @ phi
 
-    def lift(self, x_mat: np.ndarray) -> np.ndarray:
-        """The matrix whose leading left singular subspace solves the
-        subspace subproblem: Phi(X) for the features, K(X, X) for kernels."""
-        if not self.is_kernel:
-            return monomial_features(x_mat, self.degree)
-        return self.kernel(x_mat)
+    def lift(self, x_mat: np.ndarray) -> "LiftedPoint":
+        """The lifted point at X: the matrix whose leading left singular
+        subspace solves the subspace subproblem, Phi(X) for the features and
+        K(X, X) for kernels. For the monomial kernel that matrix is the
+        power of the Gram the point also keeps, built by the operations of
+        `monomial_kernel`, so it is the same to the bit."""
+        if self.kind == "monomial_kernel":
+            x_mat = np.asarray(x_mat, dtype=float)
+            gram = x_mat.T @ x_mat
+            gram += self.offset
+            return LiftedPoint(gram**self.degree, gram)
+        if self.kind == "gaussian_kernel":
+            return LiftedPoint(gaussian_kernel(x_mat, x_mat, self.sigma))
+        return LiftedPoint(monomial_features(x_mat, self.degree))
 
     def residual(self, lifted: np.ndarray, basis: np.ndarray) -> float:
-        """The lifted residual of an already lifted matrix (see `lift`)."""
+        """The lifted residual of a lifted matrix (`lift(X).lifted`)."""
         if not self.is_kernel:
             return feature_residual_cost(lifted, basis)
         return kernel_trace_cost(lifted, basis)
@@ -436,31 +445,12 @@ class LiftingSpec:
         the residual (valid for any, not necessarily orthonormal, basis),
         from one lift of X."""
         at = self.at(basis)
-        point = at.lift(x_mat)
+        point = self.lift(x_mat)
         return at.grad_x(x_mat, point), at.grad_basis(point)
 
     def at(self, basis: np.ndarray) -> "BasisEvaluator":
-        """The residual and its X derivatives with the basis held fixed."""
+        """The residual and its derivatives with the basis held fixed."""
         return BasisEvaluator(self, basis)
-
-    def grad_basis(self, lifted: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        """Euclidean gradient block of the basis from the lifted matrix."""
-        if not self.is_kernel:
-            return -2.0 * lifted @ (lifted.T @ basis)
-        return lift_grad_w(lifted, basis)
-
-    def hess_operator(self, x_mat: np.ndarray, basis: np.ndarray, lifted: np.ndarray | None = None):
-        """Closed-form Euclidean Hessian operator of the residual at (X, basis).
-        lifted, when given, is lift(x_mat), which the explicit features and
-        the Gaussian kernel reuse instead of building it again; the monomial
-        kernel's operator builds the kernel powers it needs."""
-        if self.kind == "monomial_kernel":
-            return monomial_hess_operator(x_mat, basis, self.degree, self.offset)
-        if lifted is None:
-            lifted = self.lift(x_mat)
-        if self.kind == "gaussian_kernel":
-            return gaussian_hess_operator(x_mat, basis, self.sigma, lifted)
-        return monomial_features_hess_operator(x_mat, basis, self.degree, lifted)
 
 
 class LiftedPoint(NamedTuple):
@@ -473,32 +463,19 @@ class LiftedPoint(NamedTuple):
 
 
 class BasisEvaluator:
-    """The residual of a lifting and its Euclidean derivatives in X with the
-    basis held fixed. P_{W_perp} = I - W W^T, which the kernel forms read, is
-    built once here (the feature form projects with the basis itself); each X
-    is lifted once, into a `LiftedPoint` that its cost, its gradient and its
-    line coefficients all read."""
+    """The residual of a lifting and its Euclidean derivatives with the basis
+    held fixed, each read from the `LiftedPoint` of X (`LiftingSpec.lift`).
+    P_{W_perp} = I - W W^T, which the kernel forms read, is built once here
+    (the feature form projects with the basis itself)."""
 
     def __init__(self, spec: LiftingSpec, basis: np.ndarray):
         self.spec = spec
         self.basis = basis
         self.p_perp = _w_perp(basis, basis.shape[0]) if spec.is_kernel else None
 
-    def lift(self, x_mat: np.ndarray) -> LiftedPoint:
-        """The lifted point at X. For the monomial kernel the matrix is the
-        Gram's power: the operations of `monomial_kernel`, so it is the same
-        to the bit."""
-        spec = self.spec
-        if spec.kind != "monomial_kernel":
-            return LiftedPoint(spec.lift(x_mat))
-        gram = x_mat.T @ x_mat
-        gram += spec.offset
-        return LiftedPoint(gram**spec.degree, gram)
-
-    def cost(self, x_mat: np.ndarray) -> tuple[float, LiftedPoint]:
-        """The residual at X, and the lifted point it was computed from."""
-        point = self.lift(x_mat)
-        return self.spec.residual(point.lifted, self.basis), point
+    def residual(self, point: LiftedPoint) -> float:
+        """The residual at the lifted point."""
+        return self.spec.residual(point.lifted, self.basis)
 
     def grad_x(self, x_mat: np.ndarray, point: LiftedPoint) -> np.ndarray:
         """Euclidean gradient block of X at the lifted point of X."""
@@ -513,7 +490,21 @@ class BasisEvaluator:
 
     def grad_basis(self, point: LiftedPoint) -> np.ndarray:
         """Euclidean gradient block of the basis at a lifted point."""
-        return self.spec.grad_basis(point.lifted, self.basis)
+        if not self.spec.is_kernel:
+            return -2.0 * point.lifted @ (point.lifted.T @ self.basis)
+        return lift_grad_w(point.lifted, self.basis)
+
+    def hess_operator(self, x_mat: np.ndarray, point: LiftedPoint):
+        """Closed-form Euclidean Hessian operator of the residual at (X, basis)
+        from the lifted point of X. The Gaussian kernel's reads this
+        evaluator's P_perp; the monomial kernel's builds the kernel powers
+        and the P_perp it needs from X and the basis."""
+        spec = self.spec
+        if spec.kind == "monomial_kernel":
+            return monomial_hess_operator(x_mat, self.basis, spec.degree, spec.offset)
+        if spec.kind == "gaussian_kernel":
+            return gaussian_hess_operator(x_mat, self.basis, spec.sigma, point.lifted, self.p_perp)
+        return monomial_features_hess_operator(x_mat, self.basis, spec.degree, point.lifted)
 
     def line_coefficients(self, x_mat: np.ndarray, point: LiftedPoint, dx: np.ndarray):
         """(c2, c3, c4) with residual(X + a D) = f + a <grad_x, D> + c2 a^2

@@ -8,13 +8,15 @@ penalty lambda * ||A(X) - b||^2 for noisy measurements, where X ranges over
 all of R^{n x s}.
 
 Riemannian gradients project the Euclidean blocks onto the tangent spaces.
-`Objective.at(u)` holds the subspace fixed: the cost, X gradient and line
-coefficients of the lifting's `BasisEvaluator` at u, plus the constraint's
-share (the projection onto null(A)). The evaluator at the last u is kept, so
-every gradient taken at one u, such as those of an alternating-minimization
-round, shares its P_{W_perp}. The Hessian operator adds the Grassmann curvature correction
-to the closed-form Euclidean Hessian of the lifting, which `fd_check`
-compares with finite differences of the gradient for every lifting.
+One `LiftedPoint` per X serves every evaluation there: `Objective.lift`
+keeps the point of the last X it lifted, and `Objective.at(u)` the lifting's
+evaluator (with its P_{W_perp}) at the last subspace, so a trial point's cost
+and, once the step is accepted, its gradient and Hessian operator read one
+lift. `Objective.at(u)` holds the subspace fixed: the cost, gradient blocks
+and line coefficients at u, plus the constraint's share (the projection onto
+null(A)). The Hessian operator adds the Grassmann curvature correction to the
+closed-form Euclidean Hessian of the lifting, which `fd_check` compares with
+finite differences of the gradient for every lifting.
 """
 
 from __future__ import annotations
@@ -51,9 +53,11 @@ class Objective:
     rank_r: int
     measurement: MeasurementSubspace
     penalty_lambda: float | None = None
-    # the lifting's evaluator at the subspace last asked for, as (u, evaluator);
-    # it holds no reference back to the objective
+    # the lifting's evaluator at the subspace last asked for, as (u, evaluator),
+    # and the lifted point of the X last lifted, as (x, point); neither holds
+    # a reference back to the objective
     _at: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _point: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.penalty_lambda is not None and self.penalty_lambda <= 0:
@@ -79,9 +83,18 @@ class Objective:
     def constrained(self) -> bool:
         return self.penalty_lambda is None
 
+    def lift(self, x: np.ndarray) -> LiftedPoint:
+        """The lifted point of x. The point lifted last is used again while x
+        is the same array (by identity), so the cost, the gradient and the
+        Hessian operator at one X read one lift. This relies on the library
+        never mutating an X after it is evaluated."""
+        if self._point is None or self._point[0] is not x:
+            self._point = (x, self.lifting.lift(x))
+        return self._point[1]
+
     def lifted_residual(self, z: ProductPoint) -> float:
         """Cost without the penalty term (always >= 0 up to roundoff)."""
-        return self.lifting.residual(self.lifting.lift(z.x), z.u.basis)
+        return self.lifting.residual(self.lift(z.x).lifted, z.u.basis)
 
     # --- cost / gradient / Hessian -----------------------------------------
 
@@ -106,13 +119,11 @@ class Objective:
 
     def rgrad(self, z: ProductPoint) -> ProductTangent:
         at = self.at(z.u)
-        point = at.lift(z.x)
-        return ProductTangent(at.rgrad_x(z.x, point), at.rgrad_u(point))
+        return ProductTangent(at.rgrad_x(z.x), at.rgrad_u(z.x))
 
     def rgrad_x(self, z: ProductPoint) -> np.ndarray:
         """X block of `rgrad(z)`, without the subspace block."""
-        at = self.at(z.u)
-        return at.rgrad_x(z.x, at.lift(z.x))
+        return self.at(z.u).rgrad_x(z.x)
 
     def _grad_x(self, gx: np.ndarray, x: np.ndarray) -> np.ndarray:
         """X block of the Riemannian gradient from its Euclidean part: plus
@@ -135,9 +146,9 @@ class Objective:
     def rhess_operator(self, z: ProductPoint):
         """Riemannian Hessian at z as an operator on tangents; point-dependent
         quantities (kernel matrices, the curvature term) are built once."""
-        lifted = self.lifting.lift(z.x)
-        euclid = self.lifting.hess_operator(z.x, z.u.basis, lifted)
-        gu = self.lifting.grad_basis(lifted, z.u.basis)
+        lifting, point = self.at(z.u).lifting, self.lift(z.x)
+        euclid = lifting.hess_operator(z.x, point)
+        gu = lifting.grad_basis(point)
         u_gu = z.u.basis.T @ gu
 
         def apply(xi: ProductTangent) -> ProductTangent:
@@ -153,7 +164,7 @@ class Objective:
         X block of `rhess_operator(z)` applied to (dx, 0), built without the
         subspace gradient and curvature term that block does not use, and
         applied without the subspace block of the Euclidean operator."""
-        euclid = self.lifting.hess_operator(z.x, z.u.basis)
+        euclid = self.at(z.u).lifting.hess_operator(z.x, self.lift(z.x))
         return lambda dx: self._hess_x(euclid(dx), dx)
 
     def random_tangent(self, z: ProductPoint, rng: np.random.Generator) -> ProductTangent:
@@ -166,38 +177,33 @@ class Objective:
 
 class FixedSubspace:
     """The objective at a fixed subspace u as a function of X alone: its cost,
-    Riemannian X gradient and line coefficients, all read from one
-    `LiftedPoint` per X (see `LiftingSpec.at`)."""
+    Riemannian gradient blocks and line coefficients at X, all read from the
+    lifted point that `Objective.lift` keeps for X."""
 
     def __init__(self, obj: Objective, u: GrassmannPoint, lifting: BasisEvaluator):
         self.obj = obj
         self.u = u
         self.lifting = lifting
 
-    def lift(self, x: np.ndarray) -> LiftedPoint:
-        return self.lifting.lift(x)
+    def cost(self, x: np.ndarray) -> float:
+        """`Objective.cost` at (x, u), by the same operations."""
+        return self.obj._plus_penalty(self.lifting.residual(self.obj.lift(x)), x)
 
-    def cost(self, x: np.ndarray) -> tuple[float, LiftedPoint]:
-        """`Objective.cost` at (x, u), by the same operations, and the lifted
-        point of x."""
-        val, point = self.lifting.cost(x)
-        return self.obj._plus_penalty(val, x), point
+    def rgrad_x(self, x: np.ndarray) -> np.ndarray:
+        """X block of the Riemannian gradient at (x, u)."""
+        return self.obj._grad_x(self.lifting.grad_x(x, self.obj.lift(x)), x)
 
-    def rgrad_x(self, x: np.ndarray, point: LiftedPoint) -> np.ndarray:
-        """X block of the Riemannian gradient at (x, u) from x's lifted point."""
-        return self.obj._grad_x(self.lifting.grad_x(x, point), x)
+    def rgrad_u(self, x: np.ndarray) -> np.ndarray:
+        """Subspace block of the Riemannian gradient at (x, u)."""
+        return grass_project(self.u, self.lifting.grad_basis(self.obj.lift(x)))
 
-    def rgrad_u(self, point: LiftedPoint) -> np.ndarray:
-        """Subspace block of the Riemannian gradient at a lifted point."""
-        return grass_project(self.u, self.lifting.grad_basis(point))
-
-    def line_coefficients(self, x: np.ndarray, point: LiftedPoint, dx: np.ndarray):
+    def line_coefficients(self, x: np.ndarray, dx: np.ndarray):
         """(c2, c3, c4) of the cost along x + a dx for dx in null(A), which
         keeps the constraint; None under the penalty and where the lifting
         has none (see `BasisEvaluator.line_coefficients`)."""
         if not self.obj.constrained:
             return None
-        return self.lifting.line_coefficients(x, point, dx)
+        return self.lifting.line_coefficients(x, self.obj.lift(x), dx)
 
 
 @dataclass
@@ -226,6 +232,7 @@ def fd_check(
     relative discrepancy of each; passes iff both are <= tol."""
     rng = np.random.default_rng(0) if rng is None else rng
     grad = obj.rgrad(z)
+    hess_op = obj.at(z.u).lifting.hess_operator(z.x, obj.lift(z.x))
     gnorm = product_norm(grad)
     grad_err = 0.0
     for _ in range(n_dirs):
@@ -243,7 +250,6 @@ def fd_check(
         grad_err = max(grad_err, min(errs) / max(gnorm, 1e-12))
 
     hess_err = 0.0
-    hess_op = obj.lifting.hess_operator(z.x, z.u.basis)
     for _ in range(n_dirs):
         xi = obj.random_tangent(z, rng)
         nrm = product_norm(xi)

@@ -634,7 +634,7 @@ def rtr_solve(
 def fit_subspace(obj: Objective, x_mat: np.ndarray) -> ProductPoint:
     """X with the subspace that minimizes the cost for it: the leading-r left
     singular subspace of its lifting."""
-    return ProductPoint(x_mat, truncated_svd(obj.lifting.lift(x_mat), obj.rank_r))
+    return ProductPoint(x_mat, truncated_svd(obj.lifting.lift(x_mat).lifted, obj.rank_r))
 
 
 def default_init(obj: Objective) -> ProductPoint:
@@ -664,7 +664,8 @@ def rtr_solve_restarts(
     against bad basins of the nonconvex landscape."""
     cfg = cfg or RtrConfig()
     rng = np.random.default_rng(0) if rng is None else rng
-    scale = max(obj.lifting.energy(obj.lifting.lift(meas_feasible_point(obj.measurement))), 1.0)
+    lifted = obj.lifting.lift(meas_feasible_point(obj.measurement)).lifted
+    scale = max(obj.lifting.energy(lifted), 1.0)
     best = None
     for i in range(max(n_starts, 1)):
         z0 = default_init(obj) if i == 0 else random_init(obj, rng)
@@ -720,7 +721,7 @@ def altmin_solve(
     x, u = z0.x, z0.u
     # the SVD-policy thresholds compare f after normalizing by the lifted
     # energy at the initial point
-    f_scale = max(obj.lifting.energy(obj.lifting.lift(z0.x)), 1e-30)
+    f_scale = max(obj.lifting.energy(obj.lift(z0.x).lifted), 1e-30)
 
     f_prev = math.inf
     no_progress = 0
@@ -756,8 +757,7 @@ def altmin_solve(
         eps_xk = cfg.eps_x if cfg.schedule == "greedy" else max(cfg.eps_x, ADAPTIVE_THETA * rec.gnorm_x)
 
         # after the inner solve, g and f_val hold the gradient and cost at the
-        # new X with the old basis, and lifted, once known, the lifted matrix
-        # of that X
+        # new X with the old basis
         if cfg.inner == "trust_region":
             sub_cfg = RtrConfig(eps_g=eps_xk, max_iter=cfg.max_inner)
             x, sub_trace = rtr_generic(x_factor_problem(obj, u), x, sub_cfg)
@@ -768,13 +768,12 @@ def altmin_solve(
                          if r.rho is not None and r.rho > sub_cfg.rho_prime), None)
             f_val = sub_trace.final.f
             g = obj.rgrad(ProductPoint(x, u))
-            lifted = None  # lifted below if the subspace update runs
         else:
-            # each point is lifted once: the trial that Armijo accepts is the
-            # next iterate, and its lifted point gives the gradient there and
-            # the next step's line coefficients; P_perp is built once, at u
+            # each point is lifted once (`Objective.lift`): the trial that
+            # Armijo accepts is the next iterate, and its lifted point gives
+            # the gradient there, the next step's line coefficients and the
+            # subspace update; P_perp is built once, at u
             at = obj.at(u)
-            point = at.lift(x)
             n_inner = 0
             n_hess = None
             step = None  # first inner step size, the one the descent bound uses
@@ -782,14 +781,12 @@ def altmin_solve(
             while n_inner < cfg.max_inner and float(np.linalg.norm(gx)) > eps_xk:
                 d = -gx
                 g_dot_d = float(np.vdot(gx, d))
-                coeffs = at.line_coefficients(x, point, d)
+                coeffs = at.line_coefficients(x, d)
                 trial = []  # the last trial point; Armijo accepts the last it evaluates
 
                 def f_along(a, x=x, d=d):
-                    x_a = x + a * d
-                    f_a, point_a = at.cost(x_a)
-                    trial[:] = (x_a, point_a)
-                    return f_a
+                    trial[:] = [x + a * d]
+                    return at.cost(trial[0])
 
                 try:
                     alpha, f_val = armijo(
@@ -804,12 +801,11 @@ def altmin_solve(
                     break
                 if step is None:
                     step = alpha
-                x, point = trial
+                x = trial[0]
                 n_inner += 1
-                gx = at.rgrad_x(x, point)
+                gx = at.rgrad_x(x)
             if n_inner:
-                g = ProductTangent(gx, at.rgrad_u(point))
-            lifted = point.lifted
+                g = ProductTangent(gx, at.rgrad_u(x))
 
         rec.step = step
         rec.inner_iters = n_inner
@@ -817,7 +813,6 @@ def altmin_solve(
         if float(np.linalg.norm(g.du)) <= cfg.eps_u:
             rec.svd_mode = "skip"
         else:
-            if lifted is None:
-                lifted = obj.lifting.lift(x)
-            u, rec.svd_mode = _subspace_update(obj, lifted, f_val, f_scale, cfg.exact_svd, rng)
+            u, rec.svd_mode = _subspace_update(obj, obj.lift(x).lifted, f_val, f_scale,
+                                               cfg.exact_svd, rng)
         trace.append(rec)

@@ -368,6 +368,22 @@ class TestLiftingSpec:
         phi = monomial_features(x, 2)
         assert np.allclose(fspec.kernel(x), phi.T @ phi)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lift_is_the_kernel_to_the_bit(self, d, rng):
+        # the one lift: the monomial kernel's matrix is its Gram's power, the
+        # same to the bit as monomial_kernel; the other liftings keep no Gram
+        x = rng.standard_normal((3, 8))
+        point = LiftingSpec.monomial(3, d, offset=0.7).lift(x)
+        assert np.array_equal(point.lifted, monomial_kernel(x, x, d, 0.7))
+        assert np.array_equal(point.gram, x.T @ x + 0.7)
+        ints = np.arange(24).reshape(3, 8)  # converted to float, as monomial_kernel does
+        assert np.array_equal(LiftingSpec.monomial(3, d).lift(ints).lifted,
+                              monomial_kernel(ints, ints, d, 1.0))
+        gpoint = LiftingSpec.gaussian(3, 2.0).lift(x)
+        assert np.array_equal(gpoint.lifted, gaussian_kernel(x, x, 2.0)) and gpoint.gram is None
+        fpoint = LiftingSpec.monomials(3, d).lift(x)
+        assert np.array_equal(fpoint.lifted, monomial_features(x, d)) and fpoint.gram is None
+
     @pytest.mark.parametrize("spec,ambient", [
         (LiftingSpec.monomial(3, 2), 7),
         (LiftingSpec.gaussian(3, 2.0), 7),
@@ -377,7 +393,7 @@ class TestLiftingSpec:
         # the subspace variable lives in R^ambient: s columns for the
         # kernels, N(n, d) features for the explicit map
         assert spec.ambient(7) == ambient
-        lifted = spec.lift(rng.standard_normal((3, 7)))
+        lifted = spec.lift(rng.standard_normal((3, 7))).lifted
         assert lifted.shape[0] == ambient
         empty = np.zeros((ambient, 0))
         assert spec.energy(lifted) == pytest.approx(spec.residual(lifted, empty), rel=1e-12)
@@ -389,13 +405,14 @@ class TestLiftingSpec:
         spec = LiftingSpec.monomial(3, d, offset=0.7)
         x, dx = rng.standard_normal((3, 9)), rng.standard_normal((3, 9))
         at = spec.at(random_basis(rng, 9, 4))
-        c0, point = at.cost(x)
+        point = spec.lift(x)
+        c0 = at.residual(point)
         c1 = float(np.vdot(at.grad_x(x, point), dx))
         c2, c3, c4 = at.line_coefficients(x, point, dx)
         if d == 1:
             assert c3 == c4 == 0.0
         for a in (1e-3, 0.1, 0.7, 2.0):
-            f_a, _ = at.cost(x + a * dx)
+            f_a = at.residual(spec.lift(x + a * dx))
             poly = c0 + a * (c1 + a * (c2 + a * (c3 + a * c4)))
             assert poly == pytest.approx(f_a, rel=1e-12)
 
@@ -405,7 +422,7 @@ class TestLiftingSpec:
     def test_no_line_coefficients(self, spec, rng):
         x = rng.standard_normal((3, 6))
         at = spec.at(random_basis(rng, spec.ambient(6), 2))
-        assert at.line_coefficients(x, at.lift(x), rng.standard_normal((3, 6))) is None
+        assert at.line_coefficients(x, spec.lift(x), rng.standard_normal((3, 6))) is None
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,7 +75,7 @@ class TestCost:
         for seed in range(5):
             obj, _ = small_masked_objective(kind=kind, seed=seed)
             x = default_init(obj).x + obj.random_tangent(default_init(obj), rng).dx
-            k = obj.lifting.lift(x)
+            k = obj.lifting.lift(x).lifted
             refit = obj.cost(ProductPoint(x, truncated_svd(k, obj.rank_r)))
             assert kernel_tail_cost(k, obj.rank_r) == pytest.approx(refit, rel=1e-12)
 
@@ -145,7 +148,7 @@ class TestRgrad:
         assert np.array_equal(obj.rgrad_x(z), obj.rgrad(z).dx)
 
     def test_features_built_once_per_call(self, monkeypatch, rng):
-        # rgrad, the Hessian operator and the cost each build Phi(X) once
+        # rgrad, the Hessian operators and the cost at one z read one Phi(X)
         calls = []
         build = nlrecover.lifting.monomial_features
 
@@ -156,10 +159,13 @@ class TestRgrad:
         monkeypatch.setattr(nlrecover.lifting, "monomial_features", counted)
         obj, _ = small_masked_objective(kind="monomial_features", seed=8)
         z = default_init(obj)
-        for method in (obj.rgrad, obj.rhess_operator, obj.cost, obj.rgrad_x):
-            calls.clear()
+        calls.clear()
+        for method in (obj.rgrad, obj.rhess_operator, obj.cost, obj.rgrad_x,
+                       obj.rhess_x_operator, obj.lifted_residual):
             method(z)
             assert len(calls) == 1, method.__name__
+        obj.cost(ProductPoint(z.x.copy(), z.u))  # an equal X is another point
+        assert len(calls) == 2
 
     def test_directional_derivative(self, rng):
         obj, _ = small_masked_objective(seed=6)
@@ -236,13 +242,12 @@ class TestFixedSubspace:
     def test_bit_identical_to_the_objective(self, kind, d, penalty, rng):
         obj, z = self.point(kind, d, penalty, rng)
         at = obj.at(z.u)
-        f, point = at.cost(z.x)
-        assert f == obj.cost(z)
-        gx = at.rgrad_x(z.x, point)
+        assert at.cost(z.x) == obj.cost(z)
+        gx = at.rgrad_x(z.x)
         assert np.array_equal(gx, obj.rgrad_x(z))
         assert np.array_equal(gx, obj._grad_x(one_lift_grad_x(obj.lifting, z.x, z.u.basis), z.x))
         g = obj.rgrad(z)
-        assert np.array_equal(gx, g.dx) and np.array_equal(at.rgrad_u(point), g.du)
+        assert np.array_equal(gx, g.dx) and np.array_equal(at.rgrad_u(z.x), g.du)
 
     @pytest.mark.parametrize("kind,d", AT_CASES, ids=AT_IDS)
     def test_line_coefficients_reproduce_the_cost(self, kind, d, rng):
@@ -251,15 +256,15 @@ class TestFixedSubspace:
         obj, z = self.point(kind, d, None, rng)
         dx = obj.random_tangent(z, rng).dx
         at = obj.at(z.u)
-        c0, point = at.cost(z.x)
-        coeffs = at.line_coefficients(z.x, point, dx)
+        c0 = at.cost(z.x)
+        coeffs = at.line_coefficients(z.x, dx)
         assert (coeffs is None) == (kind != "monomial_kernel")
         penalized = Objective(lifting=obj.lifting, rank_r=obj.rank_r,
                               measurement=obj.measurement, penalty_lambda=1.0)
-        assert penalized.at(z.u).line_coefficients(z.x, point, dx) is None
+        assert penalized.at(z.u).line_coefficients(z.x, dx) is None
         if coeffs is None:
             return
-        c1 = float(np.vdot(at.rgrad_x(z.x, point), dx))
+        c1 = float(np.vdot(at.rgrad_x(z.x), dx))
         c2, c3, c4 = coeffs
         for a in (1e-3, 0.1, 0.7, 2.0):
             poly = c0 + a * (c1 + a * (c2 + a * (c3 + a * c4)))
@@ -279,12 +284,54 @@ class TestFixedSubspace:
         for _ in range(3):
             obj.rgrad(z)
             obj.rgrad_x(z)
-            at.line_coefficients(z.x, at.lift(z.x), z.x)
+            at.line_coefficients(z.x, z.x)
         assert obj.at(z.u).lifting is at.lifting and len(calls) == 1
         other = GrassmannPoint(z.u.basis.copy())
         assert obj.at(other).lifting is not at.lifting
         obj.rgrad(ProductPoint(z.x, other))
         assert len(calls) == 2
+
+
+class TestKeptPoint:
+    """`Objective.lift` keeps the lift of the last X, keyed by identity."""
+
+    def test_one_lift_per_array(self, rng):
+        obj, _ = small_masked_objective(seed=4)
+        x = default_init(obj).x
+        point = obj.lift(x)
+        assert obj.lift(x) is point
+        copy = x.copy()
+        assert obj.lift(copy) is not point
+        assert all(np.array_equal(a, b) for a, b in zip(obj.lift(copy), point, strict=True))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("penalty", [None, 2.0])
+    def test_no_reference_cycle(self, kind, penalty, rng):
+        # the kept evaluator and point hold no reference back to the
+        # objective: freed on its last reference, with the collector off, an
+        # evaluated objective (its measurement and kept lift included) does
+        # not outlive its last use, which keeps the peak memory of many solves
+        # at one instance's
+        base, _ = small_masked_objective(kind=kind, seed=5)
+        obj = Objective(lifting=base.lifting, rank_r=base.rank_r,
+                        measurement=base.measurement, penalty_lambda=penalty)
+        z = default_init(obj)
+        xi = obj.random_tangent(z, rng)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            obj.cost(z)
+            obj.rgrad(z)
+            obj.rhess_operator(z)(xi)
+            obj.rhess_x_operator(z)(xi.dx)
+            obj.at(z.u).cost(z.x)
+            assert obj._point is not None and obj._at is not None
+            ref = weakref.ref(obj)
+            del obj
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestQuotientInvariance:
@@ -354,7 +401,8 @@ class TestRhess:
             xi = pen.random_tangent(z, rng)
             # penalized Hessian = unconstrained lifted Hessian + 2 lambda A^T A
             hx_pen = pen.rhess_operator(z)(xi).dx
-            hx_lift, _ = pen.lifting.hess_operator(z.x, z.u.basis)(xi.dx, xi.du)
+            euclid = pen.lifting.at(z.u.basis).hess_operator(z.x, pen.lifting.lift(z.x))
+            hx_lift, _ = euclid(xi.dx, xi.du)
             extra = 2.0 * 2.0 * pen.measurement.adjoint(pen.measurement.apply(xi.dx))
             assert np.allclose(hx_pen, hx_lift + extra, atol=1e-9)
 

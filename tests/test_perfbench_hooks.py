@@ -10,6 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import nlrecover
 import nlrecover.cli
@@ -136,6 +137,26 @@ def test_armijo_wrapper_counts_every_trial(monkeypatch):
     assert tracer.calls["solvers.armijo"] == 3
 
 
+def traced_pass(tracing, wl, key):
+    """The traced benchmark run on one instance: solved untraced, then with
+    every span installed. Returns the untraced and traced solver outcomes and
+    the tracer."""
+    log, tracer = tracing.SolverLog(), tracing.Tracer()
+    log.install()
+    try:
+        wl.solve(wl.setup(key))
+        n_untraced = len(log.records)
+        tracer.install()
+        try:
+            wl.solve(wl.setup(key))
+        finally:
+            tracer.uninstall()
+    finally:
+        log.uninstall()
+    outcomes = [rec.outcome() for rec in log.records]
+    return outcomes[:n_untraced], outcomes[n_untraced:], tracer
+
+
 def test_altmin_mask_traced_pass_gate(monkeypatch):
     # the traced benchmark run's gate on one altmin_mask instance cut to two
     # rounds: every span the workload exercises records calls, and the
@@ -144,18 +165,21 @@ def test_altmin_mask_traced_pass_gate(monkeypatch):
     workloads = load_perfbench(monkeypatch, "workloads")
     monkeypatch.setattr(workloads, "ALTMIN1_SHORT", replace(workloads.ALTMIN1_SHORT, max_outer=2))
     wl = workloads.WORKLOADS["altmin_mask"]
-    log, tracer = tracing.SolverLog(), tracing.Tracer()
-    log.install()
-    try:
-        wl.solve(wl.setup(wl.keys[0]))
-        tracer.install()
-        try:
-            wl.solve(wl.setup(wl.keys[0]))
-        finally:
-            tracer.uninstall()
-    finally:
-        log.uninstall()
-    untraced, traced = (rec.outcome() for rec in log.records)
+    (untraced,), (traced,), tracer = traced_pass(tracing, wl, wl.keys[0])
     assert untraced == traced
     assert untraced[:3] == ("altmin_solve", "max_iter", 3)
+    assert [span for span in wl.exercises if tracer.calls[span] == 0] == []
+
+
+@pytest.mark.parametrize("name", ["mask_rtr", "dense_penalty", "cluster_gauss"])
+def test_rtr_traced_pass_gate(name, monkeypatch):
+    # the same gate on the first instance of each trust-region workload: a
+    # change to src/ that leaves a span the workload exercises without calls,
+    # or that moves a solver outcome under the spans, fails here
+    tracing = load_tracing(monkeypatch)
+    workloads = load_perfbench(monkeypatch, "workloads")
+    wl = workloads.WORKLOADS[name]
+    untraced, traced, tracer = traced_pass(tracing, wl, wl.keys[0])
+    assert untraced and untraced == traced
+    assert {outcome[0] for outcome in untraced} == {"rtr_solve"}
     assert [span for span in wl.exercises if tracer.calls[span] == 0] == []

@@ -638,6 +638,64 @@ class TestRtr:
         assert z is z0
 
 
+class TestOneLiftPerPoint:
+    """`Objective.lift` keeps the lift of the last X, so a trust region lifts
+    each point once, at its cost: the gradient and the Hessian operator at an
+    accepted point read the lift its cost made."""
+
+    @staticmethod
+    def count(monkeypatch, cls, name, counts):
+        fn = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    @pytest.mark.parametrize("kind", ["monomial_kernel", "gaussian_kernel", "monomial_features"])
+    def test_rtr_lifts_once_per_cost(self, kind, monkeypatch):
+        obj, _ = small_masked_objective(kind=kind, n=4, s=12, seed=0)
+        z0 = default_init(obj)
+        counts = {"lift": 0, "cost": 0, "rgrad": 0, "rhess_operator": 0}
+        self.count(monkeypatch, LiftingSpec, "lift", counts)
+        for name in ("cost", "rgrad", "rhess_operator"):
+            self.count(monkeypatch, Objective, name, counts)
+        _, trace = rtr_solve(obj, z0, RtrConfig(eps_g=1e-10, max_iter=60))
+        rejected = [r for r in trace.records if r.rho is not None and r.rho <= RtrConfig.rho_prime]
+        assert rejected and counts["rgrad"] > 1 and counts["rhess_operator"] > 1
+        assert counts["lift"] == counts["cost"]
+
+    @pytest.mark.parametrize("kind", ["gaussian_kernel", "monomial_features"])
+    def test_altmin2_inner_trust_region_lifts_once_per_trial(self, kind, monkeypatch):
+        # each inner trust region starts at the round's X, which the round
+        # start lifted; after that it lifts once per trial cost, and its
+        # gradients and Hessian operators lift nothing
+        obj, _ = small_masked_objective(kind=kind, n=4, s=12, seed=3)
+        z0 = default_init(obj)
+        counts = {"lift": 0, "cost": 0, "rgrad_x": 0, "rhess_x_operator": 0}
+        self.count(monkeypatch, LiftingSpec, "lift", counts)
+        for name in ("cost", "rgrad_x", "rhess_x_operator"):
+            self.count(monkeypatch, Objective, name, counts)
+        inner_counts = []
+        rtr_fn = nlrecover.solvers.rtr_generic
+
+        def counted_rtr(*args, **kwargs):
+            start = dict(counts)
+            out = rtr_fn(*args, **kwargs)
+            inner_counts.append({name: counts[name] - start[name] for name in counts})
+            return out
+
+        monkeypatch.setattr(nlrecover.solvers, "rtr_generic", counted_rtr)
+        cfg = replace(build_solver_configs({}, "altmin2"), max_outer=3)
+        altmin_solve(obj, z0, cfg, rng=np.random.default_rng(0))
+        assert len(inner_counts) == 3
+        assert sum(c["rhess_x_operator"] for c in inner_counts) > 3
+        for c in inner_counts:
+            assert c["cost"] > 1 and c["rgrad_x"] >= 1
+            assert c["lift"] == c["cost"] - 1
+
+
 class TestConfigRanges:
     @pytest.mark.parametrize("make,message", [
         (lambda: RtrConfig(max_iter=-4), "max_iter must be >= 0, got -4"),
@@ -772,7 +830,7 @@ class TestAltmin:
     def test_randomized_subspace_that_raises_f_falls_back_to_exact(self, monkeypatch):
         obj, _ = small_masked_objective(s=10, r=2)
         x_mat = default_init(obj).x
-        lifted = obj.lifting.lift(x_mat)
+        lifted = obj.lifting.lift(x_mat).lifted
         exact = truncated_svd(lifted, obj.rank_r)
         f_val = obj.lifting.residual(lifted, exact.basis)
         args = (obj, lifted, f_val, 1e6 * (1.0 + f_val), False, np.random.default_rng(0))
@@ -786,12 +844,16 @@ class TestAltmin:
         assert np.array_equal(u_new.basis, exact.basis)
 
     def test_round_evaluates_each_point_once(self, monkeypatch):
-        # an altmin1 round builds P_perp once, and its inner steps build no
-        # kernel through monomial_kernel and call no Objective.rgrad_x: the
-        # Gram of each trial point gives its cost, and the accepted one's the
-        # gradient and the next line coefficients. The one kernel of a round
-        # is that of its recorded cost.
-        counts = {"_w_perp": 0, "monomial_kernel": 0, "rgrad_x": 0}
+        # an altmin1 round builds P_perp once and lifts each point once: the
+        # lift of each Armijo trial gives its cost, and the accepted one's the
+        # gradient, the next line coefficients, the subspace update and the
+        # next round's recorded cost and gradient. So a round lifts once per
+        # trial and nowhere else (not at its start), builds no kernel through
+        # monomial_kernel and calls no Objective.rgrad_x. The one exception is
+        # a round whose last line search fails: its failed trial displaces the
+        # round's X, which the subspace update lifts again.
+        counts = {"_w_perp": 0, "monomial_kernel": 0, "rgrad_x": 0, "lift": 0, "trials": 0,
+                  "failed": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -802,6 +864,17 @@ class TestAltmin:
         for name in ("_w_perp", "monomial_kernel"):
             monkeypatch.setattr(nlrecover.lifting, name, counted(name, getattr(nlrecover.lifting, name)))
         monkeypatch.setattr(Objective, "rgrad_x", counted("rgrad_x", Objective.rgrad_x))
+        monkeypatch.setattr(LiftingSpec, "lift", counted("lift", LiftingSpec.lift))
+        armijo_fn = nlrecover.solvers.armijo
+
+        def counted_armijo(f_along, *args, **kwargs):
+            try:
+                return armijo_fn(counted("trials", f_along), *args, **kwargs)
+            except LineSearchError:
+                counts["failed"] += 1
+                raise
+
+        monkeypatch.setattr(nlrecover.solvers, "armijo", counted_armijo)
         obj, _, _ = uos_completion_problem(n=15, k=2, dim=2, pts_per=20, delta=0.6, seed=0)
         at_round_start = []
         _, trace = altmin_solve(obj, default_init(obj),
@@ -810,8 +883,12 @@ class TestAltmin:
                                 on_iterate=lambda z: at_round_start.append(dict(counts)))
         for rec, start, end in zip(trace.records, at_round_start, at_round_start[1:]):
             assert rec.inner_iters > 1 and rec.svd_mode != "skip"
-            assert {name: end[name] - start[name] for name in counts} == \
-                {"_w_perp": 1, "monomial_kernel": 1, "rgrad_x": 0}
+            diff = {name: end[name] - start[name] for name in counts}
+            assert diff["trials"] >= rec.inner_iters
+            assert diff["failed"] <= 1
+            assert diff == {"_w_perp": 1, "monomial_kernel": 0, "rgrad_x": 0,
+                            "lift": diff["trials"] + diff["failed"], "trials": diff["trials"],
+                            "failed": diff["failed"]}
 
     def test_svd_skip_marked_in_trace(self):
         obj, target, _ = uos_completion_problem(n=6, pts_per=8, seed=11)

@@ -67,6 +67,14 @@ RUNS = {
     "recover_simple": ("recover", dict(RECOVER, solver="simple", solver_options=SIMPLE_OPTIONS)),
     "recover_features_restarts": ("recover", dict(
         RECOVER, lifting={"kind": "monomial_features", "degree": 2}, restarts=2)),
+    # altmin on the other liftings: the X-only Hessian and the fixed-subspace
+    # cost read the features' and the Gaussian kernel's lifted point
+    "recover_altmin2_features": ("recover", dict(
+        RECOVER, solver="altmin2", solver_options=ALTMIN_OPTIONS,
+        lifting={"kind": "monomial_features", "degree": 2})),
+    "recover_altmin1_gaussian": ("recover", dict(
+        CLUSTER, solver="altmin1", solver_options=ALTMIN_OPTIONS,
+        lifting={"kind": "gaussian_kernel", "sigma": 2.5})),
     "phase": ("phase", dict(RECOVER, grid={"deltas": [0.7, 0.9], "param": "k", "values": [1, 2]})),
     "noise": ("noise", NOISE),
     "noise_flag_error": ("noise", NOISE),
