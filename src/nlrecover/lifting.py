@@ -10,11 +10,12 @@ block at dw = 0 without computing the subspace block.
 
 `LiftingSpec.lift(X)` is the one place a point is lifted: a `LiftedPoint`,
 the lifted matrix and, for the monomial kernel, the Gram X^T X + c it is a
-power of. `LiftingSpec.at(basis)` builds P_{W_perp} once per basis and reads
-that one point for the residual, both gradient blocks, the Hessian operator
-and the coefficients of the residual along a line X + alpha D. For the
-monomial kernel of degree 1 or 2 that residual is a polynomial in alpha
-whose coefficients come in closed form from the Gram, X^T D and D^T D.
+power of. `LiftingSpec.residual` reads that point's lifted matrix and a
+basis; `LiftingSpec.at(basis)` builds P_{W_perp} once per basis and reads the
+point for both gradient blocks, the Hessian operator and the coefficients of
+the residual along a line X + alpha D. For the monomial kernel of degree 1
+or 2 that residual is a polynomial in alpha whose coefficients come in
+closed form from the Gram, X^T D and D^T D.
 """
 
 from __future__ import annotations
@@ -183,8 +184,8 @@ def monomial_kernel(x_mat: np.ndarray, y_mat: np.ndarray, d: int, c: float) -> n
 
 def gaussian_kernel(x_mat: np.ndarray, y_mat: np.ndarray, sigma: float) -> np.ndarray:
     """Entry (i, j) = exp(-||x_i - y_j||^2 / (2 sigma^2))."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
     y_mat = np.atleast_2d(np.asarray(y_mat, dtype=float))
     if x_mat.shape[0] != y_mat.shape[0]:
@@ -372,8 +373,8 @@ class LiftingSpec:
             raise ValueError(f"unknown lifting kind {self.kind!r}")
         if self.kind in ("monomial_features", "monomial_kernel") and self.degree < 1:
             raise ValueError("monomial degree must be >= 1")
-        if self.kind == "gaussian_kernel" and self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if self.kind == "gaussian_kernel" and not self.sigma > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         if self.kind == "monomial_features":
             n_feat = count_monomials(self.n, self.degree)  # fail fast on bad (n, d)
             if n_feat > MAX_EXPLICIT_FEATURES:
@@ -463,7 +464,7 @@ class LiftedPoint(NamedTuple):
 
 
 class BasisEvaluator:
-    """The residual of a lifting and its Euclidean derivatives with the basis
+    """The Euclidean derivatives of a lifting's residual with the basis
     held fixed, each read from the `LiftedPoint` of X (`LiftingSpec.lift`).
     P_{W_perp} = I - W W^T, which the kernel forms read, is built once here
     (the feature form projects with the basis itself)."""
@@ -472,10 +473,6 @@ class BasisEvaluator:
         self.spec = spec
         self.basis = basis
         self.p_perp = _w_perp(basis, basis.shape[0]) if spec.is_kernel else None
-
-    def residual(self, point: LiftedPoint) -> float:
-        """The residual at the lifted point."""
-        return self.spec.residual(point.lifted, self.basis)
 
     def grad_x(self, x_mat: np.ndarray, point: LiftedPoint) -> np.ndarray:
         """Euclidean gradient block of X at the lifted point of X."""

@@ -10,13 +10,13 @@ all of R^{n x s}.
 Riemannian gradients project the Euclidean blocks onto the tangent spaces.
 One `LiftedPoint` per X serves every evaluation there: `Objective.lift`
 keeps the point of the last X it lifted, and `Objective.at(u)` the lifting's
-evaluator (with its P_{W_perp}) at the last subspace, so a trial point's cost
-and, once the step is accepted, its gradient and Hessian operator read one
-lift. `Objective.at(u)` holds the subspace fixed: the cost, gradient blocks
-and line coefficients at u, plus the constraint's share (the projection onto
-null(A)). The Hessian operator adds the Grassmann curvature correction to the
-closed-form Euclidean Hessian of the lifting, which `fd_check` compares with
-finite differences of the gradient for every lifting.
+evaluator (`BasisEvaluator`, with its P_{W_perp}) of the last subspace, so a
+trial point's cost and, once the step is accepted, its gradient blocks, line
+coefficients and Hessian operator read one lift, and all calls at one
+subspace share one P_{W_perp}. The cost needs no evaluator, so a trial point
+builds no P_{W_perp}. The Hessian operator adds the Grassmann curvature correction
+to the closed-form Euclidean Hessian of the lifting, which `fd_check`
+compares with finite differences of the gradient for every lifting.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ class Objective:
     _point: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.penalty_lambda is not None and self.penalty_lambda <= 0:
-            raise ValueError("penalty lambda must be positive")
+        if self.penalty_lambda is not None and not self.penalty_lambda > 0:
+            raise ValueError(f"penalty lambda must be positive, got {self.penalty_lambda!r}")
         ambient = self.grassmann_ambient()
         if not (1 <= self.rank_r < ambient):
             raise ValueError(f"rank {self.rank_r} must satisfy 1 <= r < {ambient}, "
@@ -99,40 +99,46 @@ class Objective:
     # --- cost / gradient / Hessian -----------------------------------------
 
     def cost(self, z: ProductPoint) -> float:
-        return self._plus_penalty(self.lifted_residual(z), z.x)
-
-    def _plus_penalty(self, val: float, x: np.ndarray) -> float:
-        """A lifted residual at x plus the penalty term lambda ||A(x) - b||^2,
-        if there is one."""
+        """The lifted residual plus the penalty term lambda ||A(x) - b||^2, if
+        there is one."""
+        val = self.lifted_residual(z)
         if self.penalty_lambda is not None:
-            r = self.measurement.residual(x)
+            r = self.measurement.residual(z.x)
             val += self.penalty_lambda * float(r @ r)
         return val
 
-    def at(self, u: GrassmannPoint) -> "FixedSubspace":
-        """The objective with the subspace held at u. The lifting's evaluator
-        built last is used again while u is the same point, so calls at one u
-        share its P_perp."""
+    def at(self, u: GrassmannPoint) -> BasisEvaluator:
+        """The lifting's evaluator with the subspace held at u. The one built
+        last is used again while u is the same point, so calls at one u share
+        its P_perp."""
         if self._at is None or self._at[0] is not u:
             self._at = (u, self.lifting.at(u.basis))
-        return FixedSubspace(self, u, self._at[1])
+        return self._at[1]
 
     def rgrad(self, z: ProductPoint) -> ProductTangent:
-        at = self.at(z.u)
-        return ProductTangent(at.rgrad_x(z.x), at.rgrad_u(z.x))
+        return ProductTangent(self.rgrad_x(z), self.rgrad_u(z))
 
     def rgrad_x(self, z: ProductPoint) -> np.ndarray:
-        """X block of `rgrad(z)`, without the subspace block."""
-        return self.at(z.u).rgrad_x(z.x)
-
-    def _grad_x(self, gx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """X block of the Riemannian gradient from its Euclidean part: plus
-        the penalty term 2 lambda A^T (A x - b), or projected onto null(A)."""
+        """X block of `rgrad(z)`: the Euclidean block plus the penalty term
+        2 lambda A^T (A x - b), or projected onto null(A)."""
+        gx = self.at(z.u).grad_x(z.x, self.lift(z.x))
         if self.penalty_lambda is not None:
             return gx + 2.0 * self.penalty_lambda * self.measurement.adjoint(
-                self.measurement.residual(x)
+                self.measurement.residual(z.x)
             )
         return meas_project(self.measurement, gx)
+
+    def rgrad_u(self, z: ProductPoint) -> np.ndarray:
+        """Subspace block of `rgrad(z)`."""
+        return grass_project(z.u, self.at(z.u).grad_basis(self.lift(z.x)))
+
+    def line_coefficients(self, z: ProductPoint, dx: np.ndarray):
+        """(c2, c3, c4) of the cost along (x + a dx, u) for dx in null(A),
+        which keeps the constraint; None under the penalty and where the
+        lifting has none (see `BasisEvaluator.line_coefficients`)."""
+        if not self.constrained:
+            return None
+        return self.at(z.u).line_coefficients(z.x, self.lift(z.x), dx)
 
     def _hess_x(self, hx: np.ndarray, dx: np.ndarray) -> np.ndarray:
         """X block of a Riemannian Hessian product from its Euclidean part:
@@ -146,7 +152,7 @@ class Objective:
     def rhess_operator(self, z: ProductPoint):
         """Riemannian Hessian at z as an operator on tangents; point-dependent
         quantities (kernel matrices, the curvature term) are built once."""
-        lifting, point = self.at(z.u).lifting, self.lift(z.x)
+        lifting, point = self.at(z.u), self.lift(z.x)
         euclid = lifting.hess_operator(z.x, point)
         gu = lifting.grad_basis(point)
         u_gu = z.u.basis.T @ gu
@@ -164,7 +170,7 @@ class Objective:
         X block of `rhess_operator(z)` applied to (dx, 0), built without the
         subspace gradient and curvature term that block does not use, and
         applied without the subspace block of the Euclidean operator."""
-        euclid = self.at(z.u).lifting.hess_operator(z.x, self.lift(z.x))
+        euclid = self.at(z.u).hess_operator(z.x, self.lift(z.x))
         return lambda dx: self._hess_x(euclid(dx), dx)
 
     def random_tangent(self, z: ProductPoint, rng: np.random.Generator) -> ProductTangent:
@@ -173,37 +179,6 @@ class Objective:
         if self.constrained:
             dx = meas_project(self.measurement, dx)
         return ProductTangent(dx, du)
-
-
-class FixedSubspace:
-    """The objective at a fixed subspace u as a function of X alone: its cost,
-    Riemannian gradient blocks and line coefficients at X, all read from the
-    lifted point that `Objective.lift` keeps for X."""
-
-    def __init__(self, obj: Objective, u: GrassmannPoint, lifting: BasisEvaluator):
-        self.obj = obj
-        self.u = u
-        self.lifting = lifting
-
-    def cost(self, x: np.ndarray) -> float:
-        """`Objective.cost` at (x, u), by the same operations."""
-        return self.obj._plus_penalty(self.lifting.residual(self.obj.lift(x)), x)
-
-    def rgrad_x(self, x: np.ndarray) -> np.ndarray:
-        """X block of the Riemannian gradient at (x, u)."""
-        return self.obj._grad_x(self.lifting.grad_x(x, self.obj.lift(x)), x)
-
-    def rgrad_u(self, x: np.ndarray) -> np.ndarray:
-        """Subspace block of the Riemannian gradient at (x, u)."""
-        return grass_project(self.u, self.lifting.grad_basis(self.obj.lift(x)))
-
-    def line_coefficients(self, x: np.ndarray, dx: np.ndarray):
-        """(c2, c3, c4) of the cost along x + a dx for dx in null(A), which
-        keeps the constraint; None under the penalty and where the lifting
-        has none (see `BasisEvaluator.line_coefficients`)."""
-        if not self.obj.constrained:
-            return None
-        return self.lifting.line_coefficients(x, self.obj.lift(x), dx)
 
 
 @dataclass
@@ -232,7 +207,7 @@ def fd_check(
     relative discrepancy of each; passes iff both are <= tol."""
     rng = np.random.default_rng(0) if rng is None else rng
     grad = obj.rgrad(z)
-    hess_op = obj.at(z.u).lifting.hess_operator(z.x, obj.lift(z.x))
+    hess_op = obj.at(z.u).hess_operator(z.x, obj.lift(z.x))
     gnorm = product_norm(grad)
     grad_err = 0.0
     for _ in range(n_dirs):

@@ -3,12 +3,13 @@
 Two families:
   * a Riemannian trust-region method with a Steihaug-Toint truncated-CG
     subproblem (first- or second-order model),
-  * an alternating minimization scheme: inexact minimization in X (projected
+  * an alternating minimization scheme: inexact minimization in X alternating
+    with a truncated-SVD update of the subspace, with an adaptive
+    exact/randomized SVD policy or an exact SVD every round. The X-subproblem
+    at the round's subspace (`x_factor_problem`) is solved by projected
     gradient descent with Armijo backtracking, which first tries the exact
     line minimizer where the cost along the line is a polynomial of known
-    coefficients, or an inner trust region on the X factor) alternating with
-    a truncated-SVD update of the subspace, with an adaptive exact/randomized
-    SVD policy or an exact SVD every round.
+    coefficients (`Objective.line_coefficients`), or by an inner trust region.
 
 All solvers record a per-iteration trace (the CLI writes it as CSV).
 """
@@ -316,8 +317,9 @@ class RiemannianProblem:
     hess_at: Callable  # point -> (tangent -> tangent)
     retract: Callable
     inner: Callable  # (tangent, tangent) -> float
-    rand_tangent: Callable  # (point, rng) -> tangent
     dim: int
+    # (point, rng) -> tangent; only the second-order stop (finite eps_h) reads it
+    rand_tangent: Callable | None = None
 
     def norm(self, xi) -> float:
         return math.sqrt(max(self.inner(xi, xi), 0.0))
@@ -338,14 +340,14 @@ def product_problem(obj: Objective) -> RiemannianProblem:
 
 def x_factor_problem(obj: Objective, u: GrassmannPoint) -> RiemannianProblem:
     """The X-subproblem with the subspace frozen, as a Riemannian problem on
-    the affine factor alone (tangent vectors are plain matrices)."""
+    the affine factor alone (tangent vectors are plain matrices). Both inner
+    solvers of alternating minimization read it."""
     return RiemannianProblem(
         cost=lambda x: obj.cost(ProductPoint(x, u)),
         grad=lambda x: obj.rgrad_x(ProductPoint(x, u)),
         hess_at=lambda x: obj.rhess_x_operator(ProductPoint(x, u)),
         retract=lambda x, dx: x + dx,
         inner=lambda a, b: float(np.vdot(a, b)),
-        rand_tangent=lambda x, rng: obj.random_tangent(ProductPoint(x, u), rng).dx,
         dim=max(obj.x_dim(), 1),
     )
 
@@ -709,10 +711,11 @@ def altmin_solve(
     on_iterate=None,
 ) -> tuple[ProductPoint, SolveTrace]:
     """Alternating minimization: inexact X-minimization to a scheduled
-    tolerance, then a truncated-SVD subspace update, skipped while the
-    subspace gradient passes eps_u and routed by the SVD policy (exact in
-    every round when cfg.exact_svd). The last record of the trace is
-    at the returned point."""
+    tolerance on the round's `x_factor_problem` (Armijo gradient steps, or a
+    trust region when cfg.inner is "trust_region"), then a truncated-SVD
+    subspace update, skipped while the subspace gradient passes eps_u and
+    routed by the SVD policy (exact in every round when cfg.exact_svd). The
+    last record of the trace is at the returned point."""
     if not obj.constrained:
         raise ValueError("alternating minimization requires the constrained formulation")
     cfg = cfg or AltminConfig()
@@ -757,36 +760,41 @@ def altmin_solve(
         eps_xk = cfg.eps_x if cfg.schedule == "greedy" else max(cfg.eps_x, ADAPTIVE_THETA * rec.gnorm_x)
 
         # after the inner solve, g and f_val hold the gradient and cost at the
-        # new X with the old basis
+        # new X with the old basis; both inner solvers read one X-subproblem
+        prob = x_factor_problem(obj, u)
         if cfg.inner == "trust_region":
             sub_cfg = RtrConfig(eps_g=eps_xk, max_iter=cfg.max_inner)
-            x, sub_trace = rtr_generic(x_factor_problem(obj, u), x, sub_cfg)
+            x, sub_trace = rtr_generic(prob, x, sub_cfg)
             n_inner = len(sub_trace.records) - 1
             n_hess = sum(n or 0 for n in sub_trace.column("hess_calls"))
             # the norm of the first accepted inner step
             step = next((r.step for r in sub_trace.records
                          if r.rho is not None and r.rho > sub_cfg.rho_prime), None)
             f_val = sub_trace.final.f
-            g = obj.rgrad(ProductPoint(x, u))
+            gx = prob.grad(x) if x is not z.x else g.dx
         else:
             # each point is lifted once (`Objective.lift`): the trial that
             # Armijo accepts is the next iterate, and its lifted point gives
             # the gradient there, the next step's line coefficients and the
             # subspace update; P_perp is built once, at u
-            at = obj.at(u)
             n_inner = 0
             n_hess = None
             step = None  # first inner step size, the one the descent bound uses
-            gx = g.dx
-            while n_inner < cfg.max_inner and float(np.linalg.norm(gx)) > eps_xk:
+            z_k, gx = z, g.dx  # the accepted point and its X gradient
+            while n_inner < cfg.max_inner:
+                # one inner product gives the stop test ||g|| > eps_xk and
+                # the slope <g, d> = -||g||^2 along d = -g
+                g_sq = float(np.vdot(gx, gx))
+                if not math.sqrt(g_sq) > eps_xk:
+                    break
                 d = -gx
-                g_dot_d = float(np.vdot(gx, d))
-                coeffs = at.line_coefficients(x, d)
+                g_dot_d = -g_sq
+                coeffs = obj.line_coefficients(z_k, d)
                 trial = []  # the last trial point; Armijo accepts the last it evaluates
 
                 def f_along(a, x=x, d=d):
                     trial[:] = [x + a * d]
-                    return at.cost(trial[0])
+                    return prob.cost(trial[0])
 
                 try:
                     alpha, f_val = armijo(
@@ -801,11 +809,12 @@ def altmin_solve(
                     break
                 if step is None:
                     step = alpha
-                x = trial[0]
+                z_k = ProductPoint(trial[0], u)
+                x = z_k.x
                 n_inner += 1
-                gx = at.rgrad_x(x)
-            if n_inner:
-                g = ProductTangent(gx, at.rgrad_u(x))
+                gx = obj.rgrad_x(z_k)
+        if x is not z.x:
+            g = ProductTangent(gx, obj.rgrad_u(ProductPoint(x, u)))
 
         rec.step = step
         rec.inner_iters = n_inner

@@ -55,8 +55,8 @@ class ClusterSpec:
     def __post_init__(self):
         if min(self.n, self.k, self.pts_per) < 1:
             raise ValueError("need n, k and pts_per >= 1")
-        if self.sigma_c <= 0:
-            raise ValueError("sigma_c must be positive")
+        if not self.sigma_c > 0:
+            raise ValueError(f"sigma_c must be positive, got {self.sigma_c!r}")
 
 
 def gen_uos(spec: UosSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -140,6 +140,8 @@ class TestGaussianKernel:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             gaussian_kernel(np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
+        with pytest.raises(ValueError):
+            gaussian_kernel(np.zeros((2, 2)), np.zeros((2, 2)), float("nan"))
 
 
 def euclid_fd_gradient(cost, x, h=1e-6):
@@ -404,15 +406,16 @@ class TestLiftingSpec:
         # every term read from the evaluator's one lifted point of X
         spec = LiftingSpec.monomial(3, d, offset=0.7)
         x, dx = rng.standard_normal((3, 9)), rng.standard_normal((3, 9))
-        at = spec.at(random_basis(rng, 9, 4))
+        basis = random_basis(rng, 9, 4)
+        at = spec.at(basis)
         point = spec.lift(x)
-        c0 = at.residual(point)
+        c0 = spec.residual(point.lifted, basis)
         c1 = float(np.vdot(at.grad_x(x, point), dx))
         c2, c3, c4 = at.line_coefficients(x, point, dx)
         if d == 1:
             assert c3 == c4 == 0.0
         for a in (1e-3, 0.1, 0.7, 2.0):
-            f_a = at.residual(spec.lift(x + a * dx))
+            f_a = spec.residual(spec.lift(x + a * dx).lifted, basis)
             poly = c0 + a * (c1 + a * (c2 + a * (c3 + a * c4)))
             assert poly == pytest.approx(f_a, rel=1e-12)
 
@@ -429,6 +432,8 @@ class TestLiftingSpec:
             LiftingSpec("unknown", 3)
         with pytest.raises(ValueError):
             LiftingSpec.gaussian(3, -1.0)
+        with pytest.raises(ValueError):
+            LiftingSpec.gaussian(3, float("nan"))
         with pytest.raises(ValueError):
             LiftingSpec.monomial(3, 0)
 

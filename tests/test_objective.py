@@ -22,12 +22,13 @@ from nlrecover.manifold import (
     MeasurementSubspace,
     ProductPoint,
     ProductTangent,
+    meas_project,
     product_inner,
     product_norm,
     product_retract,
 )
 from nlrecover.objective import Objective, fd_check
-from nlrecover.solvers import default_init, truncated_svd
+from nlrecover.solvers import default_init, truncated_svd, x_factor_problem
 
 from conftest import small_dense_objective, small_masked_objective
 
@@ -103,6 +104,13 @@ class TestCost:
         with pytest.raises(ValueError):
             # ambient of the kernel form is the column count s = 8
             Objective(lifting=obj.lifting, rank_r=8, measurement=obj.measurement)
+
+    @pytest.mark.parametrize("penalty", [0.0, -1.0, float("nan")])
+    def test_penalty_must_be_positive(self, penalty):
+        obj, _ = small_masked_objective(seed=0)
+        with pytest.raises(ValueError, match="penalty lambda must be positive"):
+            Objective(lifting=obj.lifting, rank_r=obj.rank_r, measurement=obj.measurement,
+                      penalty_lambda=penalty)
 
 
 class TestRgrad:
@@ -224,9 +232,18 @@ def one_lift_grad_x(lifting, x, w):
     return monomial_features_vjp(x, lifting.degree, 2.0 * (phi - w @ (w.T @ phi)), phi)
 
 
+def riemannian_x_block(obj, gx, x):
+    """The X block of the Riemannian gradient written out from its Euclidean
+    part gx: plus the penalty term, or projected onto null(A)."""
+    if obj.penalty_lambda is not None:
+        return gx + 2.0 * obj.penalty_lambda * obj.measurement.adjoint(obj.measurement.residual(x))
+    return meas_project(obj.measurement, gx)
+
+
 class TestFixedSubspace:
-    """`Objective.at(u)`: the cost and X derivatives at a fixed subspace, all
-    read from one lifted point per X."""
+    """The objective with the subspace held at u: `x_factor_problem`, the
+    line coefficients and the evaluator `Objective.at(u)` keeps, all read
+    from one lifted point per X."""
 
     @staticmethod
     def point(kind, d, penalty, rng):
@@ -241,13 +258,19 @@ class TestFixedSubspace:
     @pytest.mark.parametrize("penalty", [None, 2.0])
     def test_bit_identical_to_the_objective(self, kind, d, penalty, rng):
         obj, z = self.point(kind, d, penalty, rng)
-        at = obj.at(z.u)
-        assert at.cost(z.x) == obj.cost(z)
-        gx = at.rgrad_x(z.x)
+        prob = x_factor_problem(obj, z.u)
+        assert prob.cost(z.x) == obj.cost(z)
+        written_out = obj.lifting.residual(obj.lifting.lift(z.x).lifted, z.u.basis)
+        if penalty is not None:
+            r = obj.measurement.residual(z.x)
+            written_out += penalty * float(r @ r)
+        assert obj.cost(z) == written_out
+        gx = prob.grad(z.x)
         assert np.array_equal(gx, obj.rgrad_x(z))
-        assert np.array_equal(gx, obj._grad_x(one_lift_grad_x(obj.lifting, z.x, z.u.basis), z.x))
+        assert np.array_equal(gx, riemannian_x_block(obj, one_lift_grad_x(obj.lifting, z.x,
+                                                                           z.u.basis), z.x))
         g = obj.rgrad(z)
-        assert np.array_equal(gx, g.dx) and np.array_equal(at.rgrad_u(z.x), g.du)
+        assert np.array_equal(gx, g.dx) and np.array_equal(obj.rgrad_u(z), g.du)
 
     @pytest.mark.parametrize("kind,d", AT_CASES, ids=AT_IDS)
     def test_line_coefficients_reproduce_the_cost(self, kind, d, rng):
@@ -255,16 +278,15 @@ class TestFixedSubspace:
         # the constraint, which a step in null(A) keeps
         obj, z = self.point(kind, d, None, rng)
         dx = obj.random_tangent(z, rng).dx
-        at = obj.at(z.u)
-        c0 = at.cost(z.x)
-        coeffs = at.line_coefficients(z.x, dx)
+        c0 = obj.cost(z)
+        coeffs = obj.line_coefficients(z, dx)
         assert (coeffs is None) == (kind != "monomial_kernel")
         penalized = Objective(lifting=obj.lifting, rank_r=obj.rank_r,
                               measurement=obj.measurement, penalty_lambda=1.0)
-        assert penalized.at(z.u).line_coefficients(z.x, dx) is None
+        assert penalized.line_coefficients(z, dx) is None
         if coeffs is None:
             return
-        c1 = float(np.vdot(at.rgrad_x(z.x), dx))
+        c1 = float(np.vdot(obj.rgrad_x(z), dx))
         c2, c3, c4 = coeffs
         for a in (1e-3, 0.1, 0.7, 2.0):
             poly = c0 + a * (c1 + a * (c2 + a * (c3 + a * c4)))
@@ -284,11 +306,14 @@ class TestFixedSubspace:
         for _ in range(3):
             obj.rgrad(z)
             obj.rgrad_x(z)
-            at.line_coefficients(z.x, z.x)
-        assert obj.at(z.u).lifting is at.lifting and len(calls) == 1
+            obj.line_coefficients(z, z.x)
+        assert obj.at(z.u) is at and len(calls) == 1
         other = GrassmannPoint(z.u.basis.copy())
-        assert obj.at(other).lifting is not at.lifting
+        assert obj.at(other) is not at
         obj.rgrad(ProductPoint(z.x, other))
+        assert len(calls) == 2
+        # the cost reads no evaluator: a trial point builds no P_perp
+        obj.cost(ProductPoint(z.x, GrassmannPoint(z.u.basis.copy())))
         assert len(calls) == 2
 
 
@@ -324,7 +349,7 @@ class TestKeptPoint:
             obj.rgrad(z)
             obj.rhess_operator(z)(xi)
             obj.rhess_x_operator(z)(xi.dx)
-            obj.at(z.u).cost(z.x)
+            obj.line_coefficients(z, xi.dx)
             assert obj._point is not None and obj._at is not None
             ref = weakref.ref(obj)
             del obj

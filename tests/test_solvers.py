@@ -1,5 +1,8 @@
+import importlib.util
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -849,11 +852,13 @@ class TestAltmin:
         # gradient, the next line coefficients, the subspace update and the
         # next round's recorded cost and gradient. So a round lifts once per
         # trial and nowhere else (not at its start), builds no kernel through
-        # monomial_kernel and calls no Objective.rgrad_x. The one exception is
-        # a round whose last line search fails: its failed trial displaces the
+        # monomial_kernel, and computes the X gradient once per accepted step
+        # (`Objective.rgrad_x`, through the round's X-subproblem) besides the
+        # one in its start's `Objective.rgrad`. The one exception is a round
+        # whose last line search fails: its failed trial displaces the
         # round's X, which the subspace update lifts again.
-        counts = {"_w_perp": 0, "monomial_kernel": 0, "rgrad_x": 0, "lift": 0, "trials": 0,
-                  "failed": 0}
+        counts = {"_w_perp": 0, "monomial_kernel": 0, "rgrad": 0, "rgrad_x": 0, "lift": 0,
+                  "trials": 0, "failed": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -863,7 +868,8 @@ class TestAltmin:
 
         for name in ("_w_perp", "monomial_kernel"):
             monkeypatch.setattr(nlrecover.lifting, name, counted(name, getattr(nlrecover.lifting, name)))
-        monkeypatch.setattr(Objective, "rgrad_x", counted("rgrad_x", Objective.rgrad_x))
+        for name in ("rgrad", "rgrad_x"):
+            monkeypatch.setattr(Objective, name, counted(name, getattr(Objective, name)))
         monkeypatch.setattr(LiftingSpec, "lift", counted("lift", LiftingSpec.lift))
         armijo_fn = nlrecover.solvers.armijo
 
@@ -886,7 +892,8 @@ class TestAltmin:
             diff = {name: end[name] - start[name] for name in counts}
             assert diff["trials"] >= rec.inner_iters
             assert diff["failed"] <= 1
-            assert diff == {"_w_perp": 1, "monomial_kernel": 0, "rgrad_x": 0,
+            assert diff == {"_w_perp": 1, "monomial_kernel": 0, "rgrad": 1,
+                            "rgrad_x": rec.inner_iters + 1,
                             "lift": diff["trials"] + diff["failed"], "trials": diff["trials"],
                             "failed": diff["failed"]}
 
@@ -1010,3 +1017,38 @@ class TestTrace:
         assert trace.final.f == obj.cost(z)
         g = obj.rgrad(z)
         assert (trace.final.gnorm_x, trace.final.gnorm_u) == (np.linalg.norm(g.dx), np.linalg.norm(g.du))
+
+
+def _solver_traces_tool():
+    path = Path(__file__).resolve().parent.parent / "tools" / "solver_traces.py"
+    spec = importlib.util.spec_from_file_location("solver_traces", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_solver_trace_compare_flags_one_changed_record(tmp_path, capsys):
+    # tools/solver_traces.py --compare: two dumps of the same solver calls
+    # are identical, and one trace record changed in the last bit of f, or
+    # a call missing, is flagged
+    tool = _solver_traces_tool()
+    obj, _ = small_masked_objective(seed=3)
+    z0 = default_init(obj)
+    calls = [("rtr_solve", *rtr_solve(obj, z0, RtrConfig(max_iter=4))),
+             ("altmin_solve", *altmin_solve(obj, z0, AltminConfig(max_outer=3, max_inner=5),
+                                            rng=np.random.default_rng(0)))]
+    lines = [tool.call_line("w", (0, 0), i, *call) for i, call in enumerate(calls)]
+    entry = json.loads(lines[1])
+    entry["records"][2]["f"] = math.nextafter(entry["records"][2]["f"], math.inf)
+    dumps = {"a": lines, "same": lines, "changed": [lines[0], json.dumps(entry)],
+             "missing": lines[:1]}
+    for name, text in dumps.items():
+        (tmp_path / name).write_text("\n".join(text) + "\n")
+    assert tool.compare(tmp_path / "a", tmp_path / "same") == 0
+    assert capsys.readouterr().out == "w: 2 calls identical\n"
+    assert tool.compare(tmp_path / "a", tmp_path / "changed") == 1
+    assert capsys.readouterr().out == \
+        "w: 1 of 2 calls differ; first: instance [0, 0] call 1: records[2]\n"
+    assert tool.compare(tmp_path / "a", tmp_path / "missing") == 1
+    assert capsys.readouterr().out == \
+        "w: 1 of 2 calls differ; first: instance [0, 0] call 1: missing\n"

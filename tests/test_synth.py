@@ -85,6 +85,8 @@ class TestGenClusters:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             ClusterSpec(n=3, k=2, pts_per=5, sigma_c=0.0)
+        with pytest.raises(ValueError):
+            ClusterSpec(n=3, k=2, pts_per=5, sigma_c=float("nan"))
 
 
 class TestEntryMask:

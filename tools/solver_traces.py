@@ -1,0 +1,149 @@
+"""Solve the four benchmark workloads on one checkout and keep what every
+solver call returned, so that two checkouts can be compared bit for bit:
+
+    python tools/solver_traces.py <checkout-dir> <out-file>
+    python tools/solver_traces.py <other-checkout-dir> <other-out-file>
+    python tools/solver_traces.py --compare <out-file> <other-out-file>
+
+A run imports `nlrecover` from <checkout-dir>/src and the workloads from
+<checkout-dir>/perfbench/workloads.py (read only), with one BLAS thread. It
+builds and solves every instance of WORKLOADS once, in the listed order, and
+writes one JSON line per `rtr_solve` or `altmin_solve` call: the workload, the
+instance key, the call's index within the instance's solve, the solver, the
+trace status, every trace record, and SHA-256 hashes of the returned X and
+subspace basis. Floats are written as Python prints them, which reads back to
+the same bits. A run takes about 9 s on one core.
+
+--compare reports each workload as identical or names the first call and
+field that differ (a missing call included), and exits 1 when any differs.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import importlib.util
+import json
+import os
+import sys
+from pathlib import Path
+
+WORKLOADS = ("mask_rtr", "dense_penalty", "cluster_gauss", "altmin_mask")
+SOLVERS = ("rtr_solve", "altmin_solve")
+
+
+def _digest(a) -> str:
+    return f"{a.shape}:{hashlib.sha256(a.tobytes()).hexdigest()}"
+
+
+def call_line(workload: str, key, index: int, solver: str, point, trace) -> str:
+    """The JSON line of one solver call; a numpy scalar is written as the
+    Python number it holds."""
+    return json.dumps({
+        "workload": workload, "key": list(key), "call": index, "solver": solver,
+        "status": trace.status, "x": _digest(point.x), "u": _digest(point.u.basis),
+        "records": [dataclasses.asdict(r) for r in trace.records],
+    }, default=lambda value: value.item())
+
+
+def dump(root: Path, out: Path) -> int:
+    """Solve every instance of WORKLOADS from the checkout at root and write
+    its solver calls to out; the number of calls."""
+    src = (root / "src").resolve()
+    sys.path.insert(0, str(src))
+    import nlrecover
+
+    if Path(nlrecover.__file__).resolve().parent != src / "nlrecover":
+        raise ImportError(f"nlrecover was imported from {nlrecover.__file__}, not {src}")
+
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+
+    calls = []  # (solver, point, trace) of the instance being solved
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            point, trace = fn(*args, **kwargs)
+            calls.append((name, point, trace))
+            return point, trace
+        return wrapper
+
+    # every module of the package that binds a solver by name calls it there
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "nlrecover"]
+    for name in SOLVERS:
+        original = getattr(nlrecover.solvers, name)
+        wrapped = logged(name, original)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                setattr(module, name, wrapped)
+
+    n_calls = 0
+    with out.open("w") as fh:
+        for wname in WORKLOADS:
+            w = workloads.WORKLOADS[wname]
+            for key in w.keys:
+                calls.clear()
+                w.solve(w.setup(key))
+                for i, (solver, point, trace) in enumerate(calls):
+                    fh.write(call_line(wname, key, i, solver, point, trace) + "\n")
+                n_calls += len(calls)
+            print(f"{wname}: {len(w.keys)} instances solved")
+    return n_calls
+
+
+def _calls(path: Path) -> dict:
+    """The JSON lines of a dump keyed by (workload, key, call), in order."""
+    entries = (json.loads(line) for line in path.read_text().splitlines())
+    return {(e["workload"], tuple(e["key"]), e["call"]): e for e in entries}
+
+
+def _first_difference(a: dict | None, b: dict | None) -> str | None:
+    """The first field of two entries that differs, by its JSON text (so a
+    NaN equals a NaN), with the index of the record for `records`."""
+    if a is None or b is None:
+        return "missing"
+    for field in sorted(a.keys() | b.keys()):
+        va, vb = a.get(field), b.get(field)
+        if json.dumps(va) == json.dumps(vb):
+            continue
+        if field == "records" and isinstance(va, list) and isinstance(vb, list):
+            for i, (ra, rb) in enumerate(zip(va, vb)):
+                if json.dumps(ra) != json.dumps(rb):
+                    return f"records[{i}]"
+            return f"records (length {len(va)} vs {len(vb)})"
+        return field
+    return None
+
+
+def compare(path_a: Path, path_b: Path) -> int:
+    """Report every workload of two dumps; the number of workloads with a
+    call that differs."""
+    calls_a, calls_b = _calls(path_a), _calls(path_b)
+    failed = 0
+    for wname in sorted({k[0] for k in calls_a.keys() | calls_b.keys()}):
+        keys = sorted(k for k in calls_a.keys() | calls_b.keys() if k[0] == wname)
+        diffs = [(k, d) for k in keys
+                 if (d := _first_difference(calls_a.get(k), calls_b.get(k))) is not None]
+        if diffs:
+            (_, key, call), field = diffs[0]
+            print(f"{wname}: {len(diffs)} of {len(keys)} calls differ; first: instance "
+                  f"{list(key)} call {call}: {field}")
+            failed += 1
+        else:
+            print(f"{wname}: {len(keys)} calls identical")
+    return failed
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(1 if compare(Path(sys.argv[2]), Path(sys.argv[3])) else 0)
+    if len(sys.argv) != 3:
+        sys.exit("usage: python tools/solver_traces.py <checkout-dir> <out-file>\n"
+                 "       python tools/solver_traces.py --compare <out-file> <other-out-file>")
+    # one BLAS thread, set before numpy is first imported
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.dont_write_bytecode = True
+    print(f"{dump(Path(sys.argv[1]), Path(sys.argv[2]))} solver calls written")
