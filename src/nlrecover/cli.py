@@ -760,7 +760,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalError, DegenerateRetractionError) as exc:
+    except (NumericalError, DegenerateRetractionError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     summary = dict(command=args.command, solver=solver, seed=seed, config=cfg, aggregates=aggregates)

@@ -25,7 +25,6 @@ import numpy as np
 from .manifold import (
     GrassmannPoint,
     ProductPoint,
-    ProductTangent,
     meas_feasible_point,
     meas_project,
     product_inner,
@@ -510,13 +509,17 @@ def rtr_generic(
 
     rmse_of(z) optionally records an error-to-truth column; gnorm_parts(g)
     splits the gradient norm into (x, u) components for the trace; on_iterate
-    is called with every iterate (for invariant monitoring). The last record
-    of the trace is at the returned point.
+    is called with every iterate (for invariant monitoring). Each pass of the
+    loop records the current point and only then tests the stops (stalled,
+    max_iter, then the gradient), so the last record is at the returned point
+    and its k is the number of iterations taken.
 
     A rejected step leaves z unchanged and divides the radius by 4, so the
     gradient, the model operator and the truncated-CG path are kept until a
     step is accepted, and the step at the smaller radius is replayed from
-    the recorded path (see `tcg_subproblem`) instead of solved again.
+    the recorded path (see `tcg_subproblem`) instead of solved again. The
+    model operator is built at the first step from a point, so none is built
+    where the solve stops.
     """
     delta_bar = 2.0 * math.sqrt(prob.dim)
     rng = np.random.default_rng(2**32 - 1)
@@ -527,51 +530,52 @@ def rtr_generic(
     if not math.isfinite(f_val):
         raise NumericalError("cost is not finite at the initial point")
 
-    def hess_model(point):
-        if cfg.use_hessian:
-            return prob.hess_at(point)
-        return lambda v: v
-
     new_point = True
-    for k in range(cfg.max_iter):
+    for k in range(cfg.max_iter + 1):
         if on_iterate is not None:
             on_iterate(z)
         if new_point:
             g = prob.grad(z)
             gnorm = prob.norm(g)
+            if not math.isfinite(gnorm):
+                raise NumericalError(f"gradient is not finite at iteration {k} (norm {gnorm})")
             gx, gu = gnorm_parts(g) if gnorm_parts is not None else (gnorm, 0.0)
             err = rmse_of(z) if rmse_of is not None else None
-            hop = hess_model(z)
-            path = {}
+            hop, path = None, {}
             new_point = False
         rec = TraceRecord(k=k, f=f_val, gnorm_x=gx, gnorm_u=gu, delta=delta, rmse=err)
-        if gnorm > cfg.eps_g:
-            if delta in path:
-                eta, on_boundary, n_inner = tcg_replay(path[delta], delta)
-                n_hess = 0
-            else:
-                path = {}
-                eta, on_boundary, n_inner = tcg_subproblem(
-                    g, hop, delta, TcgConfig(), prob.inner, prob.dim, path=path, eps_g=cfg.eps_g
-                )
-                n_hess = n_inner
-        elif math.isfinite(cfg.eps_h):
+        trace.append(rec)
+        if delta < STALL_RADIUS:
+            trace.status = "stalled"
+            return z, trace
+        if k == cfg.max_iter:
+            return z, trace  # status max_iter
+        if gnorm <= cfg.eps_g:
+            if not math.isfinite(cfg.eps_h):
+                trace.status = "grad_tol"
+                return z, trace
             lam_min, direction, n_hess = _min_eig_estimate(prob, z, rng)
             if lam_min >= -cfg.eps_h:
                 rec.hess_calls = n_hess
-                trace.append(rec)
                 trace.status = "grad_tol"
                 return z, trace
+
+        if hop is None:  # the first step from z builds the model operator
+            hop = prob.hess_at(z) if cfg.use_hessian else (lambda v: v)
+        if gnorm <= cfg.eps_g:
             # negative-curvature step to the boundary, oriented downhill
-            nrm = prob.norm(direction)
-            direction = (delta / nrm) * direction
+            direction = (delta / prob.norm(direction)) * direction
             if prob.inner(g, direction) > 0:
                 direction = -direction
             eta, on_boundary, n_inner = direction, True, 0
+        elif delta in path:
+            eta, on_boundary, n_inner = tcg_replay(path[delta], delta)
+            n_hess = 0
         else:
-            trace.append(rec)
-            trace.status = "grad_tol"
-            return z, trace
+            eta, on_boundary, n_inner = tcg_subproblem(
+                g, hop, delta, TcgConfig(), prob.inner, prob.dim, path=path, eps_g=cfg.eps_g
+            )
+            n_hess = n_inner
 
         model_decrease = -(prob.inner(g, eta) + 0.5 * prob.inner(eta, hop(eta)))
         z_plus = prob.retract(z, eta)
@@ -588,8 +592,7 @@ def rtr_generic(
             delta = delta / 4.0
         elif rho > 0.75 and on_boundary:
             delta = min(2.0 * delta, delta_bar)
-        accepted = rho > cfg.rho_prime
-        if accepted:
+        if rho > cfg.rho_prime:
             z = z_plus
             f_val = f_plus
             new_point = True
@@ -597,18 +600,6 @@ def rtr_generic(
         rec.rho = rho
         rec.inner_iters = n_inner
         rec.hess_calls = n_hess + 1  # the model decrease takes one product
-        trace.append(rec)
-        if delta < STALL_RADIUS:
-            trace.status = "stalled"
-            break
-    if new_point:  # the last step moved z past the last record
-        if on_iterate is not None:
-            on_iterate(z)
-        g = prob.grad(z)
-        gx, gu = gnorm_parts(g) if gnorm_parts is not None else (prob.norm(g), 0.0)
-        trace.append(TraceRecord(k=len(trace.records), f=f_val, gnorm_x=gx, gnorm_u=gu, delta=delta,
-                                 rmse=rmse_of(z) if rmse_of is not None else None))
-    return z, trace
 
 
 def rtr_solve(
@@ -737,6 +728,9 @@ def altmin_solve(
         rec = TraceRecord(k=k, f=f_val, gnorm_x=float(np.linalg.norm(g.dx)),
                           gnorm_u=float(np.linalg.norm(g.du)),
                           rmse=None if truth is None else rmse(x, truth))
+        if not all(map(math.isfinite, (f_val, rec.gnorm_x, rec.gnorm_u))):
+            raise NumericalError(f"non-finite cost or gradient at round {k}: f={f_val}, "
+                                 f"||grad_X||={rec.gnorm_x}, ||grad_U||={rec.gnorm_u}")
         if k == cfg.max_outer:
             trace.append(rec)
             return z, trace  # status max_iter
@@ -759,19 +753,18 @@ def altmin_solve(
 
         eps_xk = cfg.eps_x if cfg.schedule == "greedy" else max(cfg.eps_x, ADAPTIVE_THETA * rec.gnorm_x)
 
-        # after the inner solve, g and f_val hold the gradient and cost at the
-        # new X with the old basis; both inner solvers read one X-subproblem
+        # after the inner solve, f_val holds the cost at the new X with the
+        # old basis; both inner solvers read one X-subproblem
         prob = x_factor_problem(obj, u)
         if cfg.inner == "trust_region":
             sub_cfg = RtrConfig(eps_g=eps_xk, max_iter=cfg.max_inner)
             x, sub_trace = rtr_generic(prob, x, sub_cfg)
-            n_inner = len(sub_trace.records) - 1
+            n_inner = sub_trace.final.k
             n_hess = sum(n or 0 for n in sub_trace.column("hess_calls"))
             # the norm of the first accepted inner step
             step = next((r.step for r in sub_trace.records
                          if r.rho is not None and r.rho > sub_cfg.rho_prime), None)
             f_val = sub_trace.final.f
-            gx = prob.grad(x) if x is not z.x else g.dx
         else:
             # each point is lifted once (`Objective.lift`): the trial that
             # Armijo accepts is the next iterate, and its lifted point gives
@@ -813,13 +806,12 @@ def altmin_solve(
                 x = z_k.x
                 n_inner += 1
                 gx = obj.rgrad_x(z_k)
-        if x is not z.x:
-            g = ProductTangent(gx, obj.rgrad_u(ProductPoint(x, u)))
+        gu = obj.rgrad_u(ProductPoint(x, u)) if x is not z.x else g.du
 
         rec.step = step
         rec.inner_iters = n_inner
         rec.hess_calls = n_hess
-        if float(np.linalg.norm(g.du)) <= cfg.eps_u:
+        if float(np.linalg.norm(gu)) <= cfg.eps_u:
             rec.svd_mode = "skip"
         else:
             u, rec.svd_mode = _subspace_update(obj, obj.lift(x).lifted, f_val, f_scale,

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -349,6 +350,29 @@ class TestRecoverCommand:
         assert capsys.readouterr().err.strip().splitlines() == [
             "numerical failure: U + H is numerically rank deficient"]
         assert not out.exists()  # a command writes nothing unless it runs to the end
+
+    @pytest.mark.parametrize("noise_sigma,solver,pattern", [
+        # the cost overflows to a finite f and an infinite gradient
+        (1e70, "rtr2", r"gradient is not finite at iteration 0 \(norm inf\)"),
+        (1e70, "altmin1", r"non-finite cost or gradient at round 0: f=\S+, "
+                          r"\|\|grad_X\|\|=inf, \|\|grad_U\|\|=inf"),
+        (1e70, "altmin2", r"non-finite cost or gradient at round 0: f=\S+, "
+                          r"\|\|grad_X\|\|=inf, \|\|grad_U\|\|=inf"),
+        # the lifting of the initial point overflows, and its SVD fails
+        (1e77, "rtr2", "SVD did not converge"),
+        (1e77, "altmin1", "SVD did not converge"),
+        (1e77, "altmin2", "SVD did not converge"),
+    ], ids=[f"{s}_{kind}" for kind in ("inf_gradient", "svd") for s in ("rtr2", "altmin1", "altmin2")])
+    def test_overflowing_measurements_exit_code(self, tmp_path, capsys, noise_sigma, solver, pattern):
+        # each ends in exit 3 and one stderr line, never as a solver status
+        # or a traceback
+        sensing = {"kind": "dense", "m": 40, "noise_sigma": noise_sigma}
+        code, out = self.run(tmp_path, dict(RECOVER_CFG, sensing=sensing, solver=solver,
+                                            solver_options={}, trials=1))
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.fullmatch(f"numerical failure: {pattern}", err[0]), err
+        assert not out.exists()
 
     def test_failed_write_exit_code(self, tmp_path, capsys):
         # a write that fails after the solve is one stderr line and exit 4;
@@ -728,6 +752,14 @@ class TestClusterCommand:
         assert exc.value.code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(
             "nlrecover: error: unrecognized arguments: --solver altmin1")
+
+    def test_overflowing_data_exit_code(self, tmp_path, capsys):
+        # the lifting of the initial point overflows, and its SVD fails
+        data = dict(CLUSTER_CFG["data"], sigma_c=1e200)
+        code, out = self.run(tmp_path, dict(CLUSTER_CFG, data=data, trials=1))
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err.splitlines() == ["numerical failure: SVD did not converge"]
+        assert not out.exists()
 
     def test_per_column_must_be_json_boolean(self, tmp_path, capsys):
         sensing = dict(CLUSTER_CFG["sensing"], per_column="false")

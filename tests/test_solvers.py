@@ -594,7 +594,8 @@ class TestRtr:
     def test_stalls_when_every_step_raises_the_cost(self):
         # the gradient points away from the minimum at 0, so every model step
         # raises f = |x|^2 and is rejected until the radius drops below the
-        # stall radius
+        # stall radius; the trace ends with the record of the point it
+        # returns, z0, at the radius below the stall radius
         prob = RiemannianProblem(
             cost=lambda x: float(x @ x),
             grad=lambda x: np.array([1.0, 0.0]),
@@ -607,10 +608,94 @@ class TestRtr:
         z0 = np.zeros(2)
         z, trace = rtr_generic(prob, z0, RtrConfig(max_iter=100))
         assert trace.status == "stalled"
-        assert all(r.rho < 0.0 for r in trace.records)
-        last = trace.records[-1].delta
-        assert last / 4.0 < STALL_RADIUS <= last
+        *steps, last = trace.records
+        assert all(r.rho < 0.0 for r in steps)
+        assert last.rho is None and last.step is None and last.k == len(steps)
+        assert (last.f, last.gnorm_x) == (0.0, 1.0)
+        assert steps[-1].delta / 4.0 == last.delta < STALL_RADIUS <= steps[-1].delta
         assert z is z0
+
+    def test_non_finite_gradient_raises(self):
+        # nan > eps_g is false, so a NaN gradient must not pass the
+        # gradient test as grad_tol
+        prob = RiemannianProblem(
+            cost=lambda x: float(x @ x),
+            grad=lambda x: np.full(2, np.nan),
+            hess_at=lambda x: (lambda v: v),
+            retract=lambda x, v: x + v,
+            inner=vec_inner,
+            dim=2,
+        )
+        with pytest.raises(NumericalError, match=r"^gradient is not finite at iteration 0 \(norm nan\)$"):
+            rtr_generic(prob, np.zeros(2), RtrConfig())
+
+    @pytest.mark.parametrize("cost,grad,status,n_records", [
+        # every step toward the far minimum c = (100, 0) is accepted
+        (lambda x: float((x[0] - 100.0) ** 2 + x[1] ** 2),
+         lambda x: 2.0 * (x - np.array([100.0, 0.0])), "max_iter", 4),
+        # every step raises f = |x|^2 and is rejected
+        (lambda x: float(x @ x), lambda x: np.array([1.0, 0.0]), "max_iter", 4),
+        # one Newton step reaches the minimum at (0.5, 0), which it stops at
+        (lambda x: float(x @ x - x[0]), lambda x: 2.0 * x - np.array([1.0, 0.0]), "grad_tol", 2),
+    ], ids=["max_iter_accepted", "max_iter_rejected", "grad_tol"])
+    def test_trace_ends_with_the_record_of_the_returned_point(self, cost, grad, status, n_records):
+        # one record and one on_iterate call per pass of the loop; the last
+        # record has no step, its k is the number of iterations taken, and
+        # it holds the cost and gradient of the returned point
+        hess_points = []
+
+        def hess_at(x):
+            hess_points.append(x.copy())
+            return lambda v: 2.0 * v
+
+        prob = RiemannianProblem(
+            cost=cost,
+            grad=grad,
+            hess_at=hess_at,
+            retract=lambda x, v: x + v,
+            inner=vec_inner,
+            dim=2,
+        )
+        seen = []
+        z, trace = rtr_generic(prob, np.array([0.0, 0.5]), RtrConfig(eps_g=1e-8, max_iter=3),
+                               on_iterate=seen.append)
+        assert trace.status == status
+        assert [r.k for r in trace.records] == list(range(n_records))
+        assert len(seen) == n_records and seen[-1] is z
+        last = trace.final
+        assert (last.step, last.rho, last.inner_iters, last.hess_calls) == (None,) * 4
+        assert all(r.rho is not None for r in trace.records[:-1])
+        assert last.f == prob.cost(z) and last.gnorm_x == prob.norm(grad(z))
+        # the model operator is built at a point only to step from it
+        stepped_from = {r.k for r in trace.records[:-1]}
+        assert len(hess_points) == len({seen[k].tobytes() for k in stepped_from})
+
+    @pytest.mark.parametrize("eps_h", [math.inf, 1e-3])
+    def test_hessian_built_only_to_step_or_estimate(self, eps_h, monkeypatch):
+        # the model operator is built at the first step from a point, and
+        # each Lanczos estimate of the second-order test builds its own, so
+        # the point where the solve stops gets no model operator
+        counts = {"rhess_operator": 0, "tcg_subproblem": 0, "_min_eig_estimate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Objective, "rhess_operator",
+                            counted("rhess_operator", Objective.rhess_operator))
+        for name in ("tcg_subproblem", "_min_eig_estimate"):
+            monkeypatch.setattr(nlrecover.solvers, name, counted(name, getattr(nlrecover.solvers, name)))
+        obj, _, _ = uos_completion_problem(n=6, pts_per=8, seed=3)
+        _, trace = rtr_solve(obj, default_init(obj), RtrConfig(eps_g=1e-6, eps_h=eps_h, max_iter=100))
+        assert trace.status == "grad_tol"
+        assert counts["_min_eig_estimate"] == (0 if eps_h == math.inf else 1)
+        # tCG runs once per point stepped from (every point but the last);
+        # the steps after a rejection are replayed
+        accepted = [r.rho > RtrConfig.rho_prime for r in trace.records[:-1]]
+        assert counts["tcg_subproblem"] == sum(accepted) < len(accepted)
+        assert counts["rhess_operator"] == counts["tcg_subproblem"] + counts["_min_eig_estimate"]
 
     def test_second_order_stop_at_strict_minimum(self):
         # zero gradient and positive curvature: the Lanczos estimate ends the
@@ -896,6 +981,43 @@ class TestAltmin:
                             "rgrad_x": rec.inner_iters + 1,
                             "lift": diff["trials"] + diff["failed"], "trials": diff["trials"],
                             "failed": diff["failed"]}
+
+    def test_altmin2_round_computes_each_x_gradient_once(self, monkeypatch):
+        # an altmin2 round computes the X gradient at its start (inside
+        # `Objective.rgrad`), at the start of its inner trust region and at
+        # each point that trust region accepts; at the returned X the
+        # subspace update reads the U gradient alone
+        counts = {"rgrad": 0, "rgrad_x": 0, "rgrad_u": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(Objective, name, counted(name, getattr(Objective, name)))
+        accepted = []  # the steps each inner trust region accepted
+        rtr_fn = nlrecover.solvers.rtr_generic
+
+        def counted_rtr(*args, **kwargs):
+            x, sub_trace = rtr_fn(*args, **kwargs)
+            accepted.append(sum(r.rho is not None and r.rho > RtrConfig.rho_prime
+                                for r in sub_trace.records))
+            return x, sub_trace
+
+        monkeypatch.setattr(nlrecover.solvers, "rtr_generic", counted_rtr)
+        obj, _, _ = uos_completion_problem(n=6, pts_per=8, seed=10)
+        at_round_start = []
+        _, trace = altmin_solve(obj, default_init(obj),
+                                replace(build_solver_configs({}, "altmin2"), max_outer=3),
+                                rng=np.random.default_rng(0),
+                                on_iterate=lambda z: at_round_start.append(dict(counts)))
+        assert len(accepted) == 3 and len(trace.records) == 4
+        for n_accepted, start, end in zip(accepted, at_round_start, at_round_start[1:]):
+            assert n_accepted >= 1
+            assert {name: end[name] - start[name] for name in counts} == \
+                {"rgrad": 1, "rgrad_x": 2 + n_accepted, "rgrad_u": 2}
 
     def test_svd_skip_marked_in_trace(self):
         obj, target, _ = uos_completion_problem(n=6, pts_per=8, seed=11)

@@ -5,14 +5,19 @@ output, so that two trees can be compared byte for byte:
     python tools/cli_outputs.py <other-src-dir> <other-out-dir>
     python tools/cli_outputs.py --compare <out-dir> <other-out-dir>
 
-Each run calls `python -m nlrecover.cli` with PYTHONPATH=<src-dir> and one
-BLAS thread, at --jobs 1 for the commands that take it, and writes into
-<out-dir>/<run>/: the command's output files, its config (config.json),
-and its stdout, stderr and exit code (stdout.txt, stderr.txt, exit_code.txt).
-The runs in ERRORS exit 2: two get a flag their command does not take, so
-the set covers the stderr of a flag error, and two give a sweep a bad last
-cell, so it covers a config error that a sweep finds past its first cell.
-The whole set takes well under a minute on one core.
+Each run calls `python -m nlrecover.cli` with PYTHONPATH=<src-dir>, one
+BLAS thread and Python's RuntimeWarnings ignored (so stderr names no file
+or line of the tree), at --jobs 1 for the commands that take it, and writes
+into <out-dir>/<run>/: the command's output files, its config
+(config.json), and its stdout, stderr and exit code (stdout.txt,
+stderr.txt, exit_code.txt). The runs in ERRORS exit 2: two get a flag their
+command does not take, so the set covers the stderr of a flag error, and
+two give a sweep a bad last cell, so it covers a config error that a sweep
+finds past its first cell. `recover_overflow` exits 3: its measurements
+overflow the lifting, so the set covers a numerical failure. Every other
+run exits 0; `recover_max_iter` is cut at a budget that one trial reaches
+right after a rejected step, so the set covers a solve that ends
+`max_iter`. The whole set takes well under a minute on one core.
 
 --compare reports each run as identical (every file byte for byte), as
 differing in numbers only (the files match once each number is read as a
@@ -62,6 +67,9 @@ CLUSTER = {
 RUNS = {
     "recover_rtr2": ("recover", RECOVER),
     "recover_rtr1": ("recover", dict(RECOVER, solver="rtr1")),
+    "recover_max_iter": ("recover", dict(RECOVER, solver_options={"eps_g": 1e-6, "max_iter": 4})),
+    "recover_overflow": ("recover", dict(
+        RECOVER, sensing={"kind": "dense", "m": 40, "noise_sigma": 1e77}, trials=1)),
     **{f"recover_{solver}": ("recover", dict(RECOVER, solver=solver, solver_options=ALTMIN_OPTIONS))
        for solver in ("altmin1", "altmin2")},
     "recover_simple": ("recover", dict(RECOVER, solver="simple", solver_options=SIMPLE_OPTIONS)),
@@ -90,13 +98,15 @@ RUNS = {
 # command does not take, or none for a config whose last sweep cell is bad
 ERRORS = {"noise_flag_error": ["--trials", "3"], "cluster_flag_error": ["--solver", "rtr2"],
           "phase_bad_value": [], "rank_sweep_bad_rank": []}
+# the exit code of each run that does not exit 0
+EXIT_CODES = {**dict.fromkeys(ERRORS, 2), "recover_overflow": 3}
 
 
 def run_all(src: Path, out: Path) -> int:
     """Run every entry of RUNS; the number of runs that did not exit as
-    expected (2 for ERRORS, 0 for the others)."""
+    expected (EXIT_CODES, 0 for the others)."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), OMP_NUM_THREADS="1",
-               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1", PYTHONWARNINGS="ignore::RuntimeWarning")
     failed = 0
     for name, (command, cfg) in RUNS.items():
         run_dir = out / name
@@ -113,7 +123,7 @@ def run_all(src: Path, out: Path) -> int:
         (run_dir / "stderr.txt").write_text(proc.stderr)
         (run_dir / "exit_code.txt").write_text(f"{proc.returncode}\n")
         print(f"{name}: exit {proc.returncode}")
-        failed += proc.returncode != (2 if name in ERRORS else 0)
+        failed += proc.returncode != EXIT_CODES.get(name, 0)
     return failed
 
 
