@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import typing
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
@@ -546,9 +547,11 @@ def cluster_complete(meas, k: int, sigma: float, rng: np.random.Generator):
     """
     z = None
     for mult in SIGMA_LADDER:
-        obj = Objective(
-            lifting=LiftingSpec.gaussian(meas.n, sigma * mult), rank_r=k, measurement=meas
-        )
+        # the widest rung comes first, so a width whose square overflows is
+        # rejected, like a bad rank, before any solve
+        with _reading(f"lifting at width {mult} x sigma"):
+            lifting = LiftingSpec.gaussian(meas.n, sigma * mult)
+        obj = build_objective(lifting, k, meas)
         z = default_init(obj) if z is None else fit_subspace(obj, z.x)
         z, trace = rtr_solve(obj, z, RtrConfig(eps_g=1e-6, max_iter=CLUSTER_MAX_ITER))
     z_snap = _snap_columns(obj, z, k, rng)
@@ -734,6 +737,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # numpy's RuntimeWarnings (overflow, invalid value) would print their
+    # own stderr lines ahead of the one line a failure prints; the worker
+    # processes of --jobs are forked inside, and so inherit the filter
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return _run_command(args)
+
+
+def _run_command(args) -> int:
     run, keys = COMMANDS.get(args.command, (None, ()))
     try:
         cfg = {} if args.command == "check" else _known(load_config(args.config), keys)

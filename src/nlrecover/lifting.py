@@ -186,16 +186,23 @@ def gaussian_kernel(x_mat: np.ndarray, y_mat: np.ndarray, sigma: float) -> np.nd
     """Entry (i, j) = exp(-||x_i - y_j||^2 / (2 sigma^2))."""
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
+    same = y_mat is x_mat
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
-    y_mat = np.atleast_2d(np.asarray(y_mat, dtype=float))
+    y_mat = x_mat if same else np.atleast_2d(np.asarray(y_mat, dtype=float))
     if x_mat.shape[0] != y_mat.shape[0]:
         raise DimensionError("x and y must share the ambient dimension")
-    sq = (
-        np.sum(x_mat**2, axis=0)[:, None]
-        - 2.0 * (x_mat.T @ y_mat)
-        + np.sum(y_mat**2, axis=0)[None, :]
-    )
-    return np.exp(-np.maximum(sq, 0.0) / (2.0 * sigma**2))
+    x_sq = (x_mat**2).sum(axis=0)
+    y_sq = x_sq if same else (y_mat**2).sum(axis=0)
+    # ||x_i||^2 - 2 <x_i, y_j> + ||y_j||^2, clipped at 0, scaled and
+    # exponentiated in the one s x s array the GEMM returns; dividing by
+    # -2 sigma^2 rounds as negating and dividing by 2 sigma^2 does
+    sq = x_mat.T @ y_mat
+    sq *= 2.0
+    np.subtract(x_sq[:, None], sq, out=sq)
+    sq += y_sq[None, :]
+    np.maximum(sq, 0.0, out=sq)
+    sq /= -(2.0 * sigma**2)
+    return np.exp(sq, out=sq)
 
 
 def _w_perp(w: np.ndarray, s: int) -> np.ndarray:
@@ -215,7 +222,10 @@ def monomial_grad_x(
     the Gram G = X^T X + c, with K_j = G^(.j): 2 d X (K_{d-1} o P)."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    k_lower_perp = p_perp if d == 1 else gram ** (d - 1) * p_perp
+    if d == 1:
+        k_lower_perp = p_perp
+    else:  # K_1 is the Gram itself
+        k_lower_perp = (gram if d == 2 else gram ** (d - 1)) * p_perp
     return 2.0 * d * x_mat @ k_lower_perp
 
 
@@ -240,12 +250,15 @@ def monomial_hess_operator(x_mat: np.ndarray, w: np.ndarray, d: int, c: float):
     gram = x_mat.T @ x_mat
     gram += c
     k_1 = gram ** (d - 1)
-    k_2_perp = gram ** (d - 2) if d >= 2 else None
+    k_2_perp = gram ** (d - 2) if d >= 3 else None
     k_d = np.multiply(gram, k_1, out=gram)
     p_perp = _w_perp(w, s)
     k_1_perp = k_1 * p_perp
-    if k_2_perp is not None:
-        # (d-1) K_{d-2} o P, the weight of S_x in h_x; zero for d = 1
+    # (d-1) K_{d-2} o P, the weight of S_x in h_x: zero for d = 1, and P
+    # itself for d = 2, where K_0 is all ones
+    if d == 2:
+        k_2_perp = p_perp
+    elif k_2_perp is not None:
         k_2_perp *= p_perp
         k_2_perp *= d - 1
     # [X; dx; X]: rows :2n are [X; dx], the transpose of [X^T | dx^T]; rows n: are [dx; X]
@@ -329,14 +342,14 @@ def feature_residual_cost(phi: np.ndarray, basis: np.ndarray) -> float:
 
 def kernel_trace_cost(k_mat: np.ndarray, basis: np.ndarray) -> float:
     """trace(K) - trace(W^T K W), the kernel-side value of the same residual."""
-    return float(np.trace(k_mat) - np.sum((k_mat @ basis) * basis))
+    return float(k_mat.trace() - ((k_mat @ basis) * basis).sum())
 
 
 def kernel_tail_cost(k_mat: np.ndarray, r: int) -> float:
     """kernel_trace_cost at the best W, the leading r-dimensional eigenspace
     of the symmetric positive semidefinite K: trace(K) minus its r largest
     eigenvalues, without forming W."""
-    return float(np.trace(k_mat) - np.sum(np.linalg.eigvalsh(k_mat)[-r:]))
+    return float(k_mat.trace() - np.linalg.eigvalsh(k_mat)[-r:].sum())
 
 
 def lift_grad_w(k_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -373,8 +386,11 @@ class LiftingSpec:
             raise ValueError(f"unknown lifting kind {self.kind!r}")
         if self.kind in ("monomial_features", "monomial_kernel") and self.degree < 1:
             raise ValueError("monomial degree must be >= 1")
-        if self.kind == "gaussian_kernel" and not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        # the Gaussian kernel divides by 2 sigma^2, which must neither
+        # overflow nor underflow to 0
+        sigma = self.sigma
+        if self.kind == "gaussian_kernel" and not (sigma > 0 and 0.0 < sigma * sigma < math.inf):
+            raise ValueError(f"sigma must be positive with sigma^2 finite and above 0, got {sigma!r}")
         if self.kind == "monomial_features":
             n_feat = count_monomials(self.n, self.degree)  # fail fast on bad (n, d)
             if n_feat > MAX_EXPLICIT_FEATURES:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -225,8 +226,7 @@ def meas_feasible_point(l: MeasurementSubspace) -> np.ndarray:
 # --- product manifold ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductPoint:
+class ProductPoint(NamedTuple):
     """Iterate z = (X, U) with X feasible and U a subspace."""
 
     x: np.ndarray

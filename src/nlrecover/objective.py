@@ -62,10 +62,13 @@ class Objective:
     def __post_init__(self):
         if self.penalty_lambda is not None and not self.penalty_lambda > 0:
             raise ValueError(f"penalty lambda must be positive, got {self.penalty_lambda!r}")
-        ambient = self.grassmann_ambient()
-        if not (1 <= self.rank_r < ambient):
-            raise ValueError(f"rank {self.rank_r} must satisfy 1 <= r < {ambient}, "
-                             "the ambient dimension of the subspace")
+        # a truncated SVD of the ambient x s lifted matrix fits the subspace,
+        # so r is below both sizes (for kernel forms they are equal)
+        ambient, s = self.grassmann_ambient(), self.measurement.s
+        if not (1 <= self.rank_r < min(ambient, s)):
+            bound = ("the ambient dimension of the subspace" if ambient <= s else
+                     f"the number of columns (the subspace's ambient dimension is {ambient})")
+            raise ValueError(f"rank {self.rank_r} must satisfy 1 <= r < {min(ambient, s)}, {bound}")
 
     # --- geometry ----------------------------------------------------------
 
@@ -91,6 +94,11 @@ class Objective:
         if self._point is None or self._point[0] is not x:
             self._point = (x, self.lifting.lift(x))
         return self._point[1]
+
+    def keep_lift(self, x: np.ndarray, point: LiftedPoint) -> None:
+        """Make point, the lifted point of x that a caller held, the one
+        `lift` keeps again, after a lift of another X took its place."""
+        self._point = (x, point)
 
     def lifted_residual(self, z: ProductPoint) -> float:
         """Cost without the penalty term (always >= 0 up to roundoff)."""

@@ -264,10 +264,14 @@ def quartic_minimizer(c1: float, c2: float, c3: float, c4: float) -> float | Non
     else:
         return None
 
-    def value(a):
-        return a * (c1 + a * (c2 + a * (c3 + a * c4)))
-
-    return min((a for a in roots if 0 < a < math.inf), key=value, default=None)
+    # the root of least value, the first one on a tie
+    best, best_value = None, None
+    for a in roots:
+        if 0 < a < math.inf:
+            value = a * (c1 + a * (c2 + a * (c3 + a * c4)))
+            if best is None or value < best_value:
+                best, best_value = a, value
+    return best
 
 
 def _cubic_roots(b: float, c: float, d: float) -> list[float]:
@@ -283,19 +287,18 @@ def _cubic_roots(b: float, c: float, d: float) -> list[float]:
         big = -math.copysign(math.cbrt(abs(r) + math.sqrt(r * r - q**3)), r)
         roots = [big + (q / big if big != 0.0 else 0.0) - b / 3.0]
 
-    def residual(x):
-        return ((x + b) * x + c) * x + d
-
     polished = []
     for x in roots:
+        res = ((x + b) * x + c) * x + d
         for _ in range(3):
             slope = (3.0 * x + 2.0 * b) * x + c
             if slope == 0.0:
                 break
-            x_new = x - residual(x) / slope
-            if not abs(residual(x_new)) < abs(residual(x)):
+            x_new = x - res / slope
+            res_new = ((x_new + b) * x_new + c) * x_new + d
+            if not abs(res_new) < abs(res):
                 break
-            x = x_new
+            x, res = x_new, res_new
         polished.append(x)
     return polished
 
@@ -774,6 +777,7 @@ def altmin_solve(
             n_hess = None
             step = None  # first inner step size, the one the descent bound uses
             z_k, gx = z, g.dx  # the accepted point and its X gradient
+            point = obj.lift(x)  # and its lifted point, which a failed trial displaces
             while n_inner < cfg.max_inner:
                 # one inner product gives the stop test ||g|| > eps_xk and
                 # the slope <g, d> = -||g||^2 along d = -g
@@ -798,14 +802,18 @@ def altmin_solve(
                     )
                 except LineSearchError:
                     # no step passes the Armijo test at working precision:
-                    # the round goes on to the subspace update
+                    # the round goes on to the subspace update, at the X
+                    # whose lifted point the failed trial displaced
+                    obj.keep_lift(x, point)
                     break
                 if step is None:
                     step = alpha
                 z_k = ProductPoint(trial[0], u)
                 x = z_k.x
+                point = obj.lift(x)
                 n_inner += 1
-                gx = obj.rgrad_x(z_k)
+                if n_inner < cfg.max_inner:  # at the cap nothing reads the gradient
+                    gx = obj.rgrad_x(z_k)
         gu = obj.rgrad_u(ProductPoint(x, u)) if x is not z.x else g.du
 
         rec.step = step

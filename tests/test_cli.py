@@ -1,7 +1,10 @@
 import csv
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -374,6 +377,22 @@ class TestRecoverCommand:
         assert len(err) == 1 and re.fullmatch(f"numerical failure: {pattern}", err[0]), err
         assert not out.exists()
 
+    def test_numerical_failure_is_one_stderr_line_from_a_shell(self, tmp_path):
+        # run as its own process without PYTHONWARNINGS, where numpy's
+        # RuntimeWarnings (overflow in the lifting) would print their own
+        # lines ahead of the failure's; pytest captures them in process.
+        # LAPACK's messages, which C code writes to stdout, are not covered.
+        cfg = dict(RECOVER_CFG, sensing={"kind": "dense", "m": 40, "noise_sigma": 1e77}, trials=1)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1")
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "nlrecover.cli", "recover", "--config",
+                               write_cfg(tmp_path, cfg), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stderr.splitlines() == ["numerical failure: SVD did not converge"]
+        assert not out.exists()
+
     def test_failed_write_exit_code(self, tmp_path, capsys):
         # a write that fails after the solve is one stderr line and exit 4;
         # the tables written before it stay, and summary.json comes last
@@ -620,6 +639,26 @@ NOISE_CFG = {
      "bad sensing spec: undersampling ratio must lie in (0, 1]"),
     ("rank-sweep", dict(RANK_SWEEP_CFG, ranks=[3, 4, 500]), (),
      "bad objective: rank 500 must satisfy 1 <= r < 16, the ambient dimension of the subspace"),
+    # a Gaussian width whose square overflows or underflows to 0, at the
+    # given width or at the continuation's widest rung (4 sigma)
+    *(("cluster", {"data": {"kind": "clusters", "n": 4, "k": 2, "pts_per": 8},
+                   "sensing": {"kind": "mask", "delta": 0.8},
+                   "lifting": {"kind": "gaussian_kernel", "sigma": sigma}}, (), message)
+      for sigma, message in [
+          (1e300, "bad lifting: sigma must be positive with sigma^2 finite and above 0, got 1e+300"),
+          (1e-300, "bad lifting: sigma must be positive with sigma^2 finite and above 0, got 1e-300"),
+          (1e154, "bad lifting at width 4.0 x sigma: sigma must be positive with sigma^2 finite "
+                  "and above 0, got 4e+154")]),
+    # a rank the clustering pipeline's objective cannot take
+    ("cluster", {"data": {"kind": "clusters", "n": 4, "k": 2, "pts_per": 8},
+                 "sensing": {"kind": "mask", "delta": 0.8}, "rank": 50}, (),
+     "bad objective: rank 50 must satisfy 1 <= r < 16, the ambient dimension of the subspace"),
+    # features whose auto rank is the number of columns, below N(7, 2) = 36:
+    # the truncated SVD of the 36 x 12 feature matrix needs r < 12
+    ("recover", dict(RECOVER_CFG, data={"kind": "clusters", "n": 7, "k": 2, "pts_per": 6},
+                     lifting={"kind": "monomial_features", "degree": 2}), (),
+     "bad objective: rank 12 must satisfy 1 <= r < 12, the number of columns (the subspace's "
+     "ambient dimension is 36)"),
 ], ids=["lifting_unknown_key", "data_unknown_key", "dim_sweep_over_clusters", "uos_no_subspace",
         "no_points", "no_clusters", "clusters_in_r0", "dense_no_measurement",
         "dense_negative_m", "no_lambda_steps", "negative_lambda_steps", "negative_config_seed",
@@ -631,7 +670,9 @@ NOISE_CFG = {
         "negative_jobs", "negative_max_iter", "negative_eps_g", "negative_eps_h",
         "zero_tcg_max_inner", "negative_max_outer", "negative_altmin_max_inner",
         "negative_eps_x", "negative_eps_u", "nan_eps_g", "nan_delta", "rank_below_one",
-        "ranks_and_rank_offsets", "late_phase_value", "late_phase_delta", "late_rank"])
+        "ranks_and_rank_offsets", "late_phase_value", "late_phase_delta", "late_rank",
+        "overflowing_sigma", "underflowing_sigma", "overflowing_ladder_sigma", "cluster_rank",
+        "features_rank_at_columns"])
 def test_rejected_input_exit_code(tmp_path, capsys, solves, command, cfg, extra, message):
     # a typo, a mistyped value or an empty size ends in one line on stderr
     # before any solve, never in a run of something else or a traceback,

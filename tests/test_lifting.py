@@ -7,6 +7,8 @@ from nlrecover.lifting import (
     count_monomials,
     gaussian_grad_x,
     gaussian_kernel,
+    kernel_tail_cost,
+    kernel_trace_cost,
     lift_grad_w,
     monomial_features,
     monomial_features_vjp,
@@ -451,3 +453,97 @@ class TestLiftingSpec:
             from math import comb
 
             assert numerical_rank(phi, 1e-8) <= p * comb(r_tilde + d, d)
+
+
+def old_monomial_hess_operator(x_mat, w, d, c):
+    """The monomial Hessian operator as it was built before its d = 2 weight
+    of S_x became P itself: (d - 1) K_{d-2} o P from K_0 = G^(.0) for d = 2."""
+    n, s = x_mat.shape
+    r = w.shape[1]
+    gram = x_mat.T @ x_mat
+    gram += c
+    k_1 = gram ** (d - 1)
+    k_2_perp = gram ** (d - 2) if d >= 2 else None
+    k_d = np.multiply(gram, k_1, out=gram)
+    p_perp = w @ w.T
+    np.negative(p_perp, out=p_perp)
+    p_perp.reshape(-1)[:: s + 1] += 1.0
+    k_1_perp = k_1 * p_perp
+    if k_2_perp is not None:
+        k_2_perp *= p_perp
+        k_2_perp *= d - 1
+    stack_x = np.empty((3 * n, s))
+    stack_x[:n] = x_mat
+    stack_x[2 * n:] = x_mat
+    stack_w = np.empty((s, 3 * r))
+    stack_w[:, :r] = w
+    stack_w[:, 2 * r:] = w
+
+    def apply(dx, dw=None):
+        if dw is None and k_2_perp is None:
+            return (2.0 * d) * (dx @ k_1_perp)
+        stack_x[n:2 * n] = dx
+        sym_x = stack_x[:2 * n].T @ stack_x[n:]
+        if dw is None:
+            inner = np.multiply(sym_x, k_2_perp, out=sym_x)
+        else:
+            stack_w[:, r:2 * r] = dw
+            h_w = -2.0 * (d * ((k_1 * sym_x) @ w) + k_d @ dw)
+            inner = stack_w[:, :2 * r] @ stack_w[:, r:].T
+            np.multiply(inner, k_1, out=inner)
+            if k_2_perp is None:
+                np.negative(inner, out=inner)
+            else:
+                np.subtract(np.multiply(sym_x, k_2_perp, out=sym_x), inner, out=inner)
+        h_x = (2.0 * d) * (dx @ k_1_perp + x_mat @ inner)
+        return h_x if dw is None else (h_x, h_w)
+
+    return apply
+
+
+class TestKernelsBitForBit:
+    """The lifting's hot kernels against the expressions they replaced,
+    to the bit, on seeded inputs."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_monomial_grad_x(self, d, rng):
+        x = rng.standard_normal((5, 40))
+        p_perp = perp(random_basis(rng, 40, 6))
+        gram = x.T @ x + 0.7
+        k_lower_perp = p_perp if d == 1 else gram ** (d - 1) * p_perp
+        old = 2.0 * d * x @ k_lower_perp
+        assert monomial_grad_x(x, p_perp, gram, d).tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_monomial_hess_operator_products(self, d, rng):
+        x = rng.standard_normal((5, 40))
+        w = random_basis(rng, 40, 6)
+        new, old = monomial_hess_operator(x, w, d, 0.7), old_monomial_hess_operator(x, w, d, 0.7)
+        for _ in range(3):
+            dx, dw = rng.standard_normal((5, 40)), rng.standard_normal((40, 6))
+            assert new(dx).tobytes() == old(dx).tobytes()
+            (hx, hw), (old_hx, old_hw) = new(dx, dw), old(dx, dw)
+            assert hx.tobytes() == old_hx.tobytes() and hw.tobytes() == old_hw.tobytes()
+
+    def test_kernel_costs(self, rng):
+        x = rng.standard_normal((5, 40))
+        k = (x.T @ x + 1.0) ** 2
+        basis = random_basis(rng, 40, 6)
+        old_trace = float(np.trace(k) - np.sum((k @ basis) * basis))
+        old_tail = float(np.trace(k) - np.sum(np.linalg.eigvalsh(k)[-6:]))
+        assert np.float64(kernel_trace_cost(k, basis)).tobytes() == np.float64(old_trace).tobytes()
+        assert np.float64(kernel_tail_cost(k, 6)).tobytes() == np.float64(old_tail).tobytes()
+
+    @pytest.mark.parametrize("y_of", [lambda x, rng: x, lambda x, rng: x.copy(),
+                                      lambda x, rng: rng.standard_normal((5, 30))],
+                             ids=["y_is_x", "y_equal_copy", "y_other"])
+    def test_gaussian_kernel(self, y_of, rng):
+        # an equal copy of X takes the general path (its X^T Y is a GEMM,
+        # X^T X a symmetric rank-k update, which may round differently)
+        x = rng.standard_normal((5, 60))
+        x[:, 7] = x[:, 3]  # equal columns, whose distance may round below 0
+        y = y_of(x, rng)
+        for sigma in (0.3, 2.5):
+            sq = np.sum(x**2, axis=0)[:, None] - 2.0 * (x.T @ y) + np.sum(y**2, axis=0)[None, :]
+            old = np.exp(-np.maximum(sq, 0.0) / (2.0 * sigma**2))
+            assert gaussian_kernel(x, y, sigma).tobytes() == old.tobytes()

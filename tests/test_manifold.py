@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -373,6 +374,17 @@ class TestProductOps:
         bad = ProductTangent(np.zeros((4, 6)), np.zeros((7, 2)))
         with pytest.raises(DimensionError):
             product_retract(z, bad)
+
+    def test_point_is_an_immutable_record(self, rng):
+        meas, z = self.setup_pair(rng)
+        assert isinstance(z, ProductPoint)
+        with pytest.raises(AttributeError):
+            z.x = np.zeros((4, 6))
+        with pytest.raises(AttributeError):
+            z.u = None
+        back = pickle.loads(pickle.dumps(z))
+        assert isinstance(back, ProductPoint)
+        assert back.x.tobytes() == z.x.tobytes() and back.u.basis.tobytes() == z.u.basis.tobytes()
 
     def test_tangent_arithmetic(self, rng):
         xi = ProductTangent(np.ones((2, 2)), np.ones((3, 1)))

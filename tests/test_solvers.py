@@ -254,6 +254,72 @@ class TestQuarticMinimizer:
         assert quartic_minimizer(*coeffs) is None
 
 
+    def test_matches_the_closure_form_bit_for_bit(self):
+        # the root choice and the Newton polish against the closure and
+        # generator forms they replaced, over a grid that reaches both
+        # branches of the cubic and the convex quadratic
+        def old_cubic_roots(b, c, d):
+            q = (b * b - 3.0 * c) / 9.0
+            r = (2.0 * b**3 - 9.0 * b * c + 27.0 * d) / 54.0
+            if r * r < q**3:
+                theta = math.acos(r / math.sqrt(q**3))
+                roots = [-2.0 * math.sqrt(q) * math.cos((theta + 2.0 * math.pi * i) / 3.0) - b / 3.0
+                         for i in range(3)]
+            else:
+                big = -math.copysign(math.cbrt(abs(r) + math.sqrt(r * r - q**3)), r)
+                roots = [big + (q / big if big != 0.0 else 0.0) - b / 3.0]
+
+            def residual(x):
+                return ((x + b) * x + c) * x + d
+
+            polished = []
+            for x in roots:
+                for _ in range(3):
+                    slope = (3.0 * x + 2.0 * b) * x + c
+                    if slope == 0.0:
+                        break
+                    x_new = x - residual(x) / slope
+                    if not abs(residual(x_new)) < abs(residual(x)):
+                        break
+                    x = x_new
+                polished.append(x)
+            return polished
+
+        def old_quartic_minimizer(c1, c2, c3, c4):
+            if c4 > 0:
+                roots = old_cubic_roots(3.0 * c3 / (4.0 * c4), c2 / (2.0 * c4), c1 / (4.0 * c4))
+            elif c4 == 0 and c3 == 0 and c2 > 0:
+                roots = (-c1 / (2.0 * c2),)
+            else:
+                return None
+
+            def value(a):
+                return a * (c1 + a * (c2 + a * (c3 + a * c4)))
+
+            return min((a for a in roots if 0 < a < math.inf), key=value, default=None)
+
+        def bits(values):
+            return None if values is None else np.array(values, dtype=float).tobytes()
+
+        branches = set()
+        for c1 in (-3.0, -1.0, -1e-3):
+            for c2 in (-5.0, -1.0, 0.0, 0.3, 5.0):
+                for c3 in (-4.0, -1.0, 0.0, 1.0, 4.0):
+                    for c4 in (0.0, 1e-3, 0.7, 7.0):
+                        c = (c1, c2, c3, c4)
+                        got, expect = quartic_minimizer(*c), old_quartic_minimizer(*c)
+                        assert bits(got) == bits(expect), c
+                        if c4 > 0:
+                            cubic = (3.0 * c3 / (4.0 * c4), c2 / (2.0 * c4), c1 / (4.0 * c4))
+                            roots = nlrecover.solvers._cubic_roots(*cubic)
+                            assert bits(roots) == bits(old_cubic_roots(*cubic)), c
+                            branches.add(len(roots))
+                        elif c3 == 0 and c2 > 0:
+                            branches.add("quadratic")
+                            assert got == -c1 / (2.0 * c2)
+        assert branches == {1, 3, "quadratic"}
+
+
 def vec_inner(a, b):
     return float(np.vdot(a, b))
 
@@ -936,12 +1002,13 @@ class TestAltmin:
         # lift of each Armijo trial gives its cost, and the accepted one's the
         # gradient, the next line coefficients, the subspace update and the
         # next round's recorded cost and gradient. So a round lifts once per
-        # trial and nowhere else (not at its start), builds no kernel through
-        # monomial_kernel, and computes the X gradient once per accepted step
-        # (`Objective.rgrad_x`, through the round's X-subproblem) besides the
-        # one in its start's `Objective.rgrad`. The one exception is a round
-        # whose last line search fails: its failed trial displaces the
-        # round's X, which the subspace update lifts again.
+        # trial and nowhere else (not at its start, and not again after a
+        # failed line search, whose trial displaced the round's X), builds no
+        # kernel through monomial_kernel, and computes the X gradient once
+        # per accepted step (`Objective.rgrad_x`, through the round's
+        # X-subproblem) besides the one in its start's `Objective.rgrad`,
+        # except at the last step of a round cut at max_inner, whose
+        # gradient nothing reads.
         counts = {"_w_perp": 0, "monomial_kernel": 0, "rgrad": 0, "rgrad_x": 0, "lift": 0,
                   "trials": 0, "failed": 0}
 
@@ -967,20 +1034,26 @@ class TestAltmin:
 
         monkeypatch.setattr(nlrecover.solvers, "armijo", counted_armijo)
         obj, _, _ = uos_completion_problem(n=15, k=2, dim=2, pts_per=20, delta=0.6, seed=0)
-        at_round_start = []
-        _, trace = altmin_solve(obj, default_init(obj),
-                                replace(build_solver_configs({}, "altmin1"), max_outer=3),
-                                rng=np.random.default_rng(0),
-                                on_iterate=lambda z: at_round_start.append(dict(counts)))
-        for rec, start, end in zip(trace.records, at_round_start, at_round_start[1:]):
-            assert rec.inner_iters > 1 and rec.svd_mode != "skip"
-            diff = {name: end[name] - start[name] for name in counts}
-            assert diff["trials"] >= rec.inner_iters
-            assert diff["failed"] <= 1
-            assert diff == {"_w_perp": 1, "monomial_kernel": 0, "rgrad": 1,
-                            "rgrad_x": rec.inner_iters + 1,
-                            "lift": diff["trials"] + diff["failed"], "trials": diff["trials"],
-                            "failed": diff["failed"]}
+        failed_rounds = capped_rounds = 0
+        for max_inner in (200, 4):
+            cfg = replace(build_solver_configs({}, "altmin1"), max_outer=3, max_inner=max_inner)
+            at_round_start = []
+            _, trace = altmin_solve(obj, default_init(obj), cfg, rng=np.random.default_rng(0),
+                                    on_iterate=lambda z: at_round_start.append(dict(counts)))
+            for rec, start, end in zip(trace.records, at_round_start, at_round_start[1:]):
+                assert rec.inner_iters > 1 and rec.svd_mode != "skip"
+                diff = {name: end[name] - start[name] for name in counts}
+                assert diff["trials"] >= rec.inner_iters
+                assert diff["failed"] <= 1
+                capped = rec.inner_iters == max_inner
+                assert diff == {"_w_perp": 1, "monomial_kernel": 0, "rgrad": 1,
+                                "rgrad_x": rec.inner_iters + (not capped),
+                                "lift": diff["trials"], "trials": diff["trials"],
+                                "failed": diff["failed"]}
+                failed_rounds += diff["failed"]
+                capped_rounds += capped
+        # both exceptions occur: a failed search (uncapped run) and the cap
+        assert failed_rounds >= 1 and capped_rounds >= 1
 
     def test_altmin2_round_computes_each_x_gradient_once(self, monkeypatch):
         # an altmin2 round computes the X gradient at its start (inside
