@@ -169,6 +169,24 @@ def monomial_features_hess_operator(x_mat: np.ndarray, u: np.ndarray, d: int, ph
     return apply
 
 
+def monomial_features_hess_diag_x(x_mat: np.ndarray, u: np.ndarray, d: int, phi: np.ndarray) -> np.ndarray:
+    """Diagonal of the X block of `monomial_features_hess_operator` from
+    phi = Phi_d(X): with J_j the feature JVP along the j-th coordinate of
+    every column and R = 2 (Phi - U U^T Phi), entry (j, i) is
+    2 ||(I - U U^T) J_j[:, i]||^2 + sum_a R[a, i] alpha_a[j] J_j[index of alpha_a - e_j, i],
+    the Gauss-Newton part plus the second derivative of the features."""
+    n, s = np.atleast_2d(x_mat).shape
+    resid = 2.0 * (phi - u @ (u.T @ phi))
+    out = np.empty((n, s))
+    for j, (rows, coeffs, lowers) in enumerate(_derivative_index(n, d)):
+        jac = np.zeros_like(phi)
+        jac[rows] = coeffs[:, None] * phi[lowers]
+        proj = jac - u @ (u.T @ jac)
+        out[j] = 2.0 * (proj * proj).sum(axis=0) + np.einsum(
+            "a,as,as->s", coeffs, resid[rows], jac[lowers])
+    return out
+
+
 def monomial_kernel(x_mat: np.ndarray, y_mat: np.ndarray, d: int, c: float) -> np.ndarray:
     """(X^T Y + c)^(.d) entrywise; degree 0 gives the all-ones matrix."""
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
@@ -182,10 +200,17 @@ def monomial_kernel(x_mat: np.ndarray, y_mat: np.ndarray, d: int, c: float) -> n
     return (x_mat.T @ y_mat + c) ** d
 
 
+def _check_sigma(sigma: float) -> None:
+    """A ValueError unless sigma > 0 with sigma^2 finite and above 0: the
+    Gaussian kernel divides by 2 sigma^2, which must neither overflow nor
+    underflow to 0."""
+    if not (sigma > 0 and 0.0 < float(sigma) * float(sigma) < math.inf):
+        raise ValueError(f"sigma must be positive with sigma^2 finite and above 0, got {sigma!r}")
+
+
 def gaussian_kernel(x_mat: np.ndarray, y_mat: np.ndarray, sigma: float) -> np.ndarray:
     """Entry (i, j) = exp(-||x_i - y_j||^2 / (2 sigma^2))."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    _check_sigma(sigma)
     same = y_mat is x_mat
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
     y_mat = x_mat if same else np.atleast_2d(np.asarray(y_mat, dtype=float))
@@ -299,6 +324,7 @@ def gaussian_grad_x(
     """Euclidean gradient in X of trace(P K_G(X, X)) for the Gaussian kernel,
     from P = I - W W^T and k = K_G(X, X):
     -(2 / sigma^2) X (diag(colsum(K o P)) - K o P)."""
+    _check_sigma(sigma)
     kp = k * p_perp
     return -(2.0 / sigma**2) * x_mat @ (np.diag(kp.sum(axis=0)) - kp)
 
@@ -312,6 +338,7 @@ def gaussian_hess_operator(
     dK = -(1 / sigma^2) K o (a 1^T + 1 a^T - C - C^T), dB = dK o P_{W_perp} - K o S_w,
     h_x = -(2 / sigma^2) (dx diag(B 1) - dx B + X diag(dB 1) - X dB),
     h_w = -2 (dK W + K dw)."""
+    _check_sigma(sigma)
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
     b = k * p_perp
     b_sum = b.sum(axis=0)
@@ -332,6 +359,33 @@ def gaussian_hess_operator(
         return h_x, h_w
 
     return apply
+
+
+def monomial_hess_diag_x(x_mat: np.ndarray, p_perp: np.ndarray, gram: np.ndarray, d: int) -> np.ndarray:
+    """Diagonal of the X block of `monomial_hess_operator` from P = I - W W^T
+    and the Gram G = X^T X + c, with K_j = G^(.j): entry (j, i) is
+    2d (K_{d-1} o P)_ii + 2d (d-1) (((X o X) (K_{d-2} o P))_ji + x_ji^2 (K_{d-2} o P)_ii)."""
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    curv = np.diag(p_perp) * np.diag(gram) ** (d - 1)
+    if d == 1:
+        return 2.0 * np.broadcast_to(curv, x_mat.shape)
+    k_2_perp = p_perp if d == 2 else gram ** (d - 2) * p_perp
+    x_sq = x_mat * x_mat
+    return (2.0 * d) * (curv + (d - 1) * (x_sq @ k_2_perp + x_sq * np.diag(k_2_perp)))
+
+
+def gaussian_hess_diag_x(x_mat: np.ndarray, p_perp: np.ndarray, sigma: float, k: np.ndarray) -> np.ndarray:
+    """Diagonal of the X block of `gaussian_hess_operator` from P = I - W W^T
+    and k = K_G(X, X): with B = K o P and b = colsum(B), entry (j, i) is
+    -(2 / sigma^2) (b_i - B_ii - sum_l B_il (x_ji - x_jl)^2 / sigma^2)."""
+    _check_sigma(sigma)
+    b = k * p_perp
+    b_sum = b.sum(axis=0)
+    inv_var = 1.0 / sigma**2
+    x_sq = x_mat * x_mat
+    spread = x_sq * b_sum - 2.0 * x_mat * (x_mat @ b) + x_sq @ b
+    return -2.0 * inv_var * ((b_sum - np.diag(b)) - inv_var * spread)
 
 
 def feature_residual_cost(phi: np.ndarray, basis: np.ndarray) -> float:
@@ -386,11 +440,8 @@ class LiftingSpec:
             raise ValueError(f"unknown lifting kind {self.kind!r}")
         if self.kind in ("monomial_features", "monomial_kernel") and self.degree < 1:
             raise ValueError("monomial degree must be >= 1")
-        # the Gaussian kernel divides by 2 sigma^2, which must neither
-        # overflow nor underflow to 0
-        sigma = self.sigma
-        if self.kind == "gaussian_kernel" and not (sigma > 0 and 0.0 < sigma * sigma < math.inf):
-            raise ValueError(f"sigma must be positive with sigma^2 finite and above 0, got {sigma!r}")
+        if self.kind == "gaussian_kernel":
+            _check_sigma(self.sigma)
         if self.kind == "monomial_features":
             n_feat = count_monomials(self.n, self.degree)  # fail fast on bad (n, d)
             if n_feat > MAX_EXPLICIT_FEATURES:
@@ -518,6 +569,17 @@ class BasisEvaluator:
         if spec.kind == "gaussian_kernel":
             return gaussian_hess_operator(x_mat, self.basis, spec.sigma, point.lifted, self.p_perp)
         return monomial_features_hess_operator(x_mat, self.basis, spec.degree, point.lifted)
+
+    def hess_diag_x(self, x_mat: np.ndarray, point: LiftedPoint) -> np.ndarray:
+        """Diagonal of the X block of `hess_operator(x_mat, point)` in closed
+        form: entry (j, i) is the block's product with the unit matrix E_ji,
+        read at (j, i)."""
+        spec = self.spec
+        if spec.kind == "monomial_kernel":
+            return monomial_hess_diag_x(x_mat, self.p_perp, point.gram, spec.degree)
+        if spec.kind == "gaussian_kernel":
+            return gaussian_hess_diag_x(x_mat, self.p_perp, spec.sigma, point.lifted)
+        return monomial_features_hess_diag_x(x_mat, self.basis, spec.degree, point.lifted)
 
     def line_coefficients(self, x_mat: np.ndarray, point: LiftedPoint, dx: np.ndarray):
         """(c2, c3, c4) with residual(X + a D) = f + a <grad_x, D> + c2 a^2

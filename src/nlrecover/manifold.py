@@ -154,6 +154,7 @@ class MeasurementSubspace:
         self._r_fac = r
         self._piv = piv
         self._gram = None
+        self._normal_diag = None
         return self
 
     # --- measurement operator --------------------------------------------
@@ -189,6 +190,17 @@ class MeasurementSubspace:
             self._gram = dsyrk(1.0, self.a_mat.T, lower=1)
         y = dsymv(scale, self._gram, x_mat.ravel(order="F"), lower=1)
         return y.reshape((self.n, self.s), order="F")
+
+    def normal_diag(self) -> np.ndarray:
+        """The diagonal of A^T A as an n x s matrix: the mask as 0/1 for an
+        entry mask; for dense sensing the squared column norms of A, computed
+        at the first call and kept."""
+        if self.kind == "entry_mask":
+            return self.mask.astype(float)
+        if self._normal_diag is None:
+            sq_norms = np.einsum("ij,ij->j", self.a_mat, self.a_mat)
+            self._normal_diag = sq_norms.reshape((self.n, self.s), order="F")
+        return self._normal_diag
 
     def residual(self, x_mat: np.ndarray) -> np.ndarray:
         return self.apply(x_mat) - self.b

@@ -16,11 +16,15 @@ coefficients and Hessian operator read one lift, and all calls at one
 subspace share one P_{W_perp}. The cost needs no evaluator, so a trial point
 builds no P_{W_perp}. The Hessian operator adds the Grassmann curvature correction
 to the closed-form Euclidean Hessian of the lifting, which `fd_check`
-compares with finite differences of the gradient for every lifting.
+compares with finite differences of the gradient for every lifting. The
+trust region's preconditioner (`Objective.rprecon_operator`) reads the same
+lift: the diagonal of the lifting's Euclidean Hessian in X and the subspace
+block's curvature.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +41,10 @@ from .manifold import (
     product_norm,
     product_retract,
 )
+
+# the preconditioner's subspace block inverts the curvature sym(-U^T grad_U f)
+# with its eigenvalues floored at this fraction of the largest
+PRECON_EIG_FLOOR = 1e-6
 
 
 @dataclass
@@ -170,6 +178,36 @@ class Objective:
             # Grassmann quotient curvature: P_perp(eucl_hess - du (U^T grad_U))
             hu = hu - xi.du @ u_gu
             return ProductTangent(self._hess_x(hx, xi.dx), grass_project(z.u, hu))
+
+        return apply
+
+    def rprecon_operator(self, z: ProductPoint):
+        """A symmetric positive definite approximation of the inverse of
+        `rhess_operator(z)` on the tangent space at z, block diagonal:
+        (dx, du) -> (dx / c, du M^-1). M = sym(-U^T grad_U f) is the curvature
+        of the subspace block (2 W^T K W for kernels, 2 U^T Phi Phi^T U for
+        the features), its eigenvalues floored at PRECON_EIG_FLOOR times the
+        largest. c, one scale for the whole X block, is the mean absolute
+        value of the diagonal of its Euclidean Hessian
+        (`BasisEvaluator.hess_diag_x`) plus the penalty's 2 lambda
+        diag(A^T A). A block whose curvature is not positive and finite
+        (c, or the largest eigenvalue of M) is left unscaled."""
+        lifting, point = self.at(z.u), self.lift(z.x)
+        diag = lifting.hess_diag_x(z.x, point)
+        if self.penalty_lambda is not None:
+            diag = diag + 2.0 * self.penalty_lambda * self.measurement.normal_diag()
+        c = float(np.mean(np.abs(diag)))
+        if not 0.0 < c < math.inf:
+            c = 1.0
+        curv = -(z.u.basis.T @ lifting.grad_basis(point))
+        m_inv = np.eye(self.rank_r)
+        if np.isfinite(curv).all():
+            lam, vec = np.linalg.eigh(0.5 * (curv + curv.T))
+            if 0.0 < lam[-1] < math.inf:
+                m_inv = (vec / np.maximum(lam, PRECON_EIG_FLOOR * lam[-1])) @ vec.T
+
+        def apply(xi: ProductTangent) -> ProductTangent:
+            return ProductTangent(xi.dx / c, xi.du @ m_inv)
 
         return apply
 

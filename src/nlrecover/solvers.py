@@ -1,8 +1,8 @@
 """Solvers for the lifted recovery problem.
 
 Two families:
-  * a Riemannian trust-region method with a Steihaug-Toint truncated-CG
-    subproblem (first- or second-order model),
+  * a Riemannian trust-region method with a preconditioned Steihaug-Toint
+    truncated-CG subproblem (first- or second-order model),
   * an alternating minimization scheme: inexact minimization in X alternating
     with a truncated-SVD update of the subspace, with an adaptive
     exact/randomized SVD policy or an exact SVD every round. The X-subproblem
@@ -312,7 +312,10 @@ def _cubic_roots(b: float, c: float, d: float) -> list[float]:
 class RiemannianProblem:
     """Minimal interface the trust-region loop needs. Tangent vectors must
     support +, -, unary - and scalar *. hess_at(point) returns the Hessian as
-    an operator with point-dependent data precomputed."""
+    an operator with point-dependent data precomputed; precon_at(point), when
+    given, returns a symmetric positive definite approximation of its inverse
+    on the tangent space, which preconditions truncated CG (None: the
+    identity)."""
 
     cost: Callable
     grad: Callable
@@ -322,6 +325,7 @@ class RiemannianProblem:
     dim: int
     # (point, rng) -> tangent; only the second-order stop (finite eps_h) reads it
     rand_tangent: Callable | None = None
+    precon_at: Callable | None = None  # point -> (tangent -> tangent)
 
     def norm(self, xi) -> float:
         return math.sqrt(max(self.inner(xi, xi), 0.0))
@@ -336,6 +340,7 @@ def product_problem(obj: Objective) -> RiemannianProblem:
         retract=product_retract,
         inner=product_inner,
         rand_tangent=obj.random_tangent,
+        precon_at=obj.rprecon_operator,
         dim=max(dim, 1),
     )
 
@@ -363,17 +368,23 @@ def tcg_subproblem(
     dim: int,
     path: dict | None = None,
     eps_g: float = 0.0,
+    precon: Callable | None = None,
 ) -> tuple[object, bool, int]:
-    """Steihaug-Toint truncated CG for the trust-region subproblem.
+    """Preconditioned Steihaug-Toint truncated CG for the trust-region
+    subproblem (Absil, Baker & Gallivan 2007).
 
-    Returns (step, hit_boundary, iterations). Starts at zero, so the model
-    decrease is at least the Cauchy decrease; exits on the boundary, on
-    negative curvature (followed to the boundary), or once the residual is at
-    most max(||g|| min(kappa, ||g||^theta), kappa eps_g). eps_g is the outer
-    loop's gradient tolerance: a residual below kappa eps_g buys nothing
-    the outer test can see, so the floor binds only once ||g||^2 < kappa eps_g
-    (for theta = 1), near the end of a solve; eps_g = 0 keeps the pure
-    kappa/theta rule.
+    Returns (step, hit_boundary, iterations). precon is a symmetric positive
+    definite approximation of the inverse Hessian (None: the identity), and
+    the trust region ||eta||_M <= delta is measured in the norm of its
+    inverse M; <eta, eta>_M, <eta, d>_M and <d, d>_M come from the standard
+    recurrences, with no product by M. Starts at zero, so the model decrease
+    is at least the Cauchy decrease; exits on the boundary, on negative
+    curvature (followed to the boundary), or once the unpreconditioned
+    residual is at most max(||g|| min(kappa, ||g||^theta), kappa eps_g).
+    eps_g is the outer loop's gradient tolerance: a residual below kappa
+    eps_g buys nothing the outer test can see, so the floor binds only once
+    ||g||^2 < kappa eps_g (for theta = 1), near the end of a solve; eps_g = 0
+    keeps the pure kappa/theta rule.
 
     The iterates do not depend on the radius, only the exit test does, and a
     smaller radius exits no later. So when path is a dict, it is filled, for
@@ -399,25 +410,26 @@ def tcg_subproblem(
 
     eta = 0.0 * grad
     r = grad
-    d = -r
     r_sq = inner(r, r)
     g_norm = math.sqrt(r_sq)
     if g_norm == 0.0:
         return finish((eta, 0))
     tol = max(g_norm * min(TCG_KAPPA, g_norm**TCG_THETA), TCG_KAPPA * eps_g)
     max_inner = cfg.max_inner if cfg.max_inner is not None else dim
-    eta_sq = 0.0
+    z = r if precon is None else precon(r)
+    r_z = r_sq if z is r else inner(r, z)
+    d = -z
+    # <eta, eta>_M, <eta, d>_M and <d, d>_M
+    eta_sq, eta_d, d_sq = 0.0, 0.0, r_z
 
     for i in range(max_inner):
         hd = hess_op(d)
         dhd = inner(d, hd)
         if not math.isfinite(dhd):
             raise NumericalError("non-finite curvature in the subproblem")
-        d_sq = inner(d, d)
-        eta_d = inner(eta, d)
         if dhd <= 0:
             return finish((eta, d, eta_sq, eta_d, d_sq, i + 1))
-        alpha = r_sq / dhd
+        alpha = r_z / dhd
         eta_sq_next = eta_sq + 2.0 * alpha * eta_d + alpha**2 * d_sq
         # the smallest pending radius is crossed first
         while pending and eta_sq_next >= pending[-1] ** 2:
@@ -427,19 +439,24 @@ def tcg_subproblem(
         eta = eta + alpha * d
         eta_sq = eta_sq_next
         r = r + alpha * hd
-        r_sq_new = inner(r, r)
-        if math.sqrt(r_sq_new) <= tol:
+        r_sq = inner(r, r)
+        if math.sqrt(r_sq) <= tol:
             return finish((eta, i + 1))
-        d = (r_sq_new / r_sq) * d - r
-        r_sq = r_sq_new
+        z = r if precon is None else precon(r)
+        r_z_next = r_sq if z is r else inner(r, z)
+        beta = r_z_next / r_z
+        d = beta * d - z
+        eta_d = beta * (eta_d + alpha * d_sq)
+        d_sq = r_z_next + beta**2 * d_sq
+        r_z = r_z_next
     return finish((eta, max_inner))
 
 
 def tcg_replay(record: tuple, delta: float) -> tuple[object, bool, int]:
     """(step, hit_boundary, iterations) of a truncated-CG run with radius
     delta from its exit state: (eta, iterations) for an interior exit, or
-    (eta, d, <eta, eta>, <eta, d>, <d, d>, iterations) for a run that follows
-    d to the boundary."""
+    (eta, d, <eta, eta>_M, <eta, d>_M, <d, d>_M, iterations) for a run that
+    follows d to the boundary of the preconditioner's norm."""
     if len(record) == 2:
         eta, iters = record
         return eta, False, iters
@@ -449,7 +466,7 @@ def tcg_replay(record: tuple, delta: float) -> tuple[object, bool, int]:
 
 
 def _boundary_step(eta_sq: float, eta_d: float, d_sq: float, delta: float) -> float:
-    """Positive root of ||eta + tau d|| = delta."""
+    """Positive root of ||eta + tau d|| = delta, from the inner products."""
     disc = eta_d**2 + d_sq * (delta**2 - eta_sq)
     return (-eta_d + math.sqrt(max(disc, 0.0))) / d_sq
 
@@ -507,22 +524,29 @@ def rtr_generic(
     rmse_of=None,
     gnorm_parts=None,
     on_iterate=None,
+    grad0=None,
 ) -> tuple[object, SolveTrace]:
     """Trust-region loop on an arbitrary Riemannian problem.
 
     rmse_of(z) optionally records an error-to-truth column; gnorm_parts(g)
     splits the gradient norm into (x, u) components for the trace; on_iterate
-    is called with every iterate (for invariant monitoring). Each pass of the
-    loop records the current point and only then tests the stops (stalled,
-    max_iter, then the gradient), so the last record is at the returned point
-    and its k is the number of iterations taken.
+    is called with every iterate (for invariant monitoring); grad0, when
+    given, is the gradient at z0, which a caller that computed it hands over
+    instead of having it computed again. Each pass of the loop records the
+    current point and only then tests the stops (stalled, max_iter, then the
+    gradient), so the last record is at the returned point and its k is the
+    number of iterations taken.
 
     A rejected step leaves z unchanged and divides the radius by 4, so the
-    gradient, the model operator and the truncated-CG path are kept until a
-    step is accepted, and the step at the smaller radius is replayed from
-    the recorded path (see `tcg_subproblem`) instead of solved again. The
-    model operator is built at the first step from a point, so none is built
-    where the solve stops.
+    gradient, the model operator, the preconditioner and the truncated-CG
+    path are kept until a step is accepted, and the step at the smaller
+    radius is replayed from the recorded path (see `tcg_subproblem`) instead
+    of solved again. The model operator and, for the second-order model, the
+    preconditioner (`prob.precon_at`) are built at the first step from a
+    point, so none is built where the solve stops. The radius, DELTA0 and
+    the cap 2 sqrt(dim) are measured in the preconditioner's norm; the
+    trace's step is the Euclidean norm of the step, and the negative-curvature
+    step of the second-order stop is scaled to Euclidean length delta.
     """
     delta_bar = 2.0 * math.sqrt(prob.dim)
     rng = np.random.default_rng(2**32 - 1)
@@ -538,13 +562,13 @@ def rtr_generic(
         if on_iterate is not None:
             on_iterate(z)
         if new_point:
-            g = prob.grad(z)
+            g = prob.grad(z) if k > 0 or grad0 is None else grad0
             gnorm = prob.norm(g)
             if not math.isfinite(gnorm):
                 raise NumericalError(f"gradient is not finite at iteration {k} (norm {gnorm})")
             gx, gu = gnorm_parts(g) if gnorm_parts is not None else (gnorm, 0.0)
             err = rmse_of(z) if rmse_of is not None else None
-            hop, path = None, {}
+            hop, precon, path = None, None, {}
             new_point = False
         rec = TraceRecord(k=k, f=f_val, gnorm_x=gx, gnorm_u=gu, delta=delta, rmse=err)
         trace.append(rec)
@@ -563,8 +587,12 @@ def rtr_generic(
                 trace.status = "grad_tol"
                 return z, trace
 
-        if hop is None:  # the first step from z builds the model operator
-            hop = prob.hess_at(z) if cfg.use_hessian else (lambda v: v)
+        if hop is None:  # the first step from z builds the model operator and its preconditioner
+            if cfg.use_hessian:
+                hop = prob.hess_at(z)
+                precon = prob.precon_at(z) if prob.precon_at is not None else None
+            else:
+                hop = lambda v: v
         if gnorm <= cfg.eps_g:
             # negative-curvature step to the boundary, oriented downhill
             direction = (delta / prob.norm(direction)) * direction
@@ -576,7 +604,8 @@ def rtr_generic(
             n_hess = 0
         else:
             eta, on_boundary, n_inner = tcg_subproblem(
-                g, hop, delta, TcgConfig(), prob.inner, prob.dim, path=path, eps_g=cfg.eps_g
+                g, hop, delta, TcgConfig(), prob.inner, prob.dim, path=path, eps_g=cfg.eps_g,
+                precon=precon,
             )
             n_hess = n_inner
 
@@ -761,7 +790,7 @@ def altmin_solve(
         prob = x_factor_problem(obj, u)
         if cfg.inner == "trust_region":
             sub_cfg = RtrConfig(eps_g=eps_xk, max_iter=cfg.max_inner)
-            x, sub_trace = rtr_generic(prob, x, sub_cfg)
+            x, sub_trace = rtr_generic(prob, x, sub_cfg, grad0=g.dx)
             n_inner = sub_trace.final.k
             n_hess = sum(n or 0 for n in sub_trace.column("hess_calls"))
             # the norm of the first accepted inner step

@@ -1,15 +1,19 @@
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nlrecover.cli import (
     EXIT_CONFIG,
@@ -1099,3 +1103,90 @@ class TestWarmStartContinuation:
                     total += 1
                     wins += tr_warm.final.k <= tr_cold.final.k
         assert wins / total >= 0.7
+
+
+# the fuzz grammar: one small config per command and solver path, each of
+# which solves in well under a second (max_iter and max_outer at most 8)
+_FUZZ_UOS = {"kind": "uos", "n": 4, "k": 2, "dim": 1, "pts_per": 5}
+_FUZZ_MASK = {"kind": "mask", "delta": 0.8}
+FUZZ_CONFIGS = {
+    "recover": {"data": _FUZZ_UOS, "sensing": _FUZZ_MASK,
+                "lifting": {"kind": "monomial_kernel", "degree": 2, "offset": 1.0}, "rank": "auto",
+                "solver": "rtr2", "solver_options": {"eps_g": 1e-6, "max_iter": 8}, "trials": 1, "seed": 0},
+    "recover:gaussian": {"data": _FUZZ_UOS, "sensing": _FUZZ_MASK,
+                         "lifting": {"kind": "gaussian_kernel", "sigma": 2.5}, "rank": 2,
+                         "solver_options": {"max_iter": 8}, "seed": 0},
+    "recover:features": {"data": _FUZZ_UOS, "sensing": _FUZZ_MASK,
+                         "lifting": {"kind": "monomial_features", "degree": 2}, "rank": "auto",
+                         "solver_options": {"max_iter": 8}, "seed": 0},
+    "recover:dense": {"data": _FUZZ_UOS, "sensing": {"kind": "dense", "m": 15, "noise_sigma": 0.0},
+                      "solver_options": {"max_iter": 8}, "seed": 0},
+    "recover:rtr1": {"data": _FUZZ_UOS, "sensing": _FUZZ_MASK, "solver": "rtr1",
+                     "solver_options": {"max_iter": 8}, "restarts": 2, "seed": 0},
+    "recover:altmin1": {"data": _FUZZ_UOS, "sensing": _FUZZ_MASK, "solver": "altmin1",
+                        "solver_options": {"eps_x": 1e-5, "max_outer": 8, "max_inner": 8}, "seed": 0},
+    "recover:altmin2": {"data": _FUZZ_UOS, "sensing": _FUZZ_MASK, "solver": "altmin2",
+                        "solver_options": {"eps_u": 1e-5, "max_outer": 8, "max_inner": 8}, "seed": 0},
+    "phase": {"data": _FUZZ_UOS, "sensing": _FUZZ_MASK, "solver_options": {"max_iter": 8},
+              "grid": {"param": "pts_per", "values": [5], "deltas": [0.8]}, "trials": 1, "seed": 0},
+    "noise": {"data": _FUZZ_UOS, "sensing": {"kind": "dense", "m": 15, "noise_sigma": 1e-3},
+              "solver_options": {"max_iter": 8},
+              "lambda_schedule": {"lambda0": 1e-2, "factor": 10.0, "steps": 2}, "seed": 0},
+    "cluster": {"data": {"kind": "clusters", "n": 3, "k": 2, "pts_per": 4, "sigma_c": 0.1},
+                "sensing": {"kind": "mask", "delta": 0.8}, "lifting": {"kind": "gaussian_kernel", "sigma": 2.5},
+                "trials": 1, "seed": 0},
+    "rank-sweep": {"data": _FUZZ_UOS, "sensing": _FUZZ_MASK, "solver_options": {"max_iter": 8},
+                   "ranks": [2, 3], "trials": 1, "seed": 0},
+}
+FUZZ_EDGES = (0, -1, 1e-300, 1e300, 40, 200, float("nan"))
+# the fields that scale the work take only the edges that cannot ask for a
+# long run (200 clusters, or 200 trust-region iterations per trial)
+FUZZ_SIZE_FIELDS = ("k", "pts_per", "trials", "max_iter", "max_outer", "max_inner", "steps")
+
+
+def _fuzz_fields(cfg, prefix=()):
+    """The paths of a config's leaf fields but the names that choose a kind,
+    a solver or a sweep parameter."""
+    paths = []
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            paths += _fuzz_fields(value, prefix + (key,))
+        elif key not in ("kind", "solver", "param"):
+            paths.append(prefix + (key,))
+    return paths
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """(command, config): a config of FUZZ_CONFIGS with one or two fields set
+    to an edge value."""
+    name = draw(st.sampled_from(sorted(FUZZ_CONFIGS)))
+    cfg = json.loads(json.dumps(FUZZ_CONFIGS[name]))
+    for path in draw(st.lists(st.sampled_from(_fuzz_fields(cfg)), min_size=1, max_size=2, unique=True)):
+        edges = [v for v in FUZZ_EDGES if path[-1] not in FUZZ_SIZE_FIELDS or v not in (40, 200)]
+        section = cfg
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = draw(st.sampled_from(edges))
+    return name.split(":")[0], cfg
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=fuzzed_configs())
+def test_fuzzed_config_ends_in_a_documented_exit(case):
+    # every config ends in exit 0, 2, 3 or 4, with no exception out of main;
+    # a failure prints one stderr line and leaves no --out
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "cfg.json")
+        with open(config_path, "w") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", config_path, "--out", out])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OUTPUT)
+        if code != EXIT_OK:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+            assert not os.path.exists(out)

@@ -4,8 +4,11 @@ import pytest
 from nlrecover.lifting import (
     FeatureSizeError,
     LiftingSpec,
+    _features_jvp,
     count_monomials,
     gaussian_grad_x,
+    gaussian_hess_diag_x,
+    gaussian_hess_operator,
     gaussian_kernel,
     kernel_tail_cost,
     kernel_trace_cost,
@@ -144,6 +147,18 @@ class TestGaussianKernel:
             gaussian_kernel(np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
         with pytest.raises(ValueError):
             gaussian_kernel(np.zeros((2, 2)), np.zeros((2, 2)), float("nan"))
+        # sigma^2 overflows (a Python float power would raise OverflowError)
+        # or underflows to 0 (the kernel would come out all zero): both are
+        # a ValueError in every function that divides by sigma^2
+        x, k, p_perp = np.ones((2, 3)), np.ones((3, 3)), np.eye(3)
+        w = np.eye(3)[:, :1]
+        for sigma in (1e300, 1e-300, -1.0):
+            for call in (lambda: gaussian_kernel(x, x, sigma),
+                         lambda: gaussian_grad_x(x, p_perp, sigma, k),
+                         lambda: gaussian_hess_operator(x, w, sigma, k, p_perp),
+                         lambda: gaussian_hess_diag_x(x, p_perp, sigma, k)):
+                with pytest.raises(ValueError, match="sigma"):
+                    call()
 
 
 def euclid_fd_gradient(cost, x, h=1e-6):
@@ -359,6 +374,56 @@ class TestVjp:
 
         fd = euclid_fd_gradient(cost, x)
         assert np.allclose(monomial_features_vjp(x, d, r_mat, monomial_features(x, d)), fd, atol=1e-6)
+
+
+class TestHessDiagX:
+    """`BasisEvaluator.hess_diag_x` is the diagonal of the X block of the
+    Euclidean Hessian operator, entry (j, i) its product with E_ji at (j, i)."""
+
+    @staticmethod
+    def diagonal_from_products(op, shape):
+        out = np.empty(shape)
+        for idx in np.ndindex(*shape):
+            unit = np.zeros(shape)
+            unit[idx] = 1.0
+            out[idx] = op(unit)[idx]
+        return out
+
+    @pytest.mark.parametrize("spec", [
+        LiftingSpec.monomial(3, 1, offset=0.0),
+        LiftingSpec.monomial(3, 2),
+        LiftingSpec.monomial(3, 3, offset=0.5),
+        LiftingSpec.gaussian(3, 1.3),
+        LiftingSpec.monomials(3, 2),
+        LiftingSpec.monomials(3, 3),
+    ], ids=["monomial_kernel_d1", "monomial_kernel_d2", "monomial_kernel_d3", "gaussian_kernel",
+            "monomial_features_d2", "monomial_features_d3"])
+    def test_matches_unit_vector_products(self, spec, rng):
+        x = rng.standard_normal((3, 7))
+        basis = random_basis(rng, spec.ambient(7), 2)
+        at, point = spec.at(basis), spec.lift(x)
+        expected = self.diagonal_from_products(at.hess_operator(x, point), x.shape)
+        diag = at.hess_diag_x(x, point)
+        assert diag.shape == x.shape
+        assert np.allclose(diag, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_features_second_derivative_term(self, d, rng):
+        # away from a solution the features' second derivative weighs in:
+        # the Gauss-Newton part 2 ||(I - U U^T) J E_ji||^2 alone is off
+        x = rng.standard_normal((3, 7))
+        spec = LiftingSpec.monomials(3, d)
+        basis = random_basis(rng, spec.ambient(7), 2)
+        point = spec.lift(x)
+        gauss_newton = np.empty(x.shape)
+        for idx in np.ndindex(*x.shape):
+            unit = np.zeros(x.shape)
+            unit[idx] = 1.0
+            psi = _features_jvp(point.lifted, d, unit)
+            psi -= basis @ (basis.T @ psi)
+            gauss_newton[idx] = 2.0 * np.sum(psi * psi)
+        diag = spec.at(basis).hess_diag_x(x, point)
+        assert np.abs(diag - gauss_newton).max() > 0.05 * np.abs(diag).max()
 
 
 class TestLiftingSpec:

@@ -500,6 +500,78 @@ class TestRhessDense:
         assert np.linalg.norm(z.u.basis.T @ out.du) <= 1e-10 * max(1.0, np.linalg.norm(out.du))
 
 
+class TestRprecon:
+    """The trust region's preconditioner is a symmetric positive definite map
+    of the tangent space at z into itself, with one scale on the X block and
+    the inverse of 2 U^T (-grad_U f / 2) on the subspace block."""
+
+    @staticmethod
+    def point(kind, form, rng):
+        if form == "mask":
+            obj, _ = small_masked_objective(kind=kind, s=9, seed=41)
+        else:
+            obj = small_dense_objective(kind=kind, seed=42, penalty=2.0 if form == "penalized" else None)
+        z0 = default_init(obj)
+        x = z0.x + obj.random_tangent(z0, rng).dx
+        u = GrassmannPoint(random_basis(rng, obj.grassmann_ambient(), obj.rank_r))
+        return obj, ProductPoint(x, u)
+
+    @staticmethod
+    def tangent_basis(obj, z, rng):
+        """An orthonormal basis of the tangent space at z, as the columns of
+        a matrix over the flattened (dx, du)."""
+        dim = obj.x_dim() + (obj.grassmann_ambient() - obj.rank_r) * obj.rank_r
+        samples = [obj.random_tangent(z, rng) for _ in range(dim + 5)]
+        flat = np.stack([np.concatenate([t.dx.ravel(), t.du.ravel()]) for t in samples], axis=1)
+        q, sv, _ = np.linalg.svd(flat, full_matrices=False)
+        assert sv[dim - 1] > 1e-8 * sv[0] and (dim == len(sv) or sv[dim] < 1e-10 * sv[0])
+        return q[:, :dim]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("form", ["mask", "dense", "penalized"])
+    def test_symmetric_positive_definite_on_the_tangent_space(self, kind, form, rng):
+        obj, z = self.point(kind, form, rng)
+        precon = obj.rprecon_operator(z)
+        basis = self.tangent_basis(obj, z, rng)
+        n_x = z.x.size
+
+        def unflat(v):
+            return ProductTangent(v[:n_x].reshape(z.x.shape), v[n_x:].reshape(z.u.basis.shape))
+
+        images = np.stack([np.concatenate([out.dx.ravel(), out.du.ravel()])
+                           for out in map(precon, map(unflat, basis.T))], axis=1)
+        # the images stay in the tangent space, where the matrix is SPD
+        assert np.linalg.norm(images - basis @ (basis.T @ images)) <= 1e-10 * np.linalg.norm(images)
+        mat = basis.T @ images
+        assert np.linalg.norm(mat - mat.T) <= 1e-12 * np.linalg.norm(mat)
+        assert np.linalg.eigvalsh(0.5 * (mat + mat.T))[0] > 0.0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_subspace_block_inverts_its_curvature(self, kind, rng):
+        # M = sym(-U^T grad_U f): 2 W^T K W for kernels, 2 U^T Phi Phi^T U
+        # for the features
+        obj, z = self.point(kind, "mask", rng)
+        lifted = obj.lifting.lift(z.x).lifted
+        gram = lifted if obj.lifting.is_kernel else lifted @ lifted.T
+        curvature = 2.0 * z.u.basis.T @ gram @ z.u.basis
+        du = obj.random_tangent(z, rng).du
+        out = obj.rprecon_operator(z)(ProductTangent(np.zeros_like(z.x), du))
+        assert np.allclose(out.du @ curvature, du, rtol=1e-9, atol=1e-9 * np.abs(du).max())
+        assert not out.dx.any()
+
+    def test_flat_curvature_is_left_unscaled(self, rng):
+        # at X = 0 the kernel (X^T X)^2 and its Hessian vanish, so neither
+        # block has a curvature to scale by and the operator is the identity
+        obj, _ = small_masked_objective(kind="monomial_kernel", s=9, seed=41)
+        obj = Objective(lifting=LiftingSpec.monomial(obj.lifting.n, 2, offset=0.0), rank_r=obj.rank_r,
+                        measurement=obj.measurement)
+        z = ProductPoint(np.zeros((obj.measurement.n, 9)),
+                         GrassmannPoint(random_basis(rng, 9, obj.rank_r)))
+        xi = obj.random_tangent(z, rng)
+        out = obj.rprecon_operator(z)(xi)
+        assert np.array_equal(out.dx, xi.dx) and np.allclose(out.du, xi.du, rtol=0, atol=1e-15)
+
+
 def _property_point(kind, seed, s):
     """A small completion problem and a generic point on its product manifold."""
     obj, _ = small_masked_objective(kind=kind, s=s, seed=seed)

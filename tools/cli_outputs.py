@@ -5,9 +5,10 @@ output, so that two trees can be compared byte for byte:
     python tools/cli_outputs.py <other-src-dir> <other-out-dir>
     python tools/cli_outputs.py --compare <out-dir> <other-out-dir>
 
-Each run calls `python -m nlrecover.cli` with PYTHONPATH=<src-dir>, one
-BLAS thread and Python's RuntimeWarnings ignored (so stderr names no file
-or line of the tree), at --jobs 1 for the commands that take it, and writes
+Each run calls `python -m nlrecover.cli` with PYTHONPATH=<src-dir> and one
+BLAS thread, at --jobs 1 for the commands that take it, and with the
+environment's warning settings (the CLI keeps numpy's RuntimeWarnings off
+stderr itself, so a warning line that shows up is a difference), and writes
 into <out-dir>/<run>/: the command's output files, its config
 (config.json), and its stdout, stderr and exit code (stdout.txt,
 stderr.txt, exit_code.txt). The runs in ERRORS exit 2: two get a flag their
@@ -106,7 +107,7 @@ def run_all(src: Path, out: Path) -> int:
     """Run every entry of RUNS; the number of runs that did not exit as
     expected (EXIT_CODES, 0 for the others)."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), OMP_NUM_THREADS="1",
-               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1", PYTHONWARNINGS="ignore::RuntimeWarning")
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     failed = 0
     for name, (command, cfg) in RUNS.items():
         run_dir = out / name
