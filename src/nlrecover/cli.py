@@ -564,22 +564,33 @@ def cluster_complete(meas, k: int, sigma: float, rng: np.random.Generator):
 def _snap_columns(obj: Objective, z: ProductPoint, k: int, rng: np.random.Generator) -> ProductPoint:
     """Greedy block move: re-fill each partially observed column from each
     estimated cluster center and keep the variant of lowest cost with the
-    subspace re-fitted, which is the spectral tail of its kernel."""
+    subspace re-fitted, which is the spectral tail of its kernel (the first
+    of equal costs).
+
+    A candidate changes one column j of X, so its kernel is the current one
+    with row and column j replaced. X's kernel is built once; for each
+    column, one cross-kernel evaluation K(C, [X | C]) of the k candidate
+    columns C gives all k kernels, and one stacked eigvalsh scores them."""
     labels = cluster_assign(z.x, k, rng)
     centers = np.stack([z.x[:, labels == j].mean(axis=1) for j in range(k)], axis=1)
     x = z.x.copy()
+    s = x.shape[1]
     mask = obj.measurement.mask
+    kern = obj.lifting.kernel(x)
     for j in np.argsort(mask.sum(axis=0)):
-        if mask[:, j].all():
+        missing = ~mask[:, j]
+        if not missing.any():
             continue
-        best = None
-        for c in range(k):
-            cand = x.copy()
-            cand[~mask[:, j], j] = centers[~mask[:, j], c]
-            f = kernel_tail_cost(obj.lifting.lift(cand).lifted, obj.rank_r)
-            if best is None or f < best[0]:
-                best = (f, cand)
-        x = best[1]
+        cands = np.repeat(x[:, j:j + 1], k, axis=1)
+        cands[missing] = centers[missing]
+        cross = obj.lifting.kernel(cands, np.hstack([x, cands]))
+        stack = np.repeat(kern[None], k, axis=0)
+        stack[:, j, :] = cross[:, :s]
+        stack[:, :, j] = cross[:, :s]
+        stack[:, j, j] = np.diagonal(cross[:, s:])
+        best = int(np.argmin(kernel_tail_cost(stack, obj.rank_r)))
+        x[:, j] = cands[:, best]
+        kern = stack[best]
     return fit_subspace(obj, x)
 
 

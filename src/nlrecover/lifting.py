@@ -399,11 +399,13 @@ def kernel_trace_cost(k_mat: np.ndarray, basis: np.ndarray) -> float:
     return float(k_mat.trace() - ((k_mat @ basis) * basis).sum())
 
 
-def kernel_tail_cost(k_mat: np.ndarray, r: int) -> float:
+def kernel_tail_cost(k_mat: np.ndarray, r: int) -> float | np.ndarray:
     """kernel_trace_cost at the best W, the leading r-dimensional eigenspace
     of the symmetric positive semidefinite K: trace(K) minus its r largest
-    eigenvalues, without forming W."""
-    return float(k_mat.trace() - np.linalg.eigvalsh(k_mat)[-r:].sum())
+    eigenvalues, without forming W. A stack of kernels (..., s, s) is scored
+    by one stacked eigvalsh, into an array of costs; one kernel gives a float."""
+    tail = np.trace(k_mat, axis1=-2, axis2=-1) - np.linalg.eigvalsh(k_mat)[..., -r:].sum(axis=-1)
+    return float(tail) if tail.ndim == 0 else tail
 
 
 def lift_grad_w(k_mat: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -471,15 +473,17 @@ class LiftingSpec:
             return count_monomials(self.n, self.degree)
         return s
 
-    def kernel(self, x_mat: np.ndarray) -> np.ndarray:
-        """Kernel matrix K(X, X) of the lifting (Gram of the features for the
-        explicit monomial map)."""
+    def kernel(self, x_mat: np.ndarray, y_mat: np.ndarray | None = None) -> np.ndarray:
+        """Kernel matrix K(X, Y) of the lifting (the features' inner products
+        Phi(X)^T Phi(Y) for the explicit monomial map); K(X, X) when y_mat is
+        omitted."""
+        y_mat = x_mat if y_mat is None else y_mat
         if self.kind == "monomial_kernel":
-            return monomial_kernel(x_mat, x_mat, self.degree, self.offset)
+            return monomial_kernel(x_mat, y_mat, self.degree, self.offset)
         if self.kind == "gaussian_kernel":
-            return gaussian_kernel(x_mat, x_mat, self.sigma)
+            return gaussian_kernel(x_mat, y_mat, self.sigma)
         phi = monomial_features(x_mat, self.degree)
-        return phi.T @ phi
+        return phi.T @ (phi if y_mat is x_mat else monomial_features(y_mat, self.degree))
 
     def lift(self, x_mat: np.ndarray) -> "LiftedPoint":
         """The lifted point at X: the matrix whose leading left singular

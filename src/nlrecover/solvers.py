@@ -388,16 +388,20 @@ def tcg_subproblem(
 
     The iterates do not depend on the radius, only the exit test does, and a
     smaller radius exits no later. So when path is a dict, it is filled, for
-    every radius delta/4, delta/16, ... down to STALL_RADIUS (the radii a
-    trust region retries with after rejected steps), with the state a run
-    with that radius exits at; `tcg_replay(path[radius], radius)` then equals
-    this function called with that radius, bit for bit, without a Hessian
-    product. The records hold the loop's own tangents, not copies.
+    delta itself and every radius delta/4, delta/16, ... down to STALL_RADIUS
+    (the radii a trust region retries with after rejected steps), with the
+    state a run with that radius exits at; `tcg_replay(path[radius], radius)`
+    then equals this function called with that radius, bit for bit, without
+    a Hessian product. Every state keeps the CG residual r = g + H eta, and a
+    boundary or negative-curvature state also keeps the last product H d, so
+    `tcg_model_decrease` reads the model decrease of the step from it, again
+    without a product. The records hold the loop's own tangents, not copies.
     """
     if delta <= 0:
         raise ValueError("trust radius must be positive")
     pending = []  # radii still to record, largest first
     if path is not None:
+        pending.append(delta)
         radius = delta / 4.0
         while radius >= STALL_RADIUS:
             pending.append(radius)
@@ -413,7 +417,7 @@ def tcg_subproblem(
     r_sq = inner(r, r)
     g_norm = math.sqrt(r_sq)
     if g_norm == 0.0:
-        return finish((eta, 0))
+        return finish((eta, r, 0))
     tol = max(g_norm * min(TCG_KAPPA, g_norm**TCG_THETA), TCG_KAPPA * eps_g)
     max_inner = cfg.max_inner if cfg.max_inner is not None else dim
     z = r if precon is None else precon(r)
@@ -428,20 +432,20 @@ def tcg_subproblem(
         if not math.isfinite(dhd):
             raise NumericalError("non-finite curvature in the subproblem")
         if dhd <= 0:
-            return finish((eta, d, eta_sq, eta_d, d_sq, i + 1))
+            return finish((eta, r, d, hd, eta_sq, eta_d, d_sq, i + 1))
         alpha = r_z / dhd
         eta_sq_next = eta_sq + 2.0 * alpha * eta_d + alpha**2 * d_sq
         # the smallest pending radius is crossed first
         while pending and eta_sq_next >= pending[-1] ** 2:
-            path[pending.pop()] = (eta, d, eta_sq, eta_d, d_sq, i + 1)
+            path[pending.pop()] = (eta, r, d, hd, eta_sq, eta_d, d_sq, i + 1)
         if eta_sq_next >= delta**2:
-            return finish((eta, d, eta_sq, eta_d, d_sq, i + 1))
+            return finish((eta, r, d, hd, eta_sq, eta_d, d_sq, i + 1))
         eta = eta + alpha * d
         eta_sq = eta_sq_next
         r = r + alpha * hd
         r_sq = inner(r, r)
         if math.sqrt(r_sq) <= tol:
-            return finish((eta, i + 1))
+            return finish((eta, r, i + 1))
         z = r if precon is None else precon(r)
         r_z_next = r_sq if z is r else inner(r, z)
         beta = r_z_next / r_z
@@ -449,20 +453,34 @@ def tcg_subproblem(
         eta_d = beta * (eta_d + alpha * d_sq)
         d_sq = r_z_next + beta**2 * d_sq
         r_z = r_z_next
-    return finish((eta, max_inner))
+    return finish((eta, r, max_inner))
 
 
 def tcg_replay(record: tuple, delta: float) -> tuple[object, bool, int]:
     """(step, hit_boundary, iterations) of a truncated-CG run with radius
-    delta from its exit state: (eta, iterations) for an interior exit, or
-    (eta, d, <eta, eta>_M, <eta, d>_M, <d, d>_M, iterations) for a run that
-    follows d to the boundary of the preconditioner's norm."""
-    if len(record) == 2:
-        eta, iters = record
+    delta from its exit state: (eta, r, iterations) for an interior exit, or
+    (eta, r, d, H d, <eta, eta>_M, <eta, d>_M, <d, d>_M, iterations) for a
+    run that follows d to the boundary of the preconditioner's norm, where
+    r = g + H eta is the CG residual at eta."""
+    if len(record) == 3:
+        eta, _, iters = record
         return eta, False, iters
-    eta, d, eta_sq, eta_d, d_sq, iters = record
+    eta, _, d, _, eta_sq, eta_d, d_sq, iters = record
     tau = _boundary_step(eta_sq, eta_d, d_sq, delta)
     return eta + tau * d, True, iters
+
+
+def tcg_model_decrease(record: tuple, delta: float, grad, step, inner: Callable) -> float:
+    """-m(step) = -(<g, step> + 1/2 <step, H step>) for the step that
+    `tcg_replay(record, delta)` returns, with no Hessian product: with the
+    residual r = g + H step, m(step) = 1/2 (<g, step> + <r, step>), where a
+    boundary step eta + tau d has the residual r + tau H d."""
+    if len(record) == 3:
+        r = record[1]
+    else:
+        _, r, _, hd, eta_sq, eta_d, d_sq, _ = record
+        r = r + _boundary_step(eta_sq, eta_d, d_sq, delta) * hd
+    return -0.5 * (inner(grad, step) + inner(r, step))
 
 
 def _boundary_step(eta_sq: float, eta_d: float, d_sq: float, delta: float) -> float:
@@ -541,9 +559,14 @@ def rtr_generic(
     gradient, the model operator, the preconditioner and the truncated-CG
     path are kept until a step is accepted, and the step at the smaller
     radius is replayed from the recorded path (see `tcg_subproblem`) instead
-    of solved again. The model operator and, for the second-order model, the
-    preconditioner (`prob.precon_at`) are built at the first step from a
-    point, so none is built where the solve stops. The radius, DELTA0 and
+    of solved again. rho reads the model decrease of a solved or replayed
+    step from its tCG record (`tcg_model_decrease`), so the trace's
+    hess_calls is one per tCG iteration of a solved step and 0 for a
+    replayed one; only the negative-curvature step of the second-order stop
+    applies the model operator for it, after its Lanczos products. The
+    model operator and, for the second-order model, the preconditioner
+    (`prob.precon_at`) are built at the first step from a point, so none is
+    built where the solve stops. The radius, DELTA0 and
     the cap 2 sqrt(dim) are measured in the preconditioner's norm; the
     trace's step is the Euclidean norm of the step, and the negative-curvature
     step of the second-order stop is scaled to Euclidean length delta.
@@ -594,22 +617,26 @@ def rtr_generic(
             else:
                 hop = lambda v: v
         if gnorm <= cfg.eps_g:
-            # negative-curvature step to the boundary, oriented downhill
+            # negative-curvature step to the boundary, oriented downhill; its
+            # model decrease takes the one product of a step tCG did not take
             direction = (delta / prob.norm(direction)) * direction
             if prob.inner(g, direction) > 0:
                 direction = -direction
             eta, on_boundary, n_inner = direction, True, 0
-        elif delta in path:
-            eta, on_boundary, n_inner = tcg_replay(path[delta], delta)
-            n_hess = 0
+            model_decrease = -(prob.inner(g, eta) + 0.5 * prob.inner(eta, hop(eta)))
+            n_hess += 1
         else:
-            eta, on_boundary, n_inner = tcg_subproblem(
-                g, hop, delta, TcgConfig(), prob.inner, prob.dim, path=path, eps_g=cfg.eps_g,
-                precon=precon,
-            )
-            n_hess = n_inner
+            if delta in path:
+                eta, on_boundary, n_inner = tcg_replay(path[delta], delta)
+                n_hess = 0
+            else:
+                eta, on_boundary, n_inner = tcg_subproblem(
+                    g, hop, delta, TcgConfig(), prob.inner, prob.dim, path=path, eps_g=cfg.eps_g,
+                    precon=precon,
+                )
+                n_hess = n_inner
+            model_decrease = tcg_model_decrease(path[delta], delta, g, eta, prob.inner)
 
-        model_decrease = -(prob.inner(g, eta) + 0.5 * prob.inner(eta, hop(eta)))
         z_plus = prob.retract(z, eta)
         f_plus = prob.cost(z_plus)
         if not math.isfinite(f_plus):
@@ -631,7 +658,7 @@ def rtr_generic(
         rec.step = prob.norm(eta)
         rec.rho = rho
         rec.inner_iters = n_inner
-        rec.hess_calls = n_hess + 1  # the model decrease takes one product
+        rec.hess_calls = n_hess
 
 
 def rtr_solve(

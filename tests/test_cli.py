@@ -32,10 +32,10 @@ from nlrecover.cli import (
 )
 import nlrecover.solvers
 from nlrecover import cli
-from nlrecover.lifting import LiftingSpec
-from nlrecover.manifold import DegenerateRetractionError
-from nlrecover.solvers import TRACE_COLUMNS, AltminConfig, RtrConfig
-from nlrecover.synth import ClusterSpec, UosSpec
+from nlrecover.lifting import LiftingSpec, kernel_tail_cost
+from nlrecover.manifold import DegenerateRetractionError, MeasurementSubspace
+from nlrecover.solvers import TRACE_COLUMNS, AltminConfig, RtrConfig, fit_subspace
+from nlrecover.synth import ClusterSpec, UosSpec, cluster_assign, gen_clusters, gen_entry_mask
 
 RECOVER_CFG = {
     "data": {"kind": "uos", "n": 6, "k": 2, "dim": 1, "pts_per": 8},
@@ -812,6 +812,59 @@ class TestClusterCommand:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["config error: field 'sensing.per_column' must be true or false, got 'false'"]
+
+
+def reference_snap(obj, z, k, rng):
+    """`_snap_columns` that lifts every candidate X whole and scores it with
+    kernel_tail_cost."""
+    labels = cluster_assign(z.x, k, rng)
+    centers = np.stack([z.x[:, labels == j].mean(axis=1) for j in range(k)], axis=1)
+    x = z.x.copy()
+    mask = obj.measurement.mask
+    for j in np.argsort(mask.sum(axis=0)):
+        if mask[:, j].all():
+            continue
+        best = None
+        for c in range(k):
+            cand = x.copy()
+            cand[~mask[:, j], j] = centers[~mask[:, j], c]
+            f = kernel_tail_cost(obj.lifting.lift(cand).lifted, obj.rank_r)
+            if best is None or f < best[0]:
+                best = (f, cand)
+        x = best[1]
+    return fit_subspace(obj, x)
+
+
+class TestSnapColumns:
+    @pytest.mark.parametrize("k,seed,full_column", [(2, 0, False), (3, 1, False), (3, 2, True)],
+                             ids=["k2", "k3", "k3_full_column"])
+    def test_matches_lifting_every_candidate(self, k, seed, full_column, monkeypatch):
+        # the snap builds each candidate's kernel from X's with one row and
+        # column replaced; at the point the clustering pipeline snaps, it
+        # picks the candidates that whole lifts pick
+        rng = np.random.default_rng(seed)
+        target, _ = gen_clusters(ClusterSpec(n=5, k=k, pts_per=12, sigma_c=0.5), rng)
+        mask = gen_entry_mask(target, 0.6, rng, per_column=True).mask.copy()
+        if full_column:
+            mask[:, 4] = True
+        snaps = []
+        snap = cli._snap_columns
+
+        def checked(obj, z, k, rng):
+            ref_rng = np.random.default_rng()
+            ref_rng.bit_generator.state = rng.bit_generator.state
+            snapped = snap(obj, z, k, rng)
+            snaps.append((z, snapped, reference_snap(obj, z, k, ref_rng)))
+            return snapped
+
+        monkeypatch.setattr(cli, "_snap_columns", checked)
+        cli.cluster_complete(MeasurementSubspace.from_mask(mask, target), k, 2.5, rng)
+        [(z, snapped, expected)] = snaps
+        assert snapped.x.tobytes() == expected.x.tobytes()
+        assert snapped.u.basis.tobytes() == expected.u.basis.tobytes()
+        assert not np.array_equal(snapped.x, z.x)
+        if full_column:
+            assert np.array_equal(snapped.x[:, 4], z.x[:, 4])
 
 
 class TestRankSweepCommand:

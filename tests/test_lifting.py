@@ -437,6 +437,28 @@ class TestLiftingSpec:
         phi = monomial_features(x, 2)
         assert np.allclose(fspec.kernel(x), phi.T @ phi)
 
+    @pytest.mark.parametrize("spec", [LiftingSpec.monomial(3, 3, offset=0.7), LiftingSpec.gaussian(3, 1.5),
+                                      LiftingSpec.monomials(3, 2)],
+                             ids=["monomial_kernel", "gaussian_kernel", "monomial_features"])
+    def test_cross_kernel_is_a_block_of_the_joint_kernel(self, spec, rng):
+        # K(X, Y) is the off-diagonal block of the kernel of [X | Y]; the
+        # data are positive, which keeps X^T Y + c away from 0, where no
+        # relative bound holds
+        x, y = rng.uniform(0.0, 1.0, (3, 7)), rng.uniform(0.0, 1.0, (3, 4))
+        xy = np.hstack([x, y])
+        joint = spec.kernel(xy)
+        np.testing.assert_allclose(spec.kernel(x, y), joint[:7, 7:], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(spec.kernel(y, xy), joint[7:], rtol=1e-13, atol=0.0)
+        assert spec.kernel(x, x).tobytes() == spec.kernel(x).tobytes()
+
+    def test_tail_cost_of_a_stack_is_each_kernels(self, rng):
+        # one stacked eigvalsh scores kernels as one call per kernel does
+        x = rng.standard_normal((5, 3, 12))
+        stack = np.stack([LiftingSpec.gaussian(3, 2.0).kernel(xi) for xi in x])
+        costs = kernel_tail_cost(stack, 2)
+        assert costs.shape == (5,)
+        assert costs.tolist() == [kernel_tail_cost(k, 2) for k in stack]
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_lift_is_the_kernel_to_the_bit(self, d, rng):
         # the one lift: the monomial kernel's matrix is its Gram's power, the

@@ -44,6 +44,7 @@ from nlrecover.solvers import (
     rtr_generic,
     rtr_solve,
     svd_policy,
+    tcg_model_decrease,
     tcg_replay,
     tcg_subproblem,
     truncated_svd,
@@ -389,9 +390,20 @@ class TestTcg:
         assert residuals[-1] <= TCG_KAPPA * eps_g < min(residuals[:-1])
 
 
-def assert_replays_match(h_mat, g, delta, cfg=None, eps_g=0.0, precon=None):
-    """Every radius tCG records must replay to the fresh solve with that
-    radius, bit for bit; returns the exits the fresh solves took."""
+def exit_kind(record, cap):
+    """How the truncated-CG run behind a record stopped."""
+    if len(record) == 8:
+        _, _, d, hd, *_ = record
+        return "negative_curvature" if vec_inner(d, hd) <= 0 else "boundary"
+    return "cap" if record[-1] == cap else "interior"
+
+
+def assert_replays_match(h_mat, g, delta, cfg=None, eps_g=0.0, precon=None, kinds=None):
+    """Every radius tCG records (delta and delta/4, delta/16, ...) must
+    replay to the fresh solve with that radius, bit for bit, and give the
+    model decrease -(<g, eta> + 1/2 <eta, H eta>) of its step without a
+    product; returns the full solve and the exits the fresh solves with the
+    smaller radii took. kinds, when given, collects the `exit_kind`s seen."""
     cfg = cfg or TcgConfig()
     dim = g.size
     hop = lambda v: h_mat @ v
@@ -399,7 +411,7 @@ def assert_replays_match(h_mat, g, delta, cfg=None, eps_g=0.0, precon=None):
     full = tcg_subproblem(g, hop, delta, cfg, vec_inner, dim, path=path, eps_g=eps_g, precon=precon)
     fresh_full = tcg_subproblem(g, hop, delta, cfg, vec_inner, dim, eps_g=eps_g, precon=precon)
     assert full[0].tobytes() == fresh_full[0].tobytes() and full[1:] == fresh_full[1:]
-    radii = []
+    radii = [delta]
     radius = delta / 4.0
     while radius >= STALL_RADIUS:
         radii.append(radius)
@@ -412,7 +424,13 @@ def assert_replays_match(h_mat, g, delta, cfg=None, eps_g=0.0, precon=None):
                                                     precon=precon)
         assert eta.tobytes() == f_eta.tobytes(), radius
         assert (boundary, iters) == (f_boundary, f_iters), radius
-        exits.append((boundary, iters))
+        decrease = tcg_model_decrease(path[radius], radius, g, eta, vec_inner)
+        explicit = -(g @ eta + 0.5 * eta @ (h_mat @ eta))
+        assert math.isclose(decrease, explicit, rel_tol=1e-9), (radius, decrease, explicit)
+        if kinds is not None:
+            kinds.add(exit_kind(path[radius], cfg.max_inner if cfg.max_inner is not None else dim))
+        if radius != delta:
+            exits.append((boundary, iters))
     return full, exits
 
 
@@ -465,6 +483,31 @@ class TestTcgReplay:
         path = {}
         tcg_subproblem(np.zeros(3), lambda v: v, 1.0, TcgConfig(), vec_inner, 3, path=path)
         assert path and all(tcg_replay(rec, r)[1:] == (False, 0) for r, rec in path.items())
+        assert all(tcg_model_decrease(rec, r, np.zeros(3), tcg_replay(rec, r)[0], vec_inner) == 0.0
+                   for r, rec in path.items())
+
+    @pytest.mark.parametrize("preconditioned", [False, True], ids=["plain", "preconditioned"])
+    def test_model_decrease_at_every_exit(self, preconditioned):
+        # the model decrease read from the residual the record keeps equals
+        # the one from an explicit product, at interior, boundary,
+        # negative-curvature and cap exits, for SPD and indefinite H
+        gen = np.random.default_rng(11)
+        kinds = set()
+        for n_neg in (0, 2):
+            for _ in range(5):
+                dim = 8
+                q, _ = np.linalg.qr(gen.standard_normal((dim, dim)))
+                evals = gen.uniform(0.01, 10.0, dim)
+                evals[:n_neg] *= -1.0
+                h_mat = (q * evals) @ q.T
+                a = gen.standard_normal((dim, dim))
+                p_mat = a @ a.T + 0.1 * np.eye(dim)
+                precon = (lambda v, p_mat=p_mat: p_mat @ v) if preconditioned else None
+                g = gen.standard_normal(dim)
+                for delta, cap in ((1e6, None), (1e6, 3), (1.0, None), (1e-2, 3)):
+                    assert_replays_match(h_mat, g, delta, TcgConfig(max_inner=cap), precon=precon,
+                                         kinds=kinds)
+        assert kinds == {"interior", "boundary", "negative_curvature", "cap"}
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
@@ -559,11 +602,11 @@ class TestPreconditionedTcg:
 
 def reference_rtr(prob, z0, cfg):
     """The trust-region loop that solves tCG again, and rebuilds the gradient,
-    the Hessian operator and the preconditioner, after every rejected step.
-    Its last record is at the returned point."""
+    the Hessian operator and the preconditioner, after every rejected step;
+    rho reads the model decrease from the fresh solve's own record. Its last
+    record is at the returned point, whatever the status."""
     delta_bar = 2.0 * math.sqrt(prob.dim)
     z, delta, f_val, trace = z0, DELTA0, prob.cost(z0), SolveTrace()
-    moved = True
     for k in range(cfg.max_iter):
         g = prob.grad(z)
         gnorm = prob.norm(g)
@@ -574,9 +617,11 @@ def reference_rtr(prob, z0, cfg):
             trace.append(rec)
             trace.status = "grad_tol"
             return z, trace
+        path = {}
         eta, on_boundary, n_inner = tcg_subproblem(
-            g, hop, delta, TcgConfig(), prob.inner, prob.dim, eps_g=cfg.eps_g, precon=precon)
-        model_decrease = -(prob.inner(g, eta) + 0.5 * prob.inner(eta, hop(eta)))
+            g, hop, delta, TcgConfig(), prob.inner, prob.dim, path=path, eps_g=cfg.eps_g,
+            precon=precon)
+        model_decrease = tcg_model_decrease(path[delta], delta, g, eta, prob.inner)
         z_plus = prob.retract(z, eta)
         f_plus = prob.cost(z_plus)
         actual = f_val - f_plus
@@ -588,24 +633,23 @@ def reference_rtr(prob, z0, cfg):
             delta = delta / 4.0
         elif rho > 0.75 and on_boundary:
             delta = min(2.0 * delta, delta_bar)
-        moved = rho > cfg.rho_prime
-        if moved:
+        if rho > cfg.rho_prime:
             z, f_val = z_plus, f_plus
         rec.step, rec.rho, rec.inner_iters = prob.norm(eta), rho, n_inner
         trace.append(rec)
         if delta < STALL_RADIUS:
             trace.status = "stalled"
             break
-    if moved:
-        g = prob.grad(z)
-        gx, gu = float(np.linalg.norm(g.dx)), float(np.linalg.norm(g.du))
-        trace.append(TraceRecord(k=len(trace.records), f=f_val, gnorm_x=gx, gnorm_u=gu, delta=delta))
+    g = prob.grad(z)
+    gx, gu = float(np.linalg.norm(g.dx)), float(np.linalg.norm(g.du))
+    trace.append(TraceRecord(k=len(trace.records), f=f_val, gnorm_x=gx, gnorm_u=gu, delta=delta))
     return z, trace
 
 
 def assert_loop_matches_reference(pts_per, seed, eps_g):
     """The trust-region loop against `reference_rtr` on a completion instance
-    that rejects a step; returns the loop's trace."""
+    that rejects a step, with rho compared bit for bit; returns the loop's
+    trace."""
     obj, _, _ = uos_completion_problem(n=6, pts_per=pts_per, seed=seed)
     z0 = default_init(obj)
     cfg = RtrConfig(eps_g=eps_g, max_iter=60)
@@ -616,13 +660,15 @@ def assert_loop_matches_reference(pts_per, seed, eps_g):
         assert trace.column(c) == ref.column(c), c
     assert z.x.tobytes() == z_ref.x.tobytes()
     assert z.u.basis.tobytes() == z_ref.u.basis.tobytes()
-    # a solved step applies one product per tCG iteration and one for the
-    # model decrease; the step replayed after a rejection only the last
+    # a solved step applies one product per tCG iteration, and rho reads the
+    # model decrease from the tCG record; the step replayed after a
+    # rejection applies none
     after_rejection = [False] + [r.rho <= cfg.rho_prime for r in trace.records[:-1]]
     assert any(after_rejection), "the instance must reject a step"
     for rec, replayed in zip(trace.records, after_rejection):
         if rec.rho is not None:
-            assert rec.hess_calls == (1 if replayed else rec.inner_iters + 1)
+            assert rec.hess_calls == (0 if replayed else rec.inner_iters)
+    assert trace.final.hess_calls is None
     return trace
 
 
@@ -640,6 +686,13 @@ class TestRtr:
     def test_replay_matches_solving_again_at_the_floor(self):
         trace = assert_loop_matches_reference(pts_per=10, seed=3, eps_g=1e-6)
         assert floor_binds(trace, 1e-6)
+
+    def test_replay_matches_solving_again_to_max_iter(self):
+        # the last step before max_iter is rejected: both traces end with the
+        # record k = max_iter at the unmoved point
+        trace = assert_loop_matches_reference(pts_per=8, seed=1, eps_g=1e-8)
+        assert trace.status == "max_iter" and trace.final.k == 60
+        assert trace.records[-2].rho <= RtrConfig.rho_prime
 
     def test_immediate_return_at_critical_point(self):
         rng = np.random.default_rng(0)
@@ -878,6 +931,80 @@ class TestRtr:
         assert [r.k for r in trace.records] == [0]
         assert 0 < trace.records[0].hess_calls == len(products) <= prob.dim
         assert z is z0
+
+    @staticmethod
+    def count_lanczos(monkeypatch):
+        """The product count of every Lanczos estimate, in order."""
+        counts = []
+        estimate = nlrecover.solvers._min_eig_estimate
+
+        def counted(*args):
+            out = estimate(*args)
+            counts.append(out[2])
+            return out
+
+        monkeypatch.setattr(nlrecover.solvers, "_min_eig_estimate", counted)
+        return counts
+
+    @pytest.mark.parametrize("eps_h", [math.inf, 1e-3])
+    def test_hessian_products_are_the_tcg_iterations(self, eps_h, monkeypatch):
+        # rho reads the model decrease from the tCG record, so the model
+        # operators apply one product per tCG iteration of a solved step,
+        # and the second-order stop adds its Lanczos products
+        products = []
+        build = Objective.rhess_operator
+
+        def counted(self, z):
+            op = build(self, z)
+
+            def apply(v):
+                products.append(1)
+                return op(v)
+
+            return apply
+
+        monkeypatch.setattr(Objective, "rhess_operator", counted)
+        lanczos = self.count_lanczos(monkeypatch)
+        obj, _, _ = uos_completion_problem(n=6, pts_per=8, seed=3)
+        _, trace = rtr_solve(obj, default_init(obj), RtrConfig(eps_g=1e-6, eps_h=eps_h, max_iter=100))
+        assert trace.status == "grad_tol"
+        # a step after a rejection is replayed: its inner_iters is the
+        # length of the CG path it was read from, which took no product
+        steps = trace.records[:-1]
+        solved = [r.inner_iters for r, prev in zip(steps, [None] + steps)
+                  if prev is None or prev.rho > RtrConfig.rho_prime]
+        assert len(solved) < len(steps)
+        assert len(products) == sum(solved) + sum(lanczos) == sum(r.hess_calls or 0 for r in trace.records)
+        assert len(lanczos) == (0 if eps_h == math.inf else 1)
+
+    def test_negative_curvature_step_counts_lanczos_and_one_product(self, monkeypatch):
+        # at the saddle of x1^2 - x2^2 the second-order stop steps along the
+        # Ritz direction; its model decrease is the one product tCG did not
+        # take
+        h_mat = np.diag([2.0, -2.0])
+        products = []
+
+        def hess_at(x):
+            def hop(v):
+                products.append(1)
+                return h_mat @ v
+            return hop
+
+        prob = RiemannianProblem(
+            cost=lambda x: float(x[0] ** 2 - x[1] ** 2),
+            grad=lambda x: h_mat @ x,
+            hess_at=hess_at,
+            retract=lambda x, v: x + v,
+            inner=vec_inner,
+            rand_tangent=lambda x, rng: rng.standard_normal(2),
+            dim=2,
+        )
+        lanczos = self.count_lanczos(monkeypatch)
+        _, trace = rtr_generic(prob, np.zeros(2), RtrConfig(eps_g=1e-8, eps_h=1e-3, max_iter=10))
+        first = trace.records[0]
+        assert len(lanczos) == 1 and first.inner_iters == 0
+        assert first.hess_calls == lanczos[0] + 1
+        assert len(products) == sum(r.hess_calls or 0 for r in trace.records)
 
 
 class TestOneLiftPerPoint:
@@ -1316,7 +1443,9 @@ def _solver_traces_tool():
 def test_solver_trace_compare_flags_one_changed_record(tmp_path, capsys):
     # tools/solver_traces.py --compare: two dumps of the same solver calls
     # are identical, and one trace record changed in the last bit of f, or
-    # a call missing, is flagged
+    # a call missing, is flagged; after the first difference every field
+    # that differs is listed with its count and, for floats, the largest
+    # relative difference
     tool = _solver_traces_tool()
     obj, _ = small_masked_objective(seed=3)
     z0 = default_init(obj)
@@ -1325,16 +1454,30 @@ def test_solver_trace_compare_flags_one_changed_record(tmp_path, capsys):
                                             rng=np.random.default_rng(0)))]
     lines = [tool.call_line("w", (0, 0), i, *call) for i, call in enumerate(calls)]
     entry = json.loads(lines[1])
-    entry["records"][2]["f"] = math.nextafter(entry["records"][2]["f"], math.inf)
+    f = entry["records"][2]["f"]
+    f_next = entry["records"][2]["f"] = math.nextafter(f, math.inf)
+    rtr_entry = json.loads(lines[0])
+    rtr_entry["status"] = "stalled"
+    for rec in rtr_entry["records"][:2]:
+        rec["hess_calls"] -= 1
+    rtr_entry["records"][1]["rho"] = -math.inf
     dumps = {"a": lines, "same": lines, "changed": [lines[0], json.dumps(entry)],
-             "missing": lines[:1]}
+             "several": [json.dumps(rtr_entry), lines[1]], "missing": lines[:1]}
     for name, text in dumps.items():
         (tmp_path / name).write_text("\n".join(text) + "\n")
     assert tool.compare(tmp_path / "a", tmp_path / "same") == 0
     assert capsys.readouterr().out == "w: 2 calls identical\n"
     assert tool.compare(tmp_path / "a", tmp_path / "changed") == 1
-    assert capsys.readouterr().out == \
+    rel = (f_next - f) / max(abs(f), abs(f_next))
+    assert capsys.readouterr().out == (
         "w: 1 of 2 calls differ; first: instance [0, 0] call 1: records[2]\n"
+        f"  f: differs in 1 record, largest relative difference {rel:.3g}\n")
+    assert tool.compare(tmp_path / "a", tmp_path / "several") == 1
+    assert capsys.readouterr().out == (
+        "w: 1 of 2 calls differ; first: instance [0, 0] call 0: records[0]\n"
+        "  status: differs in 1 call\n"
+        "  hess_calls: differs in 2 records\n"
+        "  rho: differs in 1 record, largest relative difference inf\n")
     assert tool.compare(tmp_path / "a", tmp_path / "missing") == 1
     assert capsys.readouterr().out == \
         "w: 1 of 2 calls differ; first: instance [0, 0] call 1: missing\n"

@@ -16,6 +16,11 @@ the same bits. A run takes about 9 s on one core.
 
 --compare reports each workload as identical or names the first call and
 field that differ (a missing call included), and exits 1 when any differs.
+After the first difference it lists every field that differs in the calls
+both dumps hold: a call field (status, x, u, ...) with the number of calls,
+and a trace-record field with the number of records (compared position by
+position) and, for floats, the largest relative difference
+|a - b| / max(|a|, |b|), which is inf where only one side is finite.
 """
 
 from __future__ import annotations
@@ -24,8 +29,10 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 WORKLOADS = ("mask_rtr", "dense_penalty", "cluster_gauss", "altmin_mask")
@@ -117,6 +124,41 @@ def _first_difference(a: dict | None, b: dict | None) -> str | None:
     return None
 
 
+def _relative(va, vb) -> float:
+    """|a - b| / max(|a|, |b|) of two differing numbers or Nones: inf unless
+    both are finite numbers, and 0 for 0.0 against -0.0."""
+    if va is None or vb is None or not (math.isfinite(va) and math.isfinite(vb)):
+        return math.inf
+    scale = max(abs(va), abs(vb))
+    return abs(va - vb) / scale if scale else 0.0
+
+
+def _field_differences(pairs) -> list[str]:
+    """One line per field that differs over the (entry, entry) pairs: call
+    fields by the calls, record fields by the records that differ, with the
+    largest relative difference where either side is a float."""
+    calls, records, largest = Counter(), Counter(), {}
+    for a, b in pairs:
+        for field in sorted(a.keys() | b.keys()):
+            if field != "records" and json.dumps(a.get(field)) != json.dumps(b.get(field)):
+                calls[field] += 1
+        for ra, rb in zip(a.get("records", []), b.get("records", [])):
+            for field in sorted(ra.keys() | rb.keys()):
+                va, vb = ra.get(field), rb.get(field)
+                if json.dumps(va) == json.dumps(vb):
+                    continue
+                records[field] += 1
+                if isinstance(va, float) or isinstance(vb, float):
+                    largest[field] = max(largest.get(field, 0.0), _relative(va, vb))
+    lines = [f"  {field}: differs in {n} call{'s' if n > 1 else ''}" for field, n in calls.items()]
+    for field, n in records.items():
+        line = f"  {field}: differs in {n} record{'s' if n > 1 else ''}"
+        if field in largest:
+            line += f", largest relative difference {largest[field]:.3g}"
+        lines.append(line)
+    return lines
+
+
 def compare(path_a: Path, path_b: Path) -> int:
     """Report every workload of two dumps; the number of workloads with a
     call that differs."""
@@ -130,6 +172,9 @@ def compare(path_a: Path, path_b: Path) -> int:
             (_, key, call), field = diffs[0]
             print(f"{wname}: {len(diffs)} of {len(keys)} calls differ; first: instance "
                   f"{list(key)} call {call}: {field}")
+            pairs = [(calls_a[k], calls_b[k]) for k, _ in diffs if k in calls_a and k in calls_b]
+            for line in _field_differences(pairs):
+                print(line)
             failed += 1
         else:
             print(f"{wname}: {len(keys)} calls identical")
