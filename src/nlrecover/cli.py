@@ -454,7 +454,10 @@ def cmd_noise(cfg: dict, seed: int) -> tuple:
 def run_lambda_continuation(cfg: dict, seed: int, lam0: float, factor: float, steps: int, solver: str) -> dict:
     """Solve the penalized problem along an increasing lambda ladder with warm
     starts; select lambda* minimizing the lifted residual on the plateau of
-    the noisy misfit. The ladder starts at lam0 > 0 and grows by factor > 1."""
+    the noisy misfit. The ladder starts at lam0 > 0 and grows by factor > 1,
+    and solver names a trust region (rtr1 or rtr2)."""
+    if SOLVERS.get(solver, (None,))[0] is not RtrConfig:
+        raise ConfigError(f"noise continuation needs a trust-region solver (rtr1 or rtr2), got {solver!r}")
     if not lam0 > 0:
         raise ConfigError(f"field 'lambda_schedule.lambda0' must be > 0, got {lam0}")
     if not factor > 1:

@@ -169,10 +169,20 @@ class SolveTrace:
 # --------------------------------------------------------------------------
 
 
+def _finite_svd_input(y_mat: np.ndarray) -> np.ndarray:
+    """y_mat as a float array, checked finite before LAPACK sees it: an SVD
+    may never return on one isolated inf."""
+    y_mat = np.asarray(y_mat, dtype=float)
+    if not np.isfinite(y_mat).all():
+        raise NumericalError(f"the {' x '.join(map(str, y_mat.shape))} SVD input has "
+                             f"{np.isinf(y_mat).sum()} inf and {np.isnan(y_mat).sum()} NaN entries")
+    return y_mat
+
+
 def truncated_svd(y_mat: np.ndarray, r: int) -> GrassmannPoint:
     """Span of the r leading left singular vectors. Ties at sigma_r are broken
     by the order the decomposition returns."""
-    y_mat = np.asarray(y_mat, dtype=float)
+    y_mat = _finite_svd_input(y_mat)
     if not 1 <= r < min(y_mat.shape):
         raise ValueError("need 1 <= r < min(p, s)")
     u, _, _ = np.linalg.svd(y_mat, full_matrices=False)
@@ -189,7 +199,7 @@ def randomized_svd(
     """Gaussian range finder of width r + oversample with power_q passes of
     Y Y^T (re-orthonormalized), then an exact SVD of the sketch."""
     rng = np.random.default_rng(0) if rng is None else rng
-    y_mat = np.asarray(y_mat, dtype=float)
+    y_mat = _finite_svd_input(y_mat)
     p, s = y_mat.shape
     width = min(r + oversample, min(p, s))
     omega = rng.standard_normal((s, width))
@@ -390,34 +400,37 @@ def tcg_subproblem(
     smaller radius exits no later. So when path is a dict, it is filled, for
     delta itself and every radius delta/4, delta/16, ... down to STALL_RADIUS
     (the radii a trust region retries with after rejected steps), with the
-    state a run with that radius exits at; `tcg_replay(path[radius], radius)`
+    record a run with that radius exits at; `tcg_replay(path[radius], radius)`
     then equals this function called with that radius, bit for bit, without
-    a Hessian product. Every state keeps the CG residual r = g + H eta, and a
-    boundary or negative-curvature state also keeps the last product H d, so
-    `tcg_model_decrease` reads the model decrease of the step from it, again
-    without a product. The records hold the loop's own tangents, not copies.
+    a Hessian product. delta and every radius that exits inside get the
+    resolved record (step, r = g + H step, hit_boundary, iterations), which
+    the returned triple reads; a smaller radius that a boundary or
+    negative-curvature exit has still to reach keeps the state
+    (eta, r, d, H d, <eta, eta>_M, <eta, d>_M, <d, d>_M, iterations) for
+    `tcg_replay` to resolve. The records hold the loop's own tangents.
     """
     if delta <= 0:
         raise ValueError("trust radius must be positive")
-    pending = []  # radii still to record, largest first
-    if path is not None:
-        pending.append(delta)
-        radius = delta / 4.0
-        while radius >= STALL_RADIUS:
-            pending.append(radius)
-            radius /= 4.0
+    path = {} if path is None else path
+    pending = []  # smaller radii still to record, largest first
+    radius = delta / 4.0
+    while radius >= STALL_RADIUS:
+        pending.append(radius)
+        radius /= 4.0
 
-    def finish(record):
+    def finish(state):
         for radius in pending:
-            path[radius] = record
-        return tcg_replay(record, delta)
+            path[radius] = state
+        path[delta] = tcg_replay(state, delta)
+        step, _, hit_boundary, iters = path[delta]
+        return step, hit_boundary, iters
 
     eta = 0.0 * grad
     r = grad
     r_sq = inner(r, r)
     g_norm = math.sqrt(r_sq)
     if g_norm == 0.0:
-        return finish((eta, r, 0))
+        return finish((eta, r, False, 0))
     tol = max(g_norm * min(TCG_KAPPA, g_norm**TCG_THETA), TCG_KAPPA * eps_g)
     max_inner = cfg.max_inner if cfg.max_inner is not None else dim
     z = r if precon is None else precon(r)
@@ -445,7 +458,7 @@ def tcg_subproblem(
         r = r + alpha * hd
         r_sq = inner(r, r)
         if math.sqrt(r_sq) <= tol:
-            return finish((eta, r, i + 1))
+            return finish((eta, r, False, i + 1))
         z = r if precon is None else precon(r)
         r_z_next = r_sq if z is r else inner(r, z)
         beta = r_z_next / r_z
@@ -453,40 +466,24 @@ def tcg_subproblem(
         eta_d = beta * (eta_d + alpha * d_sq)
         d_sq = r_z_next + beta**2 * d_sq
         r_z = r_z_next
-    return finish((eta, r, max_inner))
+    return finish((eta, r, False, max_inner))
 
 
-def tcg_replay(record: tuple, delta: float) -> tuple[object, bool, int]:
-    """(step, hit_boundary, iterations) of a truncated-CG run with radius
-    delta from its exit state: (eta, r, iterations) for an interior exit, or
-    (eta, r, d, H d, <eta, eta>_M, <eta, d>_M, <d, d>_M, iterations) for a
-    run that follows d to the boundary of the preconditioner's norm, where
-    r = g + H eta is the CG residual at eta."""
-    if len(record) == 3:
-        eta, _, iters = record
-        return eta, False, iters
-    eta, _, d, _, eta_sq, eta_d, d_sq, iters = record
-    tau = _boundary_step(eta_sq, eta_d, d_sq, delta)
-    return eta + tau * d, True, iters
-
-
-def tcg_model_decrease(record: tuple, delta: float, grad, step, inner: Callable) -> float:
-    """-m(step) = -(<g, step> + 1/2 <step, H step>) for the step that
-    `tcg_replay(record, delta)` returns, with no Hessian product: with the
-    residual r = g + H step, m(step) = 1/2 (<g, step> + <r, step>), where a
-    boundary step eta + tau d has the residual r + tau H d."""
-    if len(record) == 3:
-        r = record[1]
-    else:
-        _, r, _, hd, eta_sq, eta_d, d_sq, _ = record
-        r = r + _boundary_step(eta_sq, eta_d, d_sq, delta) * hd
-    return -0.5 * (inner(grad, step) + inner(r, step))
-
-
-def _boundary_step(eta_sq: float, eta_d: float, d_sq: float, delta: float) -> float:
-    """Positive root of ||eta + tau d|| = delta, from the inner products."""
+def tcg_replay(record: tuple, delta: float) -> tuple[object, object, bool, int]:
+    """(step, r, hit_boundary, iterations) of a truncated-CG run with radius
+    delta, where r = g + H step is the CG residual at the step, from its
+    record: a resolved record is that tuple itself, and a state
+    (eta, r, d, H d, <eta, eta>_M, <eta, d>_M, <d, d>_M, iterations) follows
+    d to the boundary ||eta + tau d||_M = delta, with the residual
+    r + tau H d. The model value of the step is then
+    m(step) = <g, step> + 1/2 <step, H step> = 1/2 (<g, step> + <r, step>)."""
+    if len(record) == 4:
+        return record
+    eta, r, d, hd, eta_sq, eta_d, d_sq, iters = record
+    # the positive root of the quadratic in tau
     disc = eta_d**2 + d_sq * (delta**2 - eta_sq)
-    return (-eta_d + math.sqrt(max(disc, 0.0))) / d_sq
+    tau = (-eta_d + math.sqrt(max(disc, 0.0))) / d_sq
+    return eta + tau * d, r + tau * hd, True, iters
 
 
 def _min_eig_estimate(prob: RiemannianProblem, z, rng: np.random.Generator) -> tuple[float, object, int]:
@@ -557,16 +554,16 @@ def rtr_generic(
 
     A rejected step leaves z unchanged and divides the radius by 4, so the
     gradient, the model operator, the preconditioner and the truncated-CG
-    path are kept until a step is accepted, and the step at the smaller
-    radius is replayed from the recorded path (see `tcg_subproblem`) instead
-    of solved again. rho reads the model decrease of a solved or replayed
-    step from its tCG record (`tcg_model_decrease`), so the trace's
-    hess_calls is one per tCG iteration of a solved step and 0 for a
-    replayed one; only the negative-curvature step of the second-order stop
-    applies the model operator for it, after its Lanczos products. The
-    model operator and, for the second-order model, the preconditioner
-    (`prob.precon_at`) are built at the first step from a point, so none is
-    built where the solve stops. The radius, DELTA0 and
+    path are kept until a step is accepted. Every step reads (step,
+    r = g + H step) from one record through `tcg_replay`: the one tCG solved,
+    the path's record of a smaller radius after a rejection (see
+    `tcg_subproblem`), or, for the negative-curvature step of the
+    second-order stop, one built with one product after its Lanczos
+    products. rho reads every model decrease as -1/2 (<g, step> + <r, step>),
+    so the trace's hess_calls is one per tCG iteration of a solved step and
+    0 for a replayed one. The model operator and, for the second-order model,
+    the preconditioner (`prob.precon_at`) are built at the first step from a
+    point, so none is built where the solve stops. The radius, DELTA0 and
     the cap 2 sqrt(dim) are measured in the preconditioner's norm; the
     trace's step is the Euclidean norm of the step, and the negative-curvature
     step of the second-order stop is scaled to Euclidean length delta.
@@ -618,24 +615,20 @@ def rtr_generic(
                 hop = lambda v: v
         if gnorm <= cfg.eps_g:
             # negative-curvature step to the boundary, oriented downhill; its
-            # model decrease takes the one product of a step tCG did not take
+            # residual takes the one product of a step tCG did not take
             direction = (delta / prob.norm(direction)) * direction
             if prob.inner(g, direction) > 0:
                 direction = -direction
-            eta, on_boundary, n_inner = direction, True, 0
-            model_decrease = -(prob.inner(g, eta) + 0.5 * prob.inner(eta, hop(eta)))
+            record = (direction, g + hop(direction), True, 0)
             n_hess += 1
         else:
-            if delta in path:
-                eta, on_boundary, n_inner = tcg_replay(path[delta], delta)
-                n_hess = 0
-            else:
-                eta, on_boundary, n_inner = tcg_subproblem(
-                    g, hop, delta, TcgConfig(), prob.inner, prob.dim, path=path, eps_g=cfg.eps_g,
-                    precon=precon,
-                )
-                n_hess = n_inner
-            model_decrease = tcg_model_decrease(path[delta], delta, g, eta, prob.inner)
+            n_hess = 0  # a replayed step applies no product
+            if delta not in path:
+                n_hess = tcg_subproblem(g, hop, delta, TcgConfig(), prob.inner, prob.dim, path=path,
+                                        eps_g=cfg.eps_g, precon=precon)[2]
+            record = path[delta]
+        eta, r, on_boundary, n_inner = tcg_replay(record, delta)
+        model_decrease = -0.5 * (prob.inner(g, eta) + prob.inner(r, eta))
 
         z_plus = prob.retract(z, eta)
         f_plus = prob.cost(z_plus)
@@ -685,8 +678,9 @@ def rtr_solve(
 
 def fit_subspace(obj: Objective, x_mat: np.ndarray) -> ProductPoint:
     """X with the subspace that minimizes the cost for it: the leading-r left
-    singular subspace of its lifting."""
-    return ProductPoint(x_mat, truncated_svd(obj.lifting.lift(x_mat).lifted, obj.rank_r))
+    singular subspace of its lifting. The lift is made through `Objective.lift`,
+    so a solve that starts at the returned point reads it again."""
+    return ProductPoint(x_mat, truncated_svd(obj.lift(x_mat).lifted, obj.rank_r))
 
 
 def default_init(obj: Objective) -> ProductPoint:
@@ -716,11 +710,11 @@ def rtr_solve_restarts(
     against bad basins of the nonconvex landscape."""
     cfg = cfg or RtrConfig()
     rng = np.random.default_rng(0) if rng is None else rng
-    lifted = obj.lifting.lift(meas_feasible_point(obj.measurement)).lifted
-    scale = max(obj.lifting.energy(lifted), 1.0)
     best = None
     for i in range(max(n_starts, 1)):
         z0 = default_init(obj) if i == 0 else random_init(obj, rng)
+        if i == 0:  # the lift that default_init kept
+            scale = max(obj.lifting.energy(obj.lift(z0.x).lifted), 1.0)
         z, trace = rtr_solve(obj, z0, cfg, truth=truth)
         f_val = trace.final.f
         if best is None or f_val < best[0]:

@@ -365,10 +365,11 @@ class TestRecoverCommand:
                           r"\|\|grad_X\|\|=inf, \|\|grad_U\|\|=inf"),
         (1e70, "altmin2", r"non-finite cost or gradient at round 0: f=\S+, "
                           r"\|\|grad_X\|\|=inf, \|\|grad_U\|\|=inf"),
-        # the lifting of the initial point overflows, and its SVD fails
-        (1e77, "rtr2", "SVD did not converge"),
-        (1e77, "altmin1", "SVD did not converge"),
-        (1e77, "altmin2", "SVD did not converge"),
+        # the lifting of the initial point overflows, and the SVD refuses it
+        # before LAPACK sees it
+        (1e77, "rtr2", "the 16 x 16 SVD input has 23 inf and 0 NaN entries"),
+        (1e77, "altmin1", "the 16 x 16 SVD input has 23 inf and 0 NaN entries"),
+        (1e77, "altmin2", "the 16 x 16 SVD input has 23 inf and 0 NaN entries"),
     ], ids=[f"{s}_{kind}" for kind in ("inf_gradient", "svd") for s in ("rtr2", "altmin1", "altmin2")])
     def test_overflowing_measurements_exit_code(self, tmp_path, capsys, noise_sigma, solver, pattern):
         # each ends in exit 3 and one stderr line, never as a solver status
@@ -394,7 +395,8 @@ class TestRecoverCommand:
                                write_cfg(tmp_path, cfg), "--out", str(out)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == EXIT_NUMERICAL
-        assert proc.stderr.splitlines() == ["numerical failure: SVD did not converge"]
+        assert proc.stderr.splitlines() == [
+            "numerical failure: the 16 x 16 SVD input has 23 inf and 0 NaN entries"]
         assert not out.exists()
 
     def test_failed_write_exit_code(self, tmp_path, capsys):
@@ -799,11 +801,13 @@ class TestClusterCommand:
             "nlrecover: error: unrecognized arguments: --solver altmin1")
 
     def test_overflowing_data_exit_code(self, tmp_path, capsys):
-        # the lifting of the initial point overflows, and its SVD fails
+        # the lifting of the initial point overflows, and the SVD refuses it
+        # before LAPACK sees it
         data = dict(CLUSTER_CFG["data"], sigma_c=1e200)
         code, out = self.run(tmp_path, dict(CLUSTER_CFG, data=data, trials=1))
         assert code == EXIT_NUMERICAL
-        assert capsys.readouterr().err.splitlines() == ["numerical failure: SVD did not converge"]
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: the 16 x 16 SVD input has 0 inf and 124 NaN entries"]
         assert not out.exists()
 
     def test_per_column_must_be_json_boolean(self, tmp_path, capsys):
@@ -937,11 +941,16 @@ def test_output_check_configs_fit_their_commands():
 
 def test_output_compare_tells_roundoff_from_text(tmp_path, capsys):
     # --compare: identical runs, runs that differ in numbers only (with the
-    # largest relative difference per file) and runs that differ in text
+    # largest relative difference per file, and for a CSV file per column,
+    # named by the header) and runs that differ in text
     runs = {
         "same": ({"a.csv": "x,1\n"}, {"a.csv": "x,1\n"}),
-        "roundoff": ({"a.csv": "x,1.0,2\n", "s.json": '{"f": 0.5}'},
-                     {"a.csv": "x,1.0000000000000002,2\n", "s.json": '{"f": 0.25}'}),
+        "roundoff": ({"a.csv": "name,value,count\nx,1.0,2\n", "s.json": '{"f": 0.5}'},
+                     {"a.csv": "name,value,count\nx,1.0000000000000002,2\n", "s.json": '{"f": 0.25}'}),
+        # an integer column that moves 1 -> 0 does not hide a float column
+        # that moves at roundoff
+        "trace": ({"t.csv": "k,rho,hess_calls\n0,0.5,3\n1,2.0,1\n2,0.25,1\n"},
+                  {"t.csv": "k,rho,hess_calls\n0,0.5000000000000001,3\n1,2.0,0\n2,0.25,0\n"}),
         "text": ({"a.csv": "x,1\n", "b.txt": "ok"}, {"a.csv": "y,1\n"}),
     }
     for side in (0, 1):
@@ -952,8 +961,12 @@ def test_output_compare_tells_roundoff_from_text(tmp_path, capsys):
     assert _cli_outputs_tool().compare(tmp_path / "0", tmp_path / "1") == 1
     assert capsys.readouterr().out.splitlines() == [
         "roundoff: numbers only: a.csv max rel diff 2.22e-16, s.json max rel diff 5.00e-01",
+        "  a.csv value: differs in 1 row, largest relative difference 2.22e-16",
         "same: identical",
         "text: text differs: a.csv, b.txt (missing)",
+        "trace: numbers only: t.csv max rel diff 1.00e+00",
+        "  t.csv rho: differs in 1 row, largest relative difference 2.22e-16",
+        "  t.csv hess_calls: differs in 2 rows, largest relative difference 1",
     ]
 
 
@@ -1080,6 +1093,19 @@ class TestNoiseCommand:
         code = main(["noise", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.strip().splitlines() == ["config error: unknown field 'solver'"]
+
+    @pytest.mark.parametrize("solver", ["altmin1", "altmin2", "simple"])
+    def test_ladder_rejects_a_solver_that_is_not_a_trust_region(self, solver, monkeypatch):
+        # the ladder's warm starts run rtr_solve, so another name is refused
+        # before an instance is built
+        def unreachable(*args):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(cli, "_instance", unreachable)
+        expect = f"noise continuation needs a trust-region solver (rtr1 or rtr2), got '{solver}'"
+        with pytest.raises(ConfigError) as exc:
+            cli.run_lambda_continuation(NOISE_CFG, 0, 1e-4, 10.0, 6, solver)
+        assert str(exc.value) == expect
 
 
 class TestCheckCommand:

@@ -156,7 +156,8 @@ class TestRgrad:
         assert np.array_equal(obj.rgrad_x(z), obj.rgrad(z).dx)
 
     def test_features_built_once_per_call(self, monkeypatch, rng):
-        # rgrad, the Hessian operators and the cost at one z read one Phi(X)
+        # rgrad, the Hessian operators and the cost at one z read one Phi(X),
+        # the one default_init built to fit the subspace
         calls = []
         build = nlrecover.lifting.monomial_features
 
@@ -167,7 +168,7 @@ class TestRgrad:
         monkeypatch.setattr(nlrecover.lifting, "monomial_features", counted)
         obj, _ = small_masked_objective(kind="monomial_features", seed=8)
         z = default_init(obj)
-        calls.clear()
+        assert len(calls) == 1
         for method in (obj.rgrad, obj.rhess_operator, obj.cost, obj.rgrad_x,
                        obj.rhess_x_operator, obj.lifted_residual):
             method(z)

@@ -44,7 +44,6 @@ from nlrecover.solvers import (
     rtr_generic,
     rtr_solve,
     svd_policy,
-    tcg_model_decrease,
     tcg_replay,
     tcg_subproblem,
     truncated_svd,
@@ -116,6 +115,38 @@ class TestRandomizedSvd:
         resid = np.linalg.norm(y - point.basis @ (point.basis.T @ y))
         optimal = np.sqrt(np.sum(sv[3:] ** 2))
         assert resid <= 1.1 * optimal
+
+
+class TestNonFiniteSvdInput:
+    @staticmethod
+    def isolated_inf_kernel():
+        # one column of x at 1e80 e_1: K[0, 0] overflows, every other entry
+        # of the monomial kernel stays finite
+        x = np.random.default_rng(0).standard_normal((6, 10))
+        x[:, 0] = 0.0
+        x[0, 0] = 1e80
+        with np.errstate(over="ignore"):
+            return LiftingSpec.monomial(6, 2).lift(x).lifted
+
+    @pytest.mark.parametrize("svd", ["truncated", "randomized"])
+    def test_raises_before_lapack(self, svd, monkeypatch):
+        # an SVD of a matrix with one isolated inf may never return, so the
+        # decompositions fail the test if they are reached
+        def unreachable(*args, **kwargs):
+            raise AssertionError("LAPACK was handed a non-finite matrix")
+
+        monkeypatch.setattr(np.linalg, "svd", unreachable)
+        monkeypatch.setattr(np.linalg, "qr", unreachable)
+        fn = truncated_svd if svd == "truncated" else randomized_svd
+        kern = self.isolated_inf_kernel()
+        assert np.isinf(kern[0, 0]) and np.isfinite(kern).sum() == kern.size - 1
+        nan_diag = np.diag([1.0, np.nan, 1.0, 1.0, 1.0])
+        for y_mat, counts in ((kern, "1 inf and 0 NaN"),
+                              (np.diag([np.inf, 1.0, 1.0, 1.0, 1.0]), "1 inf and 0 NaN"),
+                              (nan_diag, "0 inf and 1 NaN")):
+            shape = " x ".join(map(str, y_mat.shape))
+            with pytest.raises(NumericalError, match=f"^the {shape} SVD input has {counts} entries$"):
+                fn(y_mat, 2)
 
 
 class TestSvdPolicy:
@@ -391,19 +422,22 @@ class TestTcg:
 
 
 def exit_kind(record, cap):
-    """How the truncated-CG run behind a record stopped."""
+    """How the truncated-CG run behind a record stopped. A resolved record
+    on the boundary keeps no direction, so it reads as a boundary exit."""
     if len(record) == 8:
         _, _, d, hd, *_ = record
         return "negative_curvature" if vec_inner(d, hd) <= 0 else "boundary"
-    return "cap" if record[-1] == cap else "interior"
+    _, _, boundary, iters = record
+    return "boundary" if boundary else "cap" if iters == cap else "interior"
 
 
 def assert_replays_match(h_mat, g, delta, cfg=None, eps_g=0.0, precon=None, kinds=None):
     """Every radius tCG records (delta and delta/4, delta/16, ...) must
-    replay to the fresh solve with that radius, bit for bit, and give the
-    model decrease -(<g, eta> + 1/2 <eta, H eta>) of its step without a
-    product; returns the full solve and the exits the fresh solves with the
-    smaller radii took. kinds, when given, collects the `exit_kind`s seen."""
+    replay to the fresh solve with that radius, bit for bit, and its
+    residual must give the model decrease -(<g, eta> + 1/2 <eta, H eta>) of
+    its step without a product; returns the full solve and the exits the
+    fresh solves with the smaller radii took. kinds, when given, collects
+    the `exit_kind`s seen."""
     cfg = cfg or TcgConfig()
     dim = g.size
     hop = lambda v: h_mat @ v
@@ -419,12 +453,12 @@ def assert_replays_match(h_mat, g, delta, cfg=None, eps_g=0.0, precon=None, kind
     assert sorted(path) == sorted(radii)
     exits = []
     for radius in radii:
-        eta, boundary, iters = tcg_replay(path[radius], radius)
+        eta, r, boundary, iters = tcg_replay(path[radius], radius)
         f_eta, f_boundary, f_iters = tcg_subproblem(g, hop, radius, cfg, vec_inner, dim, eps_g=eps_g,
                                                     precon=precon)
         assert eta.tobytes() == f_eta.tobytes(), radius
         assert (boundary, iters) == (f_boundary, f_iters), radius
-        decrease = tcg_model_decrease(path[radius], radius, g, eta, vec_inner)
+        decrease = -0.5 * (g @ eta + r @ eta)
         explicit = -(g @ eta + 0.5 * eta @ (h_mat @ eta))
         assert math.isclose(decrease, explicit, rel_tol=1e-9), (radius, decrease, explicit)
         if kinds is not None:
@@ -482,9 +516,10 @@ class TestTcgReplay:
     def test_zero_gradient_records_zero_steps(self):
         path = {}
         tcg_subproblem(np.zeros(3), lambda v: v, 1.0, TcgConfig(), vec_inner, 3, path=path)
-        assert path and all(tcg_replay(rec, r)[1:] == (False, 0) for r, rec in path.items())
-        assert all(tcg_model_decrease(rec, r, np.zeros(3), tcg_replay(rec, r)[0], vec_inner) == 0.0
-                   for r, rec in path.items())
+        assert path and all(tcg_replay(rec, r)[2:] == (False, 0) for r, rec in path.items())
+        for radius, rec in path.items():
+            eta, r, _, _ = tcg_replay(rec, radius)
+            assert not eta.any() and not r.any()
 
     @pytest.mark.parametrize("preconditioned", [False, True], ids=["plain", "preconditioned"])
     def test_model_decrease_at_every_exit(self, preconditioned):
@@ -618,10 +653,10 @@ def reference_rtr(prob, z0, cfg):
             trace.status = "grad_tol"
             return z, trace
         path = {}
-        eta, on_boundary, n_inner = tcg_subproblem(
-            g, hop, delta, TcgConfig(), prob.inner, prob.dim, path=path, eps_g=cfg.eps_g,
-            precon=precon)
-        model_decrease = tcg_model_decrease(path[delta], delta, g, eta, prob.inner)
+        tcg_subproblem(g, hop, delta, TcgConfig(), prob.inner, prob.dim, path=path, eps_g=cfg.eps_g,
+                       precon=precon)
+        eta, r, on_boundary, n_inner = tcg_replay(path[delta], delta)
+        model_decrease = -0.5 * (prob.inner(g, eta) + prob.inner(r, eta))
         z_plus = prob.retract(z, eta)
         f_plus = prob.cost(z_plus)
         actual = f_val - f_plus
@@ -978,11 +1013,12 @@ class TestRtr:
         assert len(lanczos) == (0 if eps_h == math.inf else 1)
 
     def test_negative_curvature_step_counts_lanczos_and_one_product(self, monkeypatch):
-        # at the saddle of x1^2 - x2^2 the second-order stop steps along the
-        # Ritz direction; its model decrease is the one product tCG did not
-        # take
+        # next to the saddle of x1^2 - x2^2 the second-order stop steps along
+        # the Ritz direction; its residual g + H eta is the one product tCG
+        # did not take, and rho reads its model decrease from it as from any
+        # tCG record
         h_mat = np.diag([2.0, -2.0])
-        products = []
+        products, replayed = [], []
 
         def hess_at(x):
             def hop(v):
@@ -1000,11 +1036,23 @@ class TestRtr:
             dim=2,
         )
         lanczos = self.count_lanczos(monkeypatch)
-        _, trace = rtr_generic(prob, np.zeros(2), RtrConfig(eps_g=1e-8, eps_h=1e-3, max_iter=10))
+        replay = nlrecover.solvers.tcg_replay
+        monkeypatch.setattr(nlrecover.solvers, "tcg_replay",
+                            lambda *args: replayed.append(replay(*args)) or replayed[-1])
+        x0 = np.array([1e-9, 2e-9])  # ||g|| = 4.5e-9 passes eps_g
+        _, trace = rtr_generic(prob, x0, RtrConfig(eps_g=1e-8, eps_h=1e-3, max_iter=10))
         first = trace.records[0]
         assert len(lanczos) == 1 and first.inner_iters == 0
         assert first.hess_calls == lanczos[0] + 1
         assert len(products) == sum(r.hess_calls or 0 for r in trace.records)
+        eta, r, boundary, iters = replayed[0]
+        g = h_mat @ x0
+        assert boundary and iters == 0 and np.linalg.norm(eta) == pytest.approx(first.delta)
+        decrease = -0.5 * (g @ eta + r @ eta)
+        explicit = -(g @ eta + 0.5 * eta @ (h_mat @ eta))
+        assert math.isclose(decrease, explicit, rel_tol=1e-9), (decrease, explicit)
+        actual = prob.cost(x0) - prob.cost(x0 + eta)
+        assert first.rho == actual / decrease
 
 
 class TestOneLiftPerPoint:
@@ -1036,7 +1084,8 @@ class TestOneLiftPerPoint:
         _, trace = rtr_solve(obj, z0, RtrConfig(eps_g=1e-10, max_iter=60))
         rejected = [r for r in trace.records if r.rho is not None and r.rho <= RtrConfig.rho_prime]
         assert rejected and counts["rgrad"] > 1 and counts["rhess_operator"] > 1
-        assert counts["lift"] == counts["cost"]
+        # the first cost reads the lift that default_init made
+        assert counts["lift"] == counts["cost"] - 1
 
     @pytest.mark.parametrize("kind", ["gaussian_kernel", "monomial_features"])
     def test_altmin2_inner_trust_region_lifts_once_per_trial(self, kind, monkeypatch):

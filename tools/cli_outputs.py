@@ -23,13 +23,17 @@ right after a rejected step, so the set covers a solve that ends
 --compare reports each run as identical (every file byte for byte), as
 differing in numbers only (the files match once each number is read as a
 float; the largest relative difference |a - b| / max(|a|, |b|) is given per
-file), or as differing in text (anything else, a missing file included), so
-a change at roundoff can be told from a real one. It exits 1 when a run
-differs in text.
+file, and for a CSV file also per column: each differing column, named by
+the header, with the number of rows it differs in and its largest relative
+difference), or as differing in text (anything else, a missing file
+included), so a change at roundoff can be told from a real one. It exits 1
+when a run differs in text.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import re
@@ -145,6 +149,22 @@ def numeric_difference(a: str, b: str) -> float | None:
     return worst
 
 
+def column_differences(a: str, b: str) -> list[tuple[str, int, float]]:
+    """(column, rows, largest relative difference) for each column that
+    differs between two CSV texts that match apart from their numbers, in
+    header order; the first row is the header."""
+    rows_a, rows_b = list(csv.reader(io.StringIO(a))), list(csv.reader(io.StringIO(b)))
+    counts, largest = {}, {}
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for j, (cell_a, cell_b) in enumerate(zip(row_a, row_b)):
+            if cell_a != cell_b:
+                counts[j] = counts.get(j, 0) + 1
+                largest[j] = max(largest.get(j, 0.0), numeric_difference(cell_a, cell_b))
+    header = rows_a[0] if rows_a else []
+    return [(header[j] if j < len(header) else f"column {j}", counts[j], largest[j])
+            for j in sorted(counts)]
+
+
 def compare(out_a: Path, out_b: Path) -> int:
     """Report every run of two output directories; the number of runs that
     differ in text."""
@@ -152,23 +172,29 @@ def compare(out_a: Path, out_b: Path) -> int:
     for name in sorted({p.name for p in out_a.iterdir()} | {p.name for p in out_b.iterdir()}):
         run_a, run_b = out_a / name, out_b / name
         files = sorted({p.name for d in (run_a, run_b) if d.is_dir() for p in d.iterdir()})
-        numeric, text = {}, []
+        numeric, columns, text = {}, [], []
         for f in files:
             fa, fb = run_a / f, run_b / f
             if not (fa.is_file() and fb.is_file()):
                 text.append(f"{f} (missing)")
             elif fa.read_bytes() != fb.read_bytes():
-                diff = numeric_difference(fa.read_text(), fb.read_text())
+                a, b = fa.read_text(), fb.read_text()
+                diff = numeric_difference(a, b)
                 if diff is None:
                     text.append(f)
                 else:
                     numeric[f] = diff
+                    if f.endswith(".csv"):
+                        columns += [(f, *c) for c in column_differences(a, b)]
         if text:
             print(f"{name}: text differs: {', '.join(text)}")
             failed += 1
         elif numeric:
             print(f"{name}: numbers only: " + ", ".join(
                 f"{f} max rel diff {d:.2e}" for f, d in numeric.items()))
+            for f, column, n, d in columns:
+                print(f"  {f} {column}: differs in {n} row{'s' if n > 1 else ''}, "
+                      f"largest relative difference {d:.3g}")
         else:
             print(f"{name}: identical")
     return failed
