@@ -160,9 +160,7 @@ def column_differences(a: str, b: str) -> list[tuple[str, int, float]]:
             if cell_a != cell_b:
                 counts[j] = counts.get(j, 0) + 1
                 largest[j] = max(largest.get(j, 0.0), numeric_difference(cell_a, cell_b))
-    header = rows_a[0] if rows_a else []
-    return [(header[j] if j < len(header) else f"column {j}", counts[j], largest[j])
-            for j in sorted(counts)]
+    return [(rows_a[0][j], counts[j], largest[j]) for j in sorted(counts)]
 
 
 def compare(out_a: Path, out_b: Path) -> int:
