@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lifting import LiftingSpec, kernel_tail_cost
+from .lifting import LiftingSpec, kernel_tail_argmin
 from .manifold import DegenerateRetractionError, ProductPoint
 from .objective import Objective, fd_check
 from .solvers import (
@@ -566,32 +566,37 @@ def cluster_complete(meas, k: int, sigma: float, rng: np.random.Generator):
 
 def _snap_columns(obj: Objective, z: ProductPoint, k: int, rng: np.random.Generator) -> ProductPoint:
     """Greedy block move: re-fill each partially observed column from each
-    estimated cluster center and keep the variant of lowest cost with the
-    subspace re-fitted, which is the spectral tail of its kernel (the first
-    of equal costs).
+    estimated cluster center (of the clusters that have members) and keep
+    the variant of lowest cost with the subspace re-fitted, which is the
+    spectral tail of its kernel (the first of equal costs).
 
     A candidate changes one column j of X, so its kernel is the current one
     with row and column j replaced. X's kernel is built once; for each
-    column, one cross-kernel evaluation K(C, [X | C]) of the k candidate
-    columns C gives all k kernels, and one stacked eigvalsh scores them."""
+    column, one cross-kernel evaluation K(C, [X | C]) of the candidate
+    columns C gives all their kernels, and `kernel_tail_argmin` picks the
+    least by certified Rayleigh-Ritz bounds, falling back on exact
+    eigenvalues only where the bounds cannot decide. Its warm start is the
+    leading eigenspace of X's kernel (one eigh), then each column's Ritz
+    basis of the kernel it kept."""
     labels = cluster_assign(z.x, k, rng)
-    centers = np.stack([z.x[:, labels == j].mean(axis=1) for j in range(k)], axis=1)
+    centers = np.stack([z.x[:, labels == j].mean(axis=1) for j in np.unique(labels)], axis=1)
     x = z.x.copy()
-    s = x.shape[1]
+    s, n_cands = x.shape[1], centers.shape[1]
     mask = obj.measurement.mask
     kern = obj.lifting.kernel(x)
+    basis = np.linalg.eigh(kern)[1][:, -obj.rank_r:]
     for j in np.argsort(mask.sum(axis=0)):
         missing = ~mask[:, j]
         if not missing.any():
             continue
-        cands = np.repeat(x[:, j:j + 1], k, axis=1)
+        cands = np.repeat(x[:, j:j + 1], n_cands, axis=1)
         cands[missing] = centers[missing]
         cross = obj.lifting.kernel(cands, np.hstack([x, cands]))
-        stack = np.repeat(kern[None], k, axis=0)
+        stack = np.repeat(kern[None], n_cands, axis=0)
         stack[:, j, :] = cross[:, :s]
         stack[:, :, j] = cross[:, :s]
         stack[:, j, j] = np.diagonal(cross[:, s:])
-        best = int(np.argmin(kernel_tail_cost(stack, obj.rank_r)))
+        best, basis = kernel_tail_argmin(stack, obj.rank_r, basis)
         x[:, j] = cands[:, best]
         kern = stack[best]
     return fit_subspace(obj, x)

@@ -403,9 +403,85 @@ def kernel_tail_cost(k_mat: np.ndarray, r: int) -> float | np.ndarray:
     """kernel_trace_cost at the best W, the leading r-dimensional eigenspace
     of the symmetric positive semidefinite K: trace(K) minus its r largest
     eigenvalues, without forming W. A stack of kernels (..., s, s) is scored
-    by one stacked eigvalsh, into an array of costs; one kernel gives a float."""
+    by one stacked eigvalsh, into an array of costs; one kernel gives a float.
+    This is the exact path of `kernel_tail_argmin`, which picks the least of
+    a stack without it where a Rayleigh-Ritz bound decides."""
     tail = np.trace(k_mat, axis1=-2, axis2=-1) - np.linalg.eigvalsh(k_mat)[..., -r:].sum(axis=-1)
     return float(tail) if tail.ndim == 0 else tail
+
+
+TAIL_MARGIN = 1e-10  # rounding allowance of a Ritz tail interval, relative to sqrt(s) ||K||_F
+
+
+def _ritz_tail_interval(k_mat: np.ndarray, basis: np.ndarray, fro2: np.ndarray):
+    """(Y, K Y, lo, hi) for each symmetric kernel K of a stack (k, s, s),
+    whose ||K||_F^2 are fro2, and an orthonormal basis Q (s, r), one for the
+    stack or one per kernel: the Ritz basis Y = Q U of
+    Q^T K Q = U diag(theta) U^T (theta ascending), and an interval [lo, hi]
+    that holds the tail trace(K) - top_r(K), where top_r is the sum of the r
+    largest eigenvalues. K need not be PSD.
+
+    With R = K Y - Y diag(theta): top_r(K) >= sum(theta) (Ky Fan's maximum
+    principle), and, with rho = sqrt(max(||K||_F^2 - sum(theta^2)
+    - 2 ||R||_F^2, 0)) >= ||C||_2 for the compression C of K to range(Y)^perp,
+    top_r(K) <= sum(theta) + ||R||_F^2 / (theta_min - rho) when
+    theta_min > rho, because K <= blockdiag(diag(theta) + B^T B / g, C + g I)
+    with g = theta_min - rho and ||B||_F = ||R||_F; else the upper end is
+    inf. rho^2 gets TAIL_MARGIN ||K||_F^2 more, for the cancellation in its
+    difference, and each end moves out by TAIL_MARGIN sqrt(s) ||K||_F, which
+    is at least TAIL_MARGIN |trace(K)| and TAIL_MARGIN ||K||_2, and 500
+    times the first-order rounding bound r s eps ||K||_2 of a sum of r
+    eigvalsh eigenvalues at r <= 40 and s <= 400: the tail that eigvalsh
+    computes lies inside too."""
+    kq = k_mat @ basis
+    theta, u = np.linalg.eigh(np.swapaxes(basis, -1, -2) @ kq)
+    y, ky = basis @ u, kq @ u
+    resid = ky - y * theta[..., None, :]
+    res2 = (resid * resid).sum(axis=(-2, -1))
+    rho = np.sqrt(np.maximum(fro2 - (theta * theta).sum(axis=-1) - 2.0 * res2, 0.0) + TAIL_MARGIN * fro2)
+    gap = theta[..., 0] - rho
+    top_lo = theta.sum(axis=-1)
+    top_hi = top_lo + np.divide(res2, gap, out=np.full_like(gap, np.inf), where=gap > 0)
+    trace = np.trace(k_mat, axis1=-2, axis2=-1)
+    margin = TAIL_MARGIN * np.sqrt(k_mat.shape[-1] * fro2)
+    return y, ky, trace - top_hi - margin, trace - top_lo + margin
+
+
+def kernel_tail_argmin(k_mat: np.ndarray, r: int, basis: np.ndarray) -> tuple[int, np.ndarray]:
+    """np.argmin(kernel_tail_cost(k_mat, r)) of a stack (k, s, s) of
+    symmetric kernels, and a Ritz basis (s, r) of the kernel it picks, from
+    an orthonormal warm-start basis (s, r) in O(k s^2 r) work where the
+    bounds decide.
+
+    A kernel is picked when the upper end of its Ritz tail interval (see
+    `_ritz_tail_interval`: the rounding margin is TAIL_MARGIN sqrt(s)
+    ||K||_F on each end) lies below the lower end of every other kernel's,
+    so the pick is the exact one. Otherwise one subspace iteration,
+    Q <- qr(K Y) per kernel, and the test again; otherwise the exact
+    scores, whose first of equal costs wins. The Ritz basis is of the last
+    basis tried. A non-finite stack raises np.linalg.LinAlgError."""
+    flat = k_mat.reshape(k_mat.shape[0], -1)
+    fro2 = np.einsum("ki,ki->k", flat, flat)  # not finite if K is not, or overflows
+    if not (np.isfinite(fro2).all() or np.isfinite(k_mat).all()):
+        raise np.linalg.LinAlgError(f"the {' x '.join(map(str, k_mat.shape))} kernel stack has "
+                                    f"{np.isinf(k_mat).sum()} inf and {np.isnan(k_mat).sum()} NaN entries")
+    y, ky, tail_lo, tail_hi = _ritz_tail_interval(k_mat, basis, fro2)
+    best = _separated_least(tail_lo, tail_hi)
+    if best is None:
+        y, ky, tail_lo, tail_hi = _ritz_tail_interval(k_mat, np.linalg.qr(ky)[0], fro2)
+        best = _separated_least(tail_lo, tail_hi)
+    if best is None:
+        best = int(np.argmin(kernel_tail_cost(k_mat, r)))
+    return best, y[best]
+
+
+def _separated_least(lo: np.ndarray, hi: np.ndarray) -> int | None:
+    """The index whose interval [lo, hi] lies wholly below every other's,
+    or None."""
+    best = int(np.argmin(hi))
+    below = lo > hi[best]
+    below[best] = True
+    return best if below.all() else None
 
 
 def lift_grad_w(k_mat: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from nlrecover.cli import (
     select_lambda,
 )
 import nlrecover.solvers
-from nlrecover import cli
+from nlrecover import cli, lifting
 from nlrecover.lifting import LiftingSpec, kernel_tail_cost
 from nlrecover.manifold import DegenerateRetractionError, MeasurementSubspace
 from nlrecover.solvers import TRACE_COLUMNS, AltminConfig, RtrConfig, fit_subspace
@@ -869,6 +869,47 @@ class TestSnapColumns:
         assert not np.array_equal(snapped.x, z.x)
         if full_column:
             assert np.array_equal(snapped.x[:, 4], z.x[:, 4])
+
+    @pytest.mark.parametrize("k,seed,full_column", [(2, 0, False), (3, 1, False), (3, 2, True)],
+                             ids=["k2", "k3", "k3_full_column"])
+    def test_few_columns_take_the_exact_path(self, k, seed, full_column, monkeypatch):
+        # the Rayleigh-Ritz bounds pick the candidate of at least nine in ten
+        # snapped columns; only the rest score every candidate by eigvalsh
+        rng = np.random.default_rng(seed)
+        target, _ = gen_clusters(ClusterSpec(n=5, k=k, pts_per=12, sigma_c=0.5), rng)
+        mask = gen_entry_mask(target, 0.6, rng, per_column=True).mask.copy()
+        if full_column:
+            mask[:, 4] = True
+        exact, snaps = [], []
+        tail_cost, snap = lifting.kernel_tail_cost, cli._snap_columns
+
+        def counted_cost(k_mat, r):
+            exact.append(k_mat.shape)
+            return tail_cost(k_mat, r)
+
+        def counted_snap(*args):
+            monkeypatch.setattr(lifting, "kernel_tail_cost", counted_cost)
+            snaps.append(snap(*args))
+            monkeypatch.setattr(lifting, "kernel_tail_cost", tail_cost)
+            return snaps[-1]
+
+        monkeypatch.setattr(cli, "_snap_columns", counted_snap)
+        cli.cluster_complete(MeasurementSubspace.from_mask(mask, target), k, 2.5, rng)
+        assert len(snaps) == 1
+        assert 10 * len(exact) <= (~mask).any(axis=0).sum()
+
+    def test_no_candidate_from_an_empty_cluster(self):
+        # 8 columns of two distinct points give k-means two clusters of the
+        # three asked for; the empty one's center would be NaN, which
+        # eigvalsh refused. Each column's own center reproduces it, and
+        # keeps the kernel at rank 2
+        x = np.random.default_rng(0).standard_normal((5, 2))[:, [0, 1] * 4]
+        mask = np.ones(x.shape, dtype=bool)
+        mask[:2, 0] = mask[3, 5] = False
+        obj = cli.build_objective(LiftingSpec.gaussian(5, 2.5), 2, MeasurementSubspace.from_mask(mask, x))
+        assert np.unique(cluster_assign(x, 3, np.random.default_rng(1))).tolist() == [0, 1]
+        snapped = cli._snap_columns(obj, fit_subspace(obj, x), 3, np.random.default_rng(1))
+        assert np.array_equal(snapped.x, x)
 
 
 class TestRankSweepCommand:

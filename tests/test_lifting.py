@@ -1,6 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nlrecover import lifting
 from nlrecover.lifting import (
     FeatureSizeError,
     LiftingSpec,
@@ -10,6 +14,7 @@ from nlrecover.lifting import (
     gaussian_hess_diag_x,
     gaussian_hess_operator,
     gaussian_kernel,
+    kernel_tail_argmin,
     kernel_tail_cost,
     kernel_trace_cost,
     lift_grad_w,
@@ -634,3 +639,114 @@ class TestKernelsBitForBit:
             sq = np.sum(x**2, axis=0)[:, None] - 2.0 * (x.T @ y) + np.sum(y**2, axis=0)[None, :]
             old = np.exp(-np.maximum(sq, 0.0) / (2.0 * sigma**2))
             assert gaussian_kernel(x, y, sigma).tobytes() == old.tobytes()
+
+
+@st.composite
+def kernel_stacks(draw):
+    """(stack, r, basis, dup): k <= 4 symmetric s x s kernels, s <= 12, that
+    perturb one base kernel whose r leading eigenvalues lie in [1, 10] and
+    whose other eigenvalues are `gap` times [0, 1] (PSD stacks, K = F F^T)
+    or [-1, 1] (indefinite stacks); the basis is the base's leading
+    eigenspace or a random one. dup is None, or the first of two copies of
+    the least kernel."""
+    s = draw(st.integers(2, 12))
+    r, k = draw(st.integers(1, s - 1)), draw(st.integers(1, 4))
+    psd = draw(st.booleans())
+    gap, eps = draw(st.sampled_from([1e-3, 0.1, 1.0])), draw(st.sampled_from([0.0, 1e-6, 1e-3, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vecs = np.linalg.qr(rng.standard_normal((s, s)))[0]
+    tail = gap * (rng.uniform(0.0, 1.0, s - r) if psd else rng.uniform(-1.0, 1.0, s - r))
+    eigs = np.concatenate([tail, rng.uniform(1.0, 10.0, r)])
+    if psd:
+        factors = vecs * np.sqrt(eigs) + eps * rng.standard_normal((k, s, s))
+        stack = factors @ np.swapaxes(factors, 1, 2)
+    else:
+        noise = eps * rng.standard_normal((k, s, s))
+        stack = (vecs * eigs) @ vecs.T + noise + np.swapaxes(noise, 1, 2)
+    if draw(st.sampled_from(["ritz", "random"])) == "ritz":
+        basis = vecs[:, -r:]
+    else:
+        basis = np.linalg.qr(rng.standard_normal((s, r)))[0]
+    dup = None
+    if k > 1 and draw(st.booleans()):
+        least = int(np.argmin(kernel_tail_cost(stack, r)))
+        other = draw(st.integers(0, k - 2))
+        other += other >= least
+        stack[other] = stack[least]
+        dup = min(least, other)
+    return stack, r, basis, dup
+
+
+class TestKernelTailArgmin:
+    def test_picks_the_exact_argmin(self, monkeypatch):
+        # the pick is np.argmin of the eigvalsh tails on PSD and indefinite
+        # stacks, from the base's eigenspace or a random warm start, and the
+        # Ritz interval holds every tail; a repeated least kernel takes the
+        # exact path, which picks the first; each of the three paths is seen
+        interval, tail_cost = lifting._ritz_tail_interval, lifting.kernel_tail_cost
+        calls, paths = Counter(), Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(lifting, "_ritz_tail_interval", counted("interval", interval))
+        monkeypatch.setattr(lifting, "kernel_tail_cost", counted("exact", tail_cost))
+
+        @settings(max_examples=400, derandomize=True, deadline=None)
+        @given(case=kernel_stacks())
+        def check(case):
+            stack, r, basis, dup = case
+            tails = tail_cost(stack, r)
+            _, _, lo, hi = interval(stack, basis, (stack * stack).sum(axis=(1, 2)))
+            assert np.all(lo <= tails) and np.all(tails <= hi), (lo, tails, hi)
+            calls.clear()
+            best, ritz = kernel_tail_argmin(stack, r, basis)
+            assert best == np.argmin(tails)
+            assert ritz.shape == basis.shape
+            np.testing.assert_allclose(ritz.T @ ritz, np.eye(r), atol=1e-12)
+            path = "exact" if calls["exact"] else ("warm", "iterated")[calls["interval"] - 1]
+            if dup is not None:
+                assert path == "exact" and best == dup
+            paths[path] += 1
+
+        check()
+        assert set(paths) == {"warm", "iterated", "exact"}, paths
+
+    def test_certified_pick_keeps_a_ritz_basis_of_its_kernel(self, rng):
+        # the returned basis is a Ritz basis of the picked kernel, the next
+        # column's warm start: Y^T K Y is diagonal
+        x = rng.standard_normal((3, 30))
+        base = LiftingSpec.gaussian(3, 2.0).kernel(x)
+        stack = np.stack([base, base.copy(), base.copy()])
+        for c, scale in enumerate((0.5, 0.2, 0.9)):
+            stack[c, 4, :] = stack[c, :, 4] = scale * base[4]
+            stack[c, 4, 4] = 1.0
+        basis = np.linalg.eigh(base)[1][:, -3:]
+        best, ritz = kernel_tail_argmin(stack, 3, basis)
+        assert best == np.argmin(kernel_tail_cost(stack, 3))
+        rayleigh = ritz.T @ stack[best] @ ritz
+        np.testing.assert_allclose(rayleigh, np.diag(np.diag(rayleigh)), atol=1e-12)
+
+    @pytest.mark.parametrize("bad,counts", [(np.inf, "1 inf and 0 NaN"), (np.nan, "0 inf and 1 NaN")],
+                             ids=["inf", "nan"])
+    def test_rejects_a_non_finite_stack(self, bad, counts):
+        # eigvalsh of diag([inf, 1, 1, 1, 1]) is all NaN, whose argmin would
+        # silently be 0
+        stack = np.stack([np.eye(5), np.eye(5)])
+        stack[1, 0, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError, match=f"^the 2 x 5 x 5 kernel stack has {counts} entries$"):
+            kernel_tail_argmin(stack, 2, np.eye(5)[:, :2])
+
+    def test_overflowing_norm_takes_the_exact_path(self, monkeypatch):
+        # finite entries whose ||K||_F^2 overflows are no error, and certify
+        # nothing: the exact tails, 1e199 and 0, decide
+        exact = []
+        tail_cost = lifting.kernel_tail_cost
+        monkeypatch.setattr(lifting, "kernel_tail_cost", lambda *args: exact.append(1) or tail_cost(*args))
+        stack = np.stack([np.diag([1e200, 1e199, 0.0]), np.diag([1e200, 0.0, 0.0])])
+        with np.errstate(over="ignore", invalid="ignore"):
+            best, _ = kernel_tail_argmin(stack, 1, np.eye(3)[:, :1])
+        assert (best, exact) == (1, [1])

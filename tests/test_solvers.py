@@ -1530,3 +1530,26 @@ def test_solver_trace_compare_flags_one_changed_record(tmp_path, capsys):
     assert tool.compare(tmp_path / "a", tmp_path / "missing") == 1
     assert capsys.readouterr().out == \
         "w: 1 of 2 calls differ; first: instance [0, 0] call 1: missing\n"
+
+
+def test_solver_trace_compare_names_a_snap_difference(tmp_path, capsys):
+    # a snap is an entry of its own, with the X and basis hashes and no
+    # records, so a snap that moved is named as that entry's x and u
+    tool = _solver_traces_tool()
+    obj, _ = small_masked_objective(seed=3)
+    z0 = default_init(obj)
+    z1, trace = rtr_solve(obj, z0, RtrConfig(max_iter=4))
+    snap = json.loads(tool.call_line("w", (0, 0), 1, "_snap_columns", z0))
+    assert sorted(snap) == ["call", "key", "solver", "u", "workload", "x"]
+    lines = [tool.call_line("w", (0, 0), 0, "rtr_solve", z1, trace), json.dumps(snap),
+             tool.call_line("w", (0, 0), 2, "rtr_solve", z1, trace)]
+    moved = json.loads(tool.call_line("w", (0, 0), 1, "_snap_columns", z1))
+    for name, text in {"a": lines, "same": lines, "moved": [lines[0], json.dumps(moved), lines[2]]}.items():
+        (tmp_path / name).write_text("\n".join(text) + "\n")
+    assert tool.compare(tmp_path / "a", tmp_path / "same") == 0
+    assert capsys.readouterr().out == "w: 3 calls identical\n"
+    assert tool.compare(tmp_path / "a", tmp_path / "moved") == 1
+    assert capsys.readouterr().out == (
+        "w: 1 of 3 calls differ; first: instance [0, 0] call 1: u\n"
+        "  u: differs in 1 call\n"
+        "  x: differs in 1 call\n")

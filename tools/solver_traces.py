@@ -11,8 +11,10 @@ builds and solves every instance of WORKLOADS once, in the listed order, and
 writes one JSON line per `rtr_solve` or `altmin_solve` call: the workload, the
 instance key, the call's index within the instance's solve, the solver, the
 trace status, every trace record, and SHA-256 hashes of the returned X and
-subspace basis. Floats are written as Python prints them, which reads back to
-the same bits. A run takes about 9 s on one core.
+subspace basis. A `cli._snap_columns` call (the clustering pipeline's column
+snap) is a line of its own, with its X and basis hashes and no records.
+Floats are written as Python prints them, which reads back to the same bits.
+A run takes about 9 s on one core.
 
 --compare reports each workload as identical or names the first call and
 field that differ (a missing call included), and exits 1 when any differs.
@@ -43,14 +45,14 @@ def _digest(a) -> str:
     return f"{a.shape}:{hashlib.sha256(a.tobytes()).hexdigest()}"
 
 
-def call_line(workload: str, key, index: int, solver: str, point, trace) -> str:
-    """The JSON line of one solver call; a numpy scalar is written as the
-    Python number it holds."""
-    return json.dumps({
-        "workload": workload, "key": list(key), "call": index, "solver": solver,
-        "status": trace.status, "x": _digest(point.x), "u": _digest(point.u.basis),
-        "records": [dataclasses.asdict(r) for r in trace.records],
-    }, default=lambda value: value.item())
+def call_line(workload: str, key, index: int, solver: str, point, trace=None) -> str:
+    """The JSON line of one solver call, or of a snap (no trace); a numpy
+    scalar is written as the Python number it holds."""
+    entry = {"workload": workload, "key": list(key), "call": index, "solver": solver,
+             "x": _digest(point.x), "u": _digest(point.u.basis)}
+    if trace is not None:
+        entry |= {"status": trace.status, "records": [dataclasses.asdict(r) for r in trace.records]}
+    return json.dumps(entry, default=lambda value: value.item())
 
 
 def dump(root: Path, out: Path) -> int:
@@ -68,7 +70,7 @@ def dump(root: Path, out: Path) -> int:
     sys.modules[spec.name] = workloads  # dataclasses look it up
     spec.loader.exec_module(workloads)
 
-    calls = []  # (solver, point, trace) of the instance being solved
+    calls = []  # (solver, point, trace or None) of the instance being solved
 
     def logged(name, fn):
         def wrapper(*args, **kwargs):
@@ -76,6 +78,11 @@ def dump(root: Path, out: Path) -> int:
             calls.append((name, point, trace))
             return point, trace
         return wrapper
+
+    def logged_snap(*args, **kwargs):
+        point = snap(*args, **kwargs)
+        calls.append(("_snap_columns", point, None))
+        return point
 
     # every module of the package that binds a solver by name calls it there
     modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "nlrecover"]
@@ -85,6 +92,7 @@ def dump(root: Path, out: Path) -> int:
         for module in modules:
             if getattr(module, name, None) is original:
                 setattr(module, name, wrapped)
+    snap, nlrecover.cli._snap_columns = nlrecover.cli._snap_columns, logged_snap
 
     n_calls = 0
     with out.open("w") as fh:
@@ -191,4 +199,4 @@ if __name__ == "__main__":
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.dont_write_bytecode = True
-    print(f"{dump(Path(sys.argv[1]), Path(sys.argv[2]))} solver calls written")
+    print(f"{dump(Path(sys.argv[1]), Path(sys.argv[2]))} solver and snap calls written")
