@@ -209,7 +209,11 @@ def _check_sigma(sigma: float) -> None:
 
 
 def gaussian_kernel(x_mat: np.ndarray, y_mat: np.ndarray, sigma: float) -> np.ndarray:
-    """Entry (i, j) = exp(-||x_i - y_j||^2 / (2 sigma^2))."""
+    """Entry (i, j) = exp(-||x_i - y_j||^2 / (2 sigma^2)), the squared
+    distance formed as (||x_i||^2 + ||y_j||^2) - 2 <x_i, y_j>. With y_mat
+    the same array as x_mat, X^T X is a symmetric rank-k update and the sum
+    of norms commutes, so K(X, X) equals its transpose to the bit and its
+    subspace fit takes the symmetric eigensolver (`truncated_svd`)."""
     _check_sigma(sigma)
     same = y_mat is x_mat
     x_mat = np.atleast_2d(np.asarray(x_mat, dtype=float))
@@ -218,13 +222,12 @@ def gaussian_kernel(x_mat: np.ndarray, y_mat: np.ndarray, sigma: float) -> np.nd
         raise DimensionError("x and y must share the ambient dimension")
     x_sq = (x_mat**2).sum(axis=0)
     y_sq = x_sq if same else (y_mat**2).sum(axis=0)
-    # ||x_i||^2 - 2 <x_i, y_j> + ||y_j||^2, clipped at 0, scaled and
-    # exponentiated in the one s x s array the GEMM returns; dividing by
-    # -2 sigma^2 rounds as negating and dividing by 2 sigma^2 does
+    # (||x_i||^2 + ||y_j||^2) - 2 <x_i, y_j>, clipped at 0, scaled and
+    # exponentiated in the array the GEMM returns; dividing by -2 sigma^2
+    # rounds as negating and dividing by 2 sigma^2 does
     sq = x_mat.T @ y_mat
     sq *= 2.0
-    np.subtract(x_sq[:, None], sq, out=sq)
-    sq += y_sq[None, :]
+    np.subtract(np.add.outer(x_sq, y_sq), sq, out=sq)
     np.maximum(sq, 0.0, out=sq)
     sq /= -(2.0 * sigma**2)
     return np.exp(sq, out=sq)

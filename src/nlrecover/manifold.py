@@ -32,6 +32,28 @@ class RankDeficiencyError(ValueError):
     """Sensing matrix does not have full row rank."""
 
 
+class NumericalError(RuntimeError):
+    """Cost, curvature or the input of a decomposition became non-finite."""
+
+
+def finite_svd_input(y_mat: np.ndarray) -> np.ndarray:
+    """y_mat as a float array, checked finite before LAPACK sees it: an SVD
+    may never return on one isolated inf, and one that overflowed everywhere
+    gives illegal-value messages on stdout and singular values of 0."""
+    y_mat = np.asarray(y_mat, dtype=float)
+    if not np.isfinite(y_mat).all():
+        raise NumericalError(f"the {' x '.join(map(str, y_mat.shape))} SVD input has "
+                             f"{np.isinf(y_mat).sum()} inf and {np.isnan(y_mat).sum()} NaN entries")
+    return y_mat
+
+
+def is_symmetric(y_mat: np.ndarray) -> bool:
+    """Whether y_mat is square and equal to its transpose to the bit, so that
+    a symmetric eigensolver may stand in for its SVD: the singular values
+    are |lambda|, the singular vectors the eigenvectors."""
+    return y_mat.ndim == 2 and y_mat.shape[0] == y_mat.shape[1] and np.array_equal(y_mat, y_mat.T)
+
+
 @dataclass(frozen=True)
 class GrassmannPoint:
     """A point of Grass(p, r): an orthonormal basis of an r-dim subspace of R^p."""

@@ -24,7 +24,10 @@ import numpy as np
 
 from .manifold import (
     GrassmannPoint,
+    NumericalError,
     ProductPoint,
+    finite_svd_input,
+    is_symmetric,
     meas_feasible_point,
     meas_project,
     product_inner,
@@ -32,10 +35,6 @@ from .manifold import (
 )
 from .objective import Objective
 from .synth import rmse
-
-
-class NumericalError(RuntimeError):
-    """Cost or curvature became non-finite."""
 
 
 class LineSearchError(RuntimeError):
@@ -169,22 +168,19 @@ class SolveTrace:
 # --------------------------------------------------------------------------
 
 
-def _finite_svd_input(y_mat: np.ndarray) -> np.ndarray:
-    """y_mat as a float array, checked finite before LAPACK sees it: an SVD
-    may never return on one isolated inf."""
-    y_mat = np.asarray(y_mat, dtype=float)
-    if not np.isfinite(y_mat).all():
-        raise NumericalError(f"the {' x '.join(map(str, y_mat.shape))} SVD input has "
-                             f"{np.isinf(y_mat).sum()} inf and {np.isnan(y_mat).sum()} NaN entries")
-    return y_mat
-
-
 def truncated_svd(y_mat: np.ndarray, r: int) -> GrassmannPoint:
-    """Span of the r leading left singular vectors. Ties at sigma_r are broken
-    by the order the decomposition returns."""
-    y_mat = _finite_svd_input(y_mat)
+    """Span of the r leading left singular vectors. A symmetric input (a
+    kernel matrix) takes them from `np.linalg.eigh`, about half the work of
+    the SVD: its singular values are |lambda|, so the span is that of the r
+    eigenvectors of largest |lambda|, negative eigenvalues included. Ties at
+    sigma_r are broken by the order the decomposition returns (ascending
+    lambda for eigh)."""
+    y_mat = finite_svd_input(y_mat)
     if not 1 <= r < min(y_mat.shape):
         raise ValueError("need 1 <= r < min(p, s)")
+    if is_symmetric(y_mat):
+        lam, vecs = np.linalg.eigh(y_mat)
+        return GrassmannPoint(vecs[:, np.argsort(-np.abs(lam), kind="stable")[:r]])
     u, _, _ = np.linalg.svd(y_mat, full_matrices=False)
     return GrassmannPoint(u[:, :r])
 
@@ -199,7 +195,7 @@ def randomized_svd(
     """Gaussian range finder of width r + oversample with power_q passes of
     Y Y^T (re-orthonormalized), then an exact SVD of the sketch."""
     rng = np.random.default_rng(0) if rng is None else rng
-    y_mat = _finite_svd_input(y_mat)
+    y_mat = finite_svd_input(y_mat)
     p, s = y_mat.shape
     width = min(r + oversample, min(p, s))
     omega = rng.standard_normal((s, width))

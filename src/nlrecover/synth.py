@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import MeasurementSubspace
+from .manifold import MeasurementSubspace, finite_svd_input, is_symmetric
 
 CLUSTER_CENTER_SCALE = 5.0  # centers ~ N(0, 25 I); keeps clusters separated at sigma_c = 0.5
 RECOVERY_RMSE_THRESHOLD = 1e-3
@@ -164,11 +164,18 @@ def rand_index(labels_a, labels_b) -> float:
 
 
 def numerical_rank(y_mat: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """Number of singular values >= rel_tol * sigma_1."""
-    svals = np.linalg.svd(np.asarray(y_mat, dtype=float), compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
+    """Number of singular values >= rel_tol * sigma_1. A symmetric input (a
+    kernel matrix) takes them as |lambda| from `np.linalg.eigvalsh`; a
+    non-finite input raises NumericalError, as every SVD does."""
+    y_mat = finite_svd_input(y_mat)
+    if is_symmetric(y_mat):
+        svals = np.abs(np.linalg.eigvalsh(y_mat))
+    else:
+        svals = np.linalg.svd(y_mat, compute_uv=False)
+    sigma_1 = svals.max(initial=0.0)
+    if sigma_1 == 0.0:
         return 0
-    return int(np.sum(svals >= rel_tol * svals[0]))
+    return int(np.sum(svals >= rel_tol * sigma_1))
 
 
 def cluster_assign(x_mat: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -382,21 +382,40 @@ class TestRecoverCommand:
         assert len(err) == 1 and re.fullmatch(f"numerical failure: {pattern}", err[0]), err
         assert not out.exists()
 
-    def test_numerical_failure_is_one_stderr_line_from_a_shell(self, tmp_path):
-        # run as its own process without PYTHONWARNINGS, where numpy's
-        # RuntimeWarnings (overflow in the lifting) would print their own
-        # lines ahead of the failure's; pytest captures them in process.
-        # LAPACK's messages, which C code writes to stdout, are not covered.
-        cfg = dict(RECOVER_CFG, sensing={"kind": "dense", "m": 40, "noise_sigma": 1e77}, trials=1)
+    @staticmethod
+    def run_from_shell(tmp_path, cfg):
+        """`recover` as its own process without PYTHONWARNINGS, where numpy's
+        RuntimeWarnings (overflow in the lifting) would print their own lines
+        ahead of the failure's; pytest captures them in process. Returns the
+        finished process and the --out path."""
         env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
         env.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1")
         out = tmp_path / "out"
         proc = subprocess.run([sys.executable, "-m", "nlrecover.cli", "recover", "--config",
                                write_cfg(tmp_path, cfg), "--out", str(out)],
                               env=env, capture_output=True, text=True, timeout=120)
+        return proc, out
+
+    def test_numerical_failure_is_one_stderr_line_from_a_shell(self, tmp_path):
+        # LAPACK's messages, which C code writes to stdout, are not covered
+        cfg = dict(RECOVER_CFG, sensing={"kind": "dense", "m": 40, "noise_sigma": 1e77}, trials=1)
+        proc, out = self.run_from_shell(tmp_path, cfg)
         assert proc.returncode == EXIT_NUMERICAL
         assert proc.stderr.splitlines() == [
             "numerical failure: the 16 x 16 SVD input has 23 inf and 0 NaN entries"]
+        assert not out.exists()
+
+    def test_overflowing_rank_kernel_is_one_stderr_line_from_a_shell(self, tmp_path):
+        # rank "auto" counts the singular values of a kernel that overflows
+        # everywhere: the rank refuses it before LAPACK sees it, so there is
+        # no illegal-value message and no rank of 0 to reject as a config
+        cfg = dict(RECOVER_CFG, lifting={"kind": "monomial_kernel", "degree": 2, "offset": 1e300},
+                   trials=1)
+        proc, out = self.run_from_shell(tmp_path, cfg)
+        assert proc.returncode == EXIT_NUMERICAL
+        assert proc.stderr.splitlines() == [
+            "numerical failure: the 16 x 16 SVD input has 256 inf and 0 NaN entries"]
+        assert "DLASCL" not in proc.stdout + proc.stderr
         assert not out.exists()
 
     def test_failed_write_exit_code(self, tmp_path, capsys):

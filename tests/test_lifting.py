@@ -480,6 +480,15 @@ class TestLiftingSpec:
         fpoint = LiftingSpec.monomials(3, d).lift(x)
         assert np.array_equal(fpoint.lifted, monomial_features(x, d)) and fpoint.gram is None
 
+    @pytest.mark.parametrize("s", [40, 60, 180, 400])
+    @pytest.mark.parametrize("spec", [LiftingSpec.monomial(15, 2), LiftingSpec.gaussian(15, 2.5)],
+                             ids=["monomial_kernel", "gaussian_kernel"])
+    def test_kernel_lift_equals_its_transpose(self, spec, s, rng):
+        # to the bit, so the subspace fit and the rank take the symmetric
+        # eigensolver instead of the SVD
+        lifted = spec.lift(rng.standard_normal((15, s))).lifted
+        assert np.array_equal(lifted, lifted.T)
+
     @pytest.mark.parametrize("spec,ambient", [
         (LiftingSpec.monomial(3, 2), 7),
         (LiftingSpec.gaussian(3, 2.0), 7),
@@ -636,7 +645,7 @@ class TestKernelsBitForBit:
         x[:, 7] = x[:, 3]  # equal columns, whose distance may round below 0
         y = y_of(x, rng)
         for sigma in (0.3, 2.5):
-            sq = np.sum(x**2, axis=0)[:, None] - 2.0 * (x.T @ y) + np.sum(y**2, axis=0)[None, :]
+            sq = (np.sum(x**2, axis=0)[:, None] + np.sum(y**2, axis=0)[None, :]) - 2.0 * (x.T @ y)
             old = np.exp(-np.maximum(sq, 0.0) / (2.0 * sigma**2))
             assert gaussian_kernel(x, y, sigma).tobytes() == old.tobytes()
 

@@ -48,7 +48,7 @@ from nlrecover.solvers import (
     tcg_subproblem,
     truncated_svd,
 )
-from nlrecover.synth import rmse
+from nlrecover.synth import ClusterSpec, gen_clusters, numerical_rank, rmse
 
 from conftest import small_masked_objective, uos_completion_problem
 
@@ -78,6 +78,110 @@ class TestTruncatedSvd:
     def test_rank_validation(self, rng):
         with pytest.raises(ValueError):
             truncated_svd(rng.standard_normal((4, 6)), 4)
+
+
+def svd_rank(y_mat, rel_tol=1e-8):
+    """numerical_rank's count, from the full SVD's singular values."""
+    sv = np.linalg.svd(y_mat, compute_uv=False)
+    return int(np.sum(sv >= rel_tol * sv[0])) if sv.size and sv[0] > 0 else 0
+
+
+def forbid_svd(monkeypatch):
+    """Make np.linalg.svd fail the test if it is reached."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a symmetric input reached the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", unreachable)
+
+
+def psd_kernels(s):
+    """The monomial kernel (d = 2) of a union of planes and the Gaussian
+    kernel (sigma = 2.5) of 4 clusters, both with s columns, each with the
+    rank r of its leading subspace."""
+    obj, target, _ = uos_completion_problem(n=8, pts_per=s // 2, seed=s)
+    mono = obj.lifting.lift(target).lifted
+    points, _ = gen_clusters(ClusterSpec(n=5, k=4, pts_per=s // 4), np.random.default_rng(s))
+    gauss = LiftingSpec.gaussian(5, 2.5).lift(points).lifted
+    return [(mono, svd_rank(mono)), (gauss, 4)]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """(Y, r): a symmetric s x s matrix, s <= 12, whose eigenvalues are 0,
+    +-1e-12 or of magnitude in [0.1, 10] with either sign, repeated values
+    allowed, so that no singular value lies near a rank threshold of 1e-8."""
+    s = draw(st.integers(2, 12))
+    r = draw(st.integers(1, s - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.concatenate([[0.0, 1e-12, -1e-12], rng.uniform(0.1, 10.0, 3), -rng.uniform(0.1, 10.0, 3)])
+    eigs = rng.choice(pool, size=s)
+    vecs = np.linalg.qr(rng.standard_normal((s, s)))[0]
+    y_mat = (vecs * eigs) @ vecs.T
+    return np.triu(y_mat) + np.triu(y_mat, 1).T, r
+
+
+def eckart_young_gap(y_mat, basis):
+    """||Y - U U^T Y||_F^2 minus the SVD optimum, the sum of the squared
+    singular values past r."""
+    sv = np.linalg.svd(y_mat, compute_uv=False)
+    resid = np.linalg.norm(y_mat - basis @ (basis.T @ y_mat)) ** 2
+    return resid - float(np.sum(sv[basis.shape[1]:] ** 2))
+
+
+class TestSymmetricPath:
+    # a square input equal to its transpose takes eigh / eigvalsh ordered by
+    # |lambda|, every other input the SVD
+    @pytest.mark.parametrize("s", [40, 180])
+    def test_psd_kernels_match_the_svd_subspace(self, s, monkeypatch):
+        cases = psd_kernels(s)
+        oracles = [GrassmannPoint(np.linalg.svd(k)[0][:, :r]) for k, r in cases]
+        forbid_svd(monkeypatch)
+        for (k, r), oracle in zip(cases, oracles):
+            assert grass_distance(truncated_svd(k, r), oracle) <= 1e-10
+
+    def test_indefinite_keeps_the_negative_eigenvector(self, rng):
+        vecs = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        eigs = np.array([5.0, 3.0, -4.0, 1.0, -0.5, 0.25, 0.0, 2.0])
+        y_mat = (vecs * eigs) @ vecs.T
+        y_mat = np.triu(y_mat) + np.triu(y_mat, 1).T
+        # |lambda| = 5, 4, 3 lead; lambda_3 = 3 is outranked by -4
+        basis = truncated_svd(y_mat, 3).basis
+        neg = vecs[:, 2]
+        assert np.linalg.norm(neg - basis @ (basis.T @ neg)) <= 1e-12
+        assert abs(eckart_young_gap(y_mat, basis)) <= 1e-12 * np.sum(eigs**2)
+
+    def test_square_non_symmetric_takes_the_svd_bit_for_bit(self, rng):
+        sym = rng.standard_normal((9, 9))
+        sym = sym + sym.T
+        nudged = sym.copy()
+        nudged[0, 1] = np.nextafter(nudged[0, 1], np.inf)  # one ulp from symmetric
+        for y_mat in (rng.standard_normal((9, 9)), nudged):
+            u = np.linalg.svd(y_mat, full_matrices=False)[0][:, :4]
+            assert truncated_svd(y_mat, 4).basis.tobytes() == u.tobytes()
+
+    def test_numerical_rank_matches_the_svd_count(self, monkeypatch):
+        mono_obj, target = small_masked_objective("monomial_kernel")
+        gauss_obj, _ = small_masked_objective("gaussian_kernel")
+        uos_obj, uos_target, _ = uos_completion_problem()
+        indefinite = np.diag([3.0, -2.0, 1e-12, 0.0])  # singular values 3, 2, 1e-12, 0
+        symmetric = [indefinite, mono_obj.lifting.kernel(target), gauss_obj.lifting.kernel(target),
+                     uos_obj.lifting.kernel(uos_target),
+                     *(k for s in (40, 180) for k, _ in psd_kernels(s))]
+        phi = LiftingSpec.monomials(8, 2).lift(uos_target).lifted
+        assert numerical_rank(phi) == svd_rank(phi)
+        counts = [svd_rank(k) for k in symmetric]
+        assert counts[0] == 2
+        forbid_svd(monkeypatch)
+        assert [numerical_rank(k) for k in symmetric] == counts
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(symmetric_matrices())
+    def test_random_symmetric_matches_the_svd(self, case):
+        y_mat, r = case
+        basis = truncated_svd(y_mat, r).basis
+        scale = max(1.0, float(np.sum(y_mat**2)))
+        assert abs(eckart_young_gap(y_mat, basis)) <= 1e-12 * scale
+        assert numerical_rank(y_mat) == svd_rank(y_mat)
 
 
 class TestRandomizedSvd:
@@ -128,16 +232,17 @@ class TestNonFiniteSvdInput:
         with np.errstate(over="ignore"):
             return LiftingSpec.monomial(6, 2).lift(x).lifted
 
-    @pytest.mark.parametrize("svd", ["truncated", "randomized"])
+    @pytest.mark.parametrize("svd", ["truncated", "randomized", "rank"])
     def test_raises_before_lapack(self, svd, monkeypatch):
         # an SVD of a matrix with one isolated inf may never return, so the
         # decompositions fail the test if they are reached
         def unreachable(*args, **kwargs):
             raise AssertionError("LAPACK was handed a non-finite matrix")
 
-        monkeypatch.setattr(np.linalg, "svd", unreachable)
-        monkeypatch.setattr(np.linalg, "qr", unreachable)
-        fn = truncated_svd if svd == "truncated" else randomized_svd
+        for name in ("svd", "qr", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, unreachable)
+        fn = {"truncated": truncated_svd, "randomized": randomized_svd,
+              "rank": lambda y_mat, r: numerical_rank(y_mat)}[svd]
         kern = self.isolated_inf_kernel()
         assert np.isinf(kern[0, 0]) and np.isfinite(kern).sum() == kern.size - 1
         nan_diag = np.diag([1.0, np.nan, 1.0, 1.0, 1.0])
@@ -725,7 +830,7 @@ class TestRtr:
     def test_replay_matches_solving_again_to_max_iter(self):
         # the last step before max_iter is rejected: both traces end with the
         # record k = max_iter at the unmoved point
-        trace = assert_loop_matches_reference(pts_per=8, seed=1, eps_g=1e-8)
+        trace = assert_loop_matches_reference(pts_per=8, seed=9, eps_g=1e-8)
         assert trace.status == "max_iter" and trace.final.k == 60
         assert trace.records[-2].rho <= RtrConfig.rho_prime
 
