@@ -9,6 +9,7 @@ combines them componentwise.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -16,8 +17,12 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dsymv, dsyrk
+from scipy.linalg.lapack import dormqr, dorgqr, dtrcon
 
 ORTHO_TOL = 1e-12
+# the least reciprocal condition estimate of R for which dense sensing counts
+# as full rank
+RANK_RCOND = 1e-12
 
 
 class DimensionError(ValueError):
@@ -36,15 +41,29 @@ class NumericalError(RuntimeError):
     """Cost, curvature or the input of a decomposition became non-finite."""
 
 
+def check_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values as a float array, checked finite: a NumericalError naming what
+    and counting its inf and NaN entries otherwise."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{what} has {np.isinf(values).sum()} inf and "
+                             f"{np.isnan(values).sum()} NaN entries")
+    return values
+
+
 def finite_svd_input(y_mat: np.ndarray) -> np.ndarray:
     """y_mat as a float array, checked finite before LAPACK sees it: an SVD
     may never return on one isolated inf, and one that overflowed everywhere
     gives illegal-value messages on stdout and singular values of 0."""
-    y_mat = np.asarray(y_mat, dtype=float)
-    if not np.isfinite(y_mat).all():
-        raise NumericalError(f"the {' x '.join(map(str, y_mat.shape))} SVD input has "
-                             f"{np.isinf(y_mat).sum()} inf and {np.isnan(y_mat).sum()} NaN entries")
-    return y_mat
+    return check_finite(y_mat, f"the {' x '.join(map(str, np.shape(y_mat)))} SVD input")
+
+
+def _with_workspace(routine, *args) -> np.ndarray:
+    """The first output of a LAPACK routine with its optimal workspace, taken
+    from a workspace query: f2py's default is the minimum, with which the
+    blocked routines run their unblocked code."""
+    lwork = int(routine(*args, lwork=-1)[-2][0])
+    return routine(*args, lwork=lwork)[0]
 
 
 def is_symmetric(y_mat: np.ndarray) -> bool:
@@ -118,12 +137,18 @@ class MeasurementSubspace:
       * dense sensing: each measurement is a Frobenius inner product with a
         dense matrix; A is stored flat as (m, n*s) acting on vec(X).
 
-    A reduced pivoted-QR basis of range(A^T) is cached at construction for the
-    dense variant; rank-deficient A is rejected. The dense variant also caches
-    the Gram A^T A for `normal_apply`, built at its first call (the first
-    penalized Hessian product), not at construction: an (ns)^2 matrix, at
-    most twice the memory of A when m >= ns/2, which every objective over
-    this measurement shares.
+    The dense variant factors the tall one of A^T and A (A^T unless m > ns)
+    by one blocked Householder QR at construction and keeps it in LAPACK's
+    compact form: the reflectors, their scalars and R. It rejects a
+    non-finite A or b (NumericalError) and an A whose R has a reciprocal
+    condition estimate below RANK_RCOND (RankDeficiencyError). The
+    orthonormal basis `q_basis` of range(A^T) is formed from the reflectors
+    at its first read, the first `meas_project`, so a penalized run never
+    forms it. The dense variant also caches the Gram A^T A for
+    `normal_apply`, built at its first call (the first penalized Hessian
+    product), not at construction: an (ns)^2 matrix, at most twice the
+    memory of A when m >= ns/2, which every objective over this
+    measurement shares.
     """
 
     def __init__(self, n: int, s: int):
@@ -165,19 +190,34 @@ class MeasurementSubspace:
         self.m = a_mat.shape[0]
         self.a_mat = a_mat
         self.b = b
-        if self.m > n * s:
+        ns = n * s
+        check_finite(a_mat, f"the {self.m} x {ns} sensing matrix A")
+        check_finite(b, f"the length-{self.m} measurement vector b")
+        if self.m > ns:
             warnings.warn("overdetermined sensing (m > n*s); only the penalized "
                           "formulation applies", stacklevel=2)
-        q, r, piv = scipy.linalg.qr(a_mat.T, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(r))
-        if diag.size == 0 or diag.min() < 1e-12 * diag[0]:
-            raise RankDeficiencyError("sensing matrix A is numerically rank deficient")
-        self.q_basis = q
+        # the rank test needs no pivoting: the condition estimate of R is
+        # that of A (to within the norm's factor), and a blocked QR runs at
+        # BLAS-3 speed where the pivoted one cannot
+        (self._reflectors, self._tau), r = scipy.linalg.qr(
+            a_mat.T if self.m <= ns else a_mat, mode="raw", check_finite=False)
+        rcond = dtrcon(r, norm="1")[0] if r.size else 0.0
+        if not rcond >= RANK_RCOND:
+            raise RankDeficiencyError("sensing matrix A is numerically rank deficient "
+                                      f"(reciprocal condition estimate {rcond:.1e})")
         self._r_fac = r
-        self._piv = piv
         self._gram = None
         self._normal_diag = None
         return self
+
+    @functools.cached_property
+    def q_basis(self) -> np.ndarray:
+        """Orthonormal basis of range(A^T), ns x min(m, ns), formed from the
+        compact QR at the first read: the identity when m > ns, since the
+        rank test leaves A full column rank."""
+        if self.m > self.n * self.s:
+            return np.eye(self.n * self.s)
+        return _with_workspace(dorgqr, self._reflectors, self._tau)
 
     # --- measurement operator --------------------------------------------
 
@@ -246,14 +286,18 @@ def meas_project(l: MeasurementSubspace, delta: np.ndarray) -> np.ndarray:
 
 def meas_feasible_point(l: MeasurementSubspace) -> np.ndarray:
     """A point of the affine set: observed values on the mask (zero elsewhere),
-    or the minimum-norm solution of A vec(X) = b for dense sensing."""
+    or the minimum-norm solution of A vec(X) = b for dense sensing, from the
+    compact QR of A^T without forming its Q. Raises RankDeficiencyError for
+    dense sensing with m > ns, which has no exact solution in general."""
     if l.kind == "entry_mask":
         return l.values.copy()
     if l.m > l.n * l.s:
         raise RankDeficiencyError("overdetermined system has no exact solution")
-    # min-norm solution lives in range(A^T) = range(Q): X = Q R^{-T} b[piv]
-    y = scipy.linalg.solve_triangular(l._r_fac.T, l.b[l._piv], lower=True)
-    x = l.q_basis @ y
+    # min-norm solution lives in range(A^T): vec(X) = Q [R^{-T} b; 0], with
+    # Q applied from its reflectors
+    y = np.zeros((l.n * l.s, 1), order="F")
+    y[:l.m, 0] = scipy.linalg.solve_triangular(l._r_fac, l.b, trans="T", check_finite=False)
+    x = _with_workspace(dormqr, "L", "N", l._reflectors, l._tau, y)
     return x.reshape((l.n, l.s), order="F")
 
 

@@ -131,7 +131,8 @@ def gen_gaussian_sensing(
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma!r}")
     target = np.asarray(target, dtype=float)
     n, s = target.shape
-    a_mat = rng.standard_normal((m, n * s)) / math.sqrt(m)
+    a_mat = rng.standard_normal((m, n * s))
+    a_mat /= math.sqrt(m)  # in place: A is the largest array of the run
     b_clean = a_mat @ target.ravel(order="F")
     b = b_clean.copy()
     if noise_sigma > 0:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nlrecover.cli import (
     EXIT_CONFIG,
@@ -416,6 +416,19 @@ class TestRecoverCommand:
         assert proc.stderr.splitlines() == [
             "numerical failure: the 16 x 16 SVD input has 256 inf and 0 NaN entries"]
         assert "DLASCL" not in proc.stdout + proc.stderr
+        assert not out.exists()
+
+    def test_overflowing_dense_measurements_exit_code(self, tmp_path, capsys):
+        # noise_sigma 1e308 overflows b itself: the measurement refuses it
+        # before LAPACK sees it, where the start point's triangular solve
+        # used to raise out of main
+        cfg = dict(RECOVER_CFG, sensing={"kind": "dense", "m": 70, "noise_sigma": 1e308}, trials=1)
+        code, out = self.run(tmp_path, cfg)
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "numerical failure: the length-70 measurement vector b has 5 inf and 0 NaN entries"]
         assert not out.exists()
 
     def test_failed_write_exit_code(self, tmp_path, capsys):
@@ -1142,6 +1155,18 @@ class TestNoiseCommand:
         assert all(r[7] in ("grad_tol", "max_iter", "stalled") for r in rows[1:])
         assert all(int(r[8]) >= int(r[5]) for r in rows[1:])
 
+    def test_overflowing_measurements_exit_code(self, tmp_path, capsys):
+        # as for recover: b overflows, and the ladder never starts
+        cfg = dict(NOISE_CFG, sensing={"kind": "dense", "m": 50, "noise_sigma": 1e308})
+        out = tmp_path / "out"
+        code = main(["noise", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "numerical failure: the length-50 measurement vector b has 6 inf and 0 NaN entries"]
+        assert not out.exists()
+
     def test_rejects_altmin(self, tmp_path, capsys):
         # the ladder always runs rtr2, so the command reads no solver key
         cfg = {
@@ -1277,7 +1302,7 @@ FUZZ_CONFIGS = {
     "rank-sweep": {"data": _FUZZ_UOS, "sensing": _FUZZ_MASK, "solver_options": {"max_iter": 8},
                    "ranks": [2, 3], "trials": 1, "seed": 0},
 }
-FUZZ_EDGES = (0, -1, 1e-300, 1e300, 40, 200, float("nan"))
+FUZZ_EDGES = (0, -1, 1e-300, 1e300, 1e308, 40, 200, float("nan"))
 # the fields that scale the work take only the edges that cannot ask for a
 # long run (200 clusters, or 200 trust-region iterations per trial)
 FUZZ_SIZE_FIELDS = ("k", "pts_per", "trials", "max_iter", "max_outer", "max_inner", "steps")
@@ -1310,9 +1335,21 @@ def fuzzed_configs(draw):
     return name.split(":")[0], cfg
 
 
+def _overflowed_measurements(name):
+    """(command, config) of FUZZ_CONFIGS' name with noise_sigma 1e308, which
+    overflows some entries of b to inf."""
+    cfg = json.loads(json.dumps(FUZZ_CONFIGS[name]))
+    cfg["sensing"]["noise_sigma"] = 1e308
+    return name.split(":")[0], cfg
+
+
+# the drawn set gives noise_sigma 1e308 only beside a config error, so the
+# overflowed measurements of both dense commands are examples of their own
 @settings(max_examples=200, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=fuzzed_configs())
+@example(case=_overflowed_measurements("recover:dense"))
+@example(case=_overflowed_measurements("noise"))
 def test_fuzzed_config_ends_in_a_documented_exit(case):
     # every config ends in exit 0, 2, 3 or 4, with no exception out of main;
     # a failure prints one stderr line and leaves no --out

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import nlrecover.manifold
 from nlrecover.cli import run_lambda_continuation
@@ -12,6 +13,7 @@ from nlrecover.manifold import (
     DimensionError,
     GrassmannPoint,
     MeasurementSubspace,
+    NumericalError,
     ProductPoint,
     ProductTangent,
     RankDeficiencyError,
@@ -251,6 +253,104 @@ class TestDenseSensing:
         a_mat[2] = a_mat[0] + a_mat[1]
         with pytest.raises(RankDeficiencyError):
             MeasurementSubspace.from_dense(a_mat, np.zeros(3), 2, 4)
+
+
+    # A with singular values geomspace(1, ratio) between random orthonormal
+    # bases, so its conditioning is known
+    @staticmethod
+    def conditioned(rng, m, ns, ratio):
+        k = min(m, ns)
+        u, _ = np.linalg.qr(rng.standard_normal((m, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((ns, k)))
+        return (u * np.geomspace(1.0, ratio, k)) @ v.T
+
+    @pytest.mark.parametrize("ratio,accepted", [(1e-14, False), (1e-6, True)])
+    def test_rank_test_at_its_boundary(self, ratio, accepted, rng):
+        # sigma_min / sigma_max against the 1e-12 condition estimate
+        a_mat = self.conditioned(rng, 6, 12, ratio)
+        if accepted:
+            MeasurementSubspace.from_dense(a_mat, np.zeros(6), 3, 4)
+        else:
+            with pytest.raises(RankDeficiencyError, match=r"numerically rank deficient "
+                                                          r"\(reciprocal condition estimate \S+\)"):
+                MeasurementSubspace.from_dense(a_mat, np.zeros(6), 3, 4)
+
+    @pytest.mark.parametrize("m", [12, 1, 20], ids=["m=ns", "m=1", "m>ns"])
+    def test_shapes(self, m, rng):
+        n, s = 3, 4
+        a_mat = self.conditioned(rng, m, n * s, 0.5)
+        b = rng.standard_normal(m)
+        if m > n * s:
+            with pytest.warns(UserWarning, match="overdetermined"):
+                meas = MeasurementSubspace.from_dense(a_mat, b, n, s)
+            # null(A) = {0} for a full-column-rank A
+            p_oracle = np.zeros((n * s, n * s))
+        else:
+            meas = MeasurementSubspace.from_dense(a_mat, b, n, s)
+            p_oracle = np.eye(n * s) - a_mat.T @ np.linalg.solve(a_mat @ a_mat.T, a_mat)
+        delta = rng.standard_normal((n, s))
+        ours = meas_project(meas, delta).ravel(order="F")
+        oracle = p_oracle @ delta.ravel(order="F")
+        assert np.linalg.norm(ours - oracle) <= 1e-12 * max(1.0, np.linalg.norm(oracle))
+        x = rng.standard_normal((n, s))
+        ref = meas.adjoint(meas.apply(x))
+        assert np.linalg.norm(meas.normal_apply(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+        if m > n * s:
+            with pytest.raises(RankDeficiencyError, match="overdetermined"):
+                meas_feasible_point(meas)
+            return
+        v = meas_feasible_point(meas).ravel(order="F")
+        assert np.linalg.norm(a_mat @ v - b) <= 1e-12 * np.linalg.norm(b)
+        # the min-norm point lies in range(A^T): P_null kills it
+        assert np.linalg.norm(p_oracle @ v) <= 1e-12 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("where,value,pattern", [
+        ("A", np.inf, r"the 5 x 16 sensing matrix A has 1 inf and 0 NaN entries"),
+        ("A", np.nan, r"the 5 x 16 sensing matrix A has 0 inf and 1 NaN entries"),
+        ("b", np.inf, r"the length-5 measurement vector b has 1 inf and 0 NaN entries"),
+        ("b", np.nan, r"the length-5 measurement vector b has 0 inf and 1 NaN entries"),
+    ])
+    def test_non_finite_input_raises_before_lapack(self, where, value, pattern, monkeypatch, rng):
+        a_mat = rng.standard_normal((5, 16))
+        b = rng.standard_normal(5)
+        if where == "A":
+            a_mat[1, 2] = value
+        else:
+            b[1] = value
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("LAPACK saw a non-finite input")
+
+        monkeypatch.setattr(scipy.linalg, "qr", forbidden)
+        with pytest.raises(NumericalError, match=pattern):
+            MeasurementSubspace.from_dense(a_mat, b, 4, 4)
+
+    def test_q_formed_only_by_a_projection(self, monkeypatch, rng):
+        # the penalized form never projects onto null(A), so it never forms
+        # Q; the constrained form forms it once, at its first projection
+        calls = []
+        form = nlrecover.manifold.dorgqr
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("lwork"))
+            return form(*args, **kwargs)
+
+        monkeypatch.setattr(nlrecover.manifold, "dorgqr", counted)
+        n, s = 3, 8
+        target = rng.standard_normal((n, s))
+        lifting = LiftingSpec.monomial(n, 2)
+
+        def solve(penalty):
+            a_mat = rng.standard_normal((14, n * s)) / np.sqrt(14)
+            meas = MeasurementSubspace.from_dense(a_mat, a_mat @ target.ravel(order="F"), n, s)
+            obj = Objective(lifting=lifting, rank_r=3, measurement=meas, penalty_lambda=penalty)
+            _, trace = rtr_solve(obj, default_init(obj), RtrConfig(max_iter=20))
+            assert sum(k or 0 for k in trace.column("hess_calls")) > 0
+            # a workspace query, then the factorization
+            return [lwork for lwork in calls if lwork != -1]
+
+        assert solve(1.0) == []
+        assert len(solve(None)) == 1
 
 
 class TestNormalApply:

@@ -14,13 +14,16 @@ into <out-dir>/<run>/: the command's output files, its config
 stderr.txt, exit_code.txt). The runs in ERRORS exit 2: two get a flag their
 command does not take, so the set covers the stderr of a flag error, and
 two give a sweep a bad last cell, so it covers a config error that a sweep
-finds past its first cell. `recover_overflow` and `recover_rank_overflow`
-exit 3: the measurements of the one overflow the lifting, the offset of the
-other overflows the kernel that rank "auto" counts, so the set covers a
-numerical failure in the solve and one in the set-up. Every other
-run exits 0; `recover_max_iter` is cut at a budget that one trial reaches
-right after a rejected step, so the set covers a solve that ends
-`max_iter`. The whole set takes well under a minute on one core.
+finds past its first cell. `recover_overflow`, `recover_rank_overflow` and
+`recover_noise_overflow` exit 3: the measurements of the first overflow the
+lifting, the offset of the second overflows the kernel that rank "auto"
+counts, and the noise of the third overflows the measurements themselves,
+so the set covers a numerical failure in the solve and two in the set-up.
+Every other run exits 0; `recover_max_iter` is cut at a budget that one
+trial reaches right after a rejected step, so the set covers a solve that
+ends `max_iter`, and `recover_dense` solves under hard dense measurement
+constraints, so the set covers the projection onto null(A) (`noise` only
+penalizes the misfit). The whole set takes well under a minute on one core.
 
 --compare reports each run as identical (every file byte for byte), as
 differing in numbers only (the files match once each number is read as a
@@ -79,6 +82,9 @@ RUNS = {
         RECOVER, sensing={"kind": "dense", "m": 40, "noise_sigma": 1e77}, trials=1)),
     "recover_rank_overflow": ("recover", dict(
         RECOVER, lifting={"kind": "monomial_kernel", "degree": 2, "offset": 1e300}, trials=1)),
+    "recover_noise_overflow": ("recover", dict(
+        RECOVER, sensing={"kind": "dense", "m": 70, "noise_sigma": 1e308}, trials=1)),
+    "recover_dense": ("recover", dict(RECOVER, sensing={"kind": "dense", "m": 70})),
     **{f"recover_{solver}": ("recover", dict(RECOVER, solver=solver, solver_options=ALTMIN_OPTIONS))
        for solver in ("altmin1", "altmin2")},
     "recover_simple": ("recover", dict(RECOVER, solver="simple", solver_options=SIMPLE_OPTIONS)),
@@ -108,7 +114,8 @@ RUNS = {
 ERRORS = {"noise_flag_error": ["--trials", "3"], "cluster_flag_error": ["--solver", "rtr2"],
           "phase_bad_value": [], "rank_sweep_bad_rank": []}
 # the exit code of each run that does not exit 0
-EXIT_CODES = {**dict.fromkeys(ERRORS, 2), "recover_overflow": 3, "recover_rank_overflow": 3}
+EXIT_CODES = {**dict.fromkeys(ERRORS, 2),
+              **dict.fromkeys(("recover_overflow", "recover_rank_overflow", "recover_noise_overflow"), 3)}
 
 
 def run_all(src: Path, out: Path) -> int:
