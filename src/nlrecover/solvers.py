@@ -7,9 +7,12 @@ Two families:
     with a truncated-SVD update of the subspace, with an adaptive
     exact/randomized SVD policy or an exact SVD every round. The X-subproblem
     at the round's subspace (`x_factor_problem`) is solved by projected
-    gradient descent with Armijo backtracking, which first tries the exact
+    gradient steps with Armijo backtracking, which first tries the exact
     line minimizer where the cost along the line is a polynomial of known
-    coefficients (`Objective.line_coefficients`), or by an inner trust region.
+    coefficients (`Objective.line_coefficients`); after an accepted exact
+    step the next direction is Polak-Ribiere+ conjugate, and every round
+    starts with a steepest-descent step. Or it is solved by an inner trust
+    region.
 
 All solvers record a per-iteration trace (the CLI writes it as CSV).
 """
@@ -262,9 +265,14 @@ def quartic_minimizer(c1: float, c2: float, c3: float, c4: float) -> float | Non
     """Global minimizer over alpha > 0 of c1 a + c2 a^2 + c3 a^3 + c4 a^4 for
     c1 < 0, from the closed-form real roots of its derivative. Only a quartic
     (c4 > 0) or a convex quadratic (c4 = c3 = 0 < c2) is solved; None
-    otherwise, and when no positive finite root comes out."""
+    otherwise, when no positive finite root comes out, and when the cubic's
+    closed form overflows (c4 tiny next to c3 or c2), so that Armijo
+    backtracks from alpha0."""
     if c4 > 0:
-        roots = _cubic_roots(3.0 * c3 / (4.0 * c4), c2 / (2.0 * c4), c1 / (4.0 * c4))
+        try:
+            roots = _cubic_roots(3.0 * c3 / (4.0 * c4), c2 / (2.0 * c4), c1 / (4.0 * c4))
+        except OverflowError:
+            return None
     elif c4 == 0 and c3 == 0 and c2 > 0:
         roots = (-c1 / (2.0 * c2),)
     else:
@@ -751,11 +759,16 @@ def altmin_solve(
     on_iterate=None,
 ) -> tuple[ProductPoint, SolveTrace]:
     """Alternating minimization: inexact X-minimization to a scheduled
-    tolerance on the round's `x_factor_problem` (Armijo gradient steps, or a
-    trust region when cfg.inner is "trust_region"), then a truncated-SVD
-    subspace update, skipped while the subspace gradient passes eps_u and
-    routed by the SVD policy (exact in every round when cfg.exact_svd). The
-    last record of the trace is at the returned point."""
+    tolerance on the round's `x_factor_problem` (Armijo steps, or a trust
+    region when cfg.inner is "trust_region"), then a truncated-SVD subspace
+    update, skipped while the subspace gradient passes eps_u and routed by
+    the SVD policy (exact in every round when cfg.exact_svd). The Armijo
+    steps go along d = -g, except after a step that took the exact line
+    minimizer: then d = -g + beta d_prev with the Polak-Ribiere+ beta =
+    max(0, <g, g - g_prev> / ||g_prev||^2), kept only while <g, d> < 0. So
+    the first step of a round, which the trace's `step` and the descent
+    bound read, is a steepest-descent step. The last record of the trace is
+    at the returned point."""
     if not obj.constrained:
         raise ValueError("alternating minimization requires the constrained formulation")
     cfg = cfg or AltminConfig()
@@ -824,6 +837,7 @@ def altmin_solve(
             step = None  # first inner step size, the one the descent bound uses
             z_k, gx = z, g.dx  # the accepted point and its X gradient
             point = obj.lift(x)  # and its lifted point, which a failed trial displaces
+            conj = None  # (d, g, ||g||^2) of the last step, when it was the exact line step
             while n_inner < cfg.max_inner:
                 # one inner product gives the stop test ||g|| > eps_xk and
                 # the slope <g, d> = -||g||^2 along d = -g
@@ -832,7 +846,19 @@ def altmin_solve(
                     break
                 d = -gx
                 g_dot_d = -g_sq
+                if conj is not None:
+                    # Polak-Ribiere+ after an exact line step: beta <= 0
+                    # keeps d = -g; both gradients are projected, so d
+                    # stays in null(A)
+                    d_prev, g_prev, g_prev_sq = conj
+                    beta = (g_sq - float(np.vdot(gx, g_prev))) / g_prev_sq
+                    if beta > 0.0:
+                        d_pr = d + beta * d_prev
+                        slope = float(np.vdot(gx, d_pr))
+                        if slope < 0.0:
+                            d, g_dot_d = d_pr, slope
                 coeffs = obj.line_coefficients(z_k, d)
+                first = None if coeffs is None else quartic_minimizer(g_dot_d, *coeffs)
                 trial = []  # the last trial point; Armijo accepts the last it evaluates
 
                 def f_along(a, x=x, d=d):
@@ -840,12 +866,7 @@ def altmin_solve(
                     return prob.cost(trial[0])
 
                 try:
-                    alpha, f_val = armijo(
-                        f_along,
-                        f_val,
-                        g_dot_d,
-                        first=None if coeffs is None else quartic_minimizer(g_dot_d, *coeffs),
-                    )
+                    alpha, f_val = armijo(f_along, f_val, g_dot_d, first=first)
                 except LineSearchError:
                     # no step passes the Armijo test at working precision:
                     # the round goes on to the subspace update, at the X
@@ -854,6 +875,9 @@ def altmin_solve(
                     break
                 if step is None:
                     step = alpha
+                # alpha equals the exact step only when Armijo accepted it:
+                # a backtracked alpha equal to it fails the same test again
+                conj = (d, gx, g_sq) if alpha == first else None
                 z_k = ProductPoint(trial[0], u)
                 x = z_k.x
                 point = obj.lift(x)

@@ -48,7 +48,8 @@ from nlrecover.solvers import (
     tcg_subproblem,
     truncated_svd,
 )
-from nlrecover.synth import ClusterSpec, gen_clusters, numerical_rank, rmse
+from nlrecover.synth import (ClusterSpec, UosSpec, gen_clusters, gen_entry_mask, gen_uos,
+                             numerical_rank, rmse)
 
 from conftest import small_masked_objective, uos_completion_problem
 
@@ -388,6 +389,20 @@ class TestQuarticMinimizer:
         (-1.0, -1.0, 0.0, 0.0),  # concave quadratic
     ])
     def test_no_finite_minimizer(self, coeffs):
+        assert quartic_minimizer(*coeffs) is None
+
+    @pytest.mark.parametrize("coeffs", [
+        (-1.0, 1.0, 1.0, 1e-200),
+        (-1.0, 1.0, -1.0, 1e-120),
+        (-1e-300, 1.0, 1e-300, 1e-300),
+    ])
+    def test_overflowing_cubic_gives_none(self, coeffs):
+        # c4 tiny next to c3 or c2: b^3 or q^3 of the cubic's closed form
+        # overflows; None sends Armijo to backtrack from alpha0
+        with pytest.raises(OverflowError):
+            nlrecover.solvers._cubic_roots(3.0 * coeffs[2] / (4.0 * coeffs[3]),
+                                           coeffs[1] / (2.0 * coeffs[3]),
+                                           coeffs[0] / (4.0 * coeffs[3]))
         assert quartic_minimizer(*coeffs) is None
 
 
@@ -1475,6 +1490,103 @@ class TestAltmin:
         assert modes <= {"skip"}
 
 
+class TestAltminDirections:
+    """altmin1's inner steps go along d = -g, except right after a step whose
+    Armijo search accepted `quartic_minimizer`'s trial: then along the
+    Polak-Ribiere+ direction -g + beta d_prev, beta = max(0, <g, g - g_prev>
+    / ||g_prev||^2), while its slope is negative. The slope <g, d> goes to
+    both `quartic_minimizer` and `armijo`."""
+
+    @staticmethod
+    def steps(monkeypatch, obj, max_outer):
+        """The trace and, per round, the steps of its inner loop: the
+        gradient (the last `rgrad_x`), the direction and line coefficients
+        (`line_coefficients`), and the slope, first trial and accepted alpha
+        (`armijo`; alpha None after a failed search)."""
+        rounds, grad = [], [None]
+        rgrad_x, line_coefficients = Objective.rgrad_x, Objective.line_coefficients
+        armijo_fn = nlrecover.solvers.armijo
+
+        def spy_rgrad_x(self, z):
+            grad[0] = rgrad_x(self, z)
+            return grad[0]
+
+        def spy_line_coefficients(self, z, dx):
+            coeffs = line_coefficients(self, z, dx)
+            rounds[-1].append({"g": grad[0], "d": dx, "coeffs": coeffs})
+            return coeffs
+
+        def spy_armijo(f_along, f0, g_dot_d, first=None):
+            step = rounds[-1][-1]
+            step.update(slope=g_dot_d, first=first, alpha=None)
+            alpha, f_val = armijo_fn(f_along, f0, g_dot_d, first=first)
+            step["alpha"] = alpha
+            return alpha, f_val
+
+        monkeypatch.setattr(Objective, "rgrad_x", spy_rgrad_x)
+        monkeypatch.setattr(Objective, "line_coefficients", spy_line_coefficients)
+        monkeypatch.setattr(nlrecover.solvers, "armijo", spy_armijo)
+        cfg = replace(build_solver_configs({}, "altmin1"), max_outer=max_outer)
+        _, trace = altmin_solve(obj, default_init(obj), cfg, rng=np.random.default_rng(0),
+                                on_iterate=lambda z: rounds.append([]))
+        return trace, rounds[:-1]  # the last round start is the returned point
+
+    def test_conjugate_only_after_an_accepted_exact_step(self, monkeypatch):
+        obj, _, _ = uos_completion_problem(n=15, k=2, dim=2, pts_per=20, delta=0.6, seed=0)
+        trace, rounds = self.steps(monkeypatch, obj, max_outer=6)
+        n_conjugate = n_exact = 0
+        for rec, steps in zip(trace.records, rounds):
+            assert len(steps) > 1 and rec.inner_iters == sum(s["alpha"] is not None for s in steps)
+            g0 = steps[0]["g"]
+            # a round starts with a steepest-descent step, the one `step` records
+            assert np.array_equal(steps[0]["d"], -g0)
+            assert steps[0]["slope"] == -float(np.vdot(g0, g0))
+            assert rec.step == steps[0]["alpha"]
+            for prev, step in zip([None] + steps, steps):
+                g, d, slope = step["g"], step["d"], step["slope"]
+                assert slope < 0 and slope == float(np.vdot(g, d))
+                assert step["coeffs"] is not None
+                assert step["first"] == quartic_minimizer(slope, *step["coeffs"])
+                exact = prev is not None and prev["alpha"] == prev["first"]
+                expected = -g
+                if exact:
+                    beta = max(0.0, (float(np.vdot(g, g)) - float(np.vdot(g, prev["g"])))
+                               / float(np.vdot(prev["g"], prev["g"])))
+                    if beta > 0.0 and float(np.vdot(g, -g + beta * prev["d"])) < 0.0:
+                        expected = -g + beta * prev["d"]
+                assert np.array_equal(d, expected)
+                n_exact += exact
+                n_conjugate += not np.array_equal(d, -g)
+        # most steps follow an exact one and go along a conjugate direction
+        assert n_conjugate > 0.5 * n_exact > 0
+
+    def test_gaussian_kernel_steps_along_minus_g(self, monkeypatch):
+        # no exact line step: every step is steepest descent from alpha0
+        obj, _ = small_masked_objective(kind="gaussian_kernel", n=4, s=12, seed=3)
+        trace, rounds = self.steps(monkeypatch, obj, max_outer=4)
+        assert sum(len(steps) for steps in rounds) > len(rounds)
+        for steps in rounds:
+            for step in steps:
+                assert step["coeffs"] is None and step["first"] is None
+                assert np.array_equal(step["d"], -step["g"])
+                assert step["slope"] == -float(np.vdot(step["g"], step["g"])) < 0
+
+    def test_inner_steps_on_the_s40_mask_instance(self):
+        # the altmin_mask benchmark instance of key (0, 0), built from
+        # library calls: 20 rounds of altmin1 took 3,943 steepest-descent
+        # steps in all and take 773 with the conjugate directions
+        rng = np.random.default_rng(np.random.SeedSequence((0, 0)))
+        target, _ = gen_uos(UosSpec(n=15, k=2, dims=(2, 2), pts_per=20), rng)
+        meas = gen_entry_mask(target, 0.6, rng)
+        lifting = LiftingSpec.monomial(15, 2, 1.0)
+        obj = Objective(lifting=lifting, rank_r=numerical_rank(lifting.kernel(target), 1e-8),
+                        measurement=meas)
+        cfg = replace(build_solver_configs({}, "altmin1"), max_outer=20)
+        _, trace = altmin_solve(obj, default_init(obj), cfg, rng=rng, truth=target)
+        assert trace.status == "max_iter" and len(trace.records) == 21
+        assert sum(r.inner_iters for r in trace.records[:-1]) <= 1500
+
+
 class TestAltminRecords:
     @pytest.mark.parametrize("solver", ["altmin1", "simple"])
     def test_recorded_f_is_cost_at_iterate(self, solver):
@@ -1599,13 +1711,25 @@ def test_solver_trace_compare_flags_one_changed_record(tmp_path, capsys):
     # are identical, and one trace record changed in the last bit of f, or
     # a call missing, is flagged; after the first difference every field
     # that differs is listed with its count and, for floats, the largest
-    # relative difference
+    # relative difference, and then each dump's totals: records, summed
+    # inner_iters and hess_calls, and the status histogram
     tool = _solver_traces_tool()
     obj, _ = small_masked_objective(seed=3)
     z0 = default_init(obj)
     calls = [("rtr_solve", *rtr_solve(obj, z0, RtrConfig(max_iter=4))),
              ("altmin_solve", *altmin_solve(obj, z0, AltminConfig(max_outer=3, max_inner=5),
                                             rng=np.random.default_rng(0)))]
+    assert [trace.status for _, _, trace in calls] == ["max_iter", "max_iter"]
+    n_records, inner, hess = ([sum(fn(r) or 0 for r in trace.records) for _, _, trace in calls]
+                              for fn in (lambda r: 1, lambda r: r.inner_iters,
+                                         lambda r: r.hess_calls))
+    assert hess[0] > 2 and hess[1] == 0 and inner[1] > len(calls[1][2].records)
+
+    def totals(side, records, inner_iters, hess_calls, statuses):
+        return (f"  {side} dump: {records} records, inner_iters {inner_iters}, "
+                f"hess_calls {hess_calls}, status {statuses}\n")
+
+    both = totals("first", sum(n_records), sum(inner), sum(hess), "max_iter 2")
     lines = [tool.call_line("w", (0, 0), i, *call) for i, call in enumerate(calls)]
     entry = json.loads(lines[1])
     f = entry["records"][2]["f"]
@@ -1615,8 +1739,14 @@ def test_solver_trace_compare_flags_one_changed_record(tmp_path, capsys):
     for rec in rtr_entry["records"][:2]:
         rec["hess_calls"] -= 1
     rtr_entry["records"][1]["rho"] = -math.inf
+    # an altmin call that took one inner step per round and converged
+    fewer = json.loads(lines[1])
+    fewer["status"] = "grad_tol"
+    for rec in fewer["records"][:-1]:
+        rec["inner_iters"] = 1
     dumps = {"a": lines, "same": lines, "changed": [lines[0], json.dumps(entry)],
-             "several": [json.dumps(rtr_entry), lines[1]], "missing": lines[:1]}
+             "several": [json.dumps(rtr_entry), lines[1]], "missing": lines[:1],
+             "fewer": [lines[0], json.dumps(fewer)]}
     for name, text in dumps.items():
         (tmp_path / name).write_text("\n".join(text) + "\n")
     assert tool.compare(tmp_path / "a", tmp_path / "same") == 0
@@ -1625,21 +1755,33 @@ def test_solver_trace_compare_flags_one_changed_record(tmp_path, capsys):
     rel = (f_next - f) / max(abs(f), abs(f_next))
     assert capsys.readouterr().out == (
         "w: 1 of 2 calls differ; first: instance [0, 0] call 1: records[2]\n"
-        f"  f: differs in 1 record, largest relative difference {rel:.3g}\n")
+        f"  f: differs in 1 record, largest relative difference {rel:.3g}\n"
+        + both + both.replace("first", "second"))
     assert tool.compare(tmp_path / "a", tmp_path / "several") == 1
     assert capsys.readouterr().out == (
         "w: 1 of 2 calls differ; first: instance [0, 0] call 0: records[0]\n"
         "  status: differs in 1 call\n"
         "  hess_calls: differs in 2 records\n"
-        "  rho: differs in 1 record, largest relative difference inf\n")
+        "  rho: differs in 1 record, largest relative difference inf\n"
+        + both + totals("second", sum(n_records), sum(inner), sum(hess) - 2,
+                        "max_iter 1, stalled 1"))
     assert tool.compare(tmp_path / "a", tmp_path / "missing") == 1
-    assert capsys.readouterr().out == \
+    assert capsys.readouterr().out == (
         "w: 1 of 2 calls differ; first: instance [0, 0] call 1: missing\n"
+        + both + totals("second", n_records[0], inner[0], hess[0], "max_iter 1"))
+    assert tool.compare(tmp_path / "a", tmp_path / "fewer") == 1
+    assert capsys.readouterr().out == (
+        "w: 1 of 2 calls differ; first: instance [0, 0] call 1: records[0]\n"
+        "  status: differs in 1 call\n"
+        f"  inner_iters: differs in {n_records[1] - 1} records\n"
+        + both + totals("second", sum(n_records), inner[0] + n_records[1] - 1, sum(hess),
+                        "grad_tol 1, max_iter 1"))
 
 
 def test_solver_trace_compare_names_a_snap_difference(tmp_path, capsys):
     # a snap is an entry of its own, with the X and basis hashes and no
-    # records, so a snap that moved is named as that entry's x and u
+    # records, so a snap that moved is named as that entry's x and u, and
+    # the totals count the two solves alone
     tool = _solver_traces_tool()
     obj, _ = small_masked_objective(seed=3)
     z0 = default_init(obj)
@@ -1657,4 +1799,8 @@ def test_solver_trace_compare_names_a_snap_difference(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "w: 1 of 3 calls differ; first: instance [0, 0] call 1: u\n"
         "  u: differs in 1 call\n"
-        "  x: differs in 1 call\n")
+        "  x: differs in 1 call\n"
+        + "".join(f"  {side} dump: {2 * len(trace.records)} records, "
+                  f"inner_iters {2 * sum(r.inner_iters or 0 for r in trace.records)}, "
+                  f"hess_calls {2 * sum(r.hess_calls or 0 for r in trace.records)}, "
+                  f"status {trace.status} 2\n" for side in ("first", "second")))

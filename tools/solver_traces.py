@@ -23,6 +23,9 @@ both dumps hold: a call field (status, x, u, ...) with the number of calls,
 and a trace-record field with the number of records (compared position by
 position) and, for floats, the largest relative difference
 |a - b| / max(|a|, |b|), which is inf where only one side is finite.
+Then it prints each dump's totals over the workload's calls: the trace
+records, the summed `inner_iters` and `hess_calls`, and the histogram of
+statuses, so that a cut in inner steps reads directly.
 """
 
 from __future__ import annotations
@@ -167,6 +170,16 @@ def _field_differences(pairs) -> list[str]:
     return lines
 
 
+def _totals(entries) -> str:
+    """The records, summed inner_iters and hess_calls and the status
+    histogram of a workload's calls (a snap has no records or status)."""
+    records = [r for e in entries for r in e.get("records", [])]
+    statuses = Counter(e["status"] for e in entries if "status" in e)
+    histogram = ", ".join(f"{s} {n}" for s, n in sorted(statuses.items()))
+    return (f"{len(records)} records, inner_iters {sum(r.get('inner_iters') or 0 for r in records)}, "
+            f"hess_calls {sum(r.get('hess_calls') or 0 for r in records)}, status {histogram}")
+
+
 def compare(path_a: Path, path_b: Path) -> int:
     """Report every workload of two dumps; the number of workloads with a
     call that differs."""
@@ -183,6 +196,8 @@ def compare(path_a: Path, path_b: Path) -> int:
             pairs = [(calls_a[k], calls_b[k]) for k, _ in diffs if k in calls_a and k in calls_b]
             for line in _field_differences(pairs):
                 print(line)
+            for side, calls in (("first", calls_a), ("second", calls_b)):
+                print(f"  {side} dump: {_totals([calls[k] for k in keys if k in calls])}")
             failed += 1
         else:
             print(f"{wname}: {len(keys)} calls identical")
