@@ -671,7 +671,11 @@ class BasisEvaluator:
         has no such short closed form. With A = X^T X + c (the point's Gram),
         G1 = X^T D + D^T X, G2 = D^T D and P = P_{W_perp}: d = 1 gives
         c2 = <P, G2>, c3 = c4 = 0; d = 2 gives c2 = <P o G1, G1> + 2 <P o A, G2>,
-        c3 = 2 <P o G1, G2>, c4 = <P o G2, G2>."""
+        c3 = 2 <P o G1, G2>, c4 = <P o G2, G2>. Alternating minimization's
+        Armijo trials read their cost from this polynomial and lift no
+        trial point: it rounds at about eps sum_k |c_k a^k|, the direct
+        residual at eps trace(K), so near a zero residual the polynomial
+        is the more accurate value."""
         spec = self.spec
         if spec.kind != "monomial_kernel" or spec.degree > 2:
             return None

@@ -14,7 +14,9 @@ evaluator (`BasisEvaluator`, with its P_{W_perp}) of the last subspace, so a
 trial point's cost and, once the step is accepted, its gradient blocks, line
 coefficients and Hessian operator read one lift, and all calls at one
 subspace share one P_{W_perp}. The cost needs no evaluator, so a trial point
-builds no P_{W_perp}. The Hessian operator adds the Grassmann curvature correction
+builds no P_{W_perp}; where the line coefficients are known, a line search
+reads its trial costs from them and lifts only the point it accepts. The
+Hessian operator adds the Grassmann curvature correction
 to the closed-form Euclidean Hessian of the lifting, which `fd_check`
 compares with finite differences of the gradient for every lifting. The
 trust region's preconditioner (`Objective.rprecon_operator`) reads the same
@@ -105,7 +107,10 @@ class Objective:
 
     def keep_lift(self, x: np.ndarray, point: LiftedPoint) -> None:
         """Make point, the lifted point of x that a caller held, the one
-        `lift` keeps again, after a lift of another X took its place."""
+        `lift` keeps again, after a lift of another X took its place: the
+        gradient loop of alternating minimization does so after a failed
+        line search whose trials it evaluated (where the line
+        coefficients are unknown), which lifted them."""
         self._point = (x, point)
 
     def lifted_residual(self, z: ProductPoint) -> float:
@@ -151,7 +156,9 @@ class Objective:
     def line_coefficients(self, z: ProductPoint, dx: np.ndarray):
         """(c2, c3, c4) of the cost along (x + a dx, u) for dx in null(A),
         which keeps the constraint; None under the penalty and where the
-        lifting has none (see `BasisEvaluator.line_coefficients`)."""
+        lifting has none (see `BasisEvaluator.line_coefficients`). Finite
+        coefficients let a line search read its trial costs without
+        lifting the trial points."""
         if not self.constrained:
             return None
         return self.at(z.u).line_coefficients(z.x, self.lift(z.x), dx)

@@ -282,10 +282,16 @@ def quartic_minimizer(c1: float, c2: float, c3: float, c4: float) -> float | Non
     best, best_value = None, None
     for a in roots:
         if 0 < a < math.inf:
-            value = a * (c1 + a * (c2 + a * (c3 + a * c4)))
+            value = line_quartic(a, c1, c2, c3, c4)
             if best is None or value < best_value:
                 best, best_value = a, value
     return best
+
+
+def line_quartic(a: float, c1: float, c2: float, c3: float, c4: float) -> float:
+    """c1 a + c2 a^2 + c3 a^3 + c4 a^4 by Horner's rule: the change of a cost
+    along a line whose coefficients are known."""
+    return a * (c1 + a * (c2 + a * (c3 + a * c4)))
 
 
 def _cubic_roots(b: float, c: float, d: float) -> list[float]:
@@ -767,8 +773,12 @@ def altmin_solve(
     minimizer: then d = -g + beta d_prev with the Polak-Ribiere+ beta =
     max(0, <g, g - g_prev> / ||g_prev||^2), kept only while <g, d> < 0. So
     the first step of a round, which the trace's `step` and the descent
-    bound read, is a steepest-descent step. The last record of the trace is
-    at the returned point."""
+    bound read, is a steepest-descent step. Where `Objective.line_coefficients`
+    gives finite (c2, c3, c4), the Armijo trials read the cost along the
+    line as f + `line_quartic`(alpha, <g, d>, c2, c3, c4) and lift nothing;
+    only the accepted point is lifted. Otherwise each trial's cost is
+    evaluated, which lifts it. Each record's f is the cost evaluated at its
+    point, and the last record of the trace is at the returned point."""
     if not obj.constrained:
         raise ValueError("alternating minimization requires the constrained formulation")
     cfg = cfg or AltminConfig()
@@ -828,15 +838,17 @@ def altmin_solve(
                          if r.rho is not None and r.rho > sub_cfg.rho_prime), None)
             f_val = sub_trace.final.f
         else:
-            # each point is lifted once (`Objective.lift`): the trial that
-            # Armijo accepts is the next iterate, and its lifted point gives
-            # the gradient there, the next step's line coefficients and the
-            # subspace update; P_perp is built once, at u
+            # each point is lifted once (`Objective.lift`): the point Armijo
+            # accepts is the next iterate, and its lifted point gives the
+            # gradient there, the next step's line coefficients and the
+            # subspace update; P_perp is built once, at u. Where the line
+            # coefficients are known, the trials read the cost from them
+            # and only the accepted point is lifted
             n_inner = 0
             n_hess = None
             step = None  # first inner step size, the one the descent bound uses
             z_k, gx = z, g.dx  # the accepted point and its X gradient
-            point = obj.lift(x)  # and its lifted point, which a failed trial displaces
+            point = obj.lift(x)  # and its lifted point, which an evaluated trial displaces
             conj = None  # (d, g, ||g||^2) of the last step, when it was the exact line step
             while n_inner < cfg.max_inner:
                 # one inner product gives the stop test ||g|| > eps_xk and
@@ -858,19 +870,27 @@ def altmin_solve(
                         if slope < 0.0:
                             d, g_dot_d = d_pr, slope
                 coeffs = obj.line_coefficients(z_k, d)
-                first = None if coeffs is None else quartic_minimizer(g_dot_d, *coeffs)
-                trial = []  # the last trial point; Armijo accepts the last it evaluates
+                trial = []  # the last point an evaluated trial lifted
+                if coeffs is not None and all(map(math.isfinite, coeffs)):
+                    # the cost along the line is f + <g, d> a + c2 a^2 +
+                    # c3 a^3 + c4 a^4: trials read it and lift nothing
+                    first = quartic_minimizer(g_dot_d, *coeffs)
 
-                def f_along(a, x=x, d=d):
-                    trial[:] = [x + a * d]
-                    return prob.cost(trial[0])
+                    def f_along(a, f0=f_val, coeffs=coeffs, g_dot_d=g_dot_d):
+                        return f0 + line_quartic(a, g_dot_d, *coeffs)
+                else:
+                    first = None
+
+                    def f_along(a, x=x, d=d):
+                        trial[:] = [x + a * d]
+                        return prob.cost(trial[0])
 
                 try:
                     alpha, f_val = armijo(f_along, f_val, g_dot_d, first=first)
                 except LineSearchError:
                     # no step passes the Armijo test at working precision:
                     # the round goes on to the subspace update, at the X
-                    # whose lifted point the failed trial displaced
+                    # whose lifted point an evaluated trial may have displaced
                     obj.keep_lift(x, point)
                     break
                 if step is None:
@@ -878,7 +898,10 @@ def altmin_solve(
                 # alpha equals the exact step only when Armijo accepted it:
                 # a backtracked alpha equal to it fails the same test again
                 conj = (d, gx, g_sq) if alpha == first else None
-                z_k = ProductPoint(trial[0], u)
+                # an evaluated search accepts the last trial it lifted, which
+                # `Objective.lift` keeps; the quartic's accepted point is
+                # lifted here, once
+                z_k = ProductPoint(trial[0] if trial else x + alpha * d, u)
                 x = z_k.x
                 point = obj.lift(x)
                 n_inner += 1

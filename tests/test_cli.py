@@ -1043,6 +1043,41 @@ def test_output_compare_tells_roundoff_from_text(tmp_path, capsys):
     ]
 
 
+def test_output_compare_names_text_cells(tmp_path, capsys):
+    # --compare on a CSV file that differs in text names each differing
+    # column: a column with text cells gives its first FIRST_ROWS of them
+    # (row below the header: cell -> cell, a blank cell as ''), a column
+    # that differs in numbers only its largest relative difference; a
+    # differing row count is reported too
+    trace = [f"{k},{0.5 ** k},{'rand_plain' if k > 8 else 'exact'}" for k in range(12)]
+    moved = [row.replace("rand_plain", "rand_power") if row.startswith("11,") else row
+             for row in trace]
+    moved[3] = "3,0.12500000000000003,exact"
+    runs = {
+        "svd": ("\n".join(["k,f,svd_mode", *trace, "12,0.0,"]),
+                "\n".join(["k,f,svd_mode", *moved, "12,0.0,exact"])),
+        "modes": ("k,mode\n" + "".join(f"{k},a\n" for k in range(5)),
+                  "k,mode\n" + "".join(f"{k},b\n" for k in range(5))),
+        "rows": ("k,f\n0,1.0\n1,0.5\n2,0.25\n", "k,f\n0,1.0\n1,0.5\n"),
+    }
+    for side in (0, 1):
+        for name, texts in runs.items():
+            (tmp_path / str(side) / name).mkdir(parents=True)
+            (tmp_path / str(side) / name / "trace_0.csv").write_text(texts[side])
+    tool = _cli_outputs_tool()
+    assert tool.FIRST_ROWS == 3
+    assert tool.compare(tmp_path / "0", tmp_path / "1") == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "modes: text differs: trace_0.csv",
+        "  trace_0.csv mode: 5 rows (0: a -> b, 1: a -> b, 2: a -> b, ...)",
+        "rows: text differs: trace_0.csv",
+        "  trace_0.csv: 3 rows -> 2 rows",
+        "svd: text differs: trace_0.csv",
+        "  trace_0.csv f: differs in 1 row, largest relative difference 2.22e-16",
+        "  trace_0.csv svd_mode: 2 rows (11: rand_plain -> rand_power, 12: '' -> exact)",
+    ]
+
+
 @pytest.mark.parametrize("command,key", [
     (command, key) for command, keys in COMMAND_KEYS.items()
     for key in sorted(set().union(*COMMAND_KEYS.values()) - keys)])

@@ -14,6 +14,7 @@ from nlrecover.lifting import LiftingSpec
 from nlrecover.manifold import (
     GrassmannPoint,
     MeasurementSubspace,
+    ProductPoint,
     grass_distance,
 )
 from nlrecover.objective import Objective
@@ -37,6 +38,7 @@ from nlrecover.solvers import (
     altmin_solve,
     armijo,
     default_init,
+    line_quartic,
     quartic_minimizer,
     product_problem,
     random_init,
@@ -51,7 +53,7 @@ from nlrecover.solvers import (
 from nlrecover.synth import (ClusterSpec, UosSpec, gen_clusters, gen_entry_mask, gen_uos,
                              numerical_rank, rmse)
 
-from conftest import small_masked_objective, uos_completion_problem
+from conftest import small_dense_objective, small_masked_objective, uos_completion_problem
 
 
 class TestTruncatedSvd:
@@ -1386,18 +1388,19 @@ class TestAltmin:
 
     def test_round_evaluates_each_point_once(self, monkeypatch):
         # an altmin1 round builds P_perp once and lifts each point once: the
-        # lift of each Armijo trial gives its cost, and the accepted one's the
-        # gradient, the next line coefficients, the subspace update and the
-        # next round's recorded cost and gradient. So a round lifts once per
-        # trial and nowhere else (not at its start, and not again after a
-        # failed line search, whose trial displaced the round's X), builds no
-        # kernel through monomial_kernel, and computes the X gradient once
-        # per accepted step (`Objective.rgrad_x`, through the round's
-        # X-subproblem) besides the one in its start's `Objective.rgrad`,
-        # except at the last step of a round cut at max_inner, whose
-        # gradient nothing reads.
-        counts = {"_w_perp": 0, "monomial_kernel": 0, "rgrad": 0, "rgrad_x": 0, "lift": 0,
-                  "trials": 0, "failed": 0}
+        # Armijo trials of the monomial kernel (d = 2) read their cost from
+        # the line coefficients and lift nothing, and the lift of each
+        # accepted point gives the gradient, the next line coefficients, the
+        # subspace update and the next round's recorded cost and gradient.
+        # So a round lifts once per accepted step and nowhere else (not at
+        # its start, and not after a failed line search), evaluates the cost
+        # once (at its start), builds no kernel through monomial_kernel, and
+        # computes the X gradient once per accepted step (`Objective.rgrad_x`,
+        # through the round's X-subproblem) besides the one in its start's
+        # `Objective.rgrad`, except at the last step of a round cut at
+        # max_inner, whose gradient nothing reads.
+        counts = {"_w_perp": 0, "monomial_kernel": 0, "rgrad": 0, "rgrad_x": 0, "cost": 0,
+                  "lift": 0, "trials": 0, "failed": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -1407,7 +1410,7 @@ class TestAltmin:
 
         for name in ("_w_perp", "monomial_kernel"):
             monkeypatch.setattr(nlrecover.lifting, name, counted(name, getattr(nlrecover.lifting, name)))
-        for name in ("rgrad", "rgrad_x"):
+        for name in ("rgrad", "rgrad_x", "cost"):
             monkeypatch.setattr(Objective, name, counted(name, getattr(Objective, name)))
         monkeypatch.setattr(LiftingSpec, "lift", counted("lift", LiftingSpec.lift))
         armijo_fn = nlrecover.solvers.armijo
@@ -1434,8 +1437,8 @@ class TestAltmin:
                 assert diff["failed"] <= 1
                 capped = rec.inner_iters == max_inner
                 assert diff == {"_w_perp": 1, "monomial_kernel": 0, "rgrad": 1,
-                                "rgrad_x": rec.inner_iters + (not capped),
-                                "lift": diff["trials"], "trials": diff["trials"],
+                                "rgrad_x": rec.inner_iters + (not capped), "cost": 1,
+                                "lift": rec.inner_iters, "trials": diff["trials"],
                                 "failed": diff["failed"]}
                 failed_rounds += diff["failed"]
                 capped_rounds += capped
@@ -1587,11 +1590,156 @@ class TestAltminDirections:
         assert sum(r.inner_iters for r in trace.records[:-1]) <= 1500
 
 
+class TestAltminLineCost:
+    """Where `Objective.line_coefficients` gives finite (c2, c3, c4), the
+    Armijo trials of altmin1 and `simple` read the cost along X + a D from
+    f + `line_quartic`(a, <g, D>, c2, c3, c4) and lift nothing, and only the
+    accepted point is lifted. The other liftings, and non-finite
+    coefficients, evaluate and lift each trial. The quartic rounds at about
+    eps sum_k |c_k a^k| and the direct cost at eps trace(K)."""
+
+    @staticmethod
+    def counted_run(monkeypatch, obj, solver="altmin1", max_outer=3):
+        """The trace of an altmin run and, per round, the lifts, the cost
+        evaluations and the Armijo trials it made, and the X of each lift."""
+        counts = {"lift": 0, "cost": 0, "trials": 0}
+        lifted = []
+        lift, cost, armijo_fn = LiftingSpec.lift, Objective.cost, nlrecover.solvers.armijo
+
+        def spy_lift(self, x):
+            counts["lift"] += 1
+            lifted.append(x)
+            return lift(self, x)
+
+        def spy_cost(self, z):
+            counts["cost"] += 1
+            return cost(self, z)
+
+        def spy_armijo(f_along, *args, **kwargs):
+            def counted(a):
+                counts["trials"] += 1
+                return f_along(a)
+            return armijo_fn(counted, *args, **kwargs)
+
+        monkeypatch.setattr(LiftingSpec, "lift", spy_lift)
+        monkeypatch.setattr(Objective, "cost", spy_cost)
+        monkeypatch.setattr(nlrecover.solvers, "armijo", spy_armijo)
+        starts = []
+        cfg = replace(build_solver_configs({}, solver), max_outer=max_outer)
+        _, trace = altmin_solve(obj, default_init(obj), cfg, rng=np.random.default_rng(0),
+                                on_iterate=lambda z: starts.append((z, dict(counts), len(lifted))))
+        rounds = []
+        for (z, start, i), (_, end, j) in zip(starts, starts[1:]):
+            rounds.append(({name: end[name] - start[name] for name in counts}, z, lifted[i:j]))
+        return trace, rounds
+
+    @staticmethod
+    def roundoff(obj, *points):
+        """eps times the largest trace(K) at the given X."""
+        return np.finfo(float).eps * max(obj.lifting.energy(obj.lifting.lift(x).lifted)
+                                         for x in points)
+
+    @pytest.mark.parametrize("sensing", ["mask", "dense"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_trial_costs_match_the_cost(self, monkeypatch, sensing, d):
+        # the cost each Armijo search reads along its line (x, dx) at the
+        # round's subspace u, at the exact step, at alpha0, at backtracked
+        # steps and at the step it accepted, against the cost evaluated
+        # there after the solve
+        if sensing == "mask":
+            obj, _ = small_masked_objective(n=4, s=10, r=2 if d == 1 else 4, d=d, seed=1)
+        else:
+            obj = small_dense_objective(n=3, s=10, m=16, r=2, d=d, seed=1)
+        lines, searches = [], []
+        line_coefficients, armijo_fn = Objective.line_coefficients, nlrecover.solvers.armijo
+
+        def spy_line_coefficients(self, z, dx):
+            lines.append((z.x, dx, z.u))
+            return line_coefficients(self, z, dx)
+
+        def spy_armijo(f_along, f0, g_dot_d, first=None):
+            searches.append((f_along, first, []))  # the accepted step, none after a failure
+            alpha, f_val = armijo_fn(f_along, f0, g_dot_d, first=first)
+            searches[-1][2].append(alpha)
+            return alpha, f_val
+
+        monkeypatch.setattr(Objective, "line_coefficients", spy_line_coefficients)
+        monkeypatch.setattr(nlrecover.solvers, "armijo", spy_armijo)
+        cfg = replace(build_solver_configs({}, "altmin1"), max_outer=3)
+        altmin_solve(obj, default_init(obj), cfg, rng=np.random.default_rng(0))
+        monkeypatch.undo()
+        assert len(searches) > 3 and all(first is not None for _, first, _ in searches)
+        backtracked = [ARMIJO_ALPHA0 * ARMIJO_TAU**i for i in (1, 4, 12)]
+        assert len(lines) == len(searches)
+        for (x, dx, u), (f_along, first, accepted) in zip(lines, searches):
+            for a in (first, ARMIJO_ALPHA0, *backtracked, *accepted):
+                x_a = x + a * dx
+                direct = obj.cost(ProductPoint(x_a, u))
+                assert abs(f_along(a) - direct) <= 16.0 * self.roundoff(obj, x, x_a)
+
+    @pytest.mark.parametrize("kind,d", [("gaussian_kernel", 2), ("monomial_features", 2),
+                                        ("monomial_kernel", 3)],
+                             ids=["gaussian", "features", "kernel_d3"])
+    def test_liftings_without_coefficients_evaluate_each_trial(self, monkeypatch, kind, d):
+        obj, _ = small_masked_objective(kind=kind, n=4, s=12, r=2, d=d, seed=3)
+        z = default_init(obj)
+        assert obj.line_coefficients(z, z.x) is None
+        trace, rounds = self.counted_run(monkeypatch, obj)
+        for rec, (diff, _, _) in zip(trace.records, rounds):
+            assert rec.inner_iters >= 1
+            assert diff == {"lift": diff["trials"], "cost": 1 + diff["trials"],
+                            "trials": diff["trials"]}
+
+    @pytest.mark.parametrize("bad", [(math.nan, None, None), (None, math.inf, None),
+                                     (None, None, -math.inf)], ids=["nan_c2", "inf_c3", "-inf_c4"])
+    def test_non_finite_coefficients_evaluate_each_trial(self, monkeypatch, bad):
+        # a non-finite coefficient takes the same path as no coefficients:
+        # the trials are evaluated and lifted, and the solve is the one
+        # without coefficients, bit for bit
+        obj, _, _ = uos_completion_problem(n=8, pts_per=12, seed=5)
+        line_coefficients = Objective.line_coefficients
+        calls = []
+
+        def spoiled(self, z, dx):
+            coeffs = line_coefficients(self, z, dx)
+            calls.append(coeffs)
+            return tuple(c if b is None else b for c, b in zip(coeffs, bad))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Objective, "line_coefficients", lambda self, z, dx: None)
+            plain, _ = self.counted_run(patch, obj)
+        monkeypatch.setattr(Objective, "line_coefficients", spoiled)
+        trace, rounds = self.counted_run(monkeypatch, obj)
+        assert calls and trace.records == plain.records
+        for rec, (diff, _, _) in zip(trace.records, rounds):
+            assert diff == {"lift": diff["trials"], "cost": 1 + diff["trials"],
+                            "trials": diff["trials"]}
+
+    @pytest.mark.parametrize("solver", ["altmin1", "simple"])
+    def test_accepted_steps_descend_at_roundoff(self, monkeypatch, solver):
+        # the accepted points of each round (its only lifts), in order, lower
+        # the directly evaluated cost at the round's subspace, up to the
+        # roundoff of the cost's own evaluation
+        obj, _, _ = uos_completion_problem(n=15, k=2, dim=2, pts_per=20, delta=0.6, seed=0)
+        trace, rounds = self.counted_run(monkeypatch, obj, solver, max_outer=6)
+        monkeypatch.undo()
+        n_steps = 0
+        for rec, (_, z, accepted) in zip(trace.records, rounds):
+            assert len(accepted) == rec.inner_iters
+            path = [z.x, *accepted]
+            costs = [obj.cost(ProductPoint(x, z.u)) for x in path]
+            for x, f_prev, f_next in zip(path, costs, costs[1:]):
+                assert f_next <= f_prev + 16.0 * self.roundoff(obj, x)
+            n_steps += len(accepted)
+        assert n_steps >= len(rounds) == 6
+
+
 class TestAltminRecords:
     @pytest.mark.parametrize("solver", ["altmin1", "simple"])
     def test_recorded_f_is_cost_at_iterate(self, solver):
-        # the inner loop takes f from the accepted Armijo trial; every record
-        # must still hold the cost at its iterate, bit for bit
+        # the inner loop takes f from the line quartic or the accepted
+        # Armijo trial; every record must still hold the cost at its
+        # iterate, bit for bit
         obj, _, _ = uos_completion_problem(n=15, k=2, dim=2, pts_per=20, delta=0.6, seed=0)
         cfg = replace(build_solver_configs({}, solver), max_outer=15)
         points = []

@@ -28,11 +28,14 @@ penalizes the misfit). The whole set takes well under a minute on one core.
 --compare reports each run as identical (every file byte for byte), as
 differing in numbers only (the files match once each number is read as a
 float; the largest relative difference |a - b| / max(|a|, |b|) is given per
-file, and for a CSV file also per column: each differing column, named by
-the header, with the number of rows it differs in and its largest relative
-difference), or as differing in text (anything else, a missing file
-included), so a change at roundoff can be told from a real one. It exits 1
-when a run differs in text.
+file), or as differing in text (anything else, a missing file included), so
+a change at roundoff can be told from a real one. Below that line it names,
+for each differing CSV file whose header both sides share, every differing
+column by its header: with the number of rows it differs in and, where its
+cells differ in numbers only, their largest relative difference, or else
+its first FIRST_ROWS text cells as `row: cell -> cell` (rows counted from 0
+below the header, a blank cell shown as ''); and a differing row count. It
+exits 1 when a run differs in text.
 """
 
 from __future__ import annotations
@@ -160,18 +163,52 @@ def numeric_difference(a: str, b: str) -> float | None:
     return worst
 
 
-def column_differences(a: str, b: str) -> list[tuple[str, int, float]]:
-    """(column, rows, largest relative difference) for each column that
-    differs between two CSV texts that match apart from their numbers, in
-    header order; the first row is the header."""
-    rows_a, rows_b = list(csv.reader(io.StringIO(a))), list(csv.reader(io.StringIO(b)))
-    counts, largest = {}, {}
-    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+# the number of cells that differ in text shown per CSV column
+FIRST_ROWS = 3
+
+
+def column_differences(rows_a: list, rows_b: list) -> list[tuple[str, int, float | None, list]]:
+    """(column, rows, largest relative difference, text cells) for each column
+    that differs between the rows of two CSV texts with the same header (the
+    first row), in header order, over the rows both texts have. rows counts
+    the cells that differ; the largest relative difference is over those
+    that differ in numbers only (None when none do), and text cells lists
+    the others as (row, cell_a, cell_b), the row counted from 0 below the
+    header."""
+    counts, largest, cells = {}, {}, {}
+    for i, (row_a, row_b) in enumerate(zip(rows_a[1:], rows_b[1:])):
         for j, (cell_a, cell_b) in enumerate(zip(row_a, row_b)):
             if cell_a != cell_b:
                 counts[j] = counts.get(j, 0) + 1
-                largest[j] = max(largest.get(j, 0.0), numeric_difference(cell_a, cell_b))
-    return [(rows_a[0][j], counts[j], largest[j]) for j in sorted(counts)]
+                diff = numeric_difference(cell_a, cell_b)
+                if diff is None:
+                    cells.setdefault(j, []).append((i, cell_a, cell_b))
+                else:
+                    largest[j] = max(largest.get(j, 0.0), diff)
+    return [(rows_a[0][j], counts[j], largest.get(j), cells.get(j, [])) for j in sorted(counts)]
+
+
+def csv_report(name: str, a: str, b: str) -> list[str]:
+    """One line per differing column of two CSV texts, and one for a
+    differing row count; none when their headers differ."""
+    rows_a, rows_b = list(csv.reader(io.StringIO(a))), list(csv.reader(io.StringIO(b)))
+    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+        return []
+    lines = []
+    for column, n, largest, cells in column_differences(rows_a, rows_b):
+        rows = f"{n} row{'s' if n > 1 else ''}"
+        if cells:
+            shown = [f"{i}: " + " -> ".join(cell or "''" for cell in pair)
+                     for i, *pair in cells[:FIRST_ROWS]]
+            if len(cells) > FIRST_ROWS:
+                shown.append("...")
+            lines.append(f"  {name} {column}: {rows} ({', '.join(shown)})")
+        else:
+            lines.append(f"  {name} {column}: differs in {rows}, "
+                         f"largest relative difference {largest:.3g}")
+    if len(rows_a) != len(rows_b):
+        lines.append(f"  {name}: {len(rows_a) - 1} rows -> {len(rows_b) - 1} rows")
+    return lines
 
 
 def compare(out_a: Path, out_b: Path) -> int:
@@ -193,19 +230,18 @@ def compare(out_a: Path, out_b: Path) -> int:
                     text.append(f)
                 else:
                     numeric[f] = diff
-                    if f.endswith(".csv"):
-                        columns += [(f, *c) for c in column_differences(a, b)]
+                if f.endswith(".csv"):
+                    columns += csv_report(f, a, b)
         if text:
             print(f"{name}: text differs: {', '.join(text)}")
             failed += 1
         elif numeric:
             print(f"{name}: numbers only: " + ", ".join(
                 f"{f} max rel diff {d:.2e}" for f, d in numeric.items()))
-            for f, column, n, d in columns:
-                print(f"  {f} {column}: differs in {n} row{'s' if n > 1 else ''}, "
-                      f"largest relative difference {d:.3g}")
         else:
             print(f"{name}: identical")
+        for line in columns:
+            print(line)
     return failed
 
 
