@@ -274,21 +274,22 @@ def monomial_hess_operator(x_mat: np.ndarray, w: np.ndarray, d: int, c: float):
     n, s = x_mat.shape
     r = w.shape[1]
     # the Gram turns into K_d in place and P is formed after the powers, so
-    # the build holds at most five s x s arrays at once
+    # the build holds at most five s x s arrays at once. The factors carry
+    # the formulas' powers of two, which scale exactly: k_1 = -2 K_{d-1},
+    # k_d = -2 K_d, k_1_perp = k_1 o P and k_2_perp = 2 (d-1) K_{d-2} o P
     gram = x_mat.T @ x_mat
     gram += c
     k_1 = gram ** (d - 1)
     k_2_perp = gram ** (d - 2) if d >= 3 else None
+    k_1 *= -2.0
     k_d = np.multiply(gram, k_1, out=gram)
     p_perp = _w_perp(w, s)
     k_1_perp = k_1 * p_perp
-    # (d-1) K_{d-2} o P, the weight of S_x in h_x: zero for d = 1, and P
-    # itself for d = 2, where K_0 is all ones
-    if d == 2:
-        k_2_perp = p_perp
-    elif k_2_perp is not None:
-        k_2_perp *= p_perp
-        k_2_perp *= d - 1
+    # the weight of S_x in h_x: none for d = 1, and P itself (not read
+    # again) for d = 2, where K_0 is all ones
+    if d >= 2:
+        k_2_perp = p_perp if d == 2 else np.multiply(k_2_perp, p_perp, out=k_2_perp)
+        k_2_perp *= 2 * (d - 1)
     # [X; dx; X]: rows :2n are [X; dx], the transpose of [X^T | dx^T]; rows n: are [dx; X]
     stack_x = np.empty((3 * n, s))
     stack_x[:n] = x_mat
@@ -300,22 +301,20 @@ def monomial_hess_operator(x_mat: np.ndarray, w: np.ndarray, d: int, c: float):
 
     def apply(dx: np.ndarray, dw: np.ndarray | None = None):
         if dw is None and k_2_perp is None:
-            return (2.0 * d) * (dx @ k_1_perp)
+            return -(dx @ k_1_perp)
         stack_x[n:2 * n] = dx
         sym_x = stack_x[:2 * n].T @ stack_x[n:]
         if dw is None:
             inner = np.multiply(sym_x, k_2_perp, out=sym_x)
         else:
             stack_w[:, r:2 * r] = dw
-            h_w = -2.0 * (d * ((k_1 * sym_x) @ w) + k_d @ dw)
-            # inner = (d-1) K_{d-2} o P o S_x - K_{d-1} o S_w, in place
+            h_w = d * ((k_1 * sym_x) @ w) + k_d @ dw
+            # 2 ((d-1) K_{d-2} o P o S_x - K_{d-1} o S_w), in place
             inner = stack_w[:, :2 * r] @ stack_w[:, r:].T
             np.multiply(inner, k_1, out=inner)
-            if k_2_perp is None:
-                np.negative(inner, out=inner)
-            else:
-                np.subtract(np.multiply(sym_x, k_2_perp, out=sym_x), inner, out=inner)
-        h_x = (2.0 * d) * (dx @ k_1_perp + x_mat @ inner)
+            if k_2_perp is not None:
+                np.add(np.multiply(sym_x, k_2_perp, out=sym_x), inner, out=inner)
+        h_x = d * (x_mat @ inner - dx @ k_1_perp)
         return h_x if dw is None else (h_x, h_w)
 
     return apply
@@ -346,11 +345,12 @@ def gaussian_hess_operator(
     b = k * p_perp
     b_sum = b.sum(axis=0)
     inv_var = 1.0 / sigma**2
+    neg_k = -inv_var * k  # the first factor of dK, as the formula rounds it
 
     def apply(dx: np.ndarray, dw: np.ndarray | None = None):
         c = x_mat.T @ dx
         a = np.diag(c)
-        dk = -inv_var * k * (a[:, None] + a[None, :] - c - c.T)
+        dk = neg_k * (a[:, None] + a[None, :] - c - c.T)
         db = dk * p_perp
         if dw is not None:
             db = db - k * (w @ dw.T + dw @ w.T)

@@ -311,12 +311,15 @@ class ProductPoint(NamedTuple):
     u: GrassmannPoint
 
 
-@dataclass(frozen=True)
 class ProductTangent:
-    """Tangent (dx, du) with dx in null(A) and du horizontal at the anchor."""
+    """Tangent (dx, du) with dx in null(A) and du horizontal at the anchor,
+    treated as immutable: truncated CG's path records hold its tangents, so
+    each operation returns a new one and leaves its operands as they were."""
 
-    dx: np.ndarray
-    du: np.ndarray
+    __slots__ = ("dx", "du")
+
+    def __init__(self, dx: np.ndarray, du: np.ndarray):
+        self.dx, self.du = dx, du
 
     def __add__(self, other: "ProductTangent") -> "ProductTangent":
         return ProductTangent(self.dx + other.dx, self.du + other.du)

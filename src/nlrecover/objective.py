@@ -164,17 +164,19 @@ class Objective:
         return self.at(z.u).line_coefficients(z.x, self.lift(z.x), dx)
 
     def _hess_x(self, hx: np.ndarray, dx: np.ndarray) -> np.ndarray:
-        """X block of a Riemannian Hessian product from its Euclidean part:
-        plus the penalty term 2 lambda A^T A dx, read from the measurement's
-        cached Gram (`MeasurementSubspace.normal_apply`), or projected onto
-        null(A)."""
+        """X block of a Riemannian Hessian product from its Euclidean part, a
+        fresh array hx: plus the penalty term 2 lambda A^T A dx in place, read
+        from the measurement's cached Gram (`MeasurementSubspace.normal_apply`),
+        or projected onto null(A)."""
         if self.penalty_lambda is not None:
-            return hx + self.measurement.normal_apply(dx, scale=2.0 * self.penalty_lambda)
+            return np.add(hx, self.measurement.normal_apply(dx, scale=2.0 * self.penalty_lambda), out=hx)
         return meas_project(self.measurement, hx)
 
     def rhess_operator(self, z: ProductPoint):
         """Riemannian Hessian at z as an operator on tangents; point-dependent
-        quantities (kernel matrices, the curvature term) are built once."""
+        quantities (kernel matrices, the curvature term) are built once. A
+        product adds the curvature and penalty terms in place, so it relies
+        on the lifting's operator returning fresh arrays."""
         lifting, point = self.at(z.u), self.lift(z.x)
         euclid = lifting.hess_operator(z.x, point)
         gu = lifting.grad_basis(point)
@@ -183,7 +185,7 @@ class Objective:
         def apply(xi: ProductTangent) -> ProductTangent:
             hx, hu = euclid(xi.dx, xi.du)
             # Grassmann quotient curvature: P_perp(eucl_hess - du (U^T grad_U))
-            hu = hu - xi.du @ u_gu
+            hu -= xi.du @ u_gu
             return ProductTangent(self._hess_x(hx, xi.dx), grass_project(z.u, hu))
 
         return apply

@@ -602,6 +602,28 @@ def old_monomial_hess_operator(x_mat, w, d, c):
     return apply
 
 
+def old_gaussian_hess_operator(x_mat, w, sigma, k, p_perp):
+    """The Gaussian Hessian operator as it was before -K / sigma^2 was built
+    once per point."""
+    b = k * p_perp
+    b_sum = b.sum(axis=0)
+    inv_var = 1.0 / sigma**2
+
+    def apply(dx, dw=None):
+        c = x_mat.T @ dx
+        a = np.diag(c)
+        dk = -inv_var * k * (a[:, None] + a[None, :] - c - c.T)
+        db = dk * p_perp
+        if dw is not None:
+            db = db - k * (w @ dw.T + dw @ w.T)
+        h_x = -2.0 * inv_var * (dx * b_sum - dx @ b + x_mat * db.sum(axis=0) - x_mat @ db)
+        if dw is None:
+            return h_x
+        return h_x, -2.0 * (dk @ w + k @ dw)
+
+    return apply
+
+
 class TestKernelsBitForBit:
     """The lifting's hot kernels against the expressions they replaced,
     to the bit, on seeded inputs."""
@@ -620,6 +642,19 @@ class TestKernelsBitForBit:
         x = rng.standard_normal((5, 40))
         w = random_basis(rng, 40, 6)
         new, old = monomial_hess_operator(x, w, d, 0.7), old_monomial_hess_operator(x, w, d, 0.7)
+        for _ in range(3):
+            dx, dw = rng.standard_normal((5, 40)), rng.standard_normal((40, 6))
+            assert new(dx).tobytes() == old(dx).tobytes()
+            (hx, hw), (old_hx, old_hw) = new(dx, dw), old(dx, dw)
+            assert hx.tobytes() == old_hx.tobytes() and hw.tobytes() == old_hw.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.3, 2.5])
+    def test_gaussian_hess_operator_products(self, sigma, rng):
+        x = rng.standard_normal((5, 40))
+        w = random_basis(rng, 40, 6)
+        k, p_perp = gaussian_kernel(x, x, sigma), perp(w)
+        new = gaussian_hess_operator(x, w, sigma, k, p_perp)
+        old = old_gaussian_hess_operator(x, w, sigma, k, p_perp)
         for _ in range(3):
             dx, dw = rng.standard_normal((5, 40)), rng.standard_normal((40, 6))
             assert new(dx).tobytes() == old(dx).tobytes()

@@ -493,3 +493,49 @@ class TestProductOps:
         diff = two - xi
         assert np.allclose(diff.du, 1.0)
         assert np.allclose((-xi).dx, -1.0)
+
+
+class TestProductTangentContract:
+    """Truncated CG's path records hold references to its tangents, and the
+    traced benchmark patches the arithmetic methods on the class, so the
+    tangent is an immutable value with those four methods."""
+
+    @staticmethod
+    def pair(rng):
+        return (ProductTangent(rng.standard_normal((3, 5)), rng.standard_normal((5, 2))),
+                ProductTangent(rng.standard_normal((3, 5)), rng.standard_normal((5, 2))))
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a + b, lambda a, b: a - b, lambda a, b: -a,
+        lambda a, b: 0.5 * a, lambda a, b: a * 0.5,
+    ], ids=["add", "sub", "neg", "rmul", "mul"])
+    def test_arithmetic_returns_a_new_tangent(self, op, rng):
+        a, b = self.pair(rng)
+        before = [v.tobytes() for v in (a.dx, a.du, b.dx, b.du)]
+        arrays = [a.dx, a.du, b.dx, b.du]
+        out = op(a, b)
+        assert type(out) is ProductTangent and out is not a and out is not b
+        assert not any(new is old for new in (out.dx, out.du) for old in arrays)
+        assert [v.tobytes() for v in (a.dx, a.du, b.dx, b.du)] == before
+        assert all(new is old for new, old in zip((a.dx, a.du, b.dx, b.du), arrays))
+
+    def test_numpy_scalars_scale_from_either_side(self, rng):
+        a, _ = self.pair(rng)
+        scalar = np.float64(-0.3)
+        for out in (scalar * a, a * scalar):
+            assert type(out) is ProductTangent
+            assert out.dx.tobytes() == (-0.3 * a.dx).tobytes()
+            assert out.du.tobytes() == (-0.3 * a.du).tobytes()
+
+    def test_rmul_is_mul(self):
+        # the traced run patches both names through this alias
+        assert ProductTangent.__rmul__ is ProductTangent.__mul__
+
+    def test_slotted_and_picklable(self, rng):
+        a, _ = self.pair(rng)
+        assert not hasattr(a, "__dict__")
+        with pytest.raises(AttributeError):
+            a.extra = 1.0
+        back = pickle.loads(pickle.dumps(a))
+        assert type(back) is ProductTangent
+        assert back.dx.tobytes() == a.dx.tobytes() and back.du.tobytes() == a.du.tobytes()

@@ -22,6 +22,7 @@ from nlrecover.manifold import (
     MeasurementSubspace,
     ProductPoint,
     ProductTangent,
+    grass_project,
     meas_project,
     product_inner,
     product_norm,
@@ -499,6 +500,66 @@ class TestRhessDense:
         if obj.constrained:
             assert np.linalg.norm(obj.measurement.apply(out.dx)) <= 1e-10 * max(1.0, np.linalg.norm(out.dx))
         assert np.linalg.norm(z.u.basis.T @ out.du) <= 1e-10 * max(1.0, np.linalg.norm(out.du))
+
+
+def composed_rhess_operators(obj, z):
+    """`rhess_operator(z)` and `rhess_x_operator(z)` composed as they were
+    before the curvature term and the penalty were applied in place: each
+    step of a product makes a new array."""
+    lifting, point = obj.at(z.u), obj.lift(z.x)
+    euclid = lifting.hess_operator(z.x, point)
+    u_gu = z.u.basis.T @ lifting.grad_basis(point)
+
+    def hess_x(hx, dx):
+        if obj.penalty_lambda is not None:
+            return hx + obj.measurement.normal_apply(dx, scale=2.0 * obj.penalty_lambda)
+        return meas_project(obj.measurement, hx)
+
+    def apply(xi):
+        hx, hu = euclid(xi.dx, xi.du)
+        return ProductTangent(hess_x(hx, xi.dx), grass_project(z.u, hu - xi.du @ u_gu))
+
+    return apply, lambda dx: hess_x(euclid(dx), dx)
+
+
+class TestRhessBitForBit:
+    """The Riemannian Hessian products against their composition from new
+    arrays, to the bit, for every lifting under an entry mask, under
+    constrained dense sensing and under the penalty (masked and dense); no
+    product changes its input tangent."""
+
+    LIFTS = {"monomial_d1": ("monomial_kernel", 1), "monomial_d2": ("monomial_kernel", 2),
+             "monomial_d3": ("monomial_kernel", 3), "gaussian": ("gaussian_kernel", 2),
+             "features": ("monomial_features", 2)}
+
+    @staticmethod
+    def point(lift, form, rng):
+        kind, d = TestRhessBitForBit.LIFTS[lift]
+        penalty = 2.0 if form.endswith("penalty") else None
+        if form.startswith("dense"):
+            obj = small_dense_objective(kind=kind, d=d, seed=31, penalty=penalty)
+        else:
+            base, _ = small_masked_objective(kind=kind, d=d, seed=31)
+            obj = Objective(lifting=base.lifting, rank_r=base.rank_r,
+                            measurement=base.measurement, penalty_lambda=penalty)
+        z0 = default_init(obj)
+        u = GrassmannPoint(random_basis(rng, obj.grassmann_ambient(), obj.rank_r))
+        return obj, ProductPoint(z0.x + obj.random_tangent(z0, rng).dx, u)
+
+    @pytest.mark.parametrize("lift", list(LIFTS))
+    @pytest.mark.parametrize("form", ["mask", "dense", "mask_penalty", "dense_penalty"])
+    def test_products_match_the_composition(self, lift, form, rng):
+        obj, z = self.point(lift, form, rng)
+        op, x_op = obj.rhess_operator(z), obj.rhess_x_operator(z)
+        expect_op, expect_x_op = composed_rhess_operators(obj, z)
+        for _ in range(3):
+            xi = obj.random_tangent(z, rng)
+            given = (xi.dx.tobytes(), xi.du.tobytes())
+            out, expect = op(xi), expect_op(xi)
+            assert out.dx.tobytes() == expect.dx.tobytes()
+            assert out.du.tobytes() == expect.du.tobytes()
+            assert x_op(xi.dx).tobytes() == expect_x_op(xi.dx).tobytes()
+            assert (xi.dx.tobytes(), xi.du.tobytes()) == given
 
 
 class TestRprecon:
