@@ -113,6 +113,15 @@ class Objective:
         coefficients are unknown), which lifted them."""
         self._point = (x, point)
 
+    def energy(self, x: np.ndarray) -> float:
+        """The scale of the cost at x, which its roundoff follows: the lifted
+        energy of x's lift (`LiftingSpec.energy`, trace(K) for a kernel),
+        plus lambda ||b||^2, the penalty term at X = 0, under the penalty."""
+        val = self.lifting.energy(self.lift(x).lifted)
+        if self.penalty_lambda is not None:
+            val += self.penalty_lambda * float(self.measurement.b @ self.measurement.b)
+        return val
+
     def lifted_residual(self, z: ProductPoint) -> float:
         """Cost without the penalty term (always >= 0 up to roundoff)."""
         return self.lifting.residual(self.lift(z.x).lifted, z.u.basis)

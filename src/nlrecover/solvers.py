@@ -51,6 +51,7 @@ class LineSearchError(RuntimeError):
 
 # the trust region stops as stalled once a rejection shrinks the radius below
 STALL_RADIUS = 1e-16
+RHO_ROUNDOFF = 100.0 * np.finfo(float).eps  # rho's roundoff allowance per unit of energy
 LANCZOS_ITERS = 30  # steps of the smallest-eigenvalue estimate behind eps_h
 PERTURB_SCALE = 0.3  # size of the null-space perturbation of a trust-region restart
 DELTA0 = 1.0  # initial trust-region radius; the radius cap is 2 sqrt(dim)
@@ -335,7 +336,9 @@ class RiemannianProblem:
     an operator with point-dependent data precomputed; precon_at(point), when
     given, returns a symmetric positive definite approximation of its inverse
     on the tangent space, which preconditions truncated CG (None: the
-    identity)."""
+    identity). energy(point), when given, is the scale of the cost's
+    roundoff at the point, which the trust region's rho allows for (None:
+    no allowance)."""
 
     cost: Callable
     grad: Callable
@@ -346,6 +349,7 @@ class RiemannianProblem:
     # (point, rng) -> tangent; only the second-order stop (finite eps_h) reads it
     rand_tangent: Callable | None = None
     precon_at: Callable | None = None  # point -> (tangent -> tangent)
+    energy: Callable | None = None  # point -> float
 
     def norm(self, xi) -> float:
         return math.sqrt(max(self.inner(xi, xi), 0.0))
@@ -361,6 +365,7 @@ def product_problem(obj: Objective) -> RiemannianProblem:
         inner=product_inner,
         rand_tangent=obj.random_tangent,
         precon_at=obj.rprecon_operator,
+        energy=lambda z: obj.energy(z.x),
         dim=max(dim, 1),
     )
 
@@ -375,6 +380,7 @@ def x_factor_problem(obj: Objective, u: GrassmannPoint) -> RiemannianProblem:
         hess_at=lambda x: obj.rhess_x_operator(ProductPoint(x, u)),
         retract=lambda x, dx: x + dx,
         inner=lambda a, b: float(np.vdot(a, b)),
+        energy=obj.energy,
         dim=max(obj.x_dim(), 1),
     )
 
@@ -577,6 +583,14 @@ def rtr_generic(
     the cap 2 sqrt(dim) are measured in the preconditioner's norm; the
     trace's step is the Euclidean norm of the step, and the negative-curvature
     step of the second-order stop is scaled to Euclidean length delta.
+
+    rho = (actual + e) / (model + e), with e = RHO_ROUNDOFF E and E
+    `prob.energy` at the current point (e = 0 without it), read again at
+    each accepted point: the cost's roundoff scales with E (trace(K) for a
+    kernel), not with |f|, so a step whose decreases both sit at roundoff
+    reads rho near 1 and is accepted, and one that raises f beyond it is
+    rejected. A model decrease at or below -e, which no tCG step gives
+    outside roundoff, reads rho = -inf, so rho is never NaN.
     """
     delta_bar = 2.0 * math.sqrt(prob.dim)
     rng = np.random.default_rng(2**32 - 1)
@@ -599,6 +613,7 @@ def rtr_generic(
             gx, gu = gnorm_parts(g) if gnorm_parts is not None else (gnorm, 0.0)
             err = rmse_of(z) if rmse_of is not None else None
             hop, precon, path = None, None, {}
+            allowance = 0.0 if prob.energy is None else RHO_ROUNDOFF * prob.energy(z)
             new_point = False
         rec = TraceRecord(k=k, f=f_val, gnorm_x=gx, gnorm_u=gu, delta=delta, rmse=err)
         trace.append(rec)
@@ -645,10 +660,8 @@ def rtr_generic(
         if not math.isfinite(f_plus):
             raise NumericalError("cost became non-finite at a trial point")
         actual = f_val - f_plus
-        if model_decrease <= 1e-15 * (1.0 + abs(f_val)):
-            rho = 1.0 if actual >= 0.0 else -math.inf
-        else:
-            rho = actual / model_decrease
+        denom = model_decrease + allowance
+        rho = (actual + allowance) / denom if denom > 0.0 else -math.inf
 
         if rho < 0.25:
             delta = delta / 4.0

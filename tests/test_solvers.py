@@ -41,6 +41,7 @@ from nlrecover.solvers import (
     line_quartic,
     quartic_minimizer,
     product_problem,
+    RHO_ROUNDOFF,
     random_init,
     randomized_svd,
     rtr_generic,
@@ -49,6 +50,7 @@ from nlrecover.solvers import (
     tcg_replay,
     tcg_subproblem,
     truncated_svd,
+    x_factor_problem,
 )
 from nlrecover.synth import (ClusterSpec, UosSpec, gen_clusters, gen_entry_mask, gen_uos,
                              numerical_rank, rmse)
@@ -760,7 +762,8 @@ class TestPreconditionedTcg:
 def reference_rtr(prob, z0, cfg):
     """The trust-region loop that solves tCG again, and rebuilds the gradient,
     the Hessian operator and the preconditioner, after every rejected step;
-    rho reads the model decrease from the fresh solve's own record. Its last
+    rho reads the model decrease from the fresh solve's own record, and its
+    roundoff allowance from the energy at the current point. Its last
     record is at the returned point, whatever the status."""
     delta_bar = 2.0 * math.sqrt(prob.dim)
     z, delta, f_val, trace = z0, DELTA0, prob.cost(z0), SolveTrace()
@@ -781,11 +784,8 @@ def reference_rtr(prob, z0, cfg):
         model_decrease = -0.5 * (prob.inner(g, eta) + prob.inner(r, eta))
         z_plus = prob.retract(z, eta)
         f_plus = prob.cost(z_plus)
-        actual = f_val - f_plus
-        if model_decrease <= 1e-15 * (1.0 + abs(f_val)):
-            rho = 1.0 if actual >= 0.0 else -math.inf
-        else:
-            rho = actual / model_decrease
+        allowance = RHO_ROUNDOFF * prob.energy(z)
+        rho = (f_val - f_plus + allowance) / (model_decrease + allowance)
         if rho < 0.25:
             delta = delta / 4.0
         elif rho > 0.75 and on_boundary:
@@ -1175,6 +1175,57 @@ class TestRtr:
         assert math.isclose(decrease, explicit, rel_tol=1e-9), (decrease, explicit)
         actual = prob.cost(x0) - prob.cost(x0 + eta)
         assert first.rho == actual / decrease
+
+
+class TestRho:
+    """rho = (actual + e) / (model + e) with e = RHO_ROUNDOFF E, E the
+    problem's energy at the current point."""
+
+    @staticmethod
+    def first_record(monkeypatch, f_plus, energy):
+        # every tCG record replays to the zero step, whose model decrease is
+        # 0; the cost is 1.5 at the start and f_plus at the trial point
+        monkeypatch.setattr(nlrecover.solvers, "tcg_replay",
+                            lambda record, delta: (np.zeros(2), np.ones(2), False, 1))
+        costs = iter([1.5, f_plus])
+        prob = RiemannianProblem(
+            cost=lambda x: next(costs),
+            grad=lambda x: np.array([1.0, 0.0]),
+            hess_at=lambda x: (lambda v: v),
+            retract=lambda x, v: x + v,
+            inner=vec_inner,
+            dim=2,
+            energy=energy,
+        )
+        _, trace = rtr_generic(prob, np.zeros(2), RtrConfig(max_iter=1))
+        return trace.records[0]
+
+    @pytest.mark.parametrize("f_plus", [1.5, math.nextafter(1.5, 0.0), math.nextafter(1.5, 2.0)],
+                             ids=["unchanged", "one_ulp_down", "one_ulp_up"])
+    def test_zero_model_decrease_reads_rho_near_one(self, f_plus, monkeypatch):
+        rec = self.first_record(monkeypatch, f_plus, energy=lambda x: 4.0)
+        allowance = RHO_ROUNDOFF * 4.0
+        assert rec.rho == ((1.5 - f_plus) + allowance) / allowance
+        assert abs(rec.rho - 1.0) <= 0.01 and rec.rho > RtrConfig.rho_prime
+
+    @pytest.mark.parametrize("f_plus", [1.5, math.nextafter(1.5, 0.0), math.nextafter(1.5, 2.0)],
+                             ids=["unchanged", "one_ulp_down", "one_ulp_up"])
+    def test_zero_model_decrease_without_energy_is_rejected(self, f_plus, monkeypatch):
+        # no allowance: 0 / 0 would be NaN, and rho reads -inf instead
+        rec = self.first_record(monkeypatch, f_plus, energy=None)
+        assert rec.rho == -math.inf
+
+    @pytest.mark.parametrize("penalty", [None, 2.0])
+    def test_problems_read_the_lifted_energy(self, penalty):
+        # the lifted energy of the kept lift, plus lambda ||b||^2 under the
+        # penalty, for the product and the X-factor problem alike
+        obj = small_dense_objective(penalty=penalty)
+        z = default_init(obj)
+        expect = obj.lifting.energy(obj.lifting.lift(z.x).lifted)
+        if penalty is not None:
+            expect += penalty * float(obj.measurement.b @ obj.measurement.b)
+        assert product_problem(obj).energy(z) == expect
+        assert x_factor_problem(obj, z.u).energy(z.x) == expect
 
 
 class TestOneLiftPerPoint:

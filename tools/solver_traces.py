@@ -1,5 +1,6 @@
-"""Solve the four benchmark workloads on one checkout and keep what every
-solver call returned, so that two checkouts can be compared bit for bit:
+"""Solve the four benchmark workloads and a set of larger mask instances on
+one checkout and keep what every solver call returned, so that two
+checkouts can be compared bit for bit:
 
     python tools/solver_traces.py <checkout-dir> <out-file>
     python tools/solver_traces.py <other-checkout-dir> <other-out-file>
@@ -8,13 +9,18 @@ solver call returned, so that two checkouts can be compared bit for bit:
 A run imports `nlrecover` from <checkout-dir>/src and the workloads from
 <checkout-dir>/perfbench/workloads.py (read only), with one BLAS thread. It
 builds and solves every instance of WORKLOADS once, in the listed order, and
-writes one JSON line per `rtr_solve` or `altmin_solve` call: the workload, the
+then the set `mask_rtr_400`: keys (0..4, 0) of mask recovery at s = 400
+columns, built by that file's `_uos_mask_setup(200)` and solved by its
+`_solve_rtr`, where the trust region's status (`grad_tol` or `stalled`)
+turns on its rho test at roundoff. It writes one JSON line per
+`rtr_solve` or `altmin_solve` call: the workload (or set), the
 instance key, the call's index within the instance's solve, the solver, the
 trace status, every trace record, and SHA-256 hashes of the returned X and
 subspace basis. A `cli._snap_columns` call (the clustering pipeline's column
 snap) is a line of its own, with its X and basis hashes and no records.
 Floats are written as Python prints them, which reads back to the same bits.
-A run takes about 9 s on one core.
+A run takes about 8 s on one core of a 2-core Xeon VM, half of it the
+s = 400 set.
 
 --compare reports each workload as identical or names the first call and
 field that differ (a missing call included), and exits 1 when any differs.
@@ -41,6 +47,7 @@ from collections import Counter
 from pathlib import Path
 
 WORKLOADS = ("mask_rtr", "dense_penalty", "cluster_gauss", "altmin_mask")
+MASK_RTR_400_KEYS = tuple((j, 0) for j in range(5))
 SOLVERS = ("rtr_solve", "altmin_solve")
 
 
@@ -97,17 +104,19 @@ def dump(root: Path, out: Path) -> int:
                 setattr(module, name, wrapped)
     snap, nlrecover.cli._snap_columns = nlrecover.cli._snap_columns, logged_snap
 
+    sets = [(w.name, w.keys, w.setup, w.solve) for w in map(workloads.WORKLOADS.get, WORKLOADS)]
+    sets.append(("mask_rtr_400", MASK_RTR_400_KEYS, workloads._uos_mask_setup(200),
+                 workloads._solve_rtr))
     n_calls = 0
     with out.open("w") as fh:
-        for wname in WORKLOADS:
-            w = workloads.WORKLOADS[wname]
-            for key in w.keys:
+        for wname, keys, setup, solve in sets:
+            for key in keys:
                 calls.clear()
-                w.solve(w.setup(key))
+                solve(setup(key))
                 for i, (solver, point, trace) in enumerate(calls):
                     fh.write(call_line(wname, key, i, solver, point, trace) + "\n")
                 n_calls += len(calls)
-            print(f"{wname}: {len(w.keys)} instances solved")
+            print(f"{wname}: {len(keys)} instances solved")
     return n_calls
 
 
